@@ -3,15 +3,24 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mutsvc_core::{AppKind, Config, Scenario};
-use mutsvc_desim::{FifoResource, SimDuration, SimTime, Simulation};
+use mutsvc_desim::{Context, FifoResource, Fire, SimDuration, SimTime, Simulation};
 use mutsvc_netsim::{Network, TopologyBuilder};
+
+/// The benchmark's event: bumps a counter world.
+struct Tick;
+
+impl Fire<u64> for Tick {
+    fn fire(self, count: &mut u64, _: &mut Context<'_, u64, Tick>) {
+        *count += 1;
+    }
+}
 
 fn event_scheduling(c: &mut Criterion) {
     c.bench_function("engine/schedule_and_fire_100k_events", |b| {
         b.iter(|| {
-            let mut sim = Simulation::new(0u64);
+            let mut sim = Simulation::with_events(0u64);
             for i in 0..100_000u64 {
-                sim.schedule_at(SimTime::from_micros(i % 977), |w: &mut u64, _| *w += 1);
+                sim.schedule_event_at(SimTime::from_micros(i % 977), Tick);
             }
             sim.run();
             assert_eq!(*sim.world(), 100_000);

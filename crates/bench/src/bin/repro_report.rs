@@ -363,14 +363,13 @@ fn print_simperf(smoke: bool, seed: u64, parallel: usize) {
         };
         println!(
             "  {:<9} {:>4}x load  {engine}  cache {:<3}  {:>9.0} req/s  \
-             {:>11.0} events/s  hit rate {:>5.1}%  boxed {}",
+             {:>11.0} events/s  hit rate {:>5.1}%",
             cell.app,
             cell.load_factor,
             if cell.bind_cache { "on" } else { "off" },
             cell.requests_per_sec,
             cell.events_per_sec,
-            cell.hit_rate * 100.0,
-            cell.boxed_events
+            cell.hit_rate * 100.0
         );
     }
     let top = if smoke { 10 } else { 100 };

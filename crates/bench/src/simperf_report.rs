@@ -3,24 +3,17 @@
 //!
 //! Runs the paper topology at 1×/10×/100× the §3.3 arrival rate (30 req/s),
 //! for both applications under the full §4.5 configuration, twice per load
-//! point **in the same process**: once as the faithful pre-overhaul
-//! baseline (`WorkloadSpec::legacy_baseline` — full `Binder` walk per
-//! request, per-request `String` clones, one `Box<dyn FnOnce>` per event)
-//! and once with the overhauled hot path (typed events + bound-program
-//! cache). Both runs complete the identical open workload — the driver-level
-//! equivalence suite pins bit-identical simulated results — so requests/s is
-//! a pure wall-clock ratio and the reported speedup is apples-to-apples.
+//! point **in the same process**: once with the bound-program cache off
+//! (every request walks the full `Binder`) and once with it on. Both runs
+//! complete the identical open workload — the driver-level equivalence suite
+//! pins bit-identical simulated results — so requests/s is a pure wall-clock
+//! ratio and the reported speedup is apples-to-apples.
 //!
 //! The modelled hardware is provisioned with the load
 //! ([`mutsvc_netsim::Topology::scale_capacity`]): at 100× the paper's
 //! arrival rate the nodes and links are 100× faster, so completions track
 //! the offered load and the simulator — not the modelled system — stays the
 //! thing being measured.
-//!
-//! The cells double as the hot path's allocation audit: `boxed_events` must
-//! stay at the handful of control events a run schedules (one stats reset
-//! plus one per perturbation) no matter how many requests fly, or the
-//! measurement itself panics.
 //!
 //! A second family of rows measures the conservative-parallel engine
 //! (DESIGN.md §6.5) on a widened eight-region fan-out topology at thread
@@ -57,9 +50,6 @@ pub struct SimperfCell {
     pub events_fired: u64,
     /// Events fired per wall-clock second.
     pub events_per_sec: f64,
-    /// Boxed-closure events scheduled (the allocation counter; bounded by
-    /// the run's control events, independent of load).
-    pub boxed_events: u64,
     /// Bound-program cache hit rate over all issued requests (0 when off).
     pub hit_rate: f64,
     /// OS threads of the conservative-parallel engine; 0 for rows measured
@@ -94,35 +84,12 @@ fn run_cell(app: AppKind, factor: u32, bind_cache: bool, smoke: bool, seed: u64)
         .spec
         .scale_rates(factor as f64)
         .with_duration(warmup, duration)
-        .with_seed(seed);
-    input.spec = if bind_cache {
-        input.spec.with_bind_cache(true)
-    } else {
-        input.spec.as_legacy_baseline()
-    };
+        .with_seed(seed)
+        .with_bind_cache(bind_cache);
 
     let started = Instant::now();
     let report = run_experiment(input);
     let wall = started.elapsed().as_secs_f64().max(1e-9);
-
-    // The allocation audit: the overhauled hot path schedules typed events
-    // only, so the boxed count is the run's control events (the stats
-    // reset), not a function of the request count; the legacy baseline
-    // boxes every event by design.
-    if bind_cache {
-        assert!(
-            report.boxed_events <= 4,
-            "{}/{factor}x: hot path regressed to boxed events ({} scheduled)",
-            app.name(),
-            report.boxed_events
-        );
-    } else {
-        assert!(
-            report.boxed_events >= report.events_fired,
-            "{}/{factor}x: legacy baseline did not box its events",
-            app.name()
-        );
-    }
 
     let issued = report.bind_cache.hits + report.bind_cache.misses;
     SimperfCell {
@@ -135,7 +102,6 @@ fn run_cell(app: AppKind, factor: u32, bind_cache: bool, smoke: bool, seed: u64)
         requests_per_sec: report.completed as f64 / wall,
         events_fired: report.events_fired,
         events_per_sec: report.events_fired as f64 / wall,
-        boxed_events: report.boxed_events,
         hit_rate: if issued == 0 {
             0.0
         } else {
@@ -213,7 +179,6 @@ fn run_parallel_cell(
         requests_per_sec: report.completed as f64 / wall,
         events_fired: report.events_fired,
         events_per_sec: report.events_fired as f64 / wall,
-        boxed_events: report.boxed_events,
         hit_rate: if issued == 0 {
             0.0
         } else {
@@ -304,8 +269,8 @@ pub fn parallel_scaling_at(cells: &[SimperfCell], app: &str, threads: usize) -> 
 /// Renders the cells as the `BENCH_simperf.json` document. Hand-formatted
 /// (the vendored serde is a no-op stand-in); schema per entry:
 /// `{"app", "config", "load_factor", "bind_cache", "threads", "wall_secs",
-/// "completed", "requests_per_sec", "events_per_sec", "boxed_events",
-/// "hit_rate", "shard_events"}` (`threads` 0 = classic sequential engine),
+/// "completed", "requests_per_sec", "events_per_sec", "hit_rate",
+/// "shard_events"}` (`threads` 0 = classic sequential engine),
 /// plus a top-level `"cores"` (the machine's available parallelism — the
 /// honest context for any scaling ratio), a `"speedup"` map of
 /// `app_factor` → cached/uncached requests/s over the sequential rows, and
@@ -320,8 +285,8 @@ pub fn render_simperf_json(cells: &[SimperfCell], cores: usize) -> String {
             "    {{\"app\": \"{}\", \"config\": \"{}\", \"load_factor\": {}, \
              \"bind_cache\": {}, \"threads\": {}, \"wall_secs\": {:.3}, \
              \"completed\": {}, \"requests_per_sec\": {:.1}, \
-             \"events_per_sec\": {:.1}, \"boxed_events\": {}, \
-             \"hit_rate\": {:.4}, \"shard_events\": [{}]}}{comma}\n",
+             \"events_per_sec\": {:.1}, \"hit_rate\": {:.4}, \
+             \"shard_events\": [{}]}}{comma}\n",
             c.app,
             c.config,
             c.load_factor,
@@ -331,7 +296,6 @@ pub fn render_simperf_json(cells: &[SimperfCell], cores: usize) -> String {
             c.completed,
             c.requests_per_sec,
             c.events_per_sec,
-            c.boxed_events,
             c.hit_rate,
             shards.join(", ")
         ));
@@ -383,7 +347,6 @@ mod tests {
             requests_per_sec: rps,
             events_fired: 90_000,
             events_per_sec: 45_000.0,
-            boxed_events: 1,
             hit_rate: if bind_cache { 0.93 } else { 0.0 },
             threads,
             shard_events,

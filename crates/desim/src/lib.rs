@@ -4,7 +4,8 @@
 //! a minimal, allocation-conscious discrete-event engine with
 //!
 //! * exact integer [`time`] (microsecond instants/durations),
-//! * a closure-based event [`sim`] scheduler with deterministic tie-breaking,
+//! * a typed-event [`sim`] scheduler with deterministic tie-breaking and no
+//!   per-event allocation,
 //! * analytic multi-server FIFO [`resource`]s (CPUs, link serialization),
 //! * seeded, stream-splittable randomness ([`rng`]),
 //! * constant-memory streaming [`metrics`] (Welford, P² quantiles, histograms),
@@ -12,31 +13,44 @@
 //!   histograms.
 //!
 //! Higher layers (network, middleware, applications) are worlds `W` plugged
-//! into [`Simulation<W>`].
+//! into [`Simulation<W, E>`], each with its own event type `E`.
 //!
 //! ## Example
 //!
 //! ```
-//! use mutsvc_desim::{FifoResource, SimDuration, Simulation};
+//! use mutsvc_desim::{Context, FifoResource, Fire, SimDuration, Simulation};
 //!
 //! struct World {
 //!     cpu: FifoResource,
 //!     completions: Vec<f64>,
 //! }
 //!
-//! let mut sim = Simulation::new(World {
+//! /// The model's events: a job arrives at the CPU, or finishes on it.
+//! enum Ev {
+//!     Arrive,
+//!     Done,
+//! }
+//!
+//! impl Fire<World> for Ev {
+//!     fn fire(self, w: &mut World, ctx: &mut Context<'_, World, Ev>) {
+//!         match self {
+//!             Ev::Arrive => {
+//!                 let done = w.cpu.admit(ctx.now(), SimDuration::from_millis(10));
+//!                 ctx.schedule_event_at(done, Ev::Done);
+//!             }
+//!             Ev::Done => w.completions.push(ctx.now().as_millis_f64()),
+//!         }
+//!     }
+//! }
+//!
+//! let mut sim = Simulation::with_events(World {
 //!     cpu: FifoResource::new("cpu", 2),
 //!     completions: Vec::new(),
 //! });
 //!
 //! // Three jobs arrive together on a dual-CPU box: two run at once.
 //! for _ in 0..3 {
-//!     sim.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
-//!         let done = w.cpu.admit(ctx.now(), SimDuration::from_millis(10));
-//!         ctx.schedule_at(done, |w: &mut World, ctx| {
-//!             w.completions.push(ctx.now().as_millis_f64());
-//!         });
-//!     });
+//!     sim.schedule_event_in(SimDuration::ZERO, Ev::Arrive);
 //! }
 //! sim.run();
 //! assert_eq!(sim.world().completions, vec![10.0, 10.0, 20.0]);
@@ -66,7 +80,7 @@ pub use rng::SimRng;
 pub use shard::{
     run_conservative, run_coordinated, Coordinator, NoCoordinator, Outbox, ShardWorld,
 };
-pub use sim::{Context, EventFn, Fire, NoEvent, QueueDepths, Simulation};
+pub use sim::{Context, Fire, QueueDepths, Simulation};
 pub use telemetry::{MetricId, TelemetryRegistry, TelemetrySnapshot};
 pub use time::{SimDuration, SimTime};
 pub use trace::{

@@ -536,7 +536,7 @@ mod tests {
         let p50 = h.quantile(0.5);
         assert!((10.0..=11.25).contains(&p50), "p50 {p50}");
         let p100 = h.quantile(1.0);
-        assert!(p100 >= 1000.0 && p100 <= 1125.0, "p100 {p100}");
+        assert!((1000.0..=1125.0).contains(&p100), "p100 {p100}");
         assert_eq!(LogHistogram::new().quantile(0.5), 0.0);
     }
 

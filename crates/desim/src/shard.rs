@@ -166,9 +166,9 @@ impl<S: ShardWorld> Coordinator<S> for NoCoordinator {
 /// with conservative windows of width `lookahead`.
 ///
 /// `factory(i)` builds shard `i` *inside* its worker thread — shard worlds
-/// never cross a thread boundary, so they need not be `Send` (event queues
-/// hold `Box<dyn FnOnce>` payloads). Shards are distributed round-robin
-/// (`i % threads`), and each worker steps its shards in index order within
+/// never cross a thread boundary, so neither they nor their events need be
+/// `Send`. Shards are distributed round-robin (`i % threads`), and each
+/// worker steps its shards in index order within
 /// every window, so the execution — including every per-shard event-queue
 /// sequence number — is a pure function of `(shard_count, lookahead,
 /// horizon, factory)`: thread count only changes wall-clock time.
@@ -380,7 +380,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulation;
+    use crate::sim::{Context, Fire, Simulation};
 
     /// One delay ≥ the 100 ms lookahead, one well past it: messages land in
     /// the very next window and several windows out, respectively.
@@ -395,15 +395,32 @@ mod tests {
         outgoing: Vec<(usize, SimTime, u64)>,
     }
 
+    /// Ring events: a token with `ttl` hops left arrives, or a coordinator
+    /// directive lands as a marker in the log.
+    #[derive(Debug)]
+    enum RingEv {
+        Token(u64),
+        Marker(u64),
+    }
+
+    impl Fire<RingState> for RingEv {
+        fn fire(self, s: &mut RingState, ctx: &mut Context<'_, RingState, Self>) {
+            match self {
+                RingEv::Token(ttl) => forward(s, ctx.now(), ttl),
+                RingEv::Marker(d) => s.log.push((ctx.now().as_micros(), usize::MAX, d)),
+            }
+        }
+    }
+
     /// A shard wrapping a real `Simulation`: every delivered token is logged
     /// and forwarded around the ring with a WAN-scale delay until it expires.
     struct RingShard {
-        sim: Simulation<RingState>,
+        sim: Simulation<RingState, RingEv>,
     }
 
     impl RingShard {
         fn new(idx: usize, n: usize) -> Self {
-            let mut sim = Simulation::new(RingState {
+            let mut sim = Simulation::with_events(RingState {
                 idx,
                 n,
                 log: Vec::new(),
@@ -412,9 +429,7 @@ mod tests {
             // Each shard seeds a couple of tokens at staggered times.
             for k in 0..2u64 {
                 let at = SimTime::from_micros(idx as u64 * 1_000 + k * 77_000);
-                sim.schedule_at(at, move |s: &mut RingState, ctx| {
-                    forward(s, ctx.now(), 40 + k);
-                });
+                sim.schedule_event_at(at, RingEv::Token(40 + k));
             }
             RingShard { sim }
         }
@@ -435,8 +450,7 @@ mod tests {
         type Out = (Vec<(u64, usize, u64)>, u64);
 
         fn deliver(&mut self, at: SimTime, _from: usize, ttl: u64) {
-            self.sim
-                .schedule_at(at, move |s: &mut RingState, ctx| forward(s, ctx.now(), ttl));
+            self.sim.schedule_event_at(at, RingEv::Token(ttl));
         }
 
         fn advance(&mut self, upto: SimTime, closing: bool, outbox: &mut Outbox<u64>) {
@@ -457,7 +471,7 @@ mod tests {
         }
     }
 
-    fn run_ring(shards: usize, threads: usize) -> Vec<(Vec<(u64, usize, u64)>, u64)> {
+    fn run_ring(shards: usize, threads: usize) -> Vec<<RingShard as ShardWorld>::Out> {
         run_conservative(shards, threads, LOOKAHEAD, HORIZON, |i| {
             RingShard::new(i, shards)
         })
@@ -515,9 +529,7 @@ mod tests {
                 // earlier queue sequence numbers in the engine too), then
                 // the delivery itself, so its sends surface immediately.
                 plain.sim.run_until(at);
-                plain
-                    .sim
-                    .schedule_at(at, move |s: &mut RingState, ctx| forward(s, ctx.now(), ttl));
+                plain.sim.schedule_event_at(at, RingEv::Token(ttl));
                 plain.sim.run_until(at);
                 now = at;
             } else {
@@ -571,13 +583,11 @@ mod tests {
             let total: usize = obs.iter().map(|(_, n)| n).sum();
             self.rounds.push((wend.as_micros(), total));
             // Act on every other round so both branches are exercised.
-            (self.rounds.len() % 2 == 0).then_some(total as u64)
+            self.rounds.len().is_multiple_of(2).then_some(total as u64)
         }
 
         fn apply(&mut self, _: usize, shard: &mut RingShard, wend: SimTime, &d: &u64) {
-            shard.sim.schedule_at(wend, move |s: &mut RingState, ctx| {
-                s.log.push((ctx.now().as_micros(), usize::MAX, d));
-            });
+            shard.sim.schedule_event_at(wend, RingEv::Marker(d));
         }
     }
 

@@ -1,37 +1,33 @@
 //! Event scheduler and simulation driver.
 //!
 //! A [`Simulation`] owns an arbitrary *world* `W` (the mutable state of the
-//! model) and a priority queue of events. Two kinds of event coexist:
-//!
-//! * **Boxed closures** — one-shot `FnOnce(&mut W, &mut Context<W, E>)`
-//!   values. Flexible, but each costs a heap allocation; use them for rare
-//!   control events (start-up, perturbations, statistics resets).
-//! * **Typed events** — values of a world-chosen enum `E` implementing
-//!   [`Fire`]. These are stored inline in the queue with **zero per-event
-//!   allocation**, which is what the request hot path uses (job advancement,
-//!   request issue timers, completion notifications).
-//!
-//! Worlds that never need typed events simply use `Simulation::new`, which
-//! pins `E` to the uninhabited [`NoEvent`]; nothing changes for them.
+//! model) and a priority queue of events. Events are values of one
+//! world-chosen type `E` implementing [`Fire`] — usually a small enum whose
+//! variants name everything that can happen in the model (job advancement,
+//! request issue timers, completion notifications, control events). The
+//! queue stores them by value, so scheduling an event performs **no
+//! per-event allocation**: that holds by type, not by convention.
 //!
 //! Pending events live in a slab-backed two-tier queue: the binary heap only
 //! orders small `(time, seq, slot)` keys for the *near* future, payloads sit
 //! in a recycled slab, and far-future timers (session think-time clocks, of
 //! which an open workload keeps thousands) wait in an unsorted staging list
 //! until the horizon reaches them. See [`SlabStore`] for the exactness
-//! argument; the pre-overhaul single-heap layout is preserved behind
-//! [`Simulation::emulate_boxed_events`] as a measurable baseline.
+//! argument. Engine bookkeeping (metrics rolls, controller ticks) may ride a
+//! separate internal side heap that shares the same ordering but stays out
+//! of [`QueueDepths`].
 //!
 //! Determinism: events fire in `(time, insertion sequence)` order regardless
-//! of their kind or physical layout, so two runs with the same seed and the
-//! same scheduling order are identical.
+//! of which store holds them, so two runs with the same seed and the same
+//! scheduling order are identical.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 
 use crate::time::{SimDuration, SimTime};
 
-/// A typed simulation event: a plain value fired by the scheduler.
+/// A simulation event: a plain value fired by the scheduler.
 ///
 /// Implementations are usually small enums; firing consumes the value.
 pub trait Fire<W>: Sized + 'static {
@@ -39,50 +35,7 @@ pub trait Fire<W>: Sized + 'static {
     fn fire(self, world: &mut W, ctx: &mut Context<'_, W, Self>);
 }
 
-/// The default (uninhabited) event type: a `Simulation<W>` without an event
-/// enum schedules boxed closures only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoEvent {}
-
-impl<W> Fire<W> for NoEvent {
-    fn fire(self, _world: &mut W, _ctx: &mut Context<'_, W, Self>) {
-        match self {}
-    }
-}
-
-/// A scheduled event: a boxed one-shot closure over the world.
-pub type EventFn<W, E = NoEvent> = Box<dyn FnOnce(&mut W, &mut Context<'_, W, E>)>;
-
-enum Payload<W, E> {
-    Boxed(EventFn<W, E>),
-    Event(E),
-}
-
-struct Scheduled<W, E> {
-    time: SimTime,
-    seq: u64,
-    payload: Payload<W, E>,
-}
-
-impl<W, E> PartialEq for Scheduled<W, E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<W, E> Eq for Scheduled<W, E> {}
-impl<W, E> PartialOrd for Scheduled<W, E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W, E> Ord for Scheduled<W, E> {
-    // Reversed so that the BinaryHeap (a max-heap) pops the *earliest* event.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// An engine-internal typed event held in the side queue: telemetry rolls,
+/// An engine-internal event held in the side queue: telemetry rolls,
 /// controller ticks — bookkeeping the engine schedules for itself, kept out
 /// of the workload store so queue-depth telemetry never observes it (the
 /// "observer effect": arming metrics used to shift every `queue.*` gauge by
@@ -140,7 +93,7 @@ impl Ord for Key {
     }
 }
 
-/// The overhauled store: a near-future heap of small [`Key`]s over a recycled
+/// The workload store: a near-future heap of small [`Key`]s over a recycled
 /// payload slab, plus an unsorted far-future staging list.
 ///
 /// Open workloads keep thousands of session timers pending several simulated
@@ -152,8 +105,8 @@ impl Ord for Key {
 /// Exactness: every `far` entry has `time >= horizon` and every `near` entry
 /// has `time < horizon` (the horizon only grows), so whenever the near head
 /// is below the horizon it is the global `(time, seq)` minimum. Firing order
-/// is therefore identical to the single-heap queue, event for event.
-struct SlabStore<W, E> {
+/// is therefore identical to a single `(time, seq)` heap, event for event.
+struct SlabStore<E> {
     near: BinaryHeap<Key>,
     far: Vec<Key>,
     /// Smallest time in `far` (`SimTime::MAX` when empty): lets `settle`
@@ -161,11 +114,11 @@ struct SlabStore<W, E> {
     far_min: SimTime,
     horizon: SimTime,
     epoch: SimDuration,
-    slots: Vec<Option<Payload<W, E>>>,
+    slots: Vec<Option<E>>,
     free: Vec<u32>,
 }
 
-impl<W, E> SlabStore<W, E> {
+impl<E> SlabStore<E> {
     fn new() -> Self {
         SlabStore {
             near: BinaryHeap::new(),
@@ -182,14 +135,14 @@ impl<W, E> SlabStore<W, E> {
         self.near.len() + self.far.len()
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, payload: Payload<W, E>) {
+    fn push(&mut self, time: SimTime, seq: u64, event: E) {
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = Some(payload);
+                self.slots[slot as usize] = Some(event);
                 slot
             }
             None => {
-                self.slots.push(Some(payload));
+                self.slots.push(Some(event));
                 (self.slots.len() - 1) as u32
             }
         };
@@ -237,41 +190,20 @@ impl<W, E> SlabStore<W, E> {
         self.near.peek().map(|k| (k.time, k.seq))
     }
 
-    fn pop(&mut self) -> Option<(SimTime, Payload<W, E>)> {
+    fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
         let key = self.near.pop()?;
-        let payload = self.slots[key.slot as usize]
+        let event = self.slots[key.slot as usize]
             .take()
             .expect("slab slot empty");
         self.free.push(key.slot);
-        Some((key.time, payload))
-    }
-
-    fn drain(&mut self) -> Vec<Scheduled<W, E>> {
-        let mut out = Vec::with_capacity(self.len());
-        for key in self.near.drain().chain(self.far.drain(..)) {
-            let payload = self.slots[key.slot as usize]
-                .take()
-                .expect("slab slot empty");
-            out.push(Scheduled {
-                time: key.time,
-                seq: key.seq,
-                payload,
-            });
-        }
-        self.slots.clear();
-        self.free.clear();
-        self.far_min = SimTime::MAX;
-        out
+        Some((key.time, event))
     }
 }
 
-/// Observed occupancy of the pending-event store, for telemetry snapshots.
-///
-/// With the slab layout, `near`/`far` are the two tiers of the time-split
-/// queue and `slab_slots`/`slab_free` describe the payload slab. With the
-/// inline baseline layout everything is one heap: `near` holds the total
-/// and the slab fields are zero.
+/// Observed occupancy of the pending-event store, for telemetry snapshots:
+/// `near`/`far` are the two tiers of the time-split queue and
+/// `slab_slots`/`slab_free` describe the payload slab.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueDepths {
     /// Events inside the horizon (heap-ordered tier).
@@ -284,83 +216,44 @@ pub struct QueueDepths {
     pub slab_free: usize,
 }
 
-/// Physical layout of the pending-event set.
-enum Store<W, E> {
-    /// Pre-overhaul layout: payloads inline in one `BinaryHeap`, sifted on
-    /// every push/pop. Kept as the measured baseline (see
-    /// [`Simulation::emulate_boxed_events`]).
-    Inline(BinaryHeap<Scheduled<W, E>>),
-    /// Overhauled layout: slab-backed two-tier queue.
-    Slab(SlabStore<W, E>),
-}
-
 /// The event queue shared between the driver and in-flight events.
-struct EventQueue<W, E> {
-    store: Store<W, E>,
+struct EventQueue<E> {
+    store: SlabStore<E>,
     /// Engine-internal events (metrics rolls, controller ticks) in a side
     /// heap: they fire in exact `(time, seq)` order with workload events but
     /// are invisible to [`EventQueue::depths`], so arming them cannot perturb
-    /// `queue.*` telemetry. Always typed and never boxed — the side heap is
-    /// not part of the measured hot-path layout, so boxed-event emulation
-    /// leaves it alone.
+    /// `queue.*` telemetry.
     internal: BinaryHeap<Internal<E>>,
     seq: u64,
-    boxed_events: u64,
-    /// When set, typed events are wrapped in a `Box<dyn FnOnce>` at
-    /// scheduling time — the pre-overhaul allocation profile, used as the
-    /// measured baseline in hot-path benches. Firing order and results are
-    /// unchanged; only the allocation and dispatch cost differ.
-    box_typed: bool,
 }
 
-impl<W, E> EventQueue<W, E> {
+impl<E> EventQueue<E> {
     fn new() -> Self {
         EventQueue {
-            store: Store::Slab(SlabStore::new()),
+            store: SlabStore::new(),
             internal: BinaryHeap::new(),
             seq: 0,
-            boxed_events: 0,
-            box_typed: false,
         }
     }
 
     fn len(&self) -> usize {
-        let main = match &self.store {
-            Store::Inline(heap) => heap.len(),
-            Store::Slab(slab) => slab.len(),
-        };
-        main + self.internal.len()
+        self.store.len() + self.internal.len()
     }
 
     /// Occupancy of the *workload* store only: engine-internal side-queue
     /// events are bookkeeping, not model state, and reporting them would
     /// make the act of measuring shift the measurement.
     fn depths(&self) -> QueueDepths {
-        match &self.store {
-            Store::Inline(heap) => QueueDepths {
-                near: heap.len(),
-                far: 0,
-                slab_slots: 0,
-                slab_free: 0,
-            },
-            Store::Slab(slab) => QueueDepths {
-                near: slab.near.len(),
-                far: slab.far.len(),
-                slab_slots: slab.slots.len(),
-                slab_free: slab.free.len(),
-            },
-        }
-    }
-
-    fn peek_main_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.store {
-            Store::Inline(heap) => heap.peek().map(|s| (s.time, s.seq)),
-            Store::Slab(slab) => slab.peek_key(),
+        QueueDepths {
+            near: self.store.near.len(),
+            far: self.store.far.len(),
+            slab_slots: self.store.slots.len(),
+            slab_free: self.store.free.len(),
         }
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        let main = self.peek_main_key();
+        let main = self.store.peek_key();
         let side = self.internal.peek().map(|i| (i.time, i.seq));
         match (main, side) {
             (Some(a), Some(b)) => Some(a.min(b).0),
@@ -370,11 +263,11 @@ impl<W, E> EventQueue<W, E> {
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, Payload<W, E>)> {
+    fn pop(&mut self) -> Option<(SimTime, E)> {
         // Merge the workload store and the internal side heap by (time, seq):
         // seq values come from one shared counter, so the comparison is total
         // and the merged order is exactly the single-queue order.
-        let main = self.peek_main_key();
+        let main = self.store.peek_key();
         let side = self.internal.peek().map(|i| (i.time, i.seq));
         let take_side = match (main, side) {
             (Some(m), Some(s)) => s < m,
@@ -383,78 +276,24 @@ impl<W, E> EventQueue<W, E> {
         };
         if take_side {
             let i = self.internal.pop().expect("peeked internal event");
-            return Some((i.time, Payload::Event(i.event)));
+            return Some((i.time, i.event));
         }
-        match &mut self.store {
-            Store::Inline(heap) => heap.pop().map(|s| (s.time, s.payload)),
-            Store::Slab(slab) => slab.pop(),
-        }
+        self.store.pop()
     }
 
-    fn push(&mut self, time: SimTime, payload: Payload<W, E>) {
-        if matches!(payload, Payload::Boxed(_)) {
-            self.boxed_events += 1;
-        }
+    fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.store {
-            Store::Inline(heap) => heap.push(Scheduled { time, seq, payload }),
-            Store::Slab(slab) => slab.push(time, seq, payload),
-        }
-    }
-
-    fn push_event(&mut self, time: SimTime, event: E)
-    where
-        E: Fire<W>,
-    {
-        if self.box_typed {
-            self.push(
-                time,
-                Payload::Boxed(Box::new(move |w: &mut W, ctx: &mut Context<'_, W, E>| {
-                    event.fire(w, ctx);
-                })),
-            );
-        } else {
-            self.push(time, Payload::Event(event));
-        }
+        self.store.push(time, seq, event);
     }
 
     /// Schedules an engine-internal event on the side heap. Internal events
     /// share the global `(time, seq)` order but stay invisible to
-    /// [`EventQueue::depths`] and are never boxed under emulation.
+    /// [`EventQueue::depths`].
     fn push_internal(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
         self.internal.push(Internal { time, seq, event });
-    }
-
-    /// Swaps the physical store, carrying over any pending events.
-    fn set_layout(&mut self, inline: bool) {
-        let pending = match &mut self.store {
-            Store::Inline(heap) => {
-                if !inline {
-                    std::mem::take(heap).into_vec()
-                } else {
-                    return;
-                }
-            }
-            Store::Slab(slab) => {
-                if inline {
-                    slab.drain()
-                } else {
-                    return;
-                }
-            }
-        };
-        if inline {
-            self.store = Store::Inline(pending.into_iter().collect());
-        } else {
-            let mut slab = SlabStore::new();
-            for s in pending {
-                slab.push(s.time, s.seq, s.payload);
-            }
-            self.store = Store::Slab(slab);
-        }
     }
 }
 
@@ -463,9 +302,10 @@ impl<W, E> EventQueue<W, E> {
 /// A `Context` exposes the current clock and the event queue, but not the
 /// world itself — the world is passed to the event separately, which lets the
 /// borrow checker verify that events cannot re-enter the scheduler recursively.
-pub struct Context<'a, W, E = NoEvent> {
+pub struct Context<'a, W, E> {
     now: SimTime,
-    queue: &'a mut EventQueue<W, E>,
+    queue: &'a mut EventQueue<E>,
+    world: PhantomData<fn(&mut W)>,
 }
 
 impl<'a, W, E> Context<'a, W, E> {
@@ -485,62 +325,32 @@ impl<'a, W, E> Context<'a, W, E> {
         self.queue.len()
     }
 
-    /// Schedules a boxed closure to fire at absolute time `at`.
+    /// Schedules an event at absolute time `at`.
     ///
     /// Events scheduled in the past fire "now" (at the current clock value);
     /// the kernel never moves time backwards.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        event: impl FnOnce(&mut W, &mut Context<'_, W, E>) + 'static,
-    ) {
+    pub fn schedule_event_at(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now);
-        self.queue.push(at, Payload::Boxed(Box::new(event)));
+        self.queue.push(at, event);
     }
 
-    /// Schedules a boxed closure to fire after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        event: impl FnOnce(&mut W, &mut Context<'_, W, E>) + 'static,
-    ) {
+    /// Schedules an event after `delay`.
+    pub fn schedule_event_in(&mut self, delay: SimDuration, event: E) {
         let at = self.now + delay;
-        self.queue.push(at, Payload::Boxed(Box::new(event)));
+        self.queue.push(at, event);
     }
 
-    /// Schedules a typed event at absolute time `at` (clamped to now).
-    /// Allocation-free: the event value is stored inline in the queue
-    /// (unless boxed-event emulation is on, see
-    /// [`Simulation::emulate_boxed_events`]).
-    pub fn schedule_event_at(&mut self, at: SimTime, event: E)
-    where
-        E: Fire<W>,
-    {
-        let at = at.max(self.now);
-        self.queue.push_event(at, event);
-    }
-
-    /// Schedules a typed event after `delay`. Allocation-free.
-    pub fn schedule_event_in(&mut self, delay: SimDuration, event: E)
-    where
-        E: Fire<W>,
-    {
-        let at = self.now + delay;
-        self.queue.push_event(at, event);
-    }
-
-    /// Schedules an *engine-internal* typed event at absolute time `at`
-    /// (clamped to now). Internal events fire in the same global
-    /// `(time, seq)` order as everything else but are excluded from
-    /// [`Context::queue_depths`], so telemetry that samples queue occupancy
-    /// never observes the engine's own bookkeeping (metrics rolls, adaptive
-    /// controller ticks).
+    /// Schedules an *engine-internal* event at absolute time `at` (clamped
+    /// to now). Internal events fire in the same global `(time, seq)` order
+    /// as everything else but are excluded from [`Context::queue_depths`],
+    /// so telemetry that samples queue occupancy never observes the engine's
+    /// own bookkeeping (metrics rolls, adaptive controller ticks).
     pub fn schedule_internal_at(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now);
         self.queue.push_internal(at, event);
     }
 
-    /// Schedules an engine-internal typed event after `delay`. See
+    /// Schedules an engine-internal event after `delay`. See
     /// [`Context::schedule_internal_at`].
     pub fn schedule_internal_in(&mut self, delay: SimDuration, event: E) {
         let at = self.now + delay;
@@ -548,24 +358,33 @@ impl<'a, W, E> Context<'a, W, E> {
     }
 }
 
-/// A discrete-event simulation over a world `W`.
+/// A discrete-event simulation over a world `W` with events `E`.
 ///
 /// ```
-/// use mutsvc_desim::{Simulation, SimDuration};
+/// use mutsvc_desim::{Context, Fire, SimDuration, Simulation};
 ///
-/// let mut sim = Simulation::new(0u32);
-/// sim.schedule_in(SimDuration::from_millis(5), |count, ctx| {
-///     *count += 1;
-///     ctx.schedule_in(SimDuration::from_millis(5), |count, _| *count += 10);
-/// });
+/// /// Adds `n` to the counter; a `Bump(1)` also schedules a `Bump(10)`.
+/// struct Bump(u32);
+///
+/// impl Fire<u32> for Bump {
+///     fn fire(self, count: &mut u32, ctx: &mut Context<'_, u32, Bump>) {
+///         *count += self.0;
+///         if self.0 == 1 {
+///             ctx.schedule_event_in(SimDuration::from_millis(5), Bump(10));
+///         }
+///     }
+/// }
+///
+/// let mut sim = Simulation::with_events(0u32);
+/// sim.schedule_event_in(SimDuration::from_millis(5), Bump(1));
 /// sim.run();
 /// assert_eq!(*sim.world(), 11);
 /// assert_eq!(sim.now().as_millis_f64(), 10.0);
 /// ```
-pub struct Simulation<W, E = NoEvent> {
+pub struct Simulation<W, E> {
     world: W,
     clock: SimTime,
-    queue: EventQueue<W, E>,
+    queue: EventQueue<E>,
     events_fired: u64,
 }
 
@@ -580,19 +399,9 @@ impl<W: std::fmt::Debug, E> std::fmt::Debug for Simulation<W, E> {
     }
 }
 
-impl<W> Simulation<W, NoEvent> {
-    /// Creates a simulation whose clock starts at [`SimTime::ZERO`] and
-    /// whose events are boxed closures only.
-    ///
-    /// Defined on `Simulation<W, NoEvent>` (not generically) so existing
-    /// call sites infer the default event type.
-    pub fn new(world: W) -> Self {
-        Simulation::with_events(world)
-    }
-}
-
 impl<W, E: Fire<W>> Simulation<W, E> {
-    /// Creates a simulation over a world with a typed event enum `E`.
+    /// Creates a simulation over `world` whose clock starts at
+    /// [`SimTime::ZERO`] and whose events are of type `E`.
     pub fn with_events(world: W) -> Self {
         Simulation {
             world,
@@ -610,13 +419,6 @@ impl<W, E: Fire<W>> Simulation<W, E> {
     /// Total events fired so far.
     pub fn events_fired(&self) -> u64 {
         self.events_fired
-    }
-
-    /// Total boxed-closure events ever scheduled (typed events excluded).
-    /// The request hot path schedules typed events only, so in steady state
-    /// this counter stays at the handful of control events a run sets up.
-    pub fn boxed_events_scheduled(&self) -> u64 {
-        self.queue.boxed_events
     }
 
     /// Number of events still pending.
@@ -644,73 +446,38 @@ impl<W, E: Fire<W>> Simulation<W, E> {
         self.world
     }
 
-    /// Schedules a boxed closure at absolute time `at` (clamped to the clock).
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        event: impl FnOnce(&mut W, &mut Context<'_, W, E>) + 'static,
-    ) {
-        let at = at.max(self.clock);
-        self.queue.push(at, Payload::Boxed(Box::new(event)));
-    }
-
-    /// Schedules a boxed closure `delay` from now.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        event: impl FnOnce(&mut W, &mut Context<'_, W, E>) + 'static,
-    ) {
-        let at = self.clock + delay;
-        self.queue.push(at, Payload::Boxed(Box::new(event)));
-    }
-
-    /// Schedules a typed event at absolute time `at` (clamped to the clock).
-    /// Allocation-free.
+    /// Schedules an event at absolute time `at` (clamped to the clock).
     pub fn schedule_event_at(&mut self, at: SimTime, event: E) {
         let at = at.max(self.clock);
-        self.queue.push_event(at, event);
+        self.queue.push(at, event);
     }
 
-    /// Schedules a typed event `delay` from now. Allocation-free.
+    /// Schedules an event `delay` from now.
     pub fn schedule_event_in(&mut self, delay: SimDuration, event: E) {
         let at = self.clock + delay;
-        self.queue.push_event(at, event);
+        self.queue.push(at, event);
     }
 
-    /// Schedules an engine-internal typed event at absolute time `at`
-    /// (clamped to the clock): same global firing order, invisible to
+    /// Schedules an engine-internal event at absolute time `at` (clamped to
+    /// the clock): same global firing order, invisible to
     /// [`Simulation::queue_depths`]. See [`Context::schedule_internal_at`].
     pub fn schedule_internal_at(&mut self, at: SimTime, event: E) {
         let at = at.max(self.clock);
         self.queue.push_internal(at, event);
     }
 
-    /// Schedules an engine-internal typed event `delay` from now. See
+    /// Schedules an engine-internal event `delay` from now. See
     /// [`Context::schedule_internal_at`].
     pub fn schedule_internal_in(&mut self, delay: SimDuration, event: E) {
         let at = self.clock + delay;
         self.queue.push_internal(at, event);
     }
 
-    /// Turns boxed-event emulation on or off (off by default). When on,
-    /// every *typed* event is wrapped in a heap-allocated `Box<dyn FnOnce>`
-    /// at scheduling time — faithfully reproducing the pre-overhaul
-    /// one-allocation-per-event queue as a measurable baseline. Events still
-    /// fire in exact `(time, seq)` order with identical effects, so a run
-    /// differs only in host-side cost (and in the boxed-event counter,
-    /// which then counts every event). Emulation also reverts the queue to
-    /// the pre-overhaul single-heap layout with inline payloads, so the
-    /// baseline pays the sift costs the slab queue was built to remove.
-    pub fn emulate_boxed_events(&mut self, on: bool) {
-        self.queue.box_typed = on;
-        self.queue.set_layout(on);
-    }
-
     /// Fires the single earliest pending event.
     ///
     /// Returns `false` when the queue is empty (the clock does not advance).
     pub fn step(&mut self) -> bool {
-        let Some((time, payload)) = self.queue.pop() else {
+        let Some((time, event)) = self.queue.pop() else {
             return false;
         };
         debug_assert!(
@@ -722,11 +489,9 @@ impl<W, E: Fire<W>> Simulation<W, E> {
         let mut ctx = Context {
             now: self.clock,
             queue: &mut self.queue,
+            world: PhantomData,
         };
-        match payload {
-            Payload::Boxed(f) => f(&mut self.world, &mut ctx),
-            Payload::Event(e) => e.fire(&mut self.world, &mut ctx),
-        }
+        event.fire(&mut self.world, &mut ctx);
         true
     }
 
@@ -774,82 +539,123 @@ impl<W, E: Fire<W>> Simulation<W, E> {
     /// near heap, never their firing order (see [`SlabStore`]'s exactness
     /// invariant), so changing it is behaviour-neutral. Deriving it from the
     /// topology's minimum WAN link delay makes the far-queue horizon and the
-    /// conservative-parallel lookahead share one source of truth. No-op for
-    /// the inline baseline layout, which has no horizon.
+    /// conservative-parallel lookahead share one source of truth.
     pub fn set_far_epoch(&mut self, epoch: SimDuration) {
-        if let Store::Slab(slab) = &mut self.queue.store {
-            slab.epoch = epoch.max(SimDuration::from_micros(1));
-        }
+        self.queue.store.epoch = epoch.max(SimDuration::from_micros(1));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::cmp::Reverse;
+
+    /// The test world: a log of `(fired at µs, tag)` pairs.
+    type Log = Vec<(u64, u64)>;
+
+    /// Test events over a [`Log`] world.
+    #[derive(Debug)]
+    enum Ev {
+        /// Append `(now, tag)` to the log.
+        Mark(u64),
+        /// Log `tag`, then schedule `Mark(next)` `delay` later.
+        Then {
+            tag: u64,
+            delay: SimDuration,
+            next: u64,
+        },
+        /// Schedule `Mark(tag)` at absolute time `at` (possibly in the past).
+        MarkAt { at: SimTime, tag: u64 },
+    }
+
+    impl Fire<Log> for Ev {
+        fn fire(self, log: &mut Log, ctx: &mut Context<'_, Log, Self>) {
+            match self {
+                Ev::Mark(tag) => log.push((ctx.now().as_micros(), tag)),
+                Ev::Then { tag, delay, next } => {
+                    log.push((ctx.now().as_micros(), tag));
+                    ctx.schedule_event_in(delay, Ev::Mark(next));
+                }
+                Ev::MarkAt { at, tag } => ctx.schedule_event_at(at, Ev::Mark(tag)),
+            }
+        }
+    }
+
+    fn log_sim() -> Simulation<Log, Ev> {
+        Simulation::with_events(Vec::new())
+    }
+
+    fn tags(log: &Log) -> Vec<u64> {
+        log.iter().map(|&(_, tag)| tag).collect()
+    }
+
+    /// Test event over a counter world.
+    #[derive(Debug)]
+    struct Tick;
+
+    impl Fire<u32> for Tick {
+        fn fire(self, count: &mut u32, _: &mut Context<'_, u32, Self>) {
+            *count += 1;
+        }
+    }
 
     #[test]
     fn events_fire_in_time_order() {
-        let order = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulation::new(());
+        let mut sim = log_sim();
         for &t in &[30u64, 10, 20] {
-            let order = Rc::clone(&order);
-            sim.schedule_at(SimTime::from_millis(t), move |_, _| {
-                order.borrow_mut().push(t);
-            });
+            sim.schedule_event_at(SimTime::from_millis(t), Ev::Mark(t));
         }
         sim.run();
-        assert_eq!(*order.borrow(), vec![10, 20, 30]);
+        assert_eq!(tags(sim.world()), vec![10, 20, 30]);
         assert_eq!(sim.events_fired(), 3);
     }
 
     #[test]
     fn ties_fire_in_insertion_order() {
-        let order = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulation::new(());
+        let mut sim = log_sim();
         for i in 0..5 {
-            let order = Rc::clone(&order);
-            sim.schedule_at(SimTime::from_millis(7), move |_, _| {
-                order.borrow_mut().push(i);
-            });
+            sim.schedule_event_at(SimTime::from_millis(7), Ev::Mark(i));
         }
         sim.run();
-        assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(tags(sim.world()), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn events_can_schedule_events() {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        sim.schedule_at(SimTime::from_millis(1), |w: &mut Vec<u64>, ctx| {
-            w.push(ctx.now().as_micros());
-            ctx.schedule_in(SimDuration::from_millis(2), |w, ctx| {
-                w.push(ctx.now().as_micros());
-            });
-        });
+        let mut sim = log_sim();
+        sim.schedule_event_at(
+            SimTime::from_millis(1),
+            Ev::Then {
+                tag: 0,
+                delay: SimDuration::from_millis(2),
+                next: 1,
+            },
+        );
         sim.run();
-        assert_eq!(sim.world(), &vec![1_000, 3_000]);
+        assert_eq!(sim.world(), &vec![(1_000, 0), (3_000, 1)]);
         assert_eq!(sim.now(), SimTime::from_millis(3));
     }
 
     #[test]
     fn scheduling_in_the_past_fires_now() {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        sim.schedule_at(SimTime::from_millis(10), |_, ctx| {
-            // Deliberately "in the past": fires at the current clock instead.
-            ctx.schedule_at(SimTime::from_millis(1), |w: &mut Vec<u64>, ctx| {
-                w.push(ctx.now().as_micros());
-            });
-        });
+        let mut sim = log_sim();
+        // Deliberately "in the past": fires at the current clock instead.
+        sim.schedule_event_at(
+            SimTime::from_millis(10),
+            Ev::MarkAt {
+                at: SimTime::from_millis(1),
+                tag: 7,
+            },
+        );
         sim.run();
-        assert_eq!(sim.world(), &vec![10_000]);
+        assert_eq!(sim.world(), &vec![(10_000, 7)]);
     }
 
     #[test]
     fn run_until_stops_and_resumes() {
-        let mut sim = Simulation::new(0u32);
+        let mut sim = Simulation::with_events(0u32);
         for t in 1..=10u64 {
-            sim.schedule_at(SimTime::from_secs(t), |w: &mut u32, _| *w += 1);
+            sim.schedule_event_at(SimTime::from_secs(t), Tick);
         }
         sim.run_until(SimTime::from_secs(4));
         assert_eq!(*sim.world(), 4);
@@ -862,9 +668,9 @@ mod tests {
 
     #[test]
     fn run_before_excludes_the_deadline() {
-        let mut sim = Simulation::new(0u32);
+        let mut sim = Simulation::with_events(0u32);
         for t in 1..=10u64 {
-            sim.schedule_at(SimTime::from_secs(t), |w: &mut u32, _| *w += 1);
+            sim.schedule_event_at(SimTime::from_secs(t), Tick);
         }
         sim.run_before(SimTime::from_secs(4));
         // Events strictly before 4 s fire; the 4 s event waits.
@@ -882,8 +688,8 @@ mod tests {
     /// end) fires the exact same sequence as one run_until, for any epoch.
     #[test]
     fn windowed_execution_matches_run_until() {
-        fn run(windows: Option<u64>, epoch_us: Option<u64>) -> Vec<(u64, u64)> {
-            let mut sim = Simulation::<Vec<(u64, u64)>, NoEvent>::with_events(Vec::new());
+        fn run(windows: Option<u64>, epoch_us: Option<u64>) -> Log {
+            let mut sim = log_sim();
             if let Some(us) = epoch_us {
                 sim.set_far_epoch(SimDuration::from_micros(us));
             }
@@ -891,9 +697,7 @@ mod tests {
             for i in 0..300u64 {
                 x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                 let at = SimTime::ZERO + SimDuration::from_micros(x % 5_000_000);
-                sim.schedule_at(at, move |w: &mut Vec<(u64, u64)>, ctx| {
-                    w.push((ctx.now().as_micros(), i));
-                });
+                sim.schedule_event_at(at, Ev::Mark(i));
             }
             let horizon = SimTime::from_secs(5);
             match windows {
@@ -915,163 +719,99 @@ mod tests {
 
     #[test]
     fn run_until_advances_clock_when_queue_drains() {
-        let mut sim = Simulation::<()>::new(());
+        let mut sim = Simulation::<u32, Tick>::with_events(0);
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.now(), SimTime::from_secs(5));
     }
 
     #[test]
     fn step_on_empty_queue_returns_false() {
-        let mut sim = Simulation::new(());
+        let mut sim = Simulation::<u32, Tick>::with_events(0);
         assert!(!sim.step());
     }
 
     #[test]
     fn deterministic_under_repetition() {
-        fn run_once() -> Vec<u64> {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let mut sim = Simulation::new(());
+        fn run_once() -> Log {
+            let mut sim = log_sim();
             for i in 0..100u64 {
-                let log = Rc::clone(&log);
                 // Interleave identical timestamps to stress tie-breaking.
-                sim.schedule_at(SimTime::from_micros(i % 7), move |_, _| {
-                    log.borrow_mut().push(i);
-                });
+                sim.schedule_event_at(SimTime::from_micros(i % 7), Ev::Mark(i));
             }
             sim.run();
-            let result = log.borrow().clone();
-            result
+            sim.into_world()
         }
         assert_eq!(run_once(), run_once());
     }
 
-    /// Typed events interleave with boxed closures in strict (time, seq)
-    /// order, and scheduling them does not bump the boxed-event counter.
+    /// The two-tier slab store fires in exactly the order of a single
+    /// `(time, seq)` heap, including events far beyond the horizon epoch,
+    /// re-scheduling from inside events, and (time) ties broken by seq. The
+    /// reference is a plain `BinaryHeap` that replays the same scheduling
+    /// calls, so the store's exactness stays pinned without a second layout.
     #[test]
-    fn typed_events_fire_in_order_without_boxing() {
-        #[derive(Debug)]
-        enum Ev {
-            Mark(u64),
+    fn slab_store_fires_in_single_heap_order() {
+        /// Whether tag `tag` schedules follow-ups when it fires: both near
+        /// (sub-epoch) and far (multi-epoch); the guard keeps follow-ups
+        /// from cascading forever.
+        fn follows(tag: u64) -> bool {
+            tag < 400 && tag.is_multiple_of(5)
         }
-        impl Fire<Vec<u64>> for Ev {
-            fn fire(self, world: &mut Vec<u64>, ctx: &mut Context<'_, Vec<u64>, Self>) {
-                let Ev::Mark(v) = self;
-                world.push(v);
-                if v == 2 {
-                    // Typed events can schedule both kinds of follow-up.
-                    ctx.schedule_event_in(SimDuration::from_millis(1), Ev::Mark(99));
-                    ctx.schedule_in(SimDuration::from_millis(2), |w: &mut Vec<u64>, _| {
-                        w.push(1000);
-                    });
+        const NEAR: SimDuration = SimDuration::from_millis(3);
+        const FAR: SimDuration = SimDuration::from_secs(7);
+
+        #[derive(Debug)]
+        struct Scramble(u64);
+        impl Fire<Log> for Scramble {
+            fn fire(self, log: &mut Log, ctx: &mut Context<'_, Log, Self>) {
+                log.push((ctx.now().as_micros(), self.0));
+                if follows(self.0) {
+                    ctx.schedule_event_in(NEAR, Scramble(self.0 + 1_000));
+                    ctx.schedule_event_in(FAR, Scramble(self.0 + 2_000));
                 }
             }
         }
-        let mut sim = Simulation::<Vec<u64>, Ev>::with_events(Vec::new());
-        sim.schedule_event_at(SimTime::from_millis(5), Ev::Mark(2));
-        sim.schedule_event_at(SimTime::from_millis(3), Ev::Mark(1));
-        sim.schedule_at(SimTime::from_millis(4), |w: &mut Vec<u64>, _| w.push(500));
+
+        // A deterministic scramble of times spanning many 500 ms epochs,
+        // with deliberate exact-time collisions to stress seq ordering.
+        let mut initial: Vec<(SimTime, u64)> = Vec::new();
+        let mut x = 9_876_543_210u64;
+        for i in 0..400u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let at = SimTime::ZERO + SimDuration::from_micros(x % 20_000_000);
+            initial.push((at, i));
+            if i % 7 == 0 {
+                initial.push((at, i + 500));
+            }
+        }
+
+        let mut sim = Simulation::with_events(Vec::new());
+        for &(at, tag) in &initial {
+            sim.schedule_event_at(at, Scramble(tag));
+        }
         sim.run();
-        assert_eq!(sim.world(), &vec![1, 500, 2, 99, 1000]);
-        assert_eq!(sim.boxed_events_scheduled(), 2);
-        assert_eq!(sim.events_fired(), 5);
-    }
+        let fired = sim.into_world();
 
-    /// Boxed-event emulation boxes every typed event without changing the
-    /// firing order or effects.
-    #[test]
-    fn boxed_emulation_preserves_order_and_counts_every_event() {
-        #[derive(Debug)]
-        struct Push(u64);
-        impl Fire<Vec<u64>> for Push {
-            fn fire(self, world: &mut Vec<u64>, ctx: &mut Context<'_, Vec<u64>, Self>) {
-                world.push(self.0);
-                if self.0 == 1 {
-                    ctx.schedule_event_in(SimDuration::from_millis(1), Push(9));
-                }
-            }
-        }
-        let run = |emulate: bool| {
-            let mut sim = Simulation::<Vec<u64>, Push>::with_events(Vec::new());
-            sim.emulate_boxed_events(emulate);
-            sim.schedule_event_at(SimTime::from_millis(2), Push(2));
-            sim.schedule_event_at(SimTime::from_millis(1), Push(1));
-            sim.run();
-            (sim.world().clone(), sim.boxed_events_scheduled())
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut push = |heap: &mut BinaryHeap<_>, at: SimTime, tag: u64| {
+            heap.push(Reverse((at, seq, tag)));
+            seq += 1;
         };
-        let (fast, fast_boxed) = run(false);
-        let (slow, slow_boxed) = run(true);
-        assert_eq!(fast, vec![1, 2, 9]);
-        assert_eq!(fast, slow, "emulation must not change results");
-        assert_eq!(fast_boxed, 0);
-        assert_eq!(slow_boxed, 3, "every typed event is boxed under emulation");
-    }
-
-    /// The slab two-tier layout fires the exact same order as the inline
-    /// single-heap layout, including events far beyond the horizon epoch,
-    /// re-scheduling from inside events, and (time) ties broken by seq.
-    #[test]
-    fn slab_and_inline_layouts_fire_identically() {
-        #[derive(Debug)]
-        struct Mark(u64);
-        impl Fire<Vec<(u64, u64)>> for Mark {
-            fn fire(
-                self,
-                world: &mut Vec<(u64, u64)>,
-                ctx: &mut Context<'_, Vec<(u64, u64)>, Self>,
-            ) {
-                world.push((ctx.now().as_micros(), self.0));
-                if self.0 < 400 && self.0.is_multiple_of(5) {
-                    // Follow-ups both near (sub-epoch) and far (multi-epoch);
-                    // the guard keeps follow-ups from cascading forever.
-                    ctx.schedule_event_in(SimDuration::from_millis(3), Mark(self.0 + 1_000));
-                    ctx.schedule_event_in(SimDuration::from_secs(7), Mark(self.0 + 2_000));
-                }
+        for &(at, tag) in &initial {
+            push(&mut heap, at, tag);
+        }
+        let mut reference: Log = Vec::new();
+        while let Some(Reverse((at, _, tag))) = heap.pop() {
+            reference.push((at.as_micros(), tag));
+            if follows(tag) {
+                push(&mut heap, at + NEAR, tag + 1_000);
+                push(&mut heap, at + FAR, tag + 2_000);
             }
         }
-        let run = |inline: bool| {
-            let mut sim = Simulation::<Vec<(u64, u64)>, Mark>::with_events(Vec::new());
-            if inline {
-                // Flip the layout without boxed emulation noise: emulation
-                // boxes payloads too, but the firing order is what matters.
-                sim.queue.set_layout(true);
-            }
-            // A deterministic scramble of times spanning many 500 ms epochs,
-            // with deliberate exact-time collisions to stress seq ordering.
-            let mut x = 9_876_543_210u64;
-            for i in 0..400u64 {
-                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                let at = SimTime::ZERO + SimDuration::from_micros(x % 20_000_000);
-                sim.schedule_event_at(at, Mark(i));
-                if i % 7 == 0 {
-                    sim.schedule_event_at(at, Mark(i + 500));
-                }
-            }
-            sim.run();
-            sim.into_world()
-        };
-        let slab = run(false);
-        let inline = run(true);
-        assert_eq!(slab.len(), inline.len());
-        assert_eq!(slab, inline, "layouts must fire in identical order");
-    }
 
-    /// Ties between typed and boxed events break by insertion sequence.
-    #[test]
-    fn typed_and_boxed_ties_fire_in_insertion_order() {
-        #[derive(Debug)]
-        struct Push(u64);
-        impl Fire<Vec<u64>> for Push {
-            fn fire(self, world: &mut Vec<u64>, _: &mut Context<'_, Vec<u64>, Self>) {
-                world.push(self.0);
-            }
-        }
-        let mut sim = Simulation::<Vec<u64>, Push>::with_events(Vec::new());
-        let t = SimTime::from_millis(1);
-        sim.schedule_event_at(t, Push(0));
-        sim.schedule_at(t, |w: &mut Vec<u64>, _| w.push(1));
-        sim.schedule_event_at(t, Push(2));
-        sim.run();
-        assert_eq!(sim.world(), &vec![0, 1, 2]);
+        assert_eq!(fired.len(), 400 + 58 + 2 * 80);
+        assert_eq!(fired, reference, "slab store must fire in heap order");
     }
 
     /// Internal side-queue events interleave with workload events in exact
@@ -1104,19 +844,11 @@ mod tests {
     }
 
     /// Queue-depth telemetry reads identically whether or not an internal
-    /// event is pending, and boxed emulation leaves internal events typed.
+    /// event is pending, before and during the run.
     #[test]
-    fn arming_an_internal_event_does_not_perturb_depths_or_boxing() {
-        #[derive(Debug)]
-        struct Tick;
-        impl Fire<u32> for Tick {
-            fn fire(self, world: &mut u32, _: &mut Context<'_, u32, Self>) {
-                *world += 1;
-            }
-        }
-        let run = |armed: bool, emulate: bool| {
+    fn arming_an_internal_event_does_not_perturb_depths() {
+        let run = |armed: bool| {
             let mut sim = Simulation::<u32, Tick>::with_events(0);
-            sim.emulate_boxed_events(emulate);
             for t in 1..=20u64 {
                 sim.schedule_event_at(SimTime::from_millis(t), Tick);
             }
@@ -1125,15 +857,11 @@ mod tests {
             }
             let depths = sim.queue_depths();
             sim.run_until(SimTime::from_millis(3));
-            let mid = sim.queue_depths();
-            (depths, mid, sim.boxed_events_scheduled())
+            (depths, sim.queue_depths())
         };
-        for emulate in [false, true] {
-            let (d_off, m_off, boxed_off) = run(false, emulate);
-            let (d_on, m_on, boxed_on) = run(true, emulate);
-            assert_eq!(d_off, d_on, "pre-run depths must not see the arm");
-            assert_eq!(m_off, m_on, "mid-run depths must not see the arm");
-            assert_eq!(boxed_off, boxed_on, "internal events are never boxed");
-        }
+        let (d_off, m_off) = run(false);
+        let (d_on, m_on) = run(true);
+        assert_eq!(d_off, d_on, "pre-run depths must not see the arm");
+        assert_eq!(m_off, m_on, "mid-run depths must not see the arm");
     }
 }

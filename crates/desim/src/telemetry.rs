@@ -8,8 +8,7 @@
 //! append the current values to a time series.
 //!
 //! The registry is passive: it never schedules anything itself. The
-//! workload driver owns the snapshot cadence (a typed event, so enabling
-//! telemetry does not allocate boxed closures).
+//! workload driver owns the snapshot cadence (a typed event).
 
 use crate::time::SimTime;
 

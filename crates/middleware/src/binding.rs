@@ -252,7 +252,6 @@ pub struct Binder<'a> {
     pending_entities: Vec<(ComponentId, NodeId, RowId)>,
     pending_queries: Vec<(NodeId, Query)>,
     in_transaction: bool,
-    legacy_scan: bool,
 }
 
 impl<'a> Binder<'a> {
@@ -286,20 +285,7 @@ impl<'a> Binder<'a> {
             pending_entities: Vec::new(),
             pending_queries: Vec::new(),
             in_transaction: false,
-            legacy_scan: false,
         }
-    }
-
-    /// Switches the write path to the pre-overhaul cost model: every write
-    /// clones the full query-cache contents of each cache node before
-    /// `affects`-filtering, and propagation ordering is recomputed through
-    /// per-comparison `format!("{:?}")` keys. The emitted steps and state
-    /// transitions are identical — only host-side work differs — so the
-    /// `--simperf` legacy baseline can charge what the driver cost before
-    /// the by-table index and derived [`Ord`] on [`Query`] existed.
-    pub fn with_legacy_scan(mut self, on: bool) -> Self {
-        self.legacy_scan = on;
-        self
     }
 
     /// Withdraws the replayability certificate: the bind drew randomness,
@@ -685,18 +671,6 @@ impl<'a> Binder<'a> {
                 }
             }
         }
-        if self.legacy_scan {
-            // Pre-overhaul scan: clone every cached query at the node, then
-            // filter — the cost the by-table index below removes.
-            for &node in &self.descriptor.query_cache.nodes {
-                for query in self.state.cached_queries(node) {
-                    if affects(&effect, &query) {
-                        self.pending_queries.push((node, query));
-                    }
-                }
-            }
-            return steps;
-        }
         // Only queries on the written table can be affected; the by-table
         // index avoids cloning every cached query at the node per write.
         let state = &self.state;
@@ -719,15 +693,7 @@ impl<'a> Binder<'a> {
         let mut query_targets = std::mem::take(&mut self.pending_queries);
         entity_targets.sort_unstable();
         entity_targets.dedup();
-        if self.legacy_scan {
-            // Pre-overhaul canonical order: two `format!("{:?}")` heap
-            // allocations per comparison (superseded by `Query: Ord`).
-            query_targets.sort_unstable_by(|a, b| {
-                (a.0, format!("{:?}", a.1)).cmp(&(b.0, format!("{:?}", b.1)))
-            });
-        } else {
-            query_targets.sort_unstable();
-        }
+        query_targets.sort_unstable();
         query_targets.dedup();
         if entity_targets.is_empty() && query_targets.is_empty() {
             return Vec::new();

@@ -2,13 +2,14 @@
 //! façade, one entity, one aggregate query) resolved under descriptors that
 //! mirror the paper's five configurations.
 
-use mutsvc_desim::{SimDuration, SimRng, SimTime, Simulation};
+use mutsvc_desim::{Context, Fire, SimDuration, SimRng, SimTime, Simulation};
 use mutsvc_middleware::{
     Binder, Call, ComponentId, ComponentKind, ComponentRegistry, ContainerCosts, ContainerState,
     DbAccess, DeploymentDescriptor, DescriptorBuilder, PageRequest, UpdatePropagation,
 };
 use mutsvc_netsim::{
-    spawn_job, JobWorld, Jobs, NetEvent, Network, NodeId, ProtocolParams, Step, TopologyBuilder,
+    advance_job, spawn_program, JobWorld, Jobs, NetEvent, Network, NodeId, Program, ProtocolParams,
+    Step, TopologyBuilder,
 };
 use mutsvc_relstore::{Database, DatabaseBuilder, Mutation, Query, RowId, TableId, Value};
 
@@ -210,8 +211,28 @@ fn execute(fx: &Fixture, steps: Vec<Step>) -> f64 {
         jobs: Jobs<W>,
         done: Option<SimTime>,
     }
+    /// Start the program, or record its completion.
+    enum Ev {
+        Net(NetEvent),
+        Start(Vec<Step>),
+        Done,
+    }
+    impl From<NetEvent> for Ev {
+        fn from(e: NetEvent) -> Ev {
+            Ev::Net(e)
+        }
+    }
+    impl Fire<W> for Ev {
+        fn fire(self, w: &mut W, ctx: &mut Context<'_, W, Ev>) {
+            match self {
+                Ev::Net(NetEvent::Advance { job }) => advance_job(w, ctx, job),
+                Ev::Start(steps) => spawn_program(w, ctx, Program::Owned(steps), Ev::Done),
+                Ev::Done => w.done = Some(ctx.now()),
+            }
+        }
+    }
     impl JobWorld for W {
-        type Event = NetEvent;
+        type Event = Ev;
         fn network_mut(&mut self) -> &mut Network {
             &mut self.net
         }
@@ -219,19 +240,12 @@ fn execute(fx: &Fixture, steps: Vec<Step>) -> f64 {
             &mut self.jobs
         }
     }
-    let mut sim: Simulation<W, NetEvent> = Simulation::with_events(W {
+    let mut sim = Simulation::with_events(W {
         net: Network::new(fx.topology.clone()),
         jobs: Jobs::new(),
         done: None,
     });
-    sim.schedule_at(SimTime::ZERO, move |w, ctx| {
-        spawn_job(
-            w,
-            ctx,
-            steps,
-            Box::new(|w: &mut W, ctx| w.done = Some(ctx.now())),
-        );
-    });
+    sim.schedule_event_at(SimTime::ZERO, Ev::Start(steps));
     sim.run();
     sim.world().done.expect("job completed").as_millis_f64()
 }

@@ -18,14 +18,14 @@
 //! In-flight requests live in a [`Jobs`] slab owned by the world: each job
 //! holds its [`Program`] (owned or `Arc`-shared), a step cursor and the
 //! in-progress message phase. Step boundaries are driven by the plain-enum
-//! [`NetEvent::Advance`] event — scheduled through the typed event fast path
-//! of `mutsvc-desim`, so steady-state execution performs **zero** per-event
-//! `Box<dyn FnOnce>` allocations and no per-continuation captures of step
-//! vectors or routes.
+//! [`NetEvent::Advance`] event, and a job's completion is a typed world event
+//! fired when its program ends — so steady-state execution performs **zero**
+//! per-event allocations and no per-continuation captures of step vectors or
+//! routes.
 
 use std::sync::Arc;
 
-use mutsvc_desim::sim::{Context, EventFn, Fire};
+use mutsvc_desim::sim::{Context, Fire};
 use mutsvc_desim::time::{SimDuration, SimTime};
 use mutsvc_desim::trace::{SpanCtx, SpanKind, Tracer};
 
@@ -131,8 +131,8 @@ pub fn wan_round_trips(steps: &[Step], is_wan: &dyn Fn(NodeId, NodeId) -> bool) 
 /// Identifies an in-flight job in the world's [`Jobs`] slab.
 pub type JobId = u32;
 
-/// The executor's pooled event payload: a plain enum, scheduled through the
-/// typed event fast path of `mutsvc-desim` with no per-event allocation.
+/// The executor's pooled event payload: a plain enum, stored by value in the
+/// `mutsvc-desim` queue with no per-event allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetEvent {
     /// Resume the job at its cursor / message phase.
@@ -162,10 +162,8 @@ pub enum Program {
 
 /// What to do when a job's program (excluding forked branches) completes.
 enum JobDone<W: JobWorld> {
-    /// Fire a typed world event (the allocation-free driver path).
+    /// Fire a world event (synchronously, at the completion instant).
     Event(W::Event),
-    /// Invoke a boxed continuation (compat path for one-shot callers).
-    Boxed(EventFn<W, W::Event>),
     /// This job is a `Parallel` branch of `parent`.
     Join { parent: JobId },
     /// This job is a detached `Fork` branch.
@@ -285,9 +283,8 @@ pub trait JobWorld: Sized + 'static {
     /// the target replica stale (and detectably so), not silently fresh.
     fn fork_failed(&mut self, _tag: u64, _at: SimTime) {}
 
-    /// Called just before a failed job's completion action fires (the
-    /// [`JobDone::Event`]/boxed paths only; forks report through
-    /// [`Self::fork_failed`]). Drivers use this to mark the in-flight
+    /// Called just before a failed job's `done` event fires (forks report
+    /// through [`Self::fork_failed`]). Drivers use this to mark the in-flight
     /// request as failed for their retry/availability accounting.
     fn job_failed(&mut self) {}
 
@@ -314,27 +311,10 @@ pub trait JobWorld: Sized + 'static {
     }
 }
 
-/// Starts executing `steps` now; `done` fires when the program (excluding
-/// forked branches) completes.
-pub fn spawn_job<W: JobWorld>(
-    world: &mut W,
-    ctx: &mut Context<'_, W, W::Event>,
-    steps: Vec<Step>,
-    done: EventFn<W, W::Event>,
-) {
-    spawn(
-        world,
-        ctx,
-        Program::Owned(steps),
-        JobDone::Boxed(done),
-        None,
-    );
-}
-
-/// Starts executing `program` now; the typed `done` event fires (synchronously,
-/// as if scheduled at the completion instant) when the program completes.
-/// This is the allocation-free path: a [`Program::Shared`] plan plus an enum
-/// completion event touch the heap zero times per request in steady state.
+/// Starts executing `program` now; the `done` event fires (synchronously, as
+/// if scheduled at the completion instant) when the program (excluding forked
+/// branches) completes. A [`Program::Shared`] plan plus an enum completion
+/// event touch the heap zero times per request in steady state.
 pub fn spawn_program<W: JobWorld>(
     world: &mut W,
     ctx: &mut Context<'_, W, W::Event>,
@@ -370,7 +350,7 @@ fn spawn<W: JobWorld>(
     let kind = match done {
         JobDone::Join { .. } => Some(SpanKind::Branch),
         JobDone::Fork { .. } => None,
-        _ => Some(SpanKind::Program),
+        JobDone::Event(_) => Some(SpanKind::Program),
     };
     let trace = match (parent, kind) {
         (Some(p), Some(kind)) => {
@@ -701,12 +681,6 @@ fn complete<W: JobWorld>(
             }
             e.fire(world, ctx);
         }
-        JobDone::Boxed(f) => {
-            if job.failed {
-                world.job_failed();
-            }
-            f(world, ctx);
-        }
         JobDone::Fork { tag } => {
             if let Some(tag) = tag {
                 let now = ctx.now();
@@ -748,8 +722,36 @@ mod tests {
         failures: usize,
     }
 
+    /// Test events: the executor's own, a job start, a job completion.
+    enum Ev {
+        Net(NetEvent),
+        /// Spawn the program; the label is logged when it completes.
+        Start(Program, &'static str),
+        /// Log the label at the completion instant.
+        Done(&'static str),
+    }
+
+    impl From<NetEvent> for Ev {
+        fn from(e: NetEvent) -> Ev {
+            Ev::Net(e)
+        }
+    }
+
+    impl Fire<World> for Ev {
+        fn fire(self, w: &mut World, c: &mut Context<'_, World, Ev>) {
+            match self {
+                Ev::Net(NetEvent::Advance { job }) => advance_job(w, c, job),
+                Ev::Start(program, label) => spawn_program(w, c, program, Ev::Done(label)),
+                Ev::Done(label) => {
+                    let now = c.now();
+                    w.finished.push((now, label));
+                }
+            }
+        }
+    }
+
     impl JobWorld for World {
-        type Event = NetEvent;
+        type Event = Ev;
         fn network_mut(&mut self) -> &mut Network {
             &mut self.net
         }
@@ -801,18 +803,8 @@ mod tests {
     }
 
     fn run(world: World, steps: Vec<Step>) -> World {
-        let mut sim: Simulation<World, NetEvent> = Simulation::with_events(world);
-        sim.schedule_at(SimTime::ZERO, move |w, c| {
-            spawn_job(
-                w,
-                c,
-                steps,
-                Box::new(|w: &mut World, c| {
-                    let now = c.now();
-                    w.finished.push((now, "job"));
-                }),
-            );
-        });
+        let mut sim = Simulation::with_events(world);
+        sim.schedule_event_at(SimTime::ZERO, Ev::Start(Program::Owned(steps), "job"));
         sim.run();
         sim.into_world()
     }
@@ -957,24 +949,17 @@ mod tests {
     fn many_jobs_deterministic() {
         fn once() -> Vec<(SimTime, &'static str)> {
             let (w, main, _, edge) = world();
-            let mut sim: Simulation<World, NetEvent> = Simulation::with_events(w);
+            let mut sim = Simulation::with_events(w);
             for i in 0..50u64 {
                 let steps = vec![
                     Step::cpu(edge, ms(3)),
                     Step::exchange(edge, main, 500, 2_000),
                     Step::cpu(edge, ms(2)),
                 ];
-                sim.schedule_at(SimTime::from_millis(i * 7), move |w, c| {
-                    spawn_job(
-                        w,
-                        c,
-                        steps,
-                        Box::new(|w: &mut World, c| {
-                            let now = c.now();
-                            w.finished.push((now, "j"));
-                        }),
-                    );
-                });
+                sim.schedule_event_at(
+                    SimTime::from_millis(i * 7),
+                    Ev::Start(Program::Owned(steps), "j"),
+                );
             }
             sim.run();
             sim.into_world().finished
@@ -1106,27 +1091,11 @@ mod tests {
             Step::cpu(edge, ms(5)),
         ]
         .into();
-        let mut sim: Simulation<World, NetEvent> = Simulation::with_events(w);
+        let mut sim = Simulation::with_events(w);
         for i in 0..3u64 {
-            let plan = Arc::clone(&plan);
-            sim.schedule_at(SimTime::from_secs(i), move |w, c| {
-                spawn_job_checked(w, c, plan);
-            });
-        }
-        fn spawn_job_checked(
-            w: &mut World,
-            c: &mut mutsvc_desim::Context<'_, World, NetEvent>,
-            plan: Arc<[Step]>,
-        ) {
-            spawn(
-                w,
-                c,
-                Program::Shared(plan),
-                JobDone::Boxed(Box::new(|w: &mut World, c| {
-                    let now = c.now();
-                    w.finished.push((now, "cached"));
-                })),
-                None,
+            sim.schedule_event_at(
+                SimTime::from_secs(i),
+                Ev::Start(Program::Shared(Arc::clone(&plan)), "cached"),
             );
         }
         sim.run();
@@ -1151,9 +1120,46 @@ mod tests {
             net: Network,
             jobs: Jobs<TracedWorld>,
             tracer: Tracer,
+            edge: NodeId,
+        }
+        /// Start a traced request running the steps, or finish its trace.
+        enum TracedEv {
+            Net(NetEvent),
+            Start(Vec<Step>),
+            Finish(SpanCtx),
+        }
+        impl From<NetEvent> for TracedEv {
+            fn from(e: NetEvent) -> TracedEv {
+                TracedEv::Net(e)
+            }
+        }
+        impl Fire<TracedWorld> for TracedEv {
+            fn fire(self, w: &mut TracedWorld, c: &mut Context<'_, TracedWorld, TracedEv>) {
+                let now = c.now();
+                match self {
+                    TracedEv::Net(NetEvent::Advance { job }) => advance_job(w, c, job),
+                    TracedEv::Start(steps) => {
+                        let meta = TraceMeta {
+                            label: "Page",
+                            group: 0,
+                            client: w.edge.index() as u32,
+                            entry: w.edge.index() as u32,
+                            measured: true,
+                            wan_rts_logical: f64::NAN,
+                        };
+                        let root = w.tracer.start_request(now, meta).unwrap();
+                        let program = Program::Owned(steps);
+                        let done = TracedEv::Finish(root);
+                        spawn_program_traced(w, c, program, done, Some(root));
+                    }
+                    TracedEv::Finish(root) => {
+                        w.tracer.finish_request(root, now);
+                    }
+                }
+            }
         }
         impl JobWorld for TracedWorld {
-            type Event = NetEvent;
+            type Event = TracedEv;
             fn network_mut(&mut self) -> &mut Network {
                 &mut self.net
             }
@@ -1175,39 +1181,19 @@ mod tests {
             net: Network::new(b.finalize()),
             jobs: Jobs::new(),
             tracer: Tracer::new(TraceConfig::full()),
+            edge,
         };
-        let mut sim: Simulation<TracedWorld, NetEvent> = Simulation::with_events(w);
-        sim.schedule_at(SimTime::ZERO, move |w: &mut TracedWorld, c| {
-            let meta = TraceMeta {
-                label: "Page",
-                group: 0,
-                client: edge.index() as u32,
-                entry: edge.index() as u32,
-                measured: true,
-                wan_rts_logical: f64::NAN,
-            };
-            let now = c.now();
-            let root = w.tracer.start_request(now, meta).unwrap();
-            let steps = vec![
-                Step::cpu(edge, ms(5)),
-                Step::exchange(edge, main, 1_000, 4_000),
-                Step::Parallel(vec![vec![Step::Delay(ms(3))], vec![Step::cpu(edge, ms(8))]]),
-                Step::Fork {
-                    steps: vec![Step::transfer(edge, main, 64)],
-                    tag: None,
-                },
-            ];
-            spawn(
-                w,
-                c,
-                Program::Owned(steps),
-                JobDone::Boxed(Box::new(move |w: &mut TracedWorld, c| {
-                    let now = c.now();
-                    w.tracer.finish_request(root, now);
-                })),
-                Some(root),
-            );
-        });
+        let steps = vec![
+            Step::cpu(edge, ms(5)),
+            Step::exchange(edge, main, 1_000, 4_000),
+            Step::Parallel(vec![vec![Step::Delay(ms(3))], vec![Step::cpu(edge, ms(8))]]),
+            Step::Fork {
+                steps: vec![Step::transfer(edge, main, 64)],
+                tag: None,
+            },
+        ];
+        let mut sim = Simulation::with_events(w);
+        sim.schedule_event_at(SimTime::ZERO, TracedEv::Start(steps));
         sim.run();
         let w = sim.into_world();
         let traces = w.tracer.finished();
@@ -1242,36 +1228,5 @@ mod tests {
         assert_eq!(bd.lan_propagation, SimDuration::from_millis(20));
         assert_eq!(bd.total, tr.duration);
         assert_eq!(w.tracer.in_flight(), 0);
-    }
-
-    #[test]
-    fn advance_events_are_not_boxed() {
-        let (w, main, _, edge) = world();
-        let mut sim: Simulation<World, NetEvent> = Simulation::with_events(w);
-        for i in 0..10u64 {
-            let steps = vec![
-                Step::cpu(edge, ms(3)),
-                Step::exchange(edge, main, 500, 2_000),
-                Step::cpu(edge, ms(2)),
-            ];
-            sim.schedule_at(SimTime::from_millis(i * 7), move |w, c| {
-                spawn_job(
-                    w,
-                    c,
-                    steps,
-                    Box::new(|w: &mut World, c| {
-                        let now = c.now();
-                        w.finished.push((now, "j"));
-                    }),
-                );
-            });
-        }
-        sim.run();
-        // The 10 staggered spawns are the only boxed events; every Advance
-        // at a step/hop boundary went through the enum fast path.
-        assert_eq!(sim.boxed_events_scheduled(), 10);
-        assert!(sim.events_fired() > 10);
-        assert_eq!(sim.world().finished.len(), 10);
-        assert_eq!(sim.world().jobs.in_flight(), 0);
     }
 }

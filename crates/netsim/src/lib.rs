@@ -14,9 +14,9 @@
 //! ## Example: a remote HTTP request over a 100 ms WAN
 //!
 //! ```
-//! use mutsvc_desim::{SimDuration, SimTime, Simulation};
-//! use mutsvc_netsim::{Jobs, JobWorld, NetEvent, Network, ProtocolParams, Step,
-//!                     TopologyBuilder, spawn_job};
+//! use mutsvc_desim::{Context, Fire, SimDuration, SimTime, Simulation};
+//! use mutsvc_netsim::{advance_job, spawn_program, Jobs, JobWorld, NetEvent, Network,
+//!                     Program, ProtocolParams, Step, TopologyBuilder};
 //!
 //! let mut b = TopologyBuilder::new();
 //! let client = b.node("client", 1);
@@ -26,8 +26,25 @@
 //! b.duplex_link(router, server, SimDuration::from_millis(100), 100e6);
 //!
 //! struct World { net: Network, jobs: Jobs<World>, done_at: Option<SimTime> }
+//!
+//! /// The world's events: the executor's step boundaries, a request start
+//! /// and its completion.
+//! enum Ev { Net(NetEvent), Start(Vec<Step>), Done }
+//!
+//! impl From<NetEvent> for Ev {
+//!     fn from(e: NetEvent) -> Ev { Ev::Net(e) }
+//! }
+//! impl Fire<World> for Ev {
+//!     fn fire(self, w: &mut World, ctx: &mut Context<'_, World, Ev>) {
+//!         match self {
+//!             Ev::Net(NetEvent::Advance { job }) => advance_job(w, ctx, job),
+//!             Ev::Start(steps) => spawn_program(w, ctx, Program::Owned(steps), Ev::Done),
+//!             Ev::Done => w.done_at = Some(ctx.now()),
+//!         }
+//!     }
+//! }
 //! impl JobWorld for World {
-//!     type Event = NetEvent;
+//!     type Event = Ev;
 //!     fn network_mut(&mut self) -> &mut Network { &mut self.net }
 //!     fn jobs_mut(&mut self) -> &mut Jobs<World> { &mut self.jobs }
 //! }
@@ -37,14 +54,12 @@
 //! steps.push(Step::cpu(server, SimDuration::from_millis(20)));
 //! steps.push(protocols.http_response(server, client, 10_000));
 //!
-//! let mut sim: Simulation<World, NetEvent> = Simulation::with_events(World {
+//! let mut sim = Simulation::with_events(World {
 //!     net: Network::new(b.finalize()),
 //!     jobs: Jobs::new(),
 //!     done_at: None,
 //! });
-//! sim.schedule_at(SimTime::ZERO, move |w, ctx| {
-//!     spawn_job(w, ctx, steps, Box::new(|w: &mut World, ctx| w.done_at = Some(ctx.now())));
-//! });
+//! sim.schedule_event_at(SimTime::ZERO, Ev::Start(steps));
 //! sim.run();
 //!
 //! // Two WAN round trips (~400 ms) + 20 ms service + transmission.
@@ -61,8 +76,8 @@ pub mod protocol;
 pub mod topology;
 
 pub use job::{
-    advance_job, spawn_job, spawn_program, spawn_program_traced, wan_round_trips, JobId, JobWorld,
-    Jobs, NetEvent, Program, Step,
+    advance_job, spawn_program, spawn_program_traced, wan_round_trips, JobId, JobWorld, Jobs,
+    NetEvent, Program, Step,
 };
 pub use network::Network;
 pub use protocol::ProtocolParams;

@@ -10,10 +10,10 @@
 //!
 //! Steady-state requests avoid per-request allocation three ways:
 //!
-//! * **Typed events.** Every recurring event — job advancement, request
-//!   issue, request completion — is a [`Ev`] enum value scheduled without
-//!   boxing; only the handful of control events a run sets up (stats reset,
-//!   perturbations) are boxed closures.
+//! * **Typed events.** Every event — job advancement, request issue,
+//!   request completion, and the handful of control events a run sets up
+//!   (stats reset, perturbations) — is an [`Ev`] enum value stored by value
+//!   in the queue, so no event allocates.
 //! * **Bound-program memoization.** Binds the binder certifies replayable
 //!   (read-only, no cache-state transitions, no RNG draws) are split into a
 //!   reusable *plan* (`Arc<[Step]>` program + [`BindStats`]) and cached by
@@ -109,10 +109,6 @@ pub struct ExperimentReport {
     pub completed: u64,
     /// Total simulator events fired over the run.
     pub events_fired: u64,
-    /// Boxed-closure events scheduled over the run. The request hot path
-    /// schedules typed events only, so this stays at the handful of control
-    /// events (stats reset, perturbations) regardless of load.
-    pub boxed_events: u64,
     /// Bound-program cache counters.
     pub bind_cache: BindCacheStats,
     /// Events fired per shard of a conservative-parallel run, in shard
@@ -397,10 +393,6 @@ pub(crate) struct World {
     spec: WorkloadSpec,
     measuring_from: SimTime,
     completed: u64,
-    /// Pre-overhaul baseline emulation: resolve series ids through a cloned
-    /// group-name `String` on every measured request (see
-    /// [`WorkloadSpec::legacy_baseline`]).
-    legacy: bool,
     tracer: Tracer,
     telemetry: TelemetryRegistry,
     /// Metric handles plus the snapshot cadence; `None` when the telemetry
@@ -611,9 +603,14 @@ impl TelemetryIds {
 }
 
 /// Capacity of the hot-path event-kind count array. A power of two so the
-/// per-event index can be masked instead of bounds-checked; must be at
-/// least [`EV_KIND_NAMES`]`.len()`.
+/// per-event index can be masked instead of bounds-checked; must hold every
+/// named slot plus the [`EV_CONTROL_KINDS`] control slots past them.
 const EV_KINDS: usize = 16;
+/// Kind slots of the unnamed control events (see [`Ev::kind_index`]).
+const EV_CONTROL_KINDS: usize = 2;
+// Past `EV_KINDS` the `& (EV_KINDS - 1)` mask in `Ev::fire` would silently
+// alias one kind's counter onto another's.
+const _: () = assert!(EV_KIND_NAMES.len() + EV_CONTROL_KINDS <= EV_KINDS);
 /// Self-profile counter names, indexed by [`Ev::kind_index`].
 const EV_KIND_NAMES: [&str; 10] = [
     "engine.ev.net",
@@ -746,8 +743,8 @@ impl MetricsState {
     }
 }
 
-/// The driver's typed event payload: every recurring event of a run is one
-/// of these, scheduled without allocation.
+/// The driver's event type: every event of a run, recurring or control, is
+/// one of these, stored by value in the queue.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     /// Advance an in-flight job (network/CPU step completion).
@@ -782,11 +779,21 @@ pub(crate) enum Ev {
     /// the deployment descriptor and restart the destination container
     /// cold. The payload indexes the world's pending-migration buffer.
     Migrate { slot: u32 },
+    /// The measured window opens: reset the network's resource statistics.
+    ResetStats,
+    /// Apply the spec's network perturbation `idx` (scheduled once per
+    /// entry at run start).
+    Perturb { idx: u32 },
 }
 
 impl Ev {
     /// Dense kind index for the engine self-profile counters
     /// ([`EV_KIND_NAMES`]).
+    ///
+    /// The control variants fire a handful of times per run and have no
+    /// counter name: their slots sit past the named ones, where
+    /// [`MetricsState::flush_ev_counts`] never reads, so they add no
+    /// `engine.ev.*` series and no column to any `METRICS_*.jsonl`.
     fn kind_index(&self) -> usize {
         match self {
             Ev::Net(_) => 0,
@@ -799,6 +806,8 @@ impl Ev {
             Ev::MetricsRoll => 7,
             Ev::AdaptTick => 8,
             Ev::Migrate { .. } => 9,
+            Ev::ResetStats => EV_KIND_NAMES.len(),
+            Ev::Perturb { .. } => EV_KIND_NAMES.len() + 1,
         }
     }
 }
@@ -827,7 +836,22 @@ impl Fire<World> for Ev {
             Ev::MetricsRoll => roll_metrics(world, ctx),
             Ev::AdaptTick => adapt_tick(world, ctx),
             Ev::Migrate { slot } => apply_migration(world, slot),
+            Ev::ResetStats => world.net.reset_stats(),
+            Ev::Perturb { idx } => apply_perturbation(world, idx),
         }
+    }
+}
+
+/// Applies the spec's network perturbation `idx`. Perturbations change link
+/// timing, so every memoized plan (whose steps carry admission-time
+/// assumptions) is dropped.
+fn apply_perturbation(world: &mut World, idx: u32) {
+    world.plans.invalidate_all();
+    match world.spec.perturbations[idx as usize].action {
+        crate::spec::NetAction::ScaleWanLatency { threshold, factor } => {
+            world.net.scale_latencies_above(threshold, factor);
+        }
+        crate::spec::NetAction::Restore => world.net.clear_latency_overrides(),
     }
 }
 
@@ -1300,26 +1324,17 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
     }
 
     let (series, session, hist) = if measured {
-        if world.legacy {
-            // Pre-overhaul stats path: clone the group name and re-resolve
-            // the series through string lookups on every request.
-            let name = world.spec.groups[slot_group].name.clone();
-            let (series, session) = world.stats.intern(&name, pattern, label);
-            let hist = world.metrics.as_ref().and_then(|m| m.page_hist(label));
-            (series, session, hist)
-        } else {
-            let memo_key = (slot_group as u16, pattern, label);
-            match world.series_memo.get(&memo_key) {
-                Some(&ids) => ids,
-                None => {
-                    let (series, session) =
-                        world
-                            .stats
-                            .intern(&world.spec.groups[slot_group].name, pattern, label);
-                    let hist = world.metrics.as_ref().and_then(|m| m.page_hist(label));
-                    world.series_memo.insert(memo_key, (series, session, hist));
-                    (series, session, hist)
-                }
+        let memo_key = (slot_group as u16, pattern, label);
+        match world.series_memo.get(&memo_key) {
+            Some(&ids) => ids,
+            None => {
+                let (series, session) =
+                    world
+                        .stats
+                        .intern(&world.spec.groups[slot_group].name, pattern, label);
+                let hist = world.metrics.as_ref().and_then(|m| m.page_hist(label));
+                world.series_memo.insert(memo_key, (series, session, hist));
+                (series, session, hist)
             }
         }
     } else {
@@ -1404,7 +1419,6 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
             &mut world.rng,
             &mut world.next_tag,
         )
-        .with_legacy_scan(world.legacy)
         .bind_page(client_node, entry_node, &page);
 
         if measured {
@@ -1662,8 +1676,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         warm_caches(&mut state, &app, &registry, &descriptor, &db, None);
     }
 
-    let legacy = spec.legacy_baseline;
-    let bind_cache = spec.bind_cache && !legacy;
     let faults_active = spec.faults.active();
     let mut net = Network::new(topology);
     // Deterministic message-loss hashing is keyed by the experiment seed, so
@@ -1724,6 +1736,7 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
     // Fault firing times, captured before `spec` moves into the world; the
     // handler looks the kind up by index.
     let fault_times: Vec<SimDuration> = spec.faults.schedule.events.iter().map(|e| e.at).collect();
+    let perturbation_times: Vec<SimDuration> = spec.perturbations.iter().map(|p| p.at).collect();
     // The live-migration controller (sequential runs only): parallel runs
     // host one controller in the coordinator so every shard applies the
     // same globally decided orders.
@@ -1744,7 +1757,7 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         next_tag: 0,
         deferred: HashMap::new(),
         deferred_tables: Vec::new(),
-        plans: PlanCache::new(bind_cache),
+        plans: PlanCache::new(spec.bind_cache),
         fault_rt,
         stats,
         series_memo: HashMap::new(),
@@ -1756,7 +1769,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         spec,
         measuring_from,
         completed: 0,
-        legacy,
         tracer,
         telemetry,
         telemetry_ids,
@@ -1772,15 +1784,13 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
 
     let mut sim: Simulation<World, Ev> = Simulation::with_events(world);
     sim.set_far_epoch(far_epoch);
-    // The pre-overhaul queue boxed every event; emulate it for baseline runs.
-    sim.emulate_boxed_events(legacy);
     // Stagger session starts uniformly across one soft-delay interval.
     for i in 0..n_sessions {
         let offset = soft_delay.mul_f64(i as f64 / n_sessions.max(1) as f64);
         sim.schedule_event_at(SimTime::ZERO + offset, Ev::Issue { slot: i as u32 });
     }
     // Reset resource statistics when the measured window opens.
-    sim.schedule_at(measuring_from, |w: &mut World, _| w.net.reset_stats());
+    sim.schedule_event_at(measuring_from, Ev::ResetStats);
     // Arm the telemetry cadence (typed event; never scheduled when off).
     if let Some(every) = telemetry_every {
         sim.schedule_event_at(SimTime::ZERO + every, Ev::Snapshot);
@@ -1803,22 +1813,11 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         let warmup = sim.world().spec.warmup;
         sim.schedule_internal_at(SimTime::ZERO + warmup + cadence, Ev::AdaptTick);
     }
-    // Failure injection. Perturbations change link timing, so every memoized
-    // plan (whose steps carry admission-time assumptions) is dropped.
-    for p in sim.world().spec.perturbations.clone() {
-        let action = p.action.clone();
-        sim.schedule_at(SimTime::ZERO + p.at, move |w: &mut World, _| {
-            w.plans.invalidate_all();
-            match &action {
-                crate::spec::NetAction::ScaleWanLatency { threshold, factor } => {
-                    w.net.scale_latencies_above(*threshold, *factor);
-                }
-                crate::spec::NetAction::Restore => w.net.clear_latency_overrides(),
-            }
-        });
+    // Failure injection: network perturbations, then the fault schedule. An
+    // empty list adds zero events, leaving the queue history untouched.
+    for (i, at) in perturbation_times.into_iter().enumerate() {
+        sim.schedule_event_at(SimTime::ZERO + at, Ev::Perturb { idx: i as u32 });
     }
-    // Fault schedule: typed events, so a fault-off run (empty schedule)
-    // leaves the queue — and the boxed-event count — untouched.
     for (i, at) in fault_times.into_iter().enumerate() {
         sim.schedule_event_at(SimTime::ZERO + at, Ev::Fault { idx: i as u32 });
     }
@@ -1838,7 +1837,6 @@ pub fn run_experiment(input: ExperimentInput) -> ExperimentReport {
 pub(crate) fn drain_report(sim: Simulation<World, Ev>) -> ExperimentReport {
     let horizon = sim.world().spec.horizon();
     let events_fired = sim.events_fired();
-    let boxed_events = sim.boxed_events_scheduled();
 
     let mut world = sim.into_world();
     let config = world.descriptor.name.clone();
@@ -1891,7 +1889,6 @@ pub(crate) fn drain_report(sim: Simulation<World, Ev>) -> ExperimentReport {
         cpu_utilization,
         completed: world.completed,
         events_fired,
-        boxed_events,
         bind_cache: BindCacheStats {
             enabled: world.plans.enabled,
             hits: world.plans.hits,
@@ -2125,47 +2122,58 @@ mod tests {
         assert_eq!(cached.events_fired, uncached.events_fired);
     }
 
+    /// Perturbations flush the plan cache wholesale (`Ev::Perturb`): a run
+    /// that degrades and then restores the WAN measures bit-identically with
+    /// the cache on and off, and the cache-on run counts the dropped plans.
     #[test]
-    fn hot_path_schedules_no_boxed_events() {
-        // Thousands of requests, yet the only boxed event is the stats
-        // reset: issue/advance/done are all typed enum payloads.
-        let report = run_experiment(small_input(31));
-        assert!(report.completed > 1_000);
-        assert_eq!(
-            report.boxed_events, 1,
-            "boxed events: {}",
-            report.boxed_events
-        );
-    }
-
-    #[test]
-    fn legacy_baseline_is_slower_bookkeeping_same_simulation() {
-        // The pre-overhaul emulation must change only host-side cost: the
-        // simulated measurements are bit-identical to a modern cache-off
-        // run, but every event pays a boxed allocation.
-        let mut modern_input = small_input(33);
-        modern_input.spec.bind_cache = false;
-        let modern = run_experiment(modern_input);
-
-        let mut legacy_input = small_input(33);
-        legacy_input.spec = legacy_input.spec.as_legacy_baseline();
-        let legacy = run_experiment(legacy_input);
-
-        assert!(!legacy.bind_cache.enabled);
-        assert_eq!(legacy.stats, modern.stats);
-        assert_eq!(legacy.bind_totals, modern.bind_totals);
-        assert_eq!(legacy.staleness_ms, modern.staleness_ms);
-        assert_eq!(legacy.completed, modern.completed);
-        assert_eq!(legacy.events_fired, modern.events_fired);
-        // Every typed event is boxed under emulation (plus the control
-        // events both runs schedule).
+    fn perturbations_flush_the_plan_cache_without_changing_results() {
+        // `factor` scales the WAN legs from 60 s until a restore at 110 s.
+        let run = |bind_cache: bool, factor: Option<f64>| {
+            let mut input = small_input(34);
+            input.spec = input.spec.with_bind_cache(bind_cache);
+            if let Some(factor) = factor {
+                input.spec = input
+                    .spec
+                    .with_perturbation(
+                        SimDuration::from_secs(60),
+                        crate::spec::NetAction::ScaleWanLatency {
+                            threshold: SimDuration::from_millis(50),
+                            factor,
+                        },
+                    )
+                    .with_perturbation(
+                        SimDuration::from_secs(110),
+                        crate::spec::NetAction::Restore,
+                    );
+            }
+            run_experiment(input)
+        };
+        let on = run(true, Some(2.0));
+        let off = run(false, Some(2.0));
+        assert!(on.bind_cache.enabled && !off.bind_cache.enabled);
         assert!(
-            legacy.boxed_events >= legacy.events_fired,
-            "boxed {} < fired {}",
-            legacy.boxed_events,
-            legacy.events_fired
+            on.bind_cache.invalidations > 0,
+            "perturbations must drop plans: {:?}",
+            on.bind_cache
         );
-        assert!(modern.boxed_events <= 4);
+        assert_eq!(on.stats, off.stats);
+        assert_eq!(on.bind_totals, off.bind_totals);
+        assert_eq!(on.events_fired, off.events_fired);
+
+        // An identity perturbation changes no timing, so only the flush
+        // tells it apart from an unperturbed run: every plan it drops is
+        // counted and re-bound.
+        let plain = run(true, None);
+        let flushed = run(true, Some(1.0));
+        assert_eq!(plain.stats, flushed.stats);
+        assert_eq!(plain.events_fired + 2, flushed.events_fired);
+        assert!(
+            flushed.bind_cache.invalidations > plain.bind_cache.invalidations
+                && flushed.bind_cache.misses > plain.bind_cache.misses,
+            "flushed {:?} vs plain {:?}",
+            flushed.bind_cache,
+            plain.bind_cache
+        );
     }
 
     #[test]
@@ -2353,7 +2361,6 @@ mod tests {
         assert_eq!(plain.completed, armed.completed);
         assert_eq!(plain.bind_totals, armed.bind_totals);
         assert_eq!(plain.events_fired, armed.events_fired);
-        assert_eq!(plain.boxed_events, armed.boxed_events);
         let (pt, at) = (plain.trace.unwrap(), armed.trace.unwrap());
         assert_eq!(jsonl(&pt), jsonl(&at), "span logs byte-identical");
         assert_eq!(pt.telemetry_names, at.telemetry_names);

@@ -357,7 +357,6 @@ fn merge_reports(reports: Vec<ExperimentReport>) -> ExperimentReport {
         }
         total.completed += r.completed;
         total.events_fired += r.events_fired;
-        total.boxed_events += r.boxed_events;
         total.bind_cache.enabled |= r.bind_cache.enabled;
         total.bind_cache.hits += r.bind_cache.hits;
         total.bind_cache.misses += r.bind_cache.misses;

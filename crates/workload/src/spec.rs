@@ -376,14 +376,6 @@ pub struct WorkloadSpec {
     /// equivalence testing and as the baseline in `--simperf` benches.
     #[serde(default = "default_bind_cache")]
     pub bind_cache: bool,
-    /// Run the driver as the pre-overhaul baseline: every request goes
-    /// through the full binder, series ids are re-resolved through a cloned
-    /// group-name `String` per request, and every simulator event pays a
-    /// `Box<dyn FnOnce>` allocation. Simulated results are identical — only
-    /// host-side cost differs — so `--simperf` can measure the overhaul's
-    /// speedup in one process. Off by default.
-    #[serde(default)]
-    pub legacy_baseline: bool,
     /// Tracing and telemetry policy (off by default; see [`TraceSettings`]).
     #[serde(default)]
     pub trace: TraceSettings,
@@ -418,7 +410,6 @@ impl WorkloadSpec {
             seed: 42,
             perturbations: Vec::new(),
             bind_cache: default_bind_cache(),
-            legacy_baseline: false,
             trace: TraceSettings::off(),
             faults: FaultSettings::off(),
             metrics: MetricsSettings::off(),
@@ -460,15 +451,6 @@ impl WorkloadSpec {
     /// Enables or disables the bound-program cache.
     pub fn with_bind_cache(mut self, enabled: bool) -> Self {
         self.bind_cache = enabled;
-        self
-    }
-
-    /// Switches the run to the pre-overhaul baseline driver (full bind per
-    /// request, per-request `String` clones, one boxed allocation per
-    /// event). Implies a disabled bound-program cache.
-    pub fn as_legacy_baseline(mut self) -> Self {
-        self.legacy_baseline = true;
-        self.bind_cache = false;
         self
     }
 
