@@ -316,8 +316,10 @@ fn print_placement_throughput(smoke: bool) {
     // The smoke gate (CI) stops the scale ladder at the 64-host rung; the
     // full report climbs to 256 hosts.
     let max_hosts = if smoke { 64 } else { 256 };
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     eprintln!(
-        "measuring placement move throughput (1000-move sequences, ladder to {max_hosts} hosts)..."
+        "measuring placement move throughput (1000-move sequences, ladder to {max_hosts} hosts, \
+         {cores} core(s))..."
     );
     let mut cells = measure_placement_throughput(1_000, 42);
     cells.extend(measure_placement_ladder(1_000, 42, max_hosts));
@@ -334,7 +336,7 @@ fn print_placement_throughput(smoke: bool) {
             cell.final_cost
         );
     }
-    let json = render_placement_json(&cells);
+    let json = render_placement_json(&cells, cores);
     let path = "BENCH_placement.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),

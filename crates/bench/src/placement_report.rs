@@ -266,12 +266,12 @@ pub fn measure_placement_ladder(
 }
 
 /// Renders the cells as the `BENCH_placement.json` document. Hand-formatted
-/// (the vendored serde is a no-op stand-in); schema per entry:
-/// `{"algorithm", "graph", "hosts", "links", "components", "moves_per_sec",
-/// "final_cost", "build_ms", "table_bytes"}` plus a per-graph `"speedup"`
-/// summary map.
-pub fn render_placement_json(cells: &[PlacementThroughput]) -> String {
-    let mut out = String::from("{\n  \"entries\": [\n");
+/// (the vendored serde is a no-op stand-in): the `"cores"` the run had,
+/// then per entry `{"algorithm", "graph", "hosts", "links", "components",
+/// "moves_per_sec", "final_cost", "build_ms", "table_bytes"}`, plus a
+/// per-graph `"speedup"` summary map.
+pub fn render_placement_json(cells: &[PlacementThroughput], cores: usize) -> String {
+    let mut out = format!("{{\n  \"cores\": {cores},\n  \"entries\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
         out.push_str(&format!(
@@ -342,7 +342,8 @@ mod tests {
             cell("full_recompute", 1000.0, full),
             cell("incremental", 25_000.0, incremental),
         ];
-        let json = render_placement_json(&cells);
+        let json = render_placement_json(&cells, 2);
+        assert!(json.contains("\"cores\": 2"));
         assert!(json.contains("\"speedup\": {\"rubis\": 25.0}"));
         assert!(json.contains("\"hosts\": 3"));
         assert!(json.contains("\"links\": 10"));

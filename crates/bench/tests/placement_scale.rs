@@ -175,7 +175,7 @@ fn incremental_equivalence_on_multi_tier_rungs() {
         for (step, &mv) in moves.iter().enumerate() {
             eval.apply(mv);
             eval.commit();
-            let full = cost_breakdown(&problem, eval.placement());
+            let full = cost_breakdown(&problem, &eval.placement());
             let inc = eval.breakdown();
             for (term, i, f) in [
                 ("communication", inc.communication, full.communication),

@@ -57,7 +57,7 @@ pub fn anneal(
     let mut start = start;
     start.repair_pins(problem);
     let mut eval = CostEvaluator::new(problem, start);
-    let mut best = eval.placement().clone();
+    let mut best = eval.placement();
     let mut best_cost = eval.total();
     // Scale the temperature to the starting cost. A positive floor exists
     // only to keep the Metropolis ratio well-defined: the previous floor of
@@ -81,11 +81,7 @@ pub fn anneal(
                 && rng.chance(0.5)
                 && eval.primary_of(node) != target;
             let mv = if replica_move {
-                if eval.has_replica(node, target) {
-                    Move::DropReplica { node, host: target }
-                } else {
-                    Move::AddReplica { node, host: target }
-                }
+                eval.toggle_replica(node, target)
             } else {
                 if spec.pinned.is_some() || eval.primary_of(node) == target {
                     continue;
@@ -100,7 +96,7 @@ pub fn anneal(
                 let current_cost = eval.total();
                 if current_cost < best_cost {
                     best_cost = current_cost;
-                    best = eval.placement().clone();
+                    best = eval.placement();
                 }
             } else {
                 eval.undo();

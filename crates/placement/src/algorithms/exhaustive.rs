@@ -33,7 +33,7 @@ pub fn solve(problem: &PlacementProblem) -> (Placement, f64) {
     // The all-zeros odometer state IS the all-on-host-0 start (pins repaired
     // by `all_on`); every subsequent candidate is one in-place move away.
     let mut eval = CostEvaluator::new(problem, Placement::all_on(problem, HostId(0)));
-    let mut best = eval.placement().clone();
+    let mut best = eval.placement();
     let mut best_cost = eval.total();
 
     let mut assignment = vec![0usize; free.len()];
@@ -63,7 +63,7 @@ pub fn solve(problem: &PlacementProblem) -> (Placement, f64) {
         let c = eval.total();
         if c < best_cost {
             best_cost = c;
-            best = eval.placement().clone();
+            best = eval.placement();
         }
     }
 }

@@ -13,6 +13,17 @@
 //! Candidate moves are priced through the incremental [`CostEvaluator`]
 //! (apply → read delta → undo), so probing a move costs `O(degree × hosts)`
 //! instead of a whole-graph sweep per candidate.
+//!
+//! [`climb`] is the one best-improvement loop every hill-climb runs: this
+//! module's flat search, the region-restricted refinement, multi-start
+//! polish and the partitioners' primary polish. It caches each
+//! component's best improving move and, after committing a move, re-probes
+//! only the components `CostEvaluator::mark_stale` marks: the moved
+//! component and its graph neighbours, or every component when some host
+//! has finite CPU capacity. The cached search commits exactly the moves a
+//! full re-scan of every candidate would, in the same order.
+
+use petgraph::graph::NodeIndex;
 
 use crate::cost::incremental::{CostEvaluator, Move};
 use crate::graph::{HostId, Placement, PlacementProblem};
@@ -35,6 +46,80 @@ impl Default for GreedyOptions {
     }
 }
 
+/// Best-improvement hill-climbing on `eval` for at most `max_rounds`
+/// committed moves. `candidates` appends, in probe order, one component's
+/// candidate moves at the evaluator's current state; it must read only
+/// that component's own placement. Each round commits the move with the
+/// most negative delta below `−1e-9`, the first in node-major candidate
+/// order on ties. Returns the committed moves in order.
+///
+/// A move's delta reads only the state of the moved component and its
+/// neighbours (plus host loads under finite capacity), so a component's
+/// cached best move stays exact until `CostEvaluator::mark_stale` marks
+/// it: the climb commits the same moves as re-probing every candidate in
+/// every round.
+pub fn climb(
+    eval: &mut CostEvaluator,
+    max_rounds: usize,
+    candidates: impl Fn(&CostEvaluator, NodeIndex, &mut Vec<Move>),
+) -> Vec<Move> {
+    let components = eval.components();
+    let mut best: Vec<Option<(Move, f64)>> = vec![None; components];
+    let mut stale = vec![true; components];
+    let mut probes = Vec::new();
+    let mut committed = Vec::new();
+    for _ in 0..max_rounds {
+        for (n, slot) in best.iter_mut().enumerate() {
+            if !std::mem::take(&mut stale[n]) {
+                continue;
+            }
+            probes.clear();
+            candidates(eval, NodeIndex::new(n), &mut probes);
+            *slot = None;
+            for &mv in &probes {
+                let delta = eval.apply(mv);
+                eval.undo();
+                if delta < -1e-9 && slot.is_none_or(|(_, bd)| delta < bd) {
+                    *slot = Some((mv, delta));
+                }
+            }
+        }
+        let mut round_best: Option<(Move, f64)> = None;
+        for &(mv, delta) in best.iter().flatten() {
+            if round_best.is_none_or(|(_, bd)| delta < bd) {
+                round_best = Some((mv, delta));
+            }
+        }
+        let Some((mv, _)) = round_best else { break };
+        eval.apply(mv);
+        eval.commit();
+        eval.mark_stale(mv, &mut stale);
+        committed.push(mv);
+    }
+    committed
+}
+
+/// The flat neighbourhood: a movable component's primary may move to any
+/// other host, and a replicable component may toggle a replica at any host
+/// but its primary.
+pub fn neighborhood(
+    problem: &PlacementProblem,
+    with_replication: bool,
+) -> impl Fn(&CostEvaluator, NodeIndex, &mut Vec<Move>) + '_ {
+    let hosts = problem.hosts.len();
+    move |eval, node, out| {
+        let spec = &problem.graph.graph[node];
+        let primary = eval.primary_of(node);
+        let others = (0..hosts).map(HostId).filter(move |&h| h != primary);
+        if spec.pinned.is_none() {
+            out.extend(others.clone().map(|to| Move::MovePrimary { node, to }));
+        }
+        if with_replication && spec.role.replicable() {
+            out.extend(others.map(|host| eval.toggle_replica(node, host)));
+        }
+    }
+}
+
 /// Runs hill-climbing from `start` until no move improves the cost.
 pub fn improve(
     problem: &PlacementProblem,
@@ -43,69 +128,27 @@ pub fn improve(
 ) -> (Placement, f64) {
     start.repair_pins(problem);
     let mut eval = CostEvaluator::new(problem, start);
-
-    for _ in 0..options.max_rounds {
-        let mut best_move: Option<(Move, f64)> = None;
-        for node in problem.graph.graph.node_indices() {
-            let spec = &problem.graph.graph[node];
-            // Primary moves (pinned components cannot move).
-            if spec.pinned.is_none() {
-                for h in 0..problem.hosts.len() {
-                    let target = HostId(h);
-                    if eval.primary_of(node) == target {
-                        continue;
-                    }
-                    consider(
-                        &mut eval,
-                        Move::MovePrimary { node, to: target },
-                        &mut best_move,
-                    );
-                }
-            }
-            // Replica moves.
-            if options.with_replication && spec.role.replicable() {
-                for h in 0..problem.hosts.len() {
-                    let target = HostId(h);
-                    if eval.primary_of(node) == target {
-                        continue;
-                    }
-                    let mv = if eval.has_replica(node, target) {
-                        Move::DropReplica { node, host: target }
-                    } else {
-                        Move::AddReplica { node, host: target }
-                    };
-                    consider(&mut eval, mv, &mut best_move);
-                }
-            }
-        }
-        match best_move {
-            Some((mv, _)) => {
-                eval.apply(mv);
-            }
-            None => break,
-        }
-    }
-    let final_cost = eval.total();
-    (eval.into_placement(), final_cost)
-}
-
-/// Probes `mv` through the evaluator and records it when it is the best
-/// strict improvement seen this round.
-fn consider(eval: &mut CostEvaluator, mv: Move, best: &mut Option<(Move, f64)>) {
-    let delta = eval.apply(mv);
-    eval.undo();
-    if delta < -1e-9 && best.is_none_or(|(_, bd)| delta < bd) {
-        *best = Some((mv, delta));
-    }
+    climb(
+        &mut eval,
+        options.max_rounds,
+        neighborhood(problem, options.with_replication),
+    );
+    (eval.placement(), eval.total())
 }
 
 /// Runs hill-climbing from several canonical starts (everything on each
-/// host) and returns the best result.
+/// host) and returns the best result. A later start replaces the best only
+/// when it is cheaper by more than a relative 1e-9: the running totals
+/// carry last-bit noise from the probes each climb ran, and equal-cost
+/// optima must not be chosen by that noise.
 pub fn solve(problem: &PlacementProblem, options: &GreedyOptions) -> (Placement, f64) {
     let mut best: Option<(Placement, f64)> = None;
     for h in 0..problem.hosts.len() {
         let (placement, c) = improve(problem, Placement::all_on(problem, HostId(h)), options);
-        if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
+        if best
+            .as_ref()
+            .is_none_or(|(_, bc)| c < bc - 1e-9 * bc.abs().max(1.0))
+        {
             best = Some((placement, c));
         }
     }

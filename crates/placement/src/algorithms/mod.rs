@@ -5,7 +5,9 @@
 //! Every algorithm prices candidate moves through the incremental
 //! [`CostEvaluator`](crate::cost::incremental::CostEvaluator) — a
 //! single-component move costs `O(degree × hosts)` instead of a
-//! whole-graph cost sweep.
+//! whole-graph cost sweep. Every hill-climb (greedy, the regional
+//! refinement, multi-start polish and the partitioners' polish) runs the
+//! one cached best-improvement loop, [`greedy::climb`].
 
 pub mod annealing;
 pub mod exhaustive;

@@ -17,16 +17,23 @@
 //!    problem (entry shares and capacities summed per region), which is
 //!    `regions²` work instead of `hosts²`.
 //! 3. **Refine** — lift the coarse placement back to real hosts and run
-//!    best-improvement refinement with *neighborhood-restricted* move
-//!    generation: a component may move within its current region or jump
-//!    to another region's medoid (the tier hubs of the search), never to
-//!    an arbitrary remote host directly. Two rounds — region hop, then
-//!    local settle — reach any (region, host) combination.
+//!    the shared best-improvement [`climb`](greedy::climb) over a
+//!    *neighborhood-restricted* candidate set
+//!    ([`restricted_neighborhood`]): a component may move within its
+//!    current region or jump to another region's medoid (the tier hubs of
+//!    the search), never to an arbitrary remote host directly. Two rounds —
+//!    region hop, then local settle — reach any (region, host)
+//!    combination. The climb re-probes only the components a committed
+//!    move can change, and stops at `max_rounds`: on the 256-host ladder
+//!    rung the refinement commits 1,000 edge-replica moves and is capped
+//!    there, not converged.
 //!
 //! Small instances bypass the machinery entirely (they delegate to the
 //! flat greedy search), so on graphs small enough to run both, coarsened
 //! and uncoarsened search agree exactly — the property suite pins that to
 //! 1e-9.
+
+use petgraph::graph::NodeIndex;
 
 use crate::algorithms::greedy::{self, GreedyOptions};
 use crate::cost::incremental::{CostEvaluator, Move};
@@ -194,8 +201,8 @@ fn lift(problem: &PlacementProblem, coarse: &Placement, medoids: &[usize]) -> Pl
     placement
 }
 
-/// Best-improvement refinement with neighborhood-restricted move
-/// generation. Per component:
+/// The refinement's restricted neighbourhood over the host partition
+/// `regions` with one medoid per region. Per component:
 ///
 /// * **primary moves** — the expensive probes, `O(degree × origins)` each —
 ///   are offered only the component's current region members plus every
@@ -209,84 +216,45 @@ fn lift(problem: &PlacementProblem, coarse: &Placement, medoids: &[usize]) -> Pl
 ///   hosts cannot be skipped without losing the paper's edge-replication
 ///   pattern; keeping the full entry scan is cheap precisely because the
 ///   replica delta never loops over origins.
-fn refine_restricted(
-    problem: &PlacementProblem,
-    start: Placement,
+///
+/// Candidates come in ascending host order, primary moves first.
+pub fn restricted_neighborhood<'a>(
+    problem: &'a PlacementProblem,
     regions: &[usize],
     medoids: &[usize],
-    options: &RegionalOptions,
-) -> (Placement, f64) {
-    let region_count = medoids.len();
-    let mut region_hosts: Vec<Vec<usize>> = vec![Vec::new(); region_count];
+    with_replication: bool,
+) -> impl Fn(&CostEvaluator, NodeIndex, &mut Vec<Move>) + 'a {
+    // Per region: the primary targets, its members plus every medoid.
+    let medoid_hosts: Vec<HostId> = medoids.iter().copied().map(HostId).collect();
+    let mut region_targets = vec![medoid_hosts; medoids.len()];
     for (h, &r) in regions.iter().enumerate() {
-        region_hosts[r].push(h);
+        region_targets[r].push(HostId(h));
     }
-    let entry_hosts: Vec<usize> = problem.entry_hosts().iter().map(|h| h.0).collect();
-
-    let mut eval = CostEvaluator::new(problem, start);
-    let mut candidates: Vec<usize> = Vec::with_capacity(problem.hosts.len());
-    for _ in 0..options.max_rounds {
-        let mut best_move: Option<(Move, f64)> = None;
-        for node in problem.graph.graph.node_indices() {
-            let spec = &problem.graph.graph[node];
-            let primary = eval.primary_of(node);
-
-            if spec.pinned.is_none() {
-                candidates.clear();
-                candidates.extend_from_slice(&region_hosts[regions[primary.0]]);
-                candidates.extend_from_slice(medoids);
-                candidates.sort_unstable();
-                candidates.dedup();
-                for &h in &candidates {
-                    let target = HostId(h);
-                    if target != primary {
-                        probe(
-                            &mut eval,
-                            Move::MovePrimary { node, to: target },
-                            &mut best_move,
-                        );
-                    }
-                }
-            }
-
-            if options.with_replication && spec.role.replicable() {
-                candidates.clear();
-                candidates.extend_from_slice(&entry_hosts);
-                candidates.extend(eval.placement().replicas[node.index()].iter().map(|r| r.0));
-                candidates.sort_unstable();
-                candidates.dedup();
-                for &h in &candidates {
-                    let target = HostId(h);
-                    if target == primary {
-                        continue;
-                    }
-                    let mv = if eval.has_replica(node, target) {
-                        Move::DropReplica { node, host: target }
-                    } else {
-                        Move::AddReplica { node, host: target }
-                    };
-                    probe(&mut eval, mv, &mut best_move);
-                }
-            }
-        }
-        match best_move {
-            Some((mv, _)) => {
-                eval.apply(mv);
-                eval.commit();
-            }
-            None => break,
-        }
+    for targets in &mut region_targets {
+        targets.sort_unstable();
+        targets.dedup();
     }
-    let final_cost = eval.total();
-    (eval.into_placement(), final_cost)
-}
-
-/// Probes `mv` (apply → delta → undo), keeping the strictest improvement.
-fn probe(eval: &mut CostEvaluator, mv: Move, best: &mut Option<(Move, f64)>) {
-    let delta = eval.apply(mv);
-    eval.undo();
-    if delta < -1e-9 && best.is_none_or(|(_, bd)| delta < bd) {
-        *best = Some((mv, delta));
+    let host_region = regions.to_vec();
+    let entry: Vec<bool> = problem.hosts.iter().map(|h| h.entry_share > 0.0).collect();
+    move |eval, node, out| {
+        let spec = &problem.graph.graph[node];
+        let primary = eval.primary_of(node);
+        if spec.pinned.is_none() {
+            out.extend(
+                region_targets[host_region[primary.0]]
+                    .iter()
+                    .filter(|&&to| to != primary)
+                    .map(|&to| Move::MovePrimary { node, to }),
+            );
+        }
+        if with_replication && spec.role.replicable() {
+            out.extend(
+                (0..entry.len())
+                    .map(HostId)
+                    .filter(|&h| h != primary && (entry[h.0] || eval.has_replica(node, h)))
+                    .map(|host| eval.toggle_replica(node, host)),
+            );
+        }
     }
 }
 
@@ -313,8 +281,13 @@ pub fn solve_regional(problem: &PlacementProblem, options: &RegionalOptions) -> 
 
     let coarse = coarse_problem(problem, &regions, &medoids);
     let (coarse_placement, _) = greedy::solve(&coarse, &flat);
-    let start = lift(problem, &coarse_placement, &medoids);
-    refine_restricted(problem, start, &regions, &medoids, options)
+    let mut eval = CostEvaluator::new(problem, lift(problem, &coarse_placement, &medoids));
+    greedy::climb(
+        &mut eval,
+        options.max_rounds,
+        restricted_neighborhood(problem, &regions, &medoids, options.with_replication),
+    );
+    (eval.placement(), eval.total())
 }
 
 #[cfg(test)]

@@ -27,7 +27,10 @@
 //!
 //! Every [`apply`](CostEvaluator::apply) is reversible via
 //! [`undo`](CostEvaluator::undo) (the evaluator keeps a full undo stack), so
-//! search loops probe candidate moves without ever cloning a [`Placement`].
+//! search loops probe candidate moves without ever cloning a [`Placement`]:
+//! primaries plus replica bitmasks are the only placement state, and
+//! [`placement`](CostEvaluator::placement) builds a [`Placement`] from them
+//! on demand.
 //! The three running cost terms use Kahan-compensated summation so that
 //! millions of `apply`/`undo` deltas stay within `1e-9` of a from-scratch
 //! [`cost_breakdown`](crate::cost::cost_breakdown) — a property test drives
@@ -76,6 +79,17 @@ pub enum Move {
         /// The replica host being dropped.
         host: HostId,
     },
+}
+
+impl Move {
+    /// The component the move changes.
+    pub(crate) fn node(self) -> NodeIndex {
+        match self {
+            Move::MovePrimary { node, .. }
+            | Move::AddReplica { node, .. }
+            | Move::DropReplica { node, .. } => node,
+        }
+    }
 }
 
 /// Flattens a problem's host round-trip matrix into the shared distance
@@ -140,6 +154,43 @@ fn mask_test(words: &[u64], bit: usize) -> bool {
     words[bit >> 6] & (1u64 << (bit & 63)) != 0
 }
 
+/// Sets bit `bit` of a multi-word mask.
+#[inline]
+fn mask_set(words: &mut [u64], bit: usize) {
+    words[bit >> 6] |= 1u64 << (bit & 63);
+}
+
+/// The host indices set in a multi-word mask, in ascending order.
+fn mask_bits(words: &[u64]) -> MaskBits<'_> {
+    MaskBits {
+        words,
+        index: 0,
+        word: words.first().copied().unwrap_or(0),
+    }
+}
+
+/// Iterator behind [`mask_bits`].
+struct MaskBits<'a> {
+    words: &'a [u64],
+    index: usize,
+    word: u64,
+}
+
+impl Iterator for MaskBits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.index += 1;
+            self.word = *self.words.get(self.index)?;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some((self.index << 6) + bit)
+    }
+}
+
 /// Incremental placement cost evaluator.
 ///
 /// Owns a flattened copy of the problem (it does not borrow the
@@ -197,6 +248,10 @@ pub struct CostEvaluator {
     push_fixed: f64,
     /// Per host CPU capacity (ms/s).
     capacity: Vec<f64>,
+    /// Whether any host has finite capacity: the overload term then couples
+    /// every move's delta to the shared host loads (see
+    /// [`mark_stale`](CostEvaluator::mark_stale)).
+    load_coupled: bool,
     /// Overload penalty per ms/s of excess, divided by 1000 (as in
     /// `cost_breakdown`).
     overload_scale: f64,
@@ -205,9 +260,6 @@ pub struct CostEvaluator {
     /// Replica host bitmasks, `mask_words` words per node (bit `h` of the
     /// node's words ⇔ replica at host `h`).
     repl_mask: Vec<u64>,
-    /// Mirror of the evaluator state as a [`Placement`] (kept in sync so
-    /// searches can snapshot the best placement cheaply).
-    placement: Placement,
     /// Per-host CPU load (ms/s).
     load: Vec<f64>,
     communication: Kahan,
@@ -217,17 +269,6 @@ pub struct CostEvaluator {
     /// move instead of an `O(hosts)` sweep before and after every move.
     overload_total: Kahan,
     history: Vec<Applied>,
-}
-
-/// Appends the host indices set in a multi-word bitmask.
-fn push_mask_hosts(out: &mut Vec<u32>, words: &[u64]) {
-    for (w, &bits) in words.iter().enumerate() {
-        let mut word = bits;
-        while word != 0 {
-            out.push(((w << 6) + word.trailing_zeros() as usize) as u32);
-            word &= word - 1;
-        }
-    }
 }
 
 impl CostEvaluator {
@@ -362,6 +403,7 @@ impl CostEvaluator {
         }
 
         let entry_share = problem.hosts.iter().map(|host| host.entry_share).collect();
+        let capacity: Vec<f64> = problem.hosts.iter().map(|host| host.cpu_capacity).collect();
         let mut evaluator = CostEvaluator {
             hosts: h,
             mask_words,
@@ -383,11 +425,11 @@ impl CostEvaluator {
             inc_edge,
             push_rtt: problem.params.push_round_trips,
             push_fixed: problem.params.push_bytes * byte_ms,
-            capacity: problem.hosts.iter().map(|host| host.cpu_capacity).collect(),
+            load_coupled: capacity.iter().any(|c| c.is_finite()),
+            capacity,
             overload_scale: problem.params.overload_penalty / 1_000.0,
             primary,
             repl_mask,
-            placement,
             load: vec![0.0; h],
             communication: Kahan::default(),
             consistency: Kahan::default(),
@@ -457,14 +499,51 @@ impl CostEvaluator {
         self.history.clear();
     }
 
-    /// The current placement (kept in sync with every apply/undo).
-    pub fn placement(&self) -> &Placement {
-        &self.placement
+    /// The current placement, built from the primaries and replica masks
+    /// (`O(components + replicas)`).
+    pub fn placement(&self) -> Placement {
+        Placement {
+            primary: self.primary.iter().map(|&p| HostId(p as usize)).collect(),
+            replicas: (0..self.primary.len())
+                .map(|n| mask_bits(self.mask(n)).map(HostId).collect())
+                .collect(),
+        }
     }
 
-    /// Consumes the evaluator, returning the final placement.
-    pub fn into_placement(self) -> Placement {
-        self.placement
+    /// Number of components.
+    pub fn components(&self) -> usize {
+        self.primary.len()
+    }
+
+    /// Marks in `stale` every component whose move deltas the committed
+    /// move `mv` can have changed. A delta reads only the moving
+    /// component's primary and replica mask and those of its incidence
+    /// neighbours, so normally that is the moved component and its
+    /// neighbours. When any host has finite CPU capacity the overload term
+    /// couples every move through the shared host loads, so every
+    /// component is marked.
+    pub(crate) fn mark_stale(&self, mv: Move, stale: &mut [bool]) {
+        if self.load_coupled {
+            stale.fill(true);
+            return;
+        }
+        let idx = mv.node().index();
+        stale[idx] = true;
+        for k in self.inc_start[idx]..self.inc_start[idx + 1] {
+            let e = self.inc_edge[k as usize] as usize;
+            stale[self.edge_src[e] as usize] = true;
+            stale[self.edge_dst[e] as usize] = true;
+        }
+    }
+
+    /// The replica toggle of `node` at `host`: a drop when `node` has a
+    /// replica there, an add otherwise.
+    pub(crate) fn toggle_replica(&self, node: NodeIndex, host: HostId) -> Move {
+        if self.has_replica(node, host) {
+            Move::DropReplica { node, host }
+        } else {
+            Move::AddReplica { node, host }
+        }
     }
 
     /// Current primary host of `node`.
@@ -639,16 +718,21 @@ impl CostEvaluator {
             self.shift_load(idx, -1.0);
         }
 
+        let words = self.mask_words;
         let p_old = self.primary[idx] as usize;
         let mut mask_old = [0u64; MASK_WORDS_CAP];
-        mask_old[..self.mask_words].copy_from_slice(self.mask(idx));
+        mask_old[..words].copy_from_slice(self.mask(idx));
         self.primary[idx] = to.0 as u32;
         self.set_mask(idx, to.0, false);
-        self.placement.primary[idx] = to;
-        self.placement.replicas[idx].remove(&to);
         let p_new = to.0;
         let mut mask_new = [0u64; MASK_WORDS_CAP];
-        mask_new[..self.mask_words].copy_from_slice(self.mask(idx));
+        mask_new[..words].copy_from_slice(self.mask(idx));
+        // Exceptional origins on the moving side: its old/new primary and
+        // its replica hosts (the new mask is the old mask minus the
+        // absorbed bit, so the old mask covers both states).
+        let mut moving_side = mask_old;
+        mask_set(&mut moving_side, p_old);
+        mask_set(&mut moving_side, p_new);
 
         // Serving location of the moving (non-Entry) node under the old /
         // new state, for an origin host.
@@ -668,8 +752,6 @@ impl CostEvaluator {
         };
 
         let mut comm_delta = 0.0;
-        // Scratch for the exceptional-origin host set of one edge.
-        let mut exceptional: Vec<u32> = Vec::new();
         for k in self.inc_start[idx]..self.inc_start[idx + 1] {
             let e = self.inc_edge[k as usize] as usize;
             let s = self.edge_src[e] as usize;
@@ -707,13 +789,6 @@ impl CostEvaluator {
             }
             let idx_is_src = s == idx;
             let other = if idx_is_src { t } else { s };
-            // Exceptional origins on the moving side: its old/new primary
-            // and its replica hosts (the new mask is the old mask minus
-            // the absorbed bit, so the old mask covers both states).
-            exceptional.clear();
-            exceptional.push(p_old as u32);
-            exceptional.push(p_new as u32);
-            push_mask_hosts(&mut exceptional, &mask_old[..self.mask_words]);
             if self.role[other] == Role::Entry {
                 // Far side follows the origin. Default (origin served at
                 // the moving primary): Σ_o share·pair(e, p, o), collapsed
@@ -725,10 +800,7 @@ impl CostEvaluator {
                 };
                 comm_delta += self.edge_w_rtt[e] * (sum_new - sum_old)
                     + self.edge_w_fixed[e] * (self.entry_share[p_old] - self.entry_share[p_new]);
-                exceptional.sort_unstable();
-                exceptional.dedup();
-                for &ou in &exceptional {
-                    let o = ou as usize;
+                for o in mask_bits(&moving_side[..words]) {
                     let share = self.entry_share[o];
                     if share == 0.0 {
                         continue;
@@ -761,16 +833,16 @@ impl CostEvaluator {
                     self.pair_cost(e, far, p_new) - self.pair_cost(e, far, p_old)
                 };
                 comm_delta += self.share_total * default;
-                push_mask_hosts(&mut exceptional, self.mask(other));
-                exceptional.sort_unstable();
-                exceptional.dedup();
-                for &ou in &exceptional {
-                    let o = ou as usize;
+                let mut exceptional = moving_side;
+                for (word, &far_word) in exceptional[..words].iter_mut().zip(self.mask(other)) {
+                    *word |= far_word;
+                }
+                for o in mask_bits(&exceptional[..words]) {
                     let share = self.entry_share[o];
                     if share == 0.0 {
                         continue;
                     }
-                    let far_loc = self.location(other, ou) as usize;
+                    let far_loc = self.location(other, o as u32) as usize;
                     let (exact_new, exact_old) = if idx_is_src {
                         (
                             self.pair_cost(e, loc_new(o), far_loc),
@@ -816,11 +888,6 @@ impl CostEvaluator {
 
         let served_old = self.location(idx, v as u32);
         self.set_mask(idx, v, adding);
-        if adding {
-            self.placement.replicas[idx].insert(host);
-        } else {
-            self.placement.replicas[idx].remove(&host);
-        }
         let served_new = self.location(idx, v as u32);
 
         let mut comm_delta = 0.0;
@@ -1058,7 +1125,7 @@ mod tests {
     }
 
     fn assert_matches(problem: &PlacementProblem, eval: &CostEvaluator) {
-        let expected = cost_breakdown(problem, eval.placement());
+        let expected = cost_breakdown(problem, &eval.placement());
         let got = eval.breakdown();
         let tol = 1e-9 * expected.total().abs().max(1.0);
         assert!(
@@ -1080,7 +1147,7 @@ mod tests {
         let p = problem();
         let eval = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
         assert_matches(&p, &eval);
-        let full = cost(&p, eval.placement());
+        let full = cost(&p, &eval.placement());
         assert!((eval.total() - full).abs() <= 1e-9 * full.max(1.0));
     }
 

@@ -277,16 +277,6 @@ impl PlacementProblem {
         }
         self.rtt_ms[a.0][b.0] * round_trips + bytes * 8.0 / self.params.bandwidth_bps * 1_000.0
     }
-
-    /// Hosts with positive entry share.
-    pub fn entry_hosts(&self) -> Vec<HostId> {
-        self.hosts
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.entry_share > 0.0)
-            .map(|(i, _)| HostId(i))
-            .collect()
-    }
 }
 
 /// A candidate deployment: a primary host per component and optional

@@ -11,10 +11,13 @@
 //! --test incremental_equivalence`); the debug build covers a reduced
 //! number of steps so `cargo test -q` stays fast.
 
+mod common;
+
+use common::random_problem;
 use mutsvc_desim::rng::SimRng;
-use mutsvc_placement::graph::{
-    Component, ComponentGraph, CostParams, Host, HostId, Placement, PlacementProblem, Role,
-};
+use mutsvc_placement::derive::rubis_problem;
+use mutsvc_placement::graph::{Host, HostId, Placement, PlacementProblem};
+use mutsvc_placement::wan::rehost;
 use mutsvc_placement::{cost_breakdown, CostBreakdown, CostEvaluator, Move};
 use petgraph::graph::NodeIndex;
 
@@ -50,123 +53,20 @@ fn assert_breakdown_close(incremental: &CostBreakdown, full: &CostBreakdown, ste
     assert_close("total", incremental.total(), full.total(), step);
 }
 
-/// A synthetic wide-area problem: 3–6 hosts (some with finite CPU capacity
-/// so the overload term is exercised), one entry tier, a pinned database,
-/// replicable entities with write traffic, and random read/write edges.
-fn random_problem(rng: &mut SimRng) -> PlacementProblem {
-    let host_count = 3 + rng.index(4);
-    let mut hosts = Vec::new();
-    let mut shares = Vec::new();
-    for i in 0..host_count {
-        // Roughly half the hosts take client traffic; host 0 always does so
-        // shares never end up all-zero.
-        let share = if i == 0 || rng.chance(0.5) {
-            rng.uniform_range(0.2, 1.0)
-        } else {
-            0.0
-        };
-        shares.push(share);
-        hosts.push(Host {
-            name: format!("h{i}"),
-            entry_share: 0.0,
-            // Finite capacities on some hosts so moves cross the overload
-            // threshold during the walk.
-            cpu_capacity: if rng.chance(0.4) {
-                rng.uniform_range(20.0, 120.0)
-            } else {
-                f64::INFINITY
-            },
-        });
-    }
-    let total_share: f64 = shares.iter().sum();
-    for (host, share) in hosts.iter_mut().zip(&shares) {
-        host.entry_share = share / total_share;
-    }
-    let mut rtt_ms = vec![vec![0.0; host_count]; host_count];
-    // Symmetric fill writes both the (i, j) and (j, i) slots.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..host_count {
-        for j in (i + 1)..host_count {
-            let rtt = rng.uniform_range(10.0, 300.0);
-            rtt_ms[i][j] = rtt;
-            rtt_ms[j][i] = rtt;
-        }
-    }
-
-    let mut graph = ComponentGraph::new();
-    let component_count = 6 + rng.index(7);
-    let mut nodes = Vec::new();
-    for i in 0..component_count {
-        let role = match i {
-            0 => Role::Entry,
-            1 => Role::Database,
-            _ => match rng.index(4) {
-                0 => Role::Session,
-                1 => Role::Stateless,
-                2 => Role::Entity,
-                _ => Role::Stateless,
-            },
-        };
-        let write_rate = if matches!(role, Role::Entity | Role::Database) {
-            rng.uniform_range(0.0, 8.0)
-        } else {
-            0.0
-        };
-        nodes.push(graph.add(Component {
-            name: format!("c{i}"),
-            role,
-            pinned: (role == Role::Database).then(|| HostId(rng.index(host_count))),
-            cpu_ms_per_call: rng.uniform_range(0.1, 6.0),
-            write_rate,
-        }));
-    }
-    // Entry fans out; internal components call "later" components so the
-    // graph looks like a tiered application rather than random soup.
-    for i in 1..component_count {
-        graph.interact(
-            nodes[0],
-            nodes[i],
-            rng.uniform_range(0.5, 30.0),
-            rng.uniform_range(100.0, 4000.0),
-        );
-    }
-    for _ in 0..component_count * 2 {
-        let a = rng.index(component_count);
-        let b = rng.index(component_count);
-        if a == b {
-            continue;
-        }
-        let rate = rng.uniform_range(0.1, 20.0);
-        let bytes = rng.uniform_range(50.0, 2000.0);
-        if rng.chance(0.3) {
-            graph.interact_write(nodes[a], nodes[b], rate, bytes);
-        } else {
-            graph.interact(nodes[a], nodes[b], rate, bytes);
-        }
-    }
-
-    let problem = PlacementProblem {
-        hosts,
-        rtt_ms,
-        graph,
-        params: CostParams {
-            overload_penalty: 5_000.0,
-            ..CostParams::default()
-        },
-    };
-    problem.validate().expect("random problem is well-formed");
-    problem
-}
-
-/// A random starting placement: scattered primaries plus some replicas.
-fn random_placement(rng: &mut SimRng, problem: &PlacementProblem) -> Placement {
+/// A random starting placement: scattered primaries plus a replica at each
+/// other host with probability `replica_chance`.
+fn random_placement(
+    rng: &mut SimRng,
+    problem: &PlacementProblem,
+    replica_chance: f64,
+) -> Placement {
     let hosts = problem.hosts.len();
     let mut placement = Placement::all_on(problem, HostId(0));
     for node in problem.graph.graph.node_indices() {
         let idx = node.index();
         placement.primary[idx] = HostId(rng.index(hosts));
         for h in 0..hosts {
-            if HostId(h) != placement.primary[idx] && rng.chance(0.2) {
+            if HostId(h) != placement.primary[idx] && rng.chance(replica_chance) {
                 placement.replicas[idx].insert(HostId(h));
             }
         }
@@ -212,7 +112,7 @@ fn walk(problem: &PlacementProblem, start: Placement, rng: &mut SimRng, steps: u
             eval.apply(mv)
         };
         running_total += delta;
-        let full = cost_breakdown(problem, eval.placement());
+        let full = cost_breakdown(problem, &eval.placement());
         assert_breakdown_close(&eval.breakdown(), &full, step);
         // The *sum of reported deltas* must track the state too — the
         // algorithms accumulate these deltas without re-reading totals.
@@ -224,7 +124,7 @@ fn walk(problem: &PlacementProblem, start: Placement, rng: &mut SimRng, steps: u
     }
     assert_eq!(
         eval.placement(),
-        &start,
+        start,
         "full unwind must restore the starting placement exactly"
     );
     assert_breakdown_close(&eval.breakdown(), &initial_breakdown, steps + 1);
@@ -233,10 +133,10 @@ fn walk(problem: &PlacementProblem, start: Placement, rng: &mut SimRng, steps: u
 #[test]
 fn paper_applications_match_full_recompute() {
     let (petstore, _) = mutsvc_placement::derive::petstore_problem();
-    let (rubis, _) = mutsvc_placement::derive::rubis_problem();
+    let (rubis, _) = rubis_problem();
     for (name, problem) in [("petstore", petstore), ("rubis", rubis)] {
         let mut rng = SimRng::seed_from_u64(0xC0FFEE ^ name.len() as u64);
-        let start = random_placement(&mut rng, &problem);
+        let start = random_placement(&mut rng, &problem, 0.2);
         walk(&problem, start, &mut rng, STEPS);
     }
 }
@@ -246,7 +146,7 @@ fn random_graphs_match_full_recompute() {
     for seed in 0..12u64 {
         let mut rng = SimRng::seed_from_u64(0x5EED_0000 + seed);
         let problem = random_problem(&mut rng);
-        let start = random_placement(&mut rng, &problem);
+        let start = random_placement(&mut rng, &problem, 0.2);
         walk(&problem, start, &mut rng, STEPS);
     }
 }
@@ -261,4 +161,62 @@ fn all_on_single_host_walks_match() {
         let start = Placement::all_on(&problem, HostId(host));
         walk(&problem, start, &mut rng, STEPS / 2);
     }
+}
+
+/// Moves replayed on the dense 256-host deployment.
+const DENSE_REPLAY: usize = 2_000;
+
+/// `total().to_bits()` after the dense replay, recorded when a primary
+/// move still gathered its exceptional origins into a sorted,
+/// deduplicated list rather than walking the union of replica bitmasks.
+const DENSE_REPLAY_TOTAL_BITS: u64 = 4_680_424_194_676_330_061;
+
+/// The RUBiS graph on 256 hosts that all originate client traffic, over a
+/// seeded random round-trip matrix.
+fn dense_problem(rng: &mut SimRng) -> PlacementProblem {
+    let h = 256;
+    let hosts = (0..h)
+        .map(|i| Host {
+            name: format!("h{i}"),
+            entry_share: 1.0 / h as f64,
+            cpu_capacity: f64::INFINITY,
+        })
+        .collect();
+    let mut rtt_ms = vec![vec![0.0; h]; h];
+    // Symmetric fill writes both the (i, j) and (j, i) slots.
+    #[allow(clippy::needless_range_loop)]
+    for i in 0..h {
+        for j in (i + 1)..h {
+            let rtt = rng.uniform_range(5.0, 300.0);
+            rtt_ms[i][j] = rtt;
+            rtt_ms[j][i] = rtt;
+        }
+    }
+    rehost(&rubis_problem().0, hosts, rtt_ms)
+}
+
+/// Pins the arithmetic of primary moves on wide, dense replica sets: every
+/// component starts with replicas at about half of 256 hosts, so each
+/// incident edge has many exceptional origins on both endpoints, mostly
+/// shared. The replay's final total must be bit-identical to the recorded
+/// value, and within 1e-9 of the full sweep.
+#[test]
+fn dense_replica_replay_total_is_pinned() {
+    let mut rng = SimRng::seed_from_u64(0xDE45_E256);
+    let problem = dense_problem(&mut rng);
+    let start = random_placement(&mut rng, &problem, 0.5);
+    let mut eval = CostEvaluator::new(&problem, start);
+    for _ in 0..DENSE_REPLAY {
+        let mv = random_move(&mut rng, &eval, &problem);
+        eval.apply(mv);
+        eval.commit();
+    }
+    let full = cost_breakdown(&problem, &eval.placement());
+    assert_breakdown_close(&eval.breakdown(), &full, DENSE_REPLAY);
+    assert_eq!(
+        eval.total().to_bits(),
+        DENSE_REPLAY_TOTAL_BITS,
+        "dense replay total {:.15e} moved",
+        eval.total()
+    );
 }

@@ -200,7 +200,7 @@ fn best_move(
             let delta = eval.apply(mv);
             eval.undo();
             consider(mv, delta, &mut best);
-            if !eval.placement().replicas[node.index()].contains(&to) {
+            if !eval.has_replica(node, to) {
                 let mv = Move::AddReplica { node, host: to };
                 let delta = eval.apply(mv);
                 eval.undo();
@@ -453,7 +453,7 @@ impl Controller {
             });
         }
 
-        self.placement = eval.placement().clone();
+        self.placement = eval.placement();
         self.data.rounds.push(RoundRecord {
             at: now,
             windows: obs.windows,
