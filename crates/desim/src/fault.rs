@@ -4,7 +4,7 @@
 //! A [`FaultSchedule`] is a time-sorted list of [`FaultEvent`]s — link
 //! outages, latency degradations, node crashes/restarts and message-loss
 //! windows — that a simulation world replays through typed events in its
-//! slab queue. The schedule itself carries no world knowledge: links and
+//! event queue. The schedule itself carries no world knowledge: links and
 //! nodes are dense `u32` indices (the same convention as
 //! [`crate::trace::SpanKind`]), so the desim layer stays ignorant of
 //! topology types and higher layers map indices onto their own ids.

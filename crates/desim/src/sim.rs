@@ -8,11 +8,13 @@
 //! queue stores them by value, so scheduling an event performs **no
 //! per-event allocation**: that holds by type, not by convention.
 //!
-//! Pending events live in a slab-backed two-tier queue: the binary heap only
-//! orders small `(time, seq, slot)` keys for the *near* future, payloads sit
-//! in a recycled slab, and far-future timers (session think-time clocks, of
-//! which an open workload keeps thousands) wait in an unsorted staging list
-//! until the horizon reaches them. See [`SlabStore`] for the exactness
+//! Pending events live inline in a two-tier store: a 4-ary min-heap of
+//! `(time, seq, event)` entries for the *near* future, and epoch-wide
+//! buckets for far-future timers (session think-time clocks, of which an
+//! open workload keeps thousands) until the horizon reaches them. Each fired
+//! event costs one pop: its heap slot keeps its ordering key while the event
+//! fires, and the first follow-up event scheduled into the near tier takes
+//! that slot over with a single sift-down. See [`Store`] for the exactness
 //! argument. Engine bookkeeping (metrics rolls, controller ticks) may ride a
 //! separate internal side heap that shares the same ordering but stays out
 //! of [`QueueDepths`].
@@ -22,7 +24,7 @@
 //! scheduling order are identical.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::marker::PhantomData;
 
 use crate::time::{SimDuration, SimTime};
@@ -66,159 +68,266 @@ impl<E> Ord for Internal<E> {
     }
 }
 
-/// A slab-queue heap key: ordering state only, 24 bytes. The payload lives
-/// in the slab at `slot`, so sift operations never move event payloads.
-#[derive(Clone, Copy)]
-struct Key {
+/// Children per node of the near-tier heap. A 4-ary heap is half as deep as
+/// a binary one, and the four children a sift-down compares sit side by side.
+const ARITY: usize = 4;
+
+/// A pending workload event stored inline: its ordering key and payload.
+/// `event` is `None` only in the store's open slot (the firing head).
+struct Entry<E> {
     time: SimTime,
     seq: u64,
-    slot: u32,
+    event: Option<E>,
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Key {
-    // Reversed so that the BinaryHeap (a max-heap) pops the *earliest* event.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
 
-/// The workload store: a near-future heap of small [`Key`]s over a recycled
-/// payload slab, plus an unsorted far-future staging list.
+/// Restores the heap order below `pos` after its entry grew (or was
+/// replaced).
+fn sift_down<E>(heap: &mut [Entry<E>], mut pos: usize) {
+    let Some(entry) = heap.get(pos) else {
+        return;
+    };
+    let key = entry.key();
+    loop {
+        let first = pos * ARITY + 1;
+        if first >= heap.len() {
+            return;
+        }
+        let children = &heap[first..(first + ARITY).min(heap.len())];
+        let (mut best, mut best_key) = (0, children[0].key());
+        for (i, child) in children.iter().enumerate().skip(1) {
+            let child_key = child.key();
+            if child_key < best_key {
+                best = i;
+                best_key = child_key;
+            }
+        }
+        if key < best_key {
+            return;
+        }
+        heap.swap(pos, first + best);
+        pos = first + best;
+    }
+}
+
+/// Restores the heap order above `pos` after an entry was appended there.
+fn sift_up<E>(heap: &mut [Entry<E>], mut pos: usize) {
+    let key = heap[pos].key();
+    while pos > 0 {
+        let parent = (pos - 1) / ARITY;
+        if heap[parent].key() < key {
+            return;
+        }
+        heap.swap(pos, parent);
+        pos = parent;
+    }
+}
+
+/// A far-tier bucket: the events whose `time / epoch` is its map key,
+/// unsorted, with their smallest time.
+struct Bucket<E> {
+    min: SimTime,
+    events: Vec<Entry<E>>,
+}
+
+/// The workload store: a near-future d-ary heap of inline entries plus a
+/// far-future tier of epoch-wide buckets.
 ///
 /// Open workloads keep thousands of session timers pending several simulated
 /// seconds out while network events resolve within milliseconds. A single
 /// heap makes every hot push/pop sift through all of them; here the heap only
-/// holds events below `horizon`, far timers wait unsorted in `far`, and the
-/// horizon advances one `epoch` at a time, migrating due events in bulk.
+/// holds events below `horizon`, far timers wait in buckets of one `epoch`
+/// each, and the horizon advances when the heap runs dry, migrating due
+/// events in bulk.
 ///
-/// Exactness: every `far` entry has `time >= horizon` and every `near` entry
-/// has `time < horizon` (the horizon only grows), so whenever the near head
-/// is below the horizon it is the global `(time, seq)` minimum. Firing order
-/// is therefore identical to a single `(time, seq)` heap, event for event.
-struct SlabStore<E> {
-    near: BinaryHeap<Key>,
-    far: Vec<Key>,
-    /// Smallest time in `far` (`SimTime::MAX` when empty): lets `settle`
-    /// jump the horizon across idle gaps instead of stepping epoch by epoch.
-    far_min: SimTime,
+/// Exactness: every far entry has `time >= horizon` and every near entry has
+/// `time < horizon` (the horizon only grows), so the near head is the global
+/// `(time, seq)` minimum whenever the heap is non-empty. The horizon advances
+/// only when it is empty, to `max(horizon, min(near head, far_min)) + epoch`,
+/// which with no near head is `far_min + epoch`. The rule depends on event
+/// times alone, never on the bucket layout, so the same events are near or
+/// far at every instant for any epoch and any re-bucketing. Firing order is
+/// therefore identical to a single `(time, seq)` heap, event for event.
+///
+/// Fused pop/push: while the head fires, its slot keeps its key and gives up
+/// only its payload (the *open* slot). Every event scheduled during the fire
+/// has a larger key (its time is at least the head's and its seq is fresh),
+/// so ordinary pushes never sift past the open slot, and the first one that
+/// lands in the near tier may take the slot over with one sift-down. If none
+/// does, the slot is popped after the fire. Counts and depths exclude the
+/// open slot, and the horizon never moves while it is open.
+struct Store<E> {
+    near: Vec<Entry<E>>,
+    /// `near[0]` is the firing head, emptied of its payload.
+    open: bool,
+    far: BTreeMap<u64, Bucket<E>>,
+    far_len: usize,
     horizon: SimTime,
     epoch: SimDuration,
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
+    /// Most events ever pending at once (reported as `slab_slots`).
+    high_water: usize,
 }
 
-impl<E> SlabStore<E> {
+impl<E> Store<E> {
     fn new() -> Self {
-        SlabStore {
-            near: BinaryHeap::new(),
-            far: Vec::new(),
-            far_min: SimTime::MAX,
+        Store {
+            near: Vec::new(),
+            open: false,
+            far: BTreeMap::new(),
+            far_len: 0,
             horizon: SimTime::ZERO,
             epoch: SimDuration::from_millis(500),
-            slots: Vec::new(),
-            free: Vec::new(),
+            high_water: 0,
         }
+    }
+
+    fn near_len(&self) -> usize {
+        self.near.len() - usize::from(self.open)
     }
 
     fn len(&self) -> usize {
-        self.near.len() + self.far.len()
+        self.near_len() + self.far_len
     }
 
     fn push(&mut self, time: SimTime, seq: u64, event: E) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                self.slots.push(Some(event));
-                (self.slots.len() - 1) as u32
-            }
+        let entry = Entry {
+            time,
+            seq,
+            event: Some(event),
         };
-        let key = Key { time, seq, slot };
-        if time < self.horizon {
-            self.near.push(key);
+        if time >= self.horizon {
+            self.stage(entry);
+            self.far_len += 1;
+        } else if self.open {
+            self.open = false;
+            self.near[0] = entry;
+            sift_down(&mut self.near, 0);
         } else {
-            self.far_min = self.far_min.min(time);
-            self.far.push(key);
+            let pos = self.near.len();
+            self.near.push(entry);
+            sift_up(&mut self.near, pos);
+        }
+        self.high_water = self.high_water.max(self.len());
+    }
+
+    /// Files a far entry into its epoch bucket (the caller counts it).
+    fn stage(&mut self, entry: Entry<E>) {
+        let bucket = self
+            .far
+            .entry(entry.time.as_micros() / self.epoch.as_micros())
+            .or_insert_with(|| Bucket {
+                min: SimTime::MAX,
+                events: Vec::new(),
+            });
+        bucket.min = bucket.min.min(entry.time);
+        bucket.events.push(entry);
+    }
+
+    /// Re-buckets the far tier for a new epoch.
+    fn set_epoch(&mut self, epoch: SimDuration) {
+        self.epoch = epoch.max(SimDuration::from_micros(1));
+        for bucket in std::mem::take(&mut self.far).into_values() {
+            for entry in bucket.events {
+                self.stage(entry);
+            }
         }
     }
 
-    /// Advances the horizon until the near head (if any) is the global
-    /// minimum, migrating due far events into the heap.
+    /// Advances the horizon when the near heap has run dry, migrating every
+    /// far event below the new horizon: whole buckets below the cut, and the
+    /// due part of the one bucket the horizon cuts.
     fn settle(&mut self) {
-        loop {
-            match self.near.peek() {
-                Some(head) if head.time < self.horizon => return,
-                head => {
-                    if self.far.is_empty() {
-                        return;
-                    }
-                    let target = head.map_or(self.far_min, |k| k.time.min(self.far_min));
-                    self.horizon = self.horizon.max(target) + self.epoch;
-                    let horizon = self.horizon;
-                    let mut far_min = SimTime::MAX;
-                    let near = &mut self.near;
-                    self.far.retain(|&key| {
-                        if key.time < horizon {
-                            near.push(key);
-                            false
-                        } else {
-                            far_min = far_min.min(key.time);
-                            true
-                        }
-                    });
-                    self.far_min = far_min;
+        debug_assert!(!self.open, "settle with the head slot open");
+        if !self.near.is_empty() {
+            return;
+        }
+        let Some((_, first)) = self.far.first_key_value() else {
+            return;
+        };
+        self.horizon = self.horizon.max(first.min) + self.epoch;
+        let horizon = self.horizon;
+        let cut = horizon.as_micros() / self.epoch.as_micros();
+        while let Some(mut slot) = self.far.first_entry() {
+            if *slot.key() > cut {
+                break;
+            }
+            if *slot.key() < cut {
+                let bucket = slot.remove();
+                self.far_len -= bucket.events.len();
+                self.near.extend(bucket.events);
+                continue;
+            }
+            let bucket = slot.get_mut();
+            let staged = bucket.events.len();
+            self.near
+                .extend(bucket.events.extract_if(.., |e| e.time < horizon));
+            self.far_len -= staged - bucket.events.len();
+            match bucket.events.iter().map(|e| e.time).min() {
+                Some(min) => bucket.min = min,
+                None => {
+                    slot.remove();
                 }
             }
+            break;
+        }
+        // Floyd's build: the heap was empty, and with unique keys the pop
+        // order does not depend on the layout the build picks.
+        if self.near.len() > 1 {
+            for pos in (0..=(self.near.len() - 2) / ARITY).rev() {
+                sift_down(&mut self.near, pos);
+            }
         }
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.settle();
-        self.near.peek().map(|k| (k.time, k.seq))
+    fn head(&self) -> Option<(SimTime, u64)> {
+        self.near.first().map(Entry::key)
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.settle();
-        let key = self.near.pop()?;
-        let event = self.slots[key.slot as usize]
-            .take()
-            .expect("slab slot empty");
-        self.free.push(key.slot);
-        Some((key.time, event))
+    /// Takes the head's payload, leaving its slot open until [`Store::close`].
+    fn open_head(&mut self) -> (SimTime, E) {
+        self.open = true;
+        let head = &mut self.near[0];
+        (
+            head.time,
+            head.event.take().expect("head entry holds an event"),
+        )
+    }
+
+    /// Pops the open slot unless an event scheduled by the fire took it.
+    fn close(&mut self) {
+        if self.open {
+            self.open = false;
+            self.near.swap_remove(0);
+            sift_down(&mut self.near, 0);
+        }
     }
 }
 
 /// Observed occupancy of the pending-event store, for telemetry snapshots:
-/// `near`/`far` are the two tiers of the time-split queue and
-/// `slab_slots`/`slab_free` describe the payload slab.
+/// `near`/`far` are the two tiers of the time-split queue, and
+/// `slab_slots`/`slab_free` are the pending high-water mark and its headroom
+/// — the slot counts a free-list payload slab would report, which only grows
+/// when every slot is full, under the `queue.slab_*` series names.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueDepths {
     /// Events inside the horizon (heap-ordered tier).
     pub near: usize,
-    /// Events beyond the horizon (unsorted tier).
+    /// Events beyond the horizon (bucketed tier).
     pub far: usize,
-    /// Allocated payload slots (high-water occupancy).
+    /// High-water mark of pending workload events.
     pub slab_slots: usize,
-    /// Recyclable payload slots.
+    /// `slab_slots` minus the events pending now.
     pub slab_free: usize,
 }
 
 /// The event queue shared between the driver and in-flight events.
 struct EventQueue<E> {
-    store: SlabStore<E>,
+    store: Store<E>,
     /// Engine-internal events (metrics rolls, controller ticks) in a side
     /// heap: they fire in exact `(time, seq)` order with workload events but
     /// are invisible to [`EventQueue::depths`], so arming them cannot perturb
@@ -230,7 +339,7 @@ struct EventQueue<E> {
 impl<E> EventQueue<E> {
     fn new() -> Self {
         EventQueue {
-            store: SlabStore::new(),
+            store: Store::new(),
             internal: BinaryHeap::new(),
             seq: 0,
         }
@@ -244,41 +353,36 @@ impl<E> EventQueue<E> {
     /// events are bookkeeping, not model state, and reporting them would
     /// make the act of measuring shift the measurement.
     fn depths(&self) -> QueueDepths {
+        let pending = self.store.len();
         QueueDepths {
-            near: self.store.near.len(),
-            far: self.store.far.len(),
-            slab_slots: self.store.slots.len(),
-            slab_free: self.store.free.len(),
+            near: self.store.near_len(),
+            far: self.store.far_len,
+            slab_slots: self.store.high_water,
+            slab_free: self.store.high_water - pending,
         }
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
-        let main = self.store.peek_key();
-        let side = self.internal.peek().map(|i| (i.time, i.seq));
-        match (main, side) {
-            (Some(a), Some(b)) => Some(a.min(b).0),
-            (Some(a), None) => Some(a.0),
-            (None, Some(b)) => Some(b.0),
-            (None, None) => None,
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// Removes the earliest pending event if `due` accepts its time. A
+    /// workload event leaves its heap slot open until [`Store::close`].
+    fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
         // Merge the workload store and the internal side heap by (time, seq):
         // seq values come from one shared counter, so the comparison is total
         // and the merged order is exactly the single-queue order.
-        let main = self.store.peek_key();
+        self.store.settle();
         let side = self.internal.peek().map(|i| (i.time, i.seq));
-        let take_side = match (main, side) {
-            (Some(m), Some(s)) => s < m,
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        if take_side {
-            let i = self.internal.pop().expect("peeked internal event");
-            return Some((i.time, i.event));
+        match self.store.head() {
+            Some(main) if side.is_none_or(|side| main < side) => {
+                due(main.0).then(|| self.store.open_head())
+            }
+            _ => {
+                let (time, _) = side?;
+                if !due(time) {
+                    return None;
+                }
+                let i = self.internal.pop().expect("peeked internal event");
+                Some((i.time, i.event))
+            }
         }
-        self.store.pop()
     }
 
     fn push(&mut self, time: SimTime, event: E) {
@@ -473,11 +577,10 @@ impl<W, E: Fire<W>> Simulation<W, E> {
         self.queue.push_internal(at, event);
     }
 
-    /// Fires the single earliest pending event.
-    ///
-    /// Returns `false` when the queue is empty (the clock does not advance).
-    pub fn step(&mut self) -> bool {
-        let Some((time, event)) = self.queue.pop() else {
+    /// Fires the earliest pending event if `due` accepts its time: one
+    /// settle and one pop per event.
+    fn fire_next(&mut self, due: impl FnOnce(SimTime) -> bool) -> bool {
+        let Some((time, event)) = self.queue.pop_if(due) else {
             return false;
         };
         debug_assert!(
@@ -492,7 +595,15 @@ impl<W, E: Fire<W>> Simulation<W, E> {
             world: PhantomData,
         };
         event.fire(&mut self.world, &mut ctx);
+        self.queue.store.close();
         true
+    }
+
+    /// Fires the single earliest pending event.
+    ///
+    /// Returns `false` when the queue is empty (the clock does not advance).
+    pub fn step(&mut self) -> bool {
+        self.fire_next(|_| true)
     }
 
     /// Runs until the event queue is empty.
@@ -504,13 +615,7 @@ impl<W, E: Fire<W>> Simulation<W, E> {
     /// `deadline`. Events exactly at `deadline` fire. On return the clock is
     /// `max(clock, deadline)` if any events remain, so repeated calls advance.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(head) = self.queue.peek_time() {
-            if head > deadline {
-                self.clock = self.clock.max(deadline);
-                return;
-            }
-            self.step();
-        }
+        while self.fire_next(|time| time <= deadline) {}
         self.clock = self.clock.max(deadline);
     }
 
@@ -524,24 +629,20 @@ impl<W, E: Fire<W>> Simulation<W, E> {
     /// the next window, where freshly delivered cross-shard messages with
     /// the same timestamp can still be ordered ahead of them by `seq`.
     pub fn run_before(&mut self, deadline: SimTime) {
-        while let Some(head) = self.queue.peek_time() {
-            if head >= deadline {
-                break;
-            }
-            self.step();
-        }
+        while self.fire_next(|time| time < deadline) {}
         self.clock = self.clock.max(deadline);
     }
 
-    /// Sets the far-horizon migration epoch of the two-tier slab store.
+    /// Sets the far-tier epoch of the two-tier store, re-bucketing any
+    /// pending far events.
     ///
     /// The epoch only affects *when* far-future events migrate into the
-    /// near heap, never their firing order (see [`SlabStore`]'s exactness
+    /// near heap, never their firing order (see [`Store`]'s exactness
     /// invariant), so changing it is behaviour-neutral. Deriving it from the
     /// topology's minimum WAN link delay makes the far-queue horizon and the
     /// conservative-parallel lookahead share one source of truth.
     pub fn set_far_epoch(&mut self, epoch: SimDuration) {
-        self.queue.store.epoch = epoch.max(SimDuration::from_micros(1));
+        self.queue.store.set_epoch(epoch);
     }
 }
 
@@ -744,74 +845,177 @@ mod tests {
         assert_eq!(run_once(), run_once());
     }
 
-    /// The two-tier slab store fires in exactly the order of a single
-    /// `(time, seq)` heap, including events far beyond the horizon epoch,
-    /// re-scheduling from inside events, and (time) ties broken by seq. The
-    /// reference is a plain `BinaryHeap` that replays the same scheduling
-    /// calls, so the store's exactness stays pinned without a second layout.
-    #[test]
-    fn slab_store_fires_in_single_heap_order() {
-        /// Whether tag `tag` schedules follow-ups when it fires: both near
-        /// (sub-epoch) and far (multi-epoch); the guard keeps follow-ups
-        /// from cascading forever.
-        fn follows(tag: u64) -> bool {
-            tag < 400 && tag.is_multiple_of(5)
-        }
-        const NEAR: SimDuration = SimDuration::from_millis(3);
-        const FAR: SimDuration = SimDuration::from_secs(7);
+    /// How a test probe schedules one follow-up.
+    #[derive(Debug, Clone, Copy)]
+    enum Sched {
+        /// A workload event `delay` after now (zero: the fused pop/push).
+        In(SimDuration),
+        /// A workload event at `now - back`, which the queue fires now.
+        Past(SimDuration),
+        /// An internal side-heap event `delay` after now.
+        Internal(SimDuration),
+    }
 
-        #[derive(Debug)]
-        struct Scramble(u64);
-        impl Fire<Log> for Scramble {
-            fn fire(self, log: &mut Log, ctx: &mut Context<'_, Log, Self>) {
-                log.push((ctx.now().as_micros(), self.0));
-                if follows(self.0) {
-                    ctx.schedule_event_in(NEAR, Scramble(self.0 + 1_000));
-                    ctx.schedule_event_in(FAR, Scramble(self.0 + 2_000));
+    /// A probe's follow-ups: a pure function of its tag, so the reference
+    /// replays exactly what the simulation schedules. Generation 3 probes
+    /// schedule nothing, which bounds the cascade.
+    fn follow_ups(tag: u64) -> Vec<(Sched, u64)> {
+        if tag >= 1_000_000 {
+            return Vec::new();
+        }
+        let mut h = tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xd6e8_feb8_6659_fd93;
+        let mut draw = |n: u64| {
+            h ^= h >> 29;
+            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (h >> 16) % n
+        };
+        let us = SimDuration::from_micros;
+        let mut out = Vec::new();
+        for k in 1..=draw(4) {
+            let sched = match draw(10) {
+                0..=2 => Sched::In(SimDuration::ZERO),
+                3..=4 => Sched::In(us(draw(5_000))),
+                5 => Sched::In(us(7_000_000 + draw(1_000_000))),
+                6 => Sched::In(us(draw(40_000_000))),
+                7 => Sched::Past(us(draw(50_000))),
+                8 => Sched::Internal(SimDuration::ZERO),
+                _ => Sched::Internal(us(draw(3_000))),
+            };
+            out.push((sched, tag * 10 + k));
+        }
+        out
+    }
+
+    /// One fire as the store saw it: `(µs, tag, near + far, slab_slots,
+    /// slab_free)`.
+    type Probe = (u64, u64, usize, usize, usize);
+
+    #[derive(Debug)]
+    struct ProbeEv(u64);
+
+    impl Fire<Vec<Probe>> for ProbeEv {
+        fn fire(self, log: &mut Vec<Probe>, ctx: &mut Context<'_, Vec<Probe>, Self>) {
+            let d = ctx.queue_depths();
+            let now = ctx.now();
+            log.push((
+                now.as_micros(),
+                self.0,
+                d.near + d.far,
+                d.slab_slots,
+                d.slab_free,
+            ));
+            for (sched, tag) in follow_ups(self.0) {
+                match sched {
+                    Sched::In(delay) => ctx.schedule_event_in(delay, ProbeEv(tag)),
+                    Sched::Past(back) => ctx.schedule_event_at(now - back, ProbeEv(tag)),
+                    Sched::Internal(delay) => ctx.schedule_internal_in(delay, ProbeEv(tag)),
                 }
             }
         }
+    }
 
-        // A deterministic scramble of times spanning many 500 ms epochs,
-        // with deliberate exact-time collisions to stress seq ordering.
-        let mut initial: Vec<(SimTime, u64)> = Vec::new();
-        let mut x = 9_876_543_210u64;
-        for i in 0..400u64 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let at = SimTime::ZERO + SimDuration::from_micros(x % 20_000_000);
-            initial.push((at, i));
-            if i % 7 == 0 {
-                initial.push((at, i + 500));
-            }
-        }
-
-        let mut sim = Simulation::with_events(Vec::new());
-        for &(at, tag) in &initial {
-            sim.schedule_event_at(at, Scramble(tag));
-        }
-        sim.run();
-        let fired = sim.into_world();
-
+    /// Replays the probes' scheduling calls on a plain `(time, seq)`
+    /// `BinaryHeap`, counting pending workload events and their running
+    /// maximum: the log the store must reproduce.
+    fn reference_log(initial: &[(SimTime, u64, bool)]) -> Vec<Probe> {
         let mut heap = BinaryHeap::new();
         let mut seq = 0u64;
-        let mut push = |heap: &mut BinaryHeap<_>, at: SimTime, tag: u64| {
-            heap.push(Reverse((at, seq, tag)));
+        let (mut pending, mut most) = (0usize, 0usize);
+        let mut push = |heap: &mut BinaryHeap<_>, at: SimTime, tag: u64, internal: bool| {
+            heap.push(Reverse((at, seq, tag, internal)));
             seq += 1;
         };
-        for &(at, tag) in &initial {
-            push(&mut heap, at, tag);
-        }
-        let mut reference: Log = Vec::new();
-        while let Some(Reverse((at, _, tag))) = heap.pop() {
-            reference.push((at.as_micros(), tag));
-            if follows(tag) {
-                push(&mut heap, at + NEAR, tag + 1_000);
-                push(&mut heap, at + FAR, tag + 2_000);
+        for &(at, tag, internal) in initial {
+            push(&mut heap, at, tag, internal);
+            if !internal {
+                pending += 1;
+                most = most.max(pending);
             }
         }
+        let mut log = Vec::new();
+        while let Some(Reverse((now, _, tag, internal))) = heap.pop() {
+            pending -= usize::from(!internal);
+            log.push((now.as_micros(), tag, pending, most, most - pending));
+            for (sched, next) in follow_ups(tag) {
+                let (at, internal) = match sched {
+                    Sched::In(delay) => (now + delay, false),
+                    Sched::Past(back) => ((now - back).max(now), false),
+                    Sched::Internal(delay) => (now + delay, true),
+                };
+                push(&mut heap, at, next, internal);
+                if !internal {
+                    pending += 1;
+                    most = most.max(pending);
+                }
+            }
+        }
+        log
+    }
 
-        assert_eq!(fired.len(), 400 + 58 + 2 * 80);
-        assert_eq!(fired, reference, "slab store must fire in heap order");
+    /// The two-tier store fires in exactly the order of a single
+    /// `(time, seq)` heap, and reports the depths a free-list payload slab
+    /// would, across a seeded sweep: far epochs from 1 µs to 30 s, follow-ups
+    /// at the same instant (the fused pop/push), in the past, near and far,
+    /// internal events tied with workload events, windowed
+    /// `run_before`/`run_until` execution, and `set_far_epoch` re-bucketing
+    /// pending far events mid-run. The reference is a plain `BinaryHeap`
+    /// replaying the same scheduling calls, so the store's exactness stays
+    /// pinned without a second layout.
+    #[test]
+    fn store_fires_in_single_heap_order() {
+        let epochs = [
+            SimDuration::from_micros(1),
+            SimDuration::from_millis(100),
+            SimDuration::from_millis(500),
+            SimDuration::from_secs(30),
+        ];
+        for seed in [1u64, 42, 9_876_543_210] {
+            // Scrambled times over many epochs, with exact-time collisions
+            // and some internal events among them.
+            let mut initial = Vec::new();
+            let mut x = seed;
+            for i in 0..300u64 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let at = SimTime::from_micros((x >> 11) % 20_000_000);
+                initial.push((at, i, i % 11 == 0));
+                if i % 7 == 0 {
+                    initial.push((at, i + 500, false));
+                }
+            }
+            let reference = reference_log(&initial);
+            assert!(reference.len() > 2 * initial.len(), "the probes cascade");
+
+            for (e, &epoch) in epochs.iter().enumerate() {
+                for windows in [1u64, 9] {
+                    let mut sim = Simulation::with_events(Vec::new());
+                    sim.set_far_epoch(epoch);
+                    for &(at, tag, internal) in &initial {
+                        if internal {
+                            sim.schedule_internal_at(at, ProbeEv(tag));
+                        } else {
+                            sim.schedule_event_at(at, ProbeEv(tag));
+                        }
+                    }
+                    let end = SimTime::from_secs(30);
+                    for k in 1..windows {
+                        sim.run_before(SimTime::from_micros(end.as_micros() * k / windows));
+                        if k == windows / 2 {
+                            let d = sim.queue_depths();
+                            assert!(d.far > 0, "re-bucketing with far events pending");
+                            sim.set_far_epoch(epochs[(e + 1) % epochs.len()]);
+                            assert_eq!(sim.queue_depths(), d, "re-bucketing keeps the depths");
+                        }
+                    }
+                    sim.run_until(end);
+                    sim.run();
+                    assert_eq!(
+                        sim.into_world(),
+                        reference,
+                        "seed {seed}, epoch {epoch:?}, {windows} windows"
+                    );
+                }
+            }
+        }
     }
 
     /// Internal side-queue events interleave with workload events in exact

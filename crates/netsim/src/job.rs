@@ -21,7 +21,9 @@
 //! [`NetEvent::Advance`] event, and a job's completion is a typed world event
 //! fired when its program ends — so steady-state execution performs **zero**
 //! per-event allocations and no per-continuation captures of step vectors or
-//! routes.
+//! routes. [`advance_job`] updates the cursor and phase in the job's slot;
+//! a job moves out of its slot only to complete, and each message hop looks
+//! its route up once.
 
 use std::sync::Arc;
 
@@ -235,23 +237,15 @@ impl<W: JobWorld> Jobs<W> {
         }
     }
 
-    /// Moves the job out of its slot while the executor works on it; the
-    /// slot is restored with `put` or recycled with `release`.
-    fn take(&mut self, id: JobId) -> Job<W> {
-        self.slots[id as usize].take().expect("job not in flight")
-    }
-
-    fn put(&mut self, id: JobId, job: Job<W>) {
-        self.slots[id as usize] = Some(job);
-    }
-
     fn get_mut(&mut self, id: JobId) -> &mut Job<W> {
         self.slots[id as usize].as_mut().expect("job not in flight")
     }
 
-    fn release(&mut self, id: JobId) {
-        self.slots[id as usize] = None;
+    /// Moves a finished job out of its slot and recycles the slot.
+    fn release(&mut self, id: JobId) -> Job<W> {
+        let job = self.slots[id as usize].take().expect("job not in flight");
         self.free.push(id);
+        job
     }
 }
 
@@ -430,16 +424,20 @@ fn fetch(program: &mut Program, idx: usize) -> Fetched {
 
 /// Resumes job `id`: crosses pending message hops, then executes steps from
 /// the cursor until the job blocks on a resource, completes, or joins.
+///
+/// The job stays in its [`Jobs`] slot while it advances: each step updates
+/// the cursor and phase in place, and the job moves out only to complete.
 pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event>, id: JobId) {
-    let mut job = world.jobs_mut().take(id);
     // A failed job resumes exactly once — from the timeout scheduled at the
     // fault site (or a join whose failed branch already absorbed it) — and
     // completes immediately, skipping its remaining steps.
-    if job.failed {
-        complete(world, ctx, id, job);
+    if world.jobs_mut().get_mut(id).failed {
+        complete(world, ctx, id);
         return;
     }
     loop {
+        let job = world.jobs_mut().get_mut(id);
+        let trace = job.trace;
         if let Phase::Send {
             from,
             to,
@@ -448,15 +446,14 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
             respond,
         } = job.phase
         {
-            let route_len = if from == to {
-                0
+            let next = if from == to {
+                None
             } else {
-                world.network_mut().route(from, to).len()
+                world.network_mut().route(from, to).get(hop).copied()
             };
-            if hop < route_len {
+            if let Some(link) = next {
                 // Admit the next link at the time the message reaches it, so
                 // link FIFO order matches causality across long-latency paths.
-                let link = world.network_mut().route(from, to)[hop];
                 {
                     // Fault checks, all single predictable branches when no
                     // faults are active. The destination process is checked
@@ -472,12 +469,12 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                         } else {
                             (link.index() as u32, u32::MAX)
                         };
-                        fail_job(world, ctx, id, job, l, n);
+                        fail_job(world, ctx, id, l, n);
                         return;
                     }
                 }
                 let arrival = world.network_mut().link_send(ctx.now(), link, bytes);
-                if let Some(tc) = job.trace {
+                if let Some(tc) = trace {
                     let now = ctx.now();
                     let threshold = world.trace_wan_threshold();
                     let net = world.network_mut();
@@ -500,20 +497,19 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                         );
                     }
                 }
-                job.phase = Phase::Send {
+                world.jobs_mut().get_mut(id).phase = Phase::Send {
                     from,
                     to,
                     bytes,
                     hop: hop + 1,
                     respond,
                 };
-                world.jobs_mut().put(id, job);
                 ctx.schedule_event_at(arrival, NetEvent::Advance { job: id }.into());
                 return;
             }
             // Leg complete. The return leg of an exchange starts only when
             // the request arrives, so its admissions happen at true times.
-            job.phase = match respond {
+            world.jobs_mut().get_mut(id).phase = match respond {
                 Some((rf, rt, rb)) => Phase::Send {
                     from: rf,
                     to: rt,
@@ -530,16 +526,16 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
         job.cursor += 1;
         match fetch(&mut job.program, idx) {
             Fetched::End => {
-                complete(world, ctx, id, job);
+                complete(world, ctx, id);
                 return;
             }
             Fetched::Cpu(node, demand) => {
                 if !world.network_mut().node_is_up(node) {
-                    fail_job(world, ctx, id, job, u32::MAX, node.index() as u32);
+                    fail_job(world, ctx, id, u32::MAX, node.index() as u32);
                     return;
                 }
                 let completion = world.network_mut().cpu(ctx.now(), node, demand);
-                if let Some(tc) = job.trace {
+                if let Some(tc) = trace {
                     let now = ctx.now();
                     let speed = world.network_mut().topology().node(node).speed;
                     let service = demand.mul_f64(1.0 / speed);
@@ -555,7 +551,6 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                         );
                     }
                 }
-                world.jobs_mut().put(id, job);
                 ctx.schedule_event_at(completion, NetEvent::Advance { job: id }.into());
                 return;
             }
@@ -578,13 +573,12 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                 };
             }
             Fetched::Delay(d) => {
-                if let Some(tc) = job.trace {
+                if let Some(tc) = trace {
                     let now = ctx.now();
                     if let Some(t) = world.tracer_mut() {
                         t.leaf(tc, now, now + d, SpanKind::Delay);
                     }
                 }
-                world.jobs_mut().put(id, job);
                 ctx.schedule_event_in(d, NetEvent::Advance { job: id }.into());
                 return;
             }
@@ -594,19 +588,17 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                 if branches.is_empty() {
                     continue;
                 }
-                // Park the parent *before* spawning: a branch may complete
-                // synchronously (and the last one resumes the parent from
-                // inside its own advance), so the slot must be live first.
+                // Arm the join *before* spawning: a branch may complete
+                // synchronously, and the last one resumes the parent from
+                // inside its own advance.
                 job.join_remaining = branches.len();
-                let parent_trace = job.trace;
-                world.jobs_mut().put(id, job);
                 for branch in branches {
                     spawn(
                         world,
                         ctx,
                         Program::Owned(branch),
                         JobDone::Join { parent: id },
-                        parent_trace,
+                        trace,
                     );
                 }
                 // The parent may already have resumed (or completed) via the
@@ -617,7 +609,7 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                 // Detached: consumes resources but the parent continues
                 // immediately after spawning. Forks are not traced (they can
                 // outlive the request), but leave an instant marker behind.
-                if let Some(tc) = job.trace {
+                if let Some(tc) = trace {
                     let now = ctx.now();
                     if let Some(t) = world.tracer_mut() {
                         t.note(tc, now, "fork", tag.unwrap_or(0));
@@ -643,37 +635,31 @@ fn fail_job<W: JobWorld>(
     world: &mut W,
     ctx: &mut Context<'_, W, W::Event>,
     id: JobId,
-    mut job: Job<W>,
     link: u32,
     node: u32,
 ) {
     let timeout = world.fault_timeout();
+    let job = world.jobs_mut().get_mut(id);
+    job.failed = true;
+    job.phase = Phase::Steps;
     if let Some(tc) = job.trace {
         let now = ctx.now();
         if let Some(t) = world.tracer_mut() {
             t.leaf(tc, now, now + timeout, SpanKind::Fault { link, node });
         }
     }
-    job.failed = true;
-    job.phase = Phase::Steps;
-    world.jobs_mut().put(id, job);
     ctx.schedule_event_in(timeout, NetEvent::Advance { job: id }.into());
 }
 
 /// Recycles the job's slot and fires its completion action.
-fn complete<W: JobWorld>(
-    world: &mut W,
-    ctx: &mut Context<'_, W, W::Event>,
-    id: JobId,
-    job: Job<W>,
-) {
+fn complete<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event>, id: JobId) {
+    let job = world.jobs_mut().release(id);
     if let Some(tc) = job.trace {
         let now = ctx.now();
         if let Some(t) = world.tracer_mut() {
             t.close_span(tc, now);
         }
     }
-    world.jobs_mut().release(id);
     match job.done {
         JobDone::Event(e) => {
             if job.failed {
@@ -1038,6 +1024,108 @@ mod tests {
         assert_eq!(w.finished, vec![(at(500), "job")]);
         assert_eq!(w.failures, 1);
         assert_eq!(w.net.cpu_jobs(edge), 0);
+    }
+
+    /// Runs `steps` from `start`, returning the world once the queue drains.
+    fn run_from(world: World, start: SimTime, steps: Vec<Step>) -> World {
+        let mut sim = Simulation::with_events(world);
+        sim.schedule_event_at(start, Ev::Start(Program::Owned(steps), "job"));
+        sim.run();
+        sim.into_world()
+    }
+
+    /// Zero-hop branches complete inside their own spawn, so the last one
+    /// resumes the parent from within the spawn loop: the parent must
+    /// resume exactly once, at the spawn instant, and every slot must be
+    /// recycled.
+    #[test]
+    fn synchronous_parallel_branches_resume_the_parent_once() {
+        let (w, main, _, edge) = world();
+        let steps = vec![
+            Step::Parallel(vec![
+                vec![Step::transfer(main, main, 10)],
+                vec![],
+                vec![
+                    Step::transfer(edge, edge, 0),
+                    Step::exchange(main, main, 1, 1),
+                ],
+            ]),
+            Step::cpu(main, ms(5)),
+        ];
+        let w = run_from(w, at(3), steps);
+        assert_eq!(w.finished, vec![(at(8), "job")]);
+        assert_eq!(w.net.cpu_jobs(main), 1, "the parent ran its next step once");
+        assert_eq!(w.jobs.in_flight(), 0);
+    }
+
+    /// The same synchronous join inside a detached fork: the fork's parent
+    /// resumes once and reports at the right time, and the request's own
+    /// program is not delayed.
+    #[test]
+    fn synchronous_join_inside_a_fork() {
+        let (w, main, _, edge) = world();
+        let steps = vec![
+            Step::Fork {
+                steps: vec![
+                    Step::Parallel(vec![
+                        vec![Step::transfer(edge, edge, 0)],
+                        vec![Step::transfer(main, main, 0)],
+                    ]),
+                    Step::cpu(edge, ms(2)),
+                ],
+                tag: Some(3),
+            },
+            Step::cpu(main, ms(1)),
+        ];
+        let w = run_from(w, at(10), steps);
+        assert_eq!(w.finished, vec![(at(11), "job")]);
+        assert_eq!(w.forks, vec![(3, at(12))]);
+        assert_eq!(w.net.cpu_jobs(edge), 1, "the fork resumed once");
+        assert_eq!(w.jobs.in_flight(), 0);
+    }
+
+    /// A hop that fails mid-route inside one branch, next to a branch that
+    /// completes synchronously: the parent resumes once, after the failed
+    /// branch's timeout, and completes as failed without running on.
+    #[test]
+    fn failed_hop_inside_a_branch() {
+        let (mut w, main, router, edge) = world();
+        let bad = w.net.route(router, main)[0];
+        w.net.set_link_up(bad, false);
+        let steps = vec![
+            Step::Parallel(vec![
+                vec![Step::transfer(edge, edge, 0)],
+                vec![Step::exchange(edge, main, 0, 0)], // fails at 90, done 590
+                vec![Step::Delay(ms(50))],
+            ]),
+            Step::cpu(edge, ms(30)), // skipped: the parent is failed
+        ];
+        let w = run_from(w, at(0), steps);
+        assert_eq!(w.finished, vec![(at(590), "job")]);
+        assert_eq!(w.failures, 1);
+        assert_eq!(w.net.cpu_jobs(edge), 0);
+        assert_eq!(w.jobs.in_flight(), 0);
+
+        // The same failed hop inside a forked branch reports `fork_failed`.
+        let (mut w, main, router, edge) = world();
+        let bad = w.net.route(router, main)[0];
+        w.net.set_link_up(bad, false);
+        let steps = vec![
+            Step::Fork {
+                steps: vec![Step::Parallel(vec![
+                    vec![Step::transfer(edge, main, 0)],
+                    vec![Step::transfer(main, main, 0)],
+                ])],
+                tag: Some(5),
+            },
+            Step::cpu(edge, ms(1)),
+        ];
+        let w = run_from(w, at(0), steps);
+        assert_eq!(w.finished, vec![(at(1), "job")]);
+        assert!(w.forks.is_empty());
+        assert_eq!(w.failed_forks, vec![(5, at(590))]);
+        assert_eq!(w.failures, 0);
+        assert_eq!(w.jobs.in_flight(), 0);
     }
 
     /// A failed detached fork reports through `fork_failed`, not

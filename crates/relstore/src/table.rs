@@ -174,17 +174,16 @@ impl Table {
         ids
     }
 
-    /// Row ids whose string `column` contains `needle` (case-insensitive) —
-    /// the keyword-search query shape. Always a scan.
+    /// Row ids whose string `column` contains `needle` (ASCII
+    /// case-insensitive) — the keyword-search query shape. Always a scan.
     pub fn find_like(&self, column: usize, needle: &str) -> Vec<RowId> {
-        let needle = needle.to_ascii_lowercase();
         let mut ids: Vec<RowId> = self
             .rows
             .iter()
             .filter(|(_, r)| {
                 r[column]
                     .as_str()
-                    .is_some_and(|s| s.to_ascii_lowercase().contains(&needle))
+                    .is_some_and(|s| contains_ascii_ci(s, needle))
             })
             .map(|(&id, _)| id)
             .collect();
@@ -198,6 +197,20 @@ impl Table {
         ids.sort_unstable();
         ids
     }
+}
+
+/// Whether `haystack` contains `needle` with ASCII letters compared
+/// case-insensitively and every other byte exactly — the same answer as
+/// lowercasing both with `to_ascii_lowercase` and calling `contains`, with
+/// no allocation. A match of whole UTF-8 sequences on bytes always lies on
+/// character boundaries.
+fn contains_ascii_ci(haystack: &str, needle: &str) -> bool {
+    let needle = needle.as_bytes();
+    needle.is_empty()
+        || haystack
+            .as_bytes()
+            .windows(needle.len())
+            .any(|window| window.eq_ignore_ascii_case(needle))
 }
 
 #[cfg(test)]
@@ -270,6 +283,76 @@ mod tests {
         let name = t.column("name").unwrap();
         assert_eq!(t.find_like(name, "A"), vec![RowId(1), RowId(3)]);
         assert_eq!(t.find_like(name, "zzz"), Vec::<RowId>::new());
+    }
+
+    /// The byte-wise matcher agrees with the lowercase-and-`contains`
+    /// predicate it replaced, including on non-ASCII text (which ASCII
+    /// folding leaves alone), empty needles and needles longer than the
+    /// value.
+    #[test]
+    fn like_matches_the_lowercase_contains_predicate() {
+        let reference = |s: &str, n: &str| s.to_ascii_lowercase().contains(&n.to_ascii_lowercase());
+        let values = [
+            "",
+            "a",
+            "Ann",
+            "bOb",
+            "Café",
+            "CAFÉ",
+            "café au lait",
+            "straße",
+            "STRASSE",
+            "Straße",
+            "ÅRHUS",
+            "naïve Ünïcode",
+            "x\u{301}",
+        ];
+        let needles = [
+            "",
+            "a",
+            "A",
+            "an",
+            "NN",
+            "ob",
+            "caf",
+            "CAFÉ",
+            "é",
+            "É",
+            "fé",
+            "ße",
+            "SSE",
+            "strasse",
+            "åR",
+            "Å",
+            "ünï",
+            "\u{301}",
+            "Ann Bob",
+            "café au lait and more",
+        ];
+        for value in values {
+            for needle in needles {
+                assert_eq!(
+                    contains_ascii_ci(value, needle),
+                    reference(value, needle),
+                    "{value:?} LIKE {needle:?}"
+                );
+            }
+        }
+
+        let mut t = people();
+        t.insert(vec!["Café".into(), "paris".into()]);
+        t.insert(vec!["straße".into(), "berlin".into()]);
+        let name = t.column("name").unwrap();
+        assert_eq!(t.find_like(name, "CAF"), vec![RowId(4)]);
+        assert_eq!(t.find_like(name, "é"), vec![RowId(4)]);
+        assert_eq!(t.find_like(name, "É"), Vec::<RowId>::new());
+        assert_eq!(t.find_like(name, "SSE"), Vec::<RowId>::new());
+        assert_eq!(
+            t.find_like(name, "").len(),
+            t.len(),
+            "empty needle matches every row"
+        );
+        assert_eq!(t.find_like(name, "annabelle"), Vec::<RowId>::new());
     }
 
     #[test]

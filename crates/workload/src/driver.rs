@@ -1583,9 +1583,9 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
     };
     let measuring_from = SimTime::ZERO + spec.warmup;
     let horizon = spec.horizon();
-    // Satellite: the slab queue's far-horizon epoch follows the topology —
-    // WAN round trips dominate event spacing, so the minimum WAN leg is the
-    // natural bucket width (500 ms when the topology has no WAN leg at
+    // The event queue's far-tier epoch follows the topology — WAN round
+    // trips dominate event spacing, so the minimum WAN leg is the natural
+    // bucket width (500 ms when the topology has no WAN leg at
     // all). Behavior-neutral: the queue's ordering contract is exact at
     // any epoch.
     let far_epoch = topology
