@@ -25,13 +25,13 @@
 //! `--parallel 0` skips the parallel rows.
 //!
 //! `--trace [config]` re-runs the sweep (or one named configuration) with
-//! per-request tracing and the telemetry registry on, writes a compact span
-//! log (`TRACE_<app>_<config>.spans.jsonl`), a Chrome `trace_event` document
+//! per-request tracing on, writes a compact span log
+//! (`TRACE_<app>_<config>.spans.jsonl`), a Chrome `trace_event` document
 //! loadable in Perfetto (`TRACE_<app>_<config>.chrome.json`) and
 //! `BENCH_trace.json`, prints the per-page WAN critical-path decomposition,
 //! and cross-checks the traced wide-area round trips against
 //! `mutsvc-analyze`'s static walk (`W108`). `--smoke` shortens the windows
-//! and traces every request.
+//! and traces every request. Time series come from `--metrics`.
 //!
 //! `--faults` runs the standard WAN fault suite (main-link partition, edge
 //! crash, lossy link) across the five configurations with the recovery

@@ -127,7 +127,7 @@ pub fn thread_counts(cap: usize) -> Vec<usize> {
 }
 
 /// A deterministic fingerprint of everything a parallel run computed:
-/// the merged statistics (every Welford accumulator and P² marker), the
+/// the merged statistics (every Welford accumulator and histogram bucket), the
 /// per-shard event counts and the cache counters. Wall-clock is excluded;
 /// two runs that simulated the same history digest identically.
 fn report_digest(report: &ExperimentReport) -> String {

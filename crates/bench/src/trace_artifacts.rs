@@ -120,7 +120,7 @@ fn fmt2(v: f64) -> String {
 
 /// Renders `BENCH_trace.json`: per app × configuration, the per-page
 /// critical-path decomposition (with the static walker's WAN count where
-/// one exists), trace accounting, `W108` results and the telemetry series.
+/// one exists), trace accounting and `W108` results.
 pub fn render_trace_json(sweeps: &[(AppKind, Vec<TraceCell>)]) -> String {
     let mut out = String::from("{\"apps\":[");
     for (ai, (app, cells)) in sweeps.iter().enumerate() {
@@ -169,31 +169,7 @@ pub fn render_trace_json(sweeps: &[(AppKind, Vec<TraceCell>)]) -> String {
                     fmt2(row.delay_ms),
                 ));
             }
-            out.push_str("],\"telemetry\":{\"names\":[");
-            for (ni, name) in data.telemetry_names.iter().enumerate() {
-                if ni > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{name}\""));
-            }
-            out.push_str("],\"snapshots\":[");
-            for (si, snap) in data.telemetry.iter().enumerate() {
-                if si > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"at_s\":{:.1},\"values\":[",
-                    snap.at.as_secs_f64()
-                ));
-                for (vi, v) in snap.values.iter().enumerate() {
-                    if vi > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&fmt2(*v));
-                }
-                out.push_str("]}");
-            }
-            out.push_str("]}}");
+            out.push_str("]}");
         }
         out.push_str("]}");
     }

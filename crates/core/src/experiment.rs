@@ -61,7 +61,7 @@ pub struct Scenario {
     pub wan_one_way: Option<SimDuration>,
     /// RMI extra-round-trip probability override (ablation).
     pub rmi_extra_round_trip_prob: Option<f64>,
-    /// Tracing and telemetry policy (off by default).
+    /// Tracing policy (off by default).
     #[serde(default)]
     pub trace: TraceSettings,
     /// Windowed metrics recorder policy (off by default).
@@ -157,7 +157,7 @@ impl Scenario {
         self
     }
 
-    /// Sets the tracing/telemetry policy.
+    /// Sets the tracing policy.
     pub fn with_trace(mut self, trace: TraceSettings) -> Self {
         self.trace = trace;
         self

@@ -3,6 +3,7 @@
 //! numbers, and validates the qualitative *shape* criteria listed in
 //! `DESIGN.md` §5.
 
+use mutsvc_desim::Summary;
 use mutsvc_workload::ExperimentReport;
 
 use crate::configs::Config;
@@ -51,6 +52,25 @@ pub fn measured_mean(
     } else {
         report.stats.mean_ms("local", pattern, page)
     }
+}
+
+/// The summary behind one table cell: the local group's series, or both
+/// edge groups' series merged — the population [`measured_mean`] pools.
+fn measured_summary(
+    report: &ExperimentReport,
+    remote: bool,
+    pattern: &str,
+    page: &str,
+) -> Option<Summary> {
+    let groups: &[&str] = if remote { &REMOTE_GROUPS } else { &["local"] };
+    groups
+        .iter()
+        .filter_map(|g| report.stats.series(g, pattern, page))
+        .fold(None, |pooled: Option<Summary>, s| {
+            let mut pooled = pooled.unwrap_or_default();
+            pooled.merge(s);
+            Some(pooled)
+        })
 }
 
 /// Renders the measured table (the paper's Table 6 or 7) as fixed-width text.
@@ -119,8 +139,9 @@ pub fn render_comparison(app: AppKind, reports: &[ExperimentReport]) -> String {
 }
 
 /// Renders the tail-latency companion to Table 6/7: per-page p95 response
-/// times. The paper reports means only; percentiles expose the blocking-push
-/// tail that means smooth over.
+/// times, the remote rows over both edge groups' merged summaries. The
+/// paper reports means only; percentiles expose the blocking-push tail that
+/// means smooth over.
 pub fn render_percentiles(app: AppKind, reports: &[ExperimentReport]) -> String {
     let columns = columns_of(app);
     let mut out = format!(
@@ -141,21 +162,7 @@ pub fn render_percentiles(app: AppKind, reports: &[ExperimentReport]) -> String 
                 if remote { "R" } else { "L" }
             ));
             for (pattern, page) in columns {
-                let p95 = if remote {
-                    // Pool the worse of the two edge groups (conservative).
-                    mutsvc_desim::pooled_max(
-                        REMOTE_GROUPS
-                            .iter()
-                            .filter_map(|g| report.stats.series(g, pattern, page))
-                            .map(mutsvc_desim::Summary::p95),
-                    )
-                } else {
-                    report
-                        .stats
-                        .series("local", pattern, page)
-                        .map(mutsvc_desim::Summary::p95)
-                };
-                match p95 {
+                match measured_summary(report, remote, pattern, page).map(|s| s.p95()) {
                     Some(v) => out.push_str(&format!("{:>9.0}", v)),
                     None => out.push_str(&format!("{:>9}", "-")),
                 }
@@ -460,4 +467,61 @@ pub fn validate_shapes(app: AppKind, reports: &[ExperimentReport]) -> Vec<String
         }
     }
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mutsvc_desim::SimDuration;
+    use mutsvc_workload::driver::BindCacheStats;
+    use mutsvc_workload::WorkloadStats;
+
+    /// A report carrying nothing but measured series.
+    fn report_with(stats: WorkloadStats) -> ExperimentReport {
+        ExperimentReport {
+            config: Config::all()[0].name().to_string(),
+            stats,
+            bind_totals: Default::default(),
+            staleness_ms: Summary::new(),
+            cpu_utilization: Vec::new(),
+            completed: 0,
+            events_fired: 0,
+            bind_cache: BindCacheStats::default(),
+            shard_events: Vec::new(),
+            trace: None,
+            metrics: None,
+            adaptive: None,
+        }
+    }
+
+    #[test]
+    fn percentile_table_pools_the_remote_groups() {
+        let ms = SimDuration::from_millis;
+        let mut stats = WorkloadStats::new();
+        // One fast edge group, one whose tail is slow.
+        for _ in 0..100 {
+            stats.record("remote1", "Browser", "Main", ms(100));
+        }
+        for i in 0..100 {
+            let v = if i < 90 { 200 } else { 1000 };
+            stats.record("remote2", "Browser", "Main", ms(v));
+        }
+        let report = report_with(stats);
+        let slow = report
+            .stats
+            .series("remote2", "Browser", "Main")
+            .unwrap()
+            .p95();
+        let pooled = measured_summary(&report, true, "Browser", "Main").unwrap();
+        assert_eq!(pooled.count(), 200);
+        assert!(pooled.p95() < slow, "{} vs {slow}", pooled.p95());
+
+        let table = render_percentiles(AppKind::PetStore, std::slice::from_ref(&report));
+        let prefix = format!("{:<18}{:>3}", Config::all()[0].name(), "R");
+        let row = table.lines().find(|l| l.starts_with(&prefix)).unwrap();
+        // First column is Browser/Main; the rest were not measured.
+        let cells: Vec<&str> = row[prefix.len()..].split_whitespace().collect();
+        assert_eq!(cells[0], format!("{:.0}", pooled.p95()));
+        assert!(cells[1..].iter().all(|&c| c == "-"), "{row}");
+    }
 }

@@ -8,9 +8,10 @@
 //!   per-event allocation,
 //! * analytic multi-server FIFO [`resource`]s (CPUs, link serialization),
 //! * seeded, stream-splittable randomness ([`rng`]),
-//! * constant-memory streaming [`metrics`] (Welford, P² quantiles, histograms),
-//! * windowed time-series [`recorder`]s over exactly-mergeable log-bucketed
-//!   histograms.
+//! * constant-memory streaming [`metrics`] (Welford moments plus a
+//!   log-bucketed histogram per series),
+//! * windowed time-series [`recorder`]s over the same exactly-mergeable
+//!   log-bucketed histograms.
 //!
 //! Higher layers (network, middleware, applications) are worlds `W` plugged
 //! into [`Simulation<W, E>`], each with its own event type `E`.
@@ -66,14 +67,11 @@ pub mod resource;
 pub mod rng;
 pub mod shard;
 pub mod sim;
-pub mod telemetry;
 pub mod time;
 pub mod trace;
 
 pub use fault::{message_lost, FaultEvent, FaultKind, FaultSchedule, RandomFaults};
-pub use metrics::{
-    nearest_rank, pooled_max, weighted_mean, Histogram, P2Quantile, Summary, Welford,
-};
+pub use metrics::{nearest_rank, weighted_mean, Summary, Welford};
 pub use recorder::{CounterId, GaugeId, HistId, LogHistogram, Recorder, WindowRow};
 pub use resource::FifoResource;
 pub use rng::SimRng;
@@ -81,7 +79,6 @@ pub use shard::{
     run_conservative, run_coordinated, Coordinator, NoCoordinator, Outbox, ShardWorld,
 };
 pub use sim::{Context, Fire, QueueDepths, Simulation};
-pub use telemetry::{MetricId, TelemetryRegistry, TelemetrySnapshot};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     critical_path, CompletedTrace, PathBreakdown, Span, SpanCtx, SpanKind, TraceConfig, TraceMeta,

@@ -1,11 +1,11 @@
 //! Windowed time-series recording on exactly-mergeable log-bucketed
 //! histograms.
 //!
-//! The streaming estimators in [`crate::metrics`] answer "what was the
-//! distribution over the whole run"; the adaptive-placement roadmap needs
-//! "what was it in *this 30-second window*", per page and per WAN link, as
-//! the feedback signal a controller would consume. Two requirements shape
-//! this module:
+//! [`crate::metrics::Summary`] answers "what was the distribution over the
+//! whole run"; the adaptive-placement roadmap needs "what was it in *this
+//! 30-second window*", per page and per WAN link, as the feedback signal a
+//! controller would consume. Both read the same [`LogHistogram`], the
+//! workspace's one distribution type. Two requirements shape this module:
 //!
 //! 1. **Exact shard-merge.** The conservative-parallel engine runs one
 //!    recorder per shard and folds them in ascending shard order; the merged
@@ -25,9 +25,9 @@
 //!    each row carries the value sampled at the roll. Only complete windows
 //!    are reported — a trailing partial window is discarded.
 //!
-//! Merging follows the telemetry-snapshot convention: counters, histogram
-//! buckets *and gauges* sum across shard replicas (a gauge like queue depth
-//! is per-shard state, and the sum over shards is the fleet-wide value).
+//! Merging sums counters, histogram buckets *and gauges* across shard
+//! replicas (a gauge like queue depth is per-shard state, and the sum over
+//! shards is the fleet-wide value).
 //! See DESIGN.md §6.7 for the bucket scheme and the merge proof sketch.
 
 use serde::{Deserialize, Serialize};
@@ -445,8 +445,7 @@ impl Recorder {
 
     /// Merges a shard replica into this recorder: counters and histogram
     /// buckets add per window; gauges sum across replicas (per-shard state
-    /// pooled to the fleet-wide value, the same convention as the telemetry
-    /// snapshot merge).
+    /// pooled to the fleet-wide value).
     ///
     /// Window counts may differ — a shard that went idle (or finished its
     /// horizon early) rolls fewer windows. Merging is *row-aligned by window

@@ -37,7 +37,7 @@ pub trait Fire<W>: Sized + 'static {
     fn fire(self, world: &mut W, ctx: &mut Context<'_, W, Self>);
 }
 
-/// An engine-internal event held in the side queue: telemetry rolls,
+/// An engine-internal event held in the side queue: metrics rolls,
 /// controller ticks — bookkeeping the engine schedules for itself, kept out
 /// of the workload store so queue-depth telemetry never observes it (the
 /// "observer effect": arming metrics used to shift every `queue.*` gauge by
@@ -308,11 +308,12 @@ impl<E> Store<E> {
     }
 }
 
-/// Observed occupancy of the pending-event store, for telemetry snapshots:
-/// `near`/`far` are the two tiers of the time-split queue, and
-/// `slab_slots`/`slab_free` are the pending high-water mark and its headroom
-/// — the slot counts a free-list payload slab would report, which only grows
-/// when every slot is full, under the `queue.slab_*` series names.
+/// Observed occupancy of the pending-event store, for the recorder's
+/// `engine.queue.*` gauges: `near`/`far` are the two tiers of the time-split
+/// queue, and `slab_slots`/`slab_free` are the pending high-water mark and
+/// its headroom — the slot counts a free-list payload slab would report,
+/// which only grows when every slot is full (`slab_slots` is `slab_free`
+/// plus `near` plus `far`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueDepths {
     /// Events inside the horizon (heap-ordered tier).
@@ -419,7 +420,7 @@ impl<'a, W, E> Context<'a, W, E> {
     }
 
     /// Occupancy of the pending-event store, excluding the event currently
-    /// firing. Lets telemetry events observe queue depth mid-run.
+    /// firing. Lets a metrics roll observe queue depth mid-run.
     pub fn queue_depths(&self) -> QueueDepths {
         self.queue.depths()
     }

@@ -34,7 +34,6 @@ use mutsvc_desim::metrics::Summary;
 use mutsvc_desim::recorder::{CounterId, GaugeId, HistId, LogHistogram, Recorder};
 use mutsvc_desim::rng::{stream, SimRng};
 use mutsvc_desim::sim::{Context, Fire, Simulation};
-use mutsvc_desim::telemetry::{MetricId, TelemetryRegistry};
 use mutsvc_desim::time::{SimDuration, SimTime};
 use mutsvc_desim::trace::{SpanCtx, SpanKind, TraceMeta, Tracer};
 use mutsvc_middleware::{
@@ -114,8 +113,8 @@ pub struct ExperimentReport {
     /// Events fired per shard of a conservative-parallel run, in shard
     /// order. Empty for classic sequential runs.
     pub shard_events: Vec<u64>,
-    /// Committed request traces and telemetry snapshots (present iff the
-    /// spec's [`crate::spec::TraceSettings`] enabled tracing).
+    /// Committed request traces (present iff the spec's
+    /// [`crate::spec::TraceSettings`] enabled tracing).
     pub trace: Option<TraceData>,
     /// Windowed metric series and engine self-profile (present iff the
     /// spec's [`crate::spec::MetricsSettings`] armed the recorder).
@@ -394,10 +393,6 @@ pub(crate) struct World {
     measuring_from: SimTime,
     completed: u64,
     tracer: Tracer,
-    telemetry: TelemetryRegistry,
-    /// Metric handles plus the snapshot cadence; `None` when the telemetry
-    /// series is off (the `Ev::Snapshot` event is then never scheduled).
-    telemetry_ids: Option<TelemetryIds>,
     fault_rt: FaultRuntime,
     /// Cross-shard note state; `None` on classic sequential runs, whose
     /// hot path then pays exactly one predictable branch per full bind.
@@ -499,109 +494,6 @@ impl World {
     }
 }
 
-/// Registered metric handles for the periodic telemetry snapshot.
-struct TelemetryIds {
-    every: SimDuration,
-    queue_near: MetricId,
-    queue_far: MetricId,
-    slab_slots: MetricId,
-    slab_free: MetricId,
-    jobs_in_flight: MetricId,
-    plan_hits: MetricId,
-    plan_misses: MetricId,
-    plan_invalidations: MetricId,
-    entity_cache_hits: MetricId,
-    query_cache_hits: MetricId,
-    completed: MetricId,
-    traces_committed: MetricId,
-    traces_dropped: MetricId,
-    /// `(link, messages metric, bytes metric)` for every WAN leg.
-    wan_links: Vec<(LinkId, MetricId, MetricId)>,
-    /// Fault-state gauges (armed-only; see [`TelemetryArms`]).
-    faults: Option<FaultGauges>,
-    /// Conservative-parallel self-profile gauges (armed-only).
-    shard: Option<ShardGauges>,
-}
-
-/// Gauges exposing the injected fault state and its request-level impact.
-struct FaultGauges {
-    links_down: MetricId,
-    nodes_down: MetricId,
-    failed: MetricId,
-    retries: MetricId,
-}
-
-/// Gauges exposing a conservative-parallel shard replica's cross-shard
-/// note flow.
-struct ShardGauges {
-    outbound_pending: MetricId,
-    notes_received: MetricId,
-}
-
-/// Which optional telemetry gauge families a run arms.
-///
-/// The registration rule is uniform: a family's gauges exist in the
-/// registry iff its subsystem is active *this run*, so snapshots of runs
-/// without the subsystem stay byte-identical to a stack that never had it.
-/// Fault gauges arm with a non-empty fault schedule; shard self-profile
-/// gauges arm on conservative-parallel shard replicas.
-#[derive(Debug, Clone, Copy)]
-struct TelemetryArms {
-    faults: bool,
-    sharded: bool,
-}
-
-impl TelemetryIds {
-    fn register(
-        registry: &mut TelemetryRegistry,
-        net: &Network,
-        wan_threshold: SimDuration,
-        every: SimDuration,
-        arms: TelemetryArms,
-    ) -> Self {
-        let wan_links = net
-            .topology()
-            .link_ids()
-            .filter(|&l| net.topology().link(l).latency >= wan_threshold)
-            .map(|l| {
-                let name = &net.topology().link(l).name;
-                (
-                    l,
-                    registry.register(format!("wan.{name}.msgs")),
-                    registry.register(format!("wan.{name}.bytes")),
-                )
-            })
-            .collect();
-        TelemetryIds {
-            every,
-            queue_near: registry.register("queue.near_depth"),
-            queue_far: registry.register("queue.far_depth"),
-            slab_slots: registry.register("queue.slab_slots"),
-            slab_free: registry.register("queue.slab_free"),
-            jobs_in_flight: registry.register("jobs.in_flight"),
-            plan_hits: registry.register("plan_cache.hits"),
-            plan_misses: registry.register("plan_cache.misses"),
-            plan_invalidations: registry.register("plan_cache.invalidations"),
-            entity_cache_hits: registry.register("bind.entity_cache_hits"),
-            query_cache_hits: registry.register("bind.query_cache_hits"),
-            completed: registry.register("requests.completed"),
-            traces_committed: registry.register("trace.committed"),
-            traces_dropped: registry.register("trace.dropped"),
-            wan_links,
-            faults: arms.faults.then(|| FaultGauges {
-                links_down: registry.register("fault.links_down"),
-                nodes_down: registry.register("fault.nodes_down"),
-                failed: registry.register("fault.requests_failed"),
-                retries: registry.register("fault.retries"),
-            }),
-            shard: arms.sharded.then(|| ShardGauges {
-                outbound_pending: registry.register("shard.outbound_pending"),
-                notes_received: registry.register("shard.notes_received"),
-            }),
-        }
-    }
-}
-
 /// Capacity of the hot-path event-kind count array. A power of two so the
 /// per-event index can be masked instead of bounds-checked; must hold every
 /// named slot plus the [`EV_CONTROL_KINDS`] control slots past them.
@@ -612,11 +504,10 @@ const EV_CONTROL_KINDS: usize = 2;
 // alias one kind's counter onto another's.
 const _: () = assert!(EV_KIND_NAMES.len() + EV_CONTROL_KINDS <= EV_KINDS);
 /// Self-profile counter names, indexed by [`Ev::kind_index`].
-const EV_KIND_NAMES: [&str; 10] = [
+const EV_KIND_NAMES: [&str; 9] = [
     "engine.ev.net",
     "engine.ev.issue",
     "engine.ev.done",
-    "engine.ev.snapshot",
     "engine.ev.fault",
     "engine.ev.retry",
     "engine.ev.shard_note",
@@ -640,7 +531,8 @@ struct MetricsState {
     jobs_in_flight: GaugeId,
     /// `(page label, histogram)` in the app's page-inventory order.
     pages: Vec<(String, HistId)>,
-    /// Per-WAN-leg series (same leg set as the telemetry registry's).
+    /// Per-WAN-leg series: every link at or above the WAN latency
+    /// threshold.
     wan: Vec<WanSeries>,
     /// Per-client-group issued-request counters (`group.<name>.issued`),
     /// aligned with `spec.groups`: the offered-demand signal the adaptive
@@ -753,9 +645,6 @@ pub(crate) enum Ev {
     Issue { slot: u32 },
     /// A request's program completed: record it and free its slot.
     Done { token: u32 },
-    /// Periodic telemetry snapshot (scheduled only when the spec enables
-    /// the telemetry series, so traced-off runs never see this variant).
-    Snapshot,
     /// Apply fault-schedule entry `idx` (scheduled once per entry at run
     /// start; an empty schedule adds zero events).
     Fault { idx: u32 },
@@ -769,7 +658,7 @@ pub(crate) enum Ev {
     /// Close the current metrics window (scheduled only when the spec's
     /// [`crate::spec::MetricsSettings`] arm the recorder, so metrics-off
     /// runs never see this variant). Rides the engine's internal side queue
-    /// so telemetry never perturbs the `queue.*` gauges it reports.
+    /// so the recorder never perturbs the `queue.*` gauges it reports.
     MetricsRoll,
     /// Adaptive-controller decision point (sequential runs only; parallel
     /// runs drive the controller from the conservative engine's window
@@ -799,13 +688,12 @@ impl Ev {
             Ev::Net(_) => 0,
             Ev::Issue { .. } => 1,
             Ev::Done { .. } => 2,
-            Ev::Snapshot => 3,
-            Ev::Fault { .. } => 4,
-            Ev::Retry { .. } => 5,
-            Ev::ShardNote { .. } => 6,
-            Ev::MetricsRoll => 7,
-            Ev::AdaptTick => 8,
-            Ev::Migrate { .. } => 9,
+            Ev::Fault { .. } => 3,
+            Ev::Retry { .. } => 4,
+            Ev::ShardNote { .. } => 5,
+            Ev::MetricsRoll => 6,
+            Ev::AdaptTick => 7,
+            Ev::Migrate { .. } => 8,
             Ev::ResetStats => EV_KIND_NAMES.len(),
             Ev::Perturb { .. } => EV_KIND_NAMES.len() + 1,
         }
@@ -829,7 +717,6 @@ impl Fire<World> for Ev {
             Ev::Net(NetEvent::Advance { job }) => advance_job(world, ctx, job),
             Ev::Issue { slot } => issue(world, ctx, slot as usize),
             Ev::Done { token } => complete_request(world, ctx, token),
-            Ev::Snapshot => snapshot_telemetry(world, ctx),
             Ev::Fault { idx } => apply_fault(world, ctx, idx),
             Ev::Retry { token } => retry_request(world, ctx, token),
             Ev::ShardNote { idx } => apply_shard_note(world, idx),
@@ -1138,59 +1025,6 @@ fn logical_wan_rts(net: &Network, threshold: SimDuration, crossings: &[Crossing]
         .sum()
 }
 
-/// Samples every registered gauge/counter into one timestamped snapshot and
-/// re-arms the cadence event.
-fn snapshot_telemetry(world: &mut World, ctx: &mut Context<'_, World, Ev>) {
-    // Take the handles out so the registry and the rest of the world can be
-    // borrowed simultaneously.
-    let Some(ids) = world.telemetry_ids.take() else {
-        return;
-    };
-    let depths = ctx.queue_depths();
-    let t = &mut world.telemetry;
-    t.set(ids.queue_near, depths.near as f64);
-    t.set(ids.queue_far, depths.far as f64);
-    t.set(ids.slab_slots, depths.slab_slots as f64);
-    t.set(ids.slab_free, depths.slab_free as f64);
-    t.set(ids.jobs_in_flight, world.jobs.in_flight() as f64);
-    t.set(ids.plan_hits, world.plans.hits as f64);
-    t.set(ids.plan_misses, world.plans.misses as f64);
-    t.set(ids.plan_invalidations, world.plans.invalidations as f64);
-    t.set(
-        ids.entity_cache_hits,
-        world.bind_totals.entity_cache_hits as f64,
-    );
-    t.set(
-        ids.query_cache_hits,
-        world.bind_totals.query_cache_hits as f64,
-    );
-    t.set(ids.completed, world.completed as f64);
-    t.set(ids.traces_committed, world.tracer.finished().len() as f64);
-    t.set(ids.traces_dropped, world.tracer.dropped() as f64);
-    for &(link, msgs_id, bytes_id) in &ids.wan_links {
-        let (msgs, bytes) = world.net.link_traffic(link);
-        t.set(msgs_id, msgs as f64);
-        t.set(bytes_id, bytes as f64);
-    }
-    if let Some(f) = &ids.faults {
-        let outcome = world.stats.total_outcome();
-        t.set(f.links_down, world.net.links_down() as f64);
-        t.set(f.nodes_down, world.net.nodes_down() as f64);
-        t.set(f.failed, outcome.failed as f64);
-        t.set(f.retries, outcome.retries as f64);
-    }
-    if let Some(s) = &ids.shard {
-        let shard = world.shard.as_ref().expect("shard gauges on sharded runs");
-        t.set(s.outbound_pending, shard.outbound.len() as f64);
-        t.set(s.notes_received, shard.notes.len() as f64);
-    }
-    t.snapshot(ctx.now());
-    if ctx.now() + ids.every <= world.spec.horizon() {
-        ctx.schedule_event_in(ids.every, Ev::Snapshot);
-    }
-    world.telemetry_ids = Some(ids);
-}
-
 /// Samples the engine gauges, folds the WAN traffic deltas, and closes the
 /// current metrics window; re-arms the cadence event until the horizon. The
 /// recorder is pure observation — nothing here touches simulation state, so
@@ -1222,7 +1056,7 @@ fn roll_metrics(world: &mut World, ctx: &mut Context<'_, World, Ev>) {
     }
     m.rec.roll();
     if ctx.now() + m.window <= world.spec.horizon() {
-        // Internal side queue: telemetry must not perturb the `queue.*`
+        // Internal side queue: the recorder must not perturb the `queue.*`
         // gauges it reports (or any main-queue tie-breaking).
         ctx.schedule_internal_in(m.window, Ev::MetricsRoll);
     }
@@ -1700,24 +1534,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         last_done_failed: false,
     };
     let tracer = Tracer::new(spec.trace.tracer_config());
-    let mut telemetry = TelemetryRegistry::new();
-    let telemetry_ids = if spec.trace.telemetry_enabled() {
-        // The default WAN threshold must match the job executor's; the
-        // World impl doesn't override `trace_wan_threshold`.
-        Some(TelemetryIds::register(
-            &mut telemetry,
-            &net,
-            SimDuration::from_millis(20),
-            spec.trace.telemetry_every,
-            TelemetryArms {
-                faults: faults_active,
-                sharded: shard.is_some(),
-            },
-        ))
-    } else {
-        None
-    };
-    let telemetry_every = telemetry_ids.as_ref().map(|ids| ids.every);
     let metrics = spec.metrics.active().then(|| {
         MetricsState::register(
             &net,
@@ -1770,8 +1586,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         measuring_from,
         completed: 0,
         tracer,
-        telemetry,
-        telemetry_ids,
         shard: shard.map(|_| ShardCtx {
             outbound: Vec::new(),
             notes: Vec::new(),
@@ -1791,16 +1605,12 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
     }
     // Reset resource statistics when the measured window opens.
     sim.schedule_event_at(measuring_from, Ev::ResetStats);
-    // Arm the telemetry cadence (typed event; never scheduled when off).
-    if let Some(every) = telemetry_every {
-        sim.schedule_event_at(SimTime::ZERO + every, Ev::Snapshot);
-    }
     // Surge onsets (no surges: no events, byte-identical queue history).
     for (slot, at) in surge_starts {
         sim.schedule_event_at(at, Ev::Issue { slot });
     }
     // Arm the metrics roll cadence on the engine's *internal* side queue:
-    // telemetry observes the main queue's gauges, so it must not sit in it.
+    // the roll samples the main queue's gauges, so it must not sit in it.
     if let Some(window) = metrics_window {
         sim.schedule_internal_at(SimTime::ZERO + window, Ev::MetricsRoll);
     }
@@ -1866,8 +1676,6 @@ pub(crate) fn drain_report(sim: Simulation<World, Ev>) -> ExperimentReport {
                 .collect(),
             group_names: world.spec.groups.iter().map(|g| g.name.clone()).collect(),
             db_node: world.descriptor.db_node.index() as u32,
-            telemetry_names: world.telemetry.names().to_vec(),
-            telemetry: world.telemetry.take_snapshots(),
         })
     } else {
         None
@@ -2181,25 +1989,27 @@ mod tests {
         use crate::spec::TraceSettings;
         use crate::trace_report::page_breakdown;
         let mut input = small_input(40);
-        input.spec = input.spec.with_trace(TraceSettings::full());
+        input.spec = input
+            .spec
+            .with_trace(TraceSettings::full())
+            .with_metrics(MetricsSettings::windowed(SimDuration::from_secs(5)));
         let report = run_experiment(input);
         let data = report.trace.expect("tracing enabled");
         // Full tracing commits one trace per completed measured request.
         let measured = data.traces.iter().filter(|t| t.meta.measured).count() as u64;
         assert_eq!(measured, report.completed);
-        // 150 s horizon at a 5 s cadence.
-        assert_eq!(data.telemetry.len(), 30);
-        assert!(data
-            .telemetry_names
+        // The recorder's windows ride along: 150 s horizon at a 5 s window,
+        // WAN traffic on the edge legs.
+        let rec = &report.metrics.expect("metrics armed").recorder;
+        assert_eq!(rec.rows().len(), 30);
+        let wan_bytes: u64 = rec
+            .counter_names()
             .iter()
-            .any(|n| n.starts_with("wan.") && n.ends_with(".bytes")));
-        let last = data.telemetry.last().unwrap();
-        let completed_idx = data
-            .telemetry_names
-            .iter()
-            .position(|n| n == "requests.completed")
-            .unwrap();
-        assert!(last.values[completed_idx] > 0.0);
+            .enumerate()
+            .filter(|(_, n)| n.starts_with("wan.") && n.ends_with(".bytes"))
+            .map(|(i, _)| rec.rows().iter().map(|r| r.counters[i]).sum::<u64>())
+            .sum();
+        assert!(wan_bytes > 0);
 
         // Critical-path attribution: the centralized config keeps every
         // crossing on the LAN (no logical WAN RTs), but remote clients ride
@@ -2336,14 +2146,18 @@ mod tests {
     }
 
     /// Satellite (a): a configured-but-empty fault policy leaves stats,
-    /// traces and telemetry byte-identical to a run without the subsystem.
+    /// traces and metrics windows byte-identical to a run without the
+    /// subsystem.
     #[test]
     fn fault_off_runs_are_byte_identical() {
         use crate::spec::TraceSettings;
         use crate::trace_report::jsonl;
         let run = |with_policy: bool| {
             let mut input = small_input(51);
-            input.spec = input.spec.with_trace(TraceSettings::full());
+            input.spec = input
+                .spec
+                .with_trace(TraceSettings::full())
+                .with_metrics(MetricsSettings::windowed(sec(5)));
             if with_policy {
                 // An armed policy and a non-default timeout — but no
                 // scheduled episode — must change nothing.
@@ -2361,14 +2175,10 @@ mod tests {
         assert_eq!(plain.completed, armed.completed);
         assert_eq!(plain.bind_totals, armed.bind_totals);
         assert_eq!(plain.events_fired, armed.events_fired);
+        assert!(plain.metrics.is_some());
+        assert_eq!(plain.metrics, armed.metrics, "metrics windows identical");
         let (pt, at) = (plain.trace.unwrap(), armed.trace.unwrap());
         assert_eq!(jsonl(&pt), jsonl(&at), "span logs byte-identical");
-        assert_eq!(pt.telemetry_names, at.telemetry_names);
-        assert_eq!(pt.telemetry, at.telemetry);
-        assert!(
-            !pt.telemetry_names.iter().any(|n| n.starts_with("fault.")),
-            "fault gauges exist only on fault runs"
-        );
     }
 
     #[test]
@@ -2580,6 +2390,7 @@ mod tests {
             input.spec = input
                 .spec
                 .with_trace(TraceSettings::full())
+                .with_metrics(MetricsSettings::windowed(sec(5)))
                 .with_faults(FaultSettings {
                     schedule,
                     timeout: sec(2),
@@ -2592,67 +2403,9 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.events_fired, b.events_fired);
+        assert_eq!(a.metrics, b.metrics);
         let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
         assert_eq!(jsonl(&ta), jsonl(&tb));
-        assert_eq!(ta.telemetry, tb.telemetry);
-        assert!(
-            ta.telemetry_names.iter().any(|x| x == "fault.nodes_down"),
-            "fault gauges registered on fault runs"
-        );
-    }
-
-    /// Satellite: the armed-only registration rule, pinned per
-    /// configuration — each optional gauge family appears iff its
-    /// subsystem is active, and never otherwise.
-    #[test]
-    fn telemetry_registry_contents_follow_the_armed_subsystems() {
-        use crate::spec::TraceSettings;
-        let families = |names: &[String]| {
-            (
-                names.iter().any(|n| n.starts_with("fault.")),
-                names.iter().any(|n| n.starts_with("shard.")),
-            )
-        };
-
-        // Plain traced run: neither optional family.
-        let mut input = small_input(57);
-        input.spec = input.spec.with_trace(TraceSettings::full());
-        let plain = run_experiment(input);
-        let names = plain.trace.unwrap().telemetry_names;
-        assert_eq!(families(&names), (false, false), "{names:?}");
-
-        // Fault-armed run: exactly the fault family joins.
-        let mut input = small_input(57);
-        let schedule = wan_partition(&input, 60, 70);
-        input.spec = input
-            .spec
-            .with_trace(TraceSettings::full())
-            .with_faults(FaultSettings {
-                schedule,
-                timeout: sec(2),
-                policy: FaultPolicy::none(),
-            });
-        let faulted = run_experiment(input);
-        let names = faulted.trace.unwrap().telemetry_names;
-        assert_eq!(families(&names), (true, false), "{names:?}");
-
-        // Conservative-parallel shard replica: exactly the shard family.
-        let mut input = small_input(57);
-        input.spec = input.spec.with_trace(TraceSettings::full());
-        let horizon = input.spec.horizon();
-        let mut sim = build_sim(
-            input,
-            Some(ShardPlan {
-                index: 0,
-                members: vec![true, true],
-            }),
-        );
-        sim.run_until(horizon);
-        let sharded = drain_report(sim);
-        let names = sharded.trace.unwrap().telemetry_names;
-        assert_eq!(families(&names), (false, true), "{names:?}");
-        assert!(names.iter().any(|n| n == "shard.outbound_pending"));
-        assert!(names.iter().any(|n| n == "shard.notes_received"));
     }
 
     // ---- windowed metrics --------------------------------------------------
@@ -2683,17 +2436,6 @@ mod tests {
         assert_eq!(off.staleness_ms, on.staleness_ms);
         let (to, tn) = (off.trace.unwrap(), on.trace.unwrap());
         assert_eq!(jsonl(&to), jsonl(&tn), "span logs byte-identical");
-        assert_eq!(to.telemetry_names, tn.telemetry_names);
-        // Every telemetry series is *exactly* identical, including the
-        // engine queue occupancy gauges: the recorder's roll event rides the
-        // internal side queue, which the depth gauges exclude — the observer
-        // never observes itself.
-        for (a, b) in to.telemetry.iter().zip(&tn.telemetry) {
-            assert_eq!(a.at, b.at);
-            for ((x, y), name) in a.values.iter().zip(&b.values).zip(&to.telemetry_names) {
-                assert_eq!(x, y, "{name}");
-            }
-        }
     }
 
     #[test]
@@ -2915,8 +2657,8 @@ mod tests {
         );
     }
 
-    /// Same-seed adaptive runs are byte-identical: span logs, telemetry,
-    /// and the controller's own decision log all replay exactly.
+    /// Same-seed adaptive runs are byte-identical: span logs, metrics
+    /// windows, and the controller's own decision log all replay exactly.
     #[test]
     fn adaptive_runs_are_identical_per_seed() {
         use crate::spec::TraceSettings;
@@ -2943,9 +2685,9 @@ mod tests {
         assert_eq!(a.events_fired, b.events_fired);
         assert_eq!(a.adaptive, b.adaptive);
         assert!(!a.adaptive.as_ref().unwrap().migrations.is_empty());
+        assert_eq!(a.metrics, b.metrics);
         let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
         assert_eq!(jsonl(&ta), jsonl(&tb));
-        assert_eq!(ta.telemetry, tb.telemetry);
     }
 
     /// Without observed drift the controller holds still: the drift floor

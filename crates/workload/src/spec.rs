@@ -7,10 +7,10 @@ use mutsvc_desim::time::{SimDuration, SimTime};
 use mutsvc_desim::trace::TraceConfig;
 use mutsvc_netsim::NodeId;
 
-/// Tracing and telemetry policy for one run. Fully disabled by default:
-/// the driver then never allocates a tracer buffer, never schedules the
-/// telemetry cadence event, and each instrumentation site costs a single
-/// branch (verified by the `--simperf` hot-path bench).
+/// Tracing policy for one run. Fully disabled by default: the driver then
+/// never allocates a tracer buffer and each instrumentation site costs a
+/// single branch (verified by the `--simperf` hot-path bench). Time series
+/// are the windowed recorder's job (see [`MetricsSettings`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceSettings {
     /// Master switch for span collection.
@@ -20,33 +20,28 @@ pub struct TraceSettings {
     /// Additionally commit any request slower than the slowest committed
     /// so far.
     pub trace_slowest: bool,
-    /// Telemetry snapshot cadence ([`SimDuration::ZERO`] disables the
-    /// snapshot series; ignored unless `enabled`).
-    pub telemetry_every: SimDuration,
 }
 
 impl TraceSettings {
-    /// Tracing and telemetry off (the default).
+    /// Tracing off (the default).
     pub fn off() -> Self {
         TraceSettings {
             enabled: false,
             sample_every: 1,
             trace_slowest: false,
-            telemetry_every: SimDuration::ZERO,
         }
     }
 
-    /// Trace every request; snapshot telemetry every 5 simulated seconds.
+    /// Trace every request.
     pub fn full() -> Self {
         TraceSettings {
             enabled: true,
             sample_every: 1,
             trace_slowest: true,
-            telemetry_every: SimDuration::from_secs(5),
         }
     }
 
-    /// Head-sample 1-in-`n` (plus slowest-so-far), telemetry every 5 s.
+    /// Head-sample 1-in-`n` (plus slowest-so-far).
     pub fn sampled(n: u64) -> Self {
         TraceSettings {
             sample_every: n.max(1),
@@ -61,11 +56,6 @@ impl TraceSettings {
             sample_every: self.sample_every.max(1),
             trace_slowest: self.trace_slowest,
         }
-    }
-
-    /// Whether the telemetry snapshot series is on.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.enabled && !self.telemetry_every.is_zero()
     }
 }
 
@@ -376,7 +366,7 @@ pub struct WorkloadSpec {
     /// equivalence testing and as the baseline in `--simperf` benches.
     #[serde(default = "default_bind_cache")]
     pub bind_cache: bool,
-    /// Tracing and telemetry policy (off by default; see [`TraceSettings`]).
+    /// Tracing policy (off by default; see [`TraceSettings`]).
     #[serde(default)]
     pub trace: TraceSettings,
     /// Fault injection: schedule, RMI timeout and reaction policy (off by
@@ -418,7 +408,7 @@ impl WorkloadSpec {
         }
     }
 
-    /// Sets the tracing/telemetry policy.
+    /// Sets the tracing policy.
     pub fn with_trace(mut self, trace: TraceSettings) -> Self {
         self.trace = trace;
         self

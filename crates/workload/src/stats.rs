@@ -5,7 +5,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use mutsvc_desim::metrics::{Histogram, Summary};
+use mutsvc_desim::metrics::Summary;
+use mutsvc_desim::recorder::LogHistogram;
 use mutsvc_desim::time::SimDuration;
 
 /// Identifies one measured series: client group × usage pattern × page.
@@ -73,11 +74,6 @@ impl GroupOutcome {
     }
 }
 
-/// Upper bound of the staleness histogram (ms); partitions are minutes
-/// long, so the CDF must resolve well past the episode length.
-const STALENESS_LIMIT_MS: f64 = 600_000.0;
-const STALENESS_BUCKETS: usize = 600;
-
 /// Collected response-time statistics for one experiment run.
 ///
 /// Internally series are *interned*: the string-keyed maps hold dense
@@ -86,7 +82,7 @@ const STALENESS_BUCKETS: usize = 600;
 /// (the string-keyed [`WorkloadStats::record`] remains as a convenience).
 /// Request outcomes (availability/error accounting under faults) are
 /// interned the same way through [`WorkloadStats::intern_group`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadStats {
     series_index: BTreeMap<SeriesKey, u32>,
     series_data: Vec<Summary>,
@@ -97,22 +93,7 @@ pub struct WorkloadStats {
     outcome_index: BTreeMap<String, u32>,
     outcome_data: Vec<GroupOutcome>,
     /// Staleness bounds (ms) of stale-served responses, across all groups.
-    staleness: Histogram,
-}
-
-impl Default for WorkloadStats {
-    fn default() -> Self {
-        WorkloadStats {
-            series_index: BTreeMap::new(),
-            series_data: Vec::new(),
-            session_index: BTreeMap::new(),
-            session_data: Vec::new(),
-            requests: 0,
-            outcome_index: BTreeMap::new(),
-            outcome_data: Vec::new(),
-            staleness: Histogram::new(STALENESS_LIMIT_MS, STALENESS_BUCKETS),
-        }
-    }
+    staleness: LogHistogram,
 }
 
 impl WorkloadStats {
@@ -241,7 +222,7 @@ impl WorkloadStats {
     }
 
     /// The staleness CDF of stale-served responses (ms).
-    pub fn staleness_histogram(&self) -> &Histogram {
+    pub fn staleness_histogram(&self) -> &LogHistogram {
         &self.staleness
     }
 
@@ -305,11 +286,6 @@ impl WorkloadStats {
     /// collection is identical whichever shard order produced it — merging
     /// is applied in ascending shard index, which is fixed by the topology,
     /// so thread count never changes the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the staleness histograms have different geometry (they
-    /// never do: every collection uses the same fixed buckets).
     pub fn merge(&mut self, other: &WorkloadStats) {
         use std::collections::btree_map::Entry;
         self.requests += other.requests;

@@ -15,7 +15,6 @@
 //!   propagation, serialization, queueing, server service and DB time, with
 //!   both logical (binder-derived) and critical-path WAN round trips.
 
-use mutsvc_desim::telemetry::TelemetrySnapshot;
 use mutsvc_desim::trace::{critical_path, CompletedTrace, PathBreakdown, Span, SpanKind};
 
 /// A run's trace payload, resolved enough to export without the world.
@@ -31,10 +30,6 @@ pub struct TraceData {
     pub group_names: Vec<String>,
     /// Node index hosting the database.
     pub db_node: u32,
-    /// Telemetry metric names (parallel to snapshot value vectors).
-    pub telemetry_names: Vec<String>,
-    /// Telemetry snapshot series.
-    pub telemetry: Vec<TelemetrySnapshot>,
 }
 
 /// Mean critical-path decomposition of one page for one client group.
@@ -473,8 +468,6 @@ mod tests {
             link_names: vec!["edge1->router".into()],
             group_names: vec!["local".into(), "remote1".into()],
             db_node: 7,
-            telemetry_names: Vec::new(),
-            telemetry: Vec::new(),
         }
     }
 
