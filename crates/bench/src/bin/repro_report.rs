@@ -17,8 +17,10 @@
 //!
 //! `--simperf` measures simulator request throughput at 1×/10×/100× the
 //! paper's arrival rate, with the bound-program cache off (the full-binder
-//! baseline) and on, and writes `BENCH_simperf.json`; `--smoke` shortens the
-//! windows and stops at 10× for CI's wall-clock-bounded regression gate.
+//! baseline) and on, then sequential RUBiS on the fan-out topology at 2, 4,
+//! 8 and 16 client regions (best of 3 runs each), and writes
+//! `BENCH_simperf.json`; `--smoke` shortens the windows and stops at 10× for
+//! CI's wall-clock-bounded regression gate.
 //! `--parallel N` caps the conservative-parallel engine's thread ladder
 //! (1/2/4/8) measured on the eight-region fan-out topology; every thread
 //! count is asserted in-process to produce an identical report digest.
@@ -81,7 +83,8 @@ use mutsvc_bench::placement_report::{
 };
 use mutsvc_bench::run_sweep_parallel;
 use mutsvc_bench::simperf_report::{
-    measure_simperf, parallel_scaling_at, render_simperf_json, speedup_at, thread_counts,
+    fanout_cost_at, measure_simperf, parallel_scaling_at, render_simperf_json, speedup_at,
+    thread_counts, FANOUT_REGIONS,
 };
 use mutsvc_bench::trace_artifacts::{
     config_by_name, render_trace_json, render_wan_rt_table, run_traced_sweep,
@@ -364,9 +367,11 @@ fn print_simperf(smoke: bool, seed: u64, parallel: usize) {
             )
         };
         println!(
-            "  {:<9} {:>4}x load  {engine}  cache {:<3}  {:>9.0} req/s  \
+            "  {:<9} {:<6} {:>2} regions {:>4}x load  {engine}  cache {:<3}  {:>9.0} req/s  \
              {:>11.0} events/s  hit rate {:>5.1}%",
             cell.app,
+            cell.topology,
+            cell.regions,
             cell.load_factor,
             if cell.bind_cache { "on" } else { "off" },
             cell.requests_per_sec,
@@ -375,6 +380,12 @@ fn print_simperf(smoke: bool, seed: u64, parallel: usize) {
         );
     }
     let top = if smoke { 10 } else { 100 };
+    for regions in FANOUT_REGIONS {
+        println!(
+            "  rubis: {:.2}x host time per request at {regions} regions vs the paper topology",
+            fanout_cost_at(&cells, "rubis", regions)
+        );
+    }
     for app in ["petstore", "rubis"] {
         println!(
             "  {app}: {:.1}x requests/s with the bound-program cache at {top}x load",

@@ -397,7 +397,7 @@ mod tests {
                 )
             })
             .collect();
-        let sequential: Vec<ExperimentReport> = scenarios.iter().map(|s| s.run()).collect();
+        let sequential: Vec<ExperimentReport> = scenarios.iter().map(Scenario::run).collect();
         let parallel = crate::run_scenarios_parallel(scenarios);
         for (a, b) in sequential.iter().zip(&parallel) {
             assert_eq!(a.stats, b.stats);

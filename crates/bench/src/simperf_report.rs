@@ -15,19 +15,26 @@
 //! the offered load and the simulator — not the modelled system — stays the
 //! thing being measured.
 //!
-//! A second family of rows measures the conservative-parallel engine
-//! (DESIGN.md §6.5) on a widened eight-region fan-out topology at thread
-//! counts 1/2/4/8 (capped by `--parallel N`). Because the parallel merge is
-//! deterministic by construction, the bench asserts in-process that every
-//! thread count produces an identical report digest before it reports any
-//! wall-clock number — a scaling figure that changed the answer would panic
-//! instead of printing.
+//! A second family of rows runs RUBiS on the sequential engine over the
+//! widened fan-out topology at 2, 4, 8 and 16 client regions, with the total
+//! load fixed at the top load factor and the cache on. Events per request
+//! barely move with the region count, so host time per request against the
+//! paper-topology row (the `"fanout_cost"` map) is the per-edge cost of the
+//! write path. Each row keeps the fastest of three in-process runs.
+//!
+//! A third family measures the conservative-parallel engine (DESIGN.md
+//! §6.5) on the eight-region fan-out at thread counts 1/2/4/8 (capped by
+//! `--parallel N`). Because the parallel merge is deterministic by
+//! construction, the bench asserts in-process that every thread count
+//! produces an identical report digest before it reports any wall-clock
+//! number — a scaling figure that changed the answer would panic instead of
+//! printing.
 
 use std::time::Instant;
 
 use mutsvc_core::{fanout_input, AppKind, Config, Scenario};
 use mutsvc_desim::time::SimDuration;
-use mutsvc_workload::{run_experiment, run_experiment_parallel, ExperimentReport};
+use mutsvc_workload::{run_experiment, run_experiment_parallel, ExperimentInput, ExperimentReport};
 
 /// One measured cell: an application at a load factor, cache on or off.
 #[derive(Debug, Clone)]
@@ -36,6 +43,11 @@ pub struct SimperfCell {
     pub app: &'static str,
     /// Configuration under test (the full §4.5 deployment).
     pub config: &'static str,
+    /// `"paper"` for the paper's three-node topology, `"fanout"` for the
+    /// widened fan-out topology of [`fanout_input`].
+    pub topology: &'static str,
+    /// Client regions (client groups) of the topology.
+    pub regions: usize,
     /// Multiplier on the paper's 30 req/s arrival rate.
     pub load_factor: u32,
     /// Whether the bound-program cache was enabled.
@@ -69,32 +81,52 @@ pub fn load_factors(smoke: bool) -> &'static [u32] {
     }
 }
 
-fn run_cell(app: AppKind, factor: u32, bind_cache: bool, smoke: bool, seed: u64) -> SimperfCell {
-    let config = Config::AsyncUpdates;
-    let (mut input, _) = Scenario::quick(app, config).build();
-    let (warmup, duration) = if smoke {
+/// Simulated (warm-up, measured) windows: `--smoke` shortens them for CI.
+fn windows(smoke: bool) -> (SimDuration, SimDuration) {
+    if smoke {
         (SimDuration::from_secs(10), SimDuration::from_secs(30))
     } else {
         (SimDuration::from_secs(20), SimDuration::from_secs(100))
-    };
+    }
+}
+
+/// Scales `input` to `factor`× the arrival rate on `factor`× the hardware,
+/// runs it on the sequential engine (`threads` 0) or the parallel engine,
+/// and times the run.
+fn measure(
+    app: AppKind,
+    topology: &'static str,
+    mut input: ExperimentInput,
+    factor: u32,
+    bind_cache: bool,
+    threads: usize,
+    smoke: bool,
+) -> (SimperfCell, ExperimentReport) {
+    let (warmup, duration) = windows(smoke);
     // Provision the modelled hardware with the load: the bench measures the
-    // simulator's throughput, not the paper topology's saturation point.
+    // simulator's throughput, not the topology's saturation point.
     input.topology.scale_capacity(factor as f64);
     input.spec = input
         .spec
         .scale_rates(factor as f64)
         .with_duration(warmup, duration)
-        .with_seed(seed)
         .with_bind_cache(bind_cache);
+    let regions = input.spec.groups.len();
 
     let started = Instant::now();
-    let report = run_experiment(input);
+    let report = if threads == 0 {
+        run_experiment(input)
+    } else {
+        run_experiment_parallel(input, threads)
+    };
     let wall = started.elapsed().as_secs_f64().max(1e-9);
 
     let issued = report.bind_cache.hits + report.bind_cache.misses;
-    SimperfCell {
+    let cell = SimperfCell {
         app: app.name(),
-        config: config.name(),
+        config: Config::AsyncUpdates.name(),
+        topology,
+        regions,
         load_factor: factor,
         bind_cache,
         wall_secs: wall,
@@ -107,9 +139,45 @@ fn run_cell(app: AppKind, factor: u32, bind_cache: bool, smoke: bool, seed: u64)
         } else {
             report.bind_cache.hits as f64 / issued as f64
         },
-        threads: 0,
-        shard_events: Vec::new(),
+        threads,
+        shard_events: report.shard_events.clone(),
+    };
+    (cell, report)
+}
+
+fn run_cell(app: AppKind, factor: u32, bind_cache: bool, smoke: bool, seed: u64) -> SimperfCell {
+    let (mut input, _) = Scenario::quick(app, Config::AsyncUpdates).build();
+    input.spec = input.spec.with_seed(seed);
+    measure(app, "paper", input, factor, bind_cache, 0, smoke).0
+}
+
+/// Client-region counts of the sequential fan-out rows: the local cluster
+/// plus 1, 3, 7 and 15 WAN edge regions.
+pub const FANOUT_REGIONS: [usize; 4] = [2, 4, 8, 16];
+
+/// In-process runs per fan-out row; the row keeps the fastest.
+const FANOUT_RUNS: usize = 3;
+
+/// One sequential RUBiS fan-out row: the fastest of [`FANOUT_RUNS`] runs,
+/// which must all simulate the same history.
+fn run_fanout_cell(regions: usize, factor: u32, smoke: bool, seed: u64) -> SimperfCell {
+    let app = AppKind::Rubis;
+    let mut best: Option<SimperfCell> = None;
+    for _ in 0..FANOUT_RUNS {
+        let input = fanout_input(app, Config::AsyncUpdates, regions - 1, seed);
+        let (cell, _) = measure(app, "fanout", input, factor, true, 0, smoke);
+        if let Some(b) = &best {
+            assert_eq!(
+                (b.completed, b.events_fired),
+                (cell.completed, cell.events_fired),
+                "rubis/{regions} regions: repeated runs diverged"
+            );
+        }
+        if best.as_ref().is_none_or(|b| cell.wall_secs < b.wall_secs) {
+            best = Some(cell);
+        }
     }
+    best.expect("at least one run")
 }
 
 /// How many WAN edge regions the parallel rows fan out to. With the local
@@ -149,50 +217,16 @@ fn run_parallel_cell(
     smoke: bool,
     seed: u64,
 ) -> (SimperfCell, String) {
-    let config = Config::AsyncUpdates;
-    let mut input = fanout_input(app, config, PARALLEL_EDGES, seed);
-    let (warmup, duration) = if smoke {
-        (SimDuration::from_secs(10), SimDuration::from_secs(30))
-    } else {
-        (SimDuration::from_secs(20), SimDuration::from_secs(100))
-    };
-    input.topology.scale_capacity(factor as f64);
-    input.spec = input
-        .spec
-        .scale_rates(factor as f64)
-        .with_duration(warmup, duration)
-        .with_bind_cache(true);
-
-    let started = Instant::now();
-    let report = run_experiment_parallel(input, threads);
-    let wall = started.elapsed().as_secs_f64().max(1e-9);
-    let digest = report_digest(&report);
-
-    let issued = report.bind_cache.hits + report.bind_cache.misses;
-    let cell = SimperfCell {
-        app: app.name(),
-        config: config.name(),
-        load_factor: factor,
-        bind_cache: true,
-        wall_secs: wall,
-        completed: report.completed,
-        requests_per_sec: report.completed as f64 / wall,
-        events_fired: report.events_fired,
-        events_per_sec: report.events_fired as f64 / wall,
-        hit_rate: if issued == 0 {
-            0.0
-        } else {
-            report.bind_cache.hits as f64 / issued as f64
-        },
-        threads,
-        shard_events: report.shard_events,
-    };
-    (cell, digest)
+    let input = fanout_input(app, Config::AsyncUpdates, PARALLEL_EDGES, seed);
+    let (cell, report) = measure(app, "fanout", input, factor, true, threads, smoke);
+    (cell, report_digest(&report))
 }
 
 /// Measures both applications across the load factors, cache off then on at
-/// each point. Cells come back grouped `(app, factor, [off, on])`. When
-/// `parallel_cap > 0`, appends the conservative-parallel rows: each
+/// each point. Cells come back grouped `(app, factor, [off, on])`, followed
+/// by the sequential RUBiS fan-out rows at the top load factor, one per
+/// [`FANOUT_REGIONS`] entry. When `parallel_cap > 0`, appends the
+/// conservative-parallel rows: each
 /// application at the top load factor on the eight-region fan-out, at every
 /// [`thread_counts`] point, asserting that all thread counts digest
 /// identically before any number is reported.
@@ -217,8 +251,11 @@ pub fn measure_simperf(smoke: bool, seed: u64, parallel_cap: usize) -> Vec<Simpe
             }
         }
     }
+    let top = *load_factors(smoke).last().unwrap();
+    for regions in FANOUT_REGIONS {
+        cells.push(run_fanout_cell(regions, top, smoke, seed));
+    }
     if parallel_cap > 0 {
-        let top = *load_factors(smoke).last().unwrap();
         for app in AppKind::all() {
             let mut baseline_digest: Option<String> = None;
             for threads in thread_counts(parallel_cap) {
@@ -240,18 +277,43 @@ pub fn measure_simperf(smoke: bool, seed: u64, parallel_cap: usize) -> Vec<Simpe
     cells
 }
 
+/// The sequential paper-topology row of `(app, factor, bind_cache)`.
+fn paper_row<'a>(
+    cells: &'a [SimperfCell],
+    app: &str,
+    factor: u32,
+    bind_cache: bool,
+) -> Option<&'a SimperfCell> {
+    cells.iter().find(|c| {
+        c.topology == "paper"
+            && c.app == app
+            && c.load_factor == factor
+            && c.bind_cache == bind_cache
+            && c.threads == 0
+    })
+}
+
 /// Cache-on over cache-off requests/s for one `(app, factor)` pair, over
-/// the classic sequential rows.
+/// the sequential paper-topology rows.
 pub fn speedup_at(cells: &[SimperfCell], app: &str, factor: u32) -> f64 {
-    let rate = |cache: bool| {
-        cells
-            .iter()
-            .find(|c| {
-                c.app == app && c.load_factor == factor && c.bind_cache == cache && c.threads == 0
-            })
-            .map_or(f64::NAN, |c| c.requests_per_sec)
-    };
+    let rate =
+        |cache: bool| paper_row(cells, app, factor, cache).map_or(f64::NAN, |c| c.requests_per_sec);
     rate(true) / rate(false)
+}
+
+/// Host time per request of the sequential `regions`-region fan-out row of
+/// `app` over the paper-topology row at the same load factor, cache on: how
+/// the simulator's per-request cost grows with the edge count.
+pub fn fanout_cost_at(cells: &[SimperfCell], app: &str, regions: usize) -> f64 {
+    let Some(row) = cells
+        .iter()
+        .find(|c| c.topology == "fanout" && c.app == app && c.regions == regions && c.threads == 0)
+    else {
+        return f64::NAN;
+    };
+    paper_row(cells, app, row.load_factor, true).map_or(f64::NAN, |paper| {
+        paper.requests_per_sec / row.requests_per_sec
+    })
 }
 
 /// Requests/s of an application's `threads`-thread parallel row over its
@@ -268,27 +330,32 @@ pub fn parallel_scaling_at(cells: &[SimperfCell], app: &str, threads: usize) -> 
 
 /// Renders the cells as the `BENCH_simperf.json` document. Hand-formatted
 /// (the vendored serde is a no-op stand-in); schema per entry:
-/// `{"app", "config", "load_factor", "bind_cache", "threads", "wall_secs",
-/// "completed", "requests_per_sec", "events_per_sec", "hit_rate",
-/// "shard_events"}` (`threads` 0 = classic sequential engine),
-/// plus a top-level `"cores"` (the machine's available parallelism — the
-/// honest context for any scaling ratio), a `"speedup"` map of
-/// `app_factor` → cached/uncached requests/s over the sequential rows, and
-/// a `"parallel_scaling"` map of `app_Nt` → N-thread over 1-thread
-/// requests/s on the fan-out topology.
+/// `{"app", "config", "topology", "regions", "load_factor", "bind_cache",
+/// "threads", "wall_secs", "completed", "requests_per_sec",
+/// "events_per_sec", "hit_rate", "shard_events"}` (`threads` 0 = classic
+/// sequential engine), plus a top-level `"cores"` (the machine's available
+/// parallelism — the honest context for any scaling ratio), a `"speedup"`
+/// map of `app_factor` → cached/uncached requests/s over the sequential
+/// paper-topology rows, a `"fanout_cost"` map of `app_Nr` → host time per
+/// request of the sequential N-region fan-out row over the paper-topology
+/// row ([`fanout_cost_at`]), and a `"parallel_scaling"` map of `app_Nt` →
+/// N-thread over 1-thread requests/s on the fan-out topology.
 pub fn render_simperf_json(cells: &[SimperfCell], cores: usize) -> String {
     let mut out = format!("{{\n  \"cores\": {cores},\n  \"entries\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
         let shards: Vec<String> = c.shard_events.iter().map(u64::to_string).collect();
         out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"config\": \"{}\", \"load_factor\": {}, \
+            "    {{\"app\": \"{}\", \"config\": \"{}\", \"topology\": \"{}\", \
+             \"regions\": {}, \"load_factor\": {}, \
              \"bind_cache\": {}, \"threads\": {}, \"wall_secs\": {:.3}, \
              \"completed\": {}, \"requests_per_sec\": {:.1}, \
              \"events_per_sec\": {:.1}, \"hit_rate\": {:.4}, \
              \"shard_events\": [{}]}}{comma}\n",
             c.app,
             c.config,
+            c.topology,
+            c.regions,
             c.load_factor,
             c.bind_cache,
             c.threads,
@@ -302,7 +369,10 @@ pub fn render_simperf_json(cells: &[SimperfCell], cores: usize) -> String {
     }
     out.push_str("  ],\n  \"speedup\": {");
     let mut pairs = Vec::new();
-    for c in cells.iter().filter(|c| c.threads == 0) {
+    for c in cells
+        .iter()
+        .filter(|c| c.topology == "paper" && c.threads == 0)
+    {
         if !pairs.contains(&(c.app, c.load_factor)) {
             pairs.push((c.app, c.load_factor));
         }
@@ -312,6 +382,20 @@ pub fn render_simperf_json(cells: &[SimperfCell], cores: usize) -> String {
         out.push_str(&format!(
             "\"{app}_{factor}x\": {:.2}{comma}",
             speedup_at(cells, app, *factor)
+        ));
+    }
+    out.push_str("},\n  \"fanout_cost\": {");
+    let rows: Vec<&SimperfCell> = cells
+        .iter()
+        .filter(|c| c.topology == "fanout" && c.threads == 0)
+        .collect();
+    for (i, c) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        out.push_str(&format!(
+            "\"{}_{}r\": {:.2}{comma}",
+            c.app,
+            c.regions,
+            fanout_cost_at(cells, c.app, c.regions)
         ));
     }
     out.push_str("},\n  \"parallel_scaling\": {");
@@ -337,9 +421,12 @@ mod tests {
     use super::*;
 
     fn cell(bind_cache: bool, threads: usize, rps: f64, shard_events: Vec<u64>) -> SimperfCell {
+        let fanout = threads > 0;
         SimperfCell {
             app: "rubis",
             config: "async-updates",
+            topology: if fanout { "fanout" } else { "paper" },
+            regions: if fanout { 8 } else { 3 },
             load_factor: 10,
             bind_cache,
             wall_secs: 2.0,
@@ -387,6 +474,30 @@ mod tests {
         );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn fanout_rows_price_against_the_paper_row() {
+        let fanout = |regions: usize, rps: f64| SimperfCell {
+            topology: "fanout",
+            regions,
+            ..cell(true, 0, rps, Vec::new())
+        };
+        let cells = vec![
+            cell(false, 0, 1500.0, Vec::new()),
+            cell(true, 0, 12_000.0, Vec::new()),
+            fanout(2, 12_000.0),
+            fanout(8, 8_000.0),
+        ];
+        assert!((fanout_cost_at(&cells, "rubis", 8) - 1.5).abs() < 1e-9);
+        assert!(fanout_cost_at(&cells, "rubis", 16).is_nan());
+        // The paper-topology speed-up never reads the fan-out rows.
+        assert!((speedup_at(&cells, "rubis", 10) - 8.0).abs() < 1e-9);
+        let json = render_simperf_json(&cells, 2);
+        assert!(json.contains("\"fanout_cost\": {\"rubis_2r\": 1.00,\"rubis_8r\": 1.50}"));
+        assert!(json.contains("\"topology\": \"fanout\", \"regions\": 8"));
+        assert_eq!(json.matches("\"rubis_10x\"").count(), 1);
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use mutsvc_desim::rng::SimRng;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_netsim::{NodeId, ProtocolParams, Step};
-use mutsvc_relstore::{affects, Database, Query, RowId, TableId};
+use mutsvc_relstore::{Database, Query, RowId, TableId};
 
 use crate::component::{ComponentId, ComponentKind, ComponentRegistry};
 use crate::descriptor::{DeploymentDescriptor, UpdatePropagation};
@@ -671,16 +671,9 @@ impl<'a> Binder<'a> {
                 }
             }
         }
-        // Only queries on the written table can be affected; the by-table
-        // index avoids cloning every cached query at the node per write.
-        let state = &self.state;
-        let pending = &mut self.pending_queries;
         for &node in &self.descriptor.query_cache.nodes {
-            for query in state.cached_queries_on(node, effect.table) {
-                if affects(&effect, query) {
-                    pending.push((node, query.clone()));
-                }
-            }
+            self.state
+                .affected_queries(node, &effect, &mut self.pending_queries);
         }
         steps
     }

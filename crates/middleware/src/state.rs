@@ -6,11 +6,16 @@
 //! caches track which `(node, component)` pairs have resolved their
 //! home/remote stubs. Warm-up behaviour therefore emerges naturally, and
 //! invariants such as §4.3's zero-staleness guarantee are testable.
+//!
+//! Each query-cache node keeps one [`QueryCache`], which indexes its results
+//! by predicate: a write looks up the results it invalidates
+//! ([`ContainerState::affected_queries`]) instead of testing every result
+//! cached on the written table.
 
 use std::collections::{HashMap, HashSet};
 
 use mutsvc_netsim::NodeId;
-use mutsvc_relstore::{Query, RowId, TableId};
+use mutsvc_relstore::{MutationEffect, Query, QueryCache, RowId};
 
 use crate::component::ComponentId;
 
@@ -30,10 +35,8 @@ pub enum RowCacheState {
 pub struct ContainerState {
     /// Read-only entity replica caches: (entity, node) → row → valid?
     entity_rows: HashMap<(ComponentId, NodeId), HashMap<RowId, bool>>,
-    /// Query caches keyed by `(node, table)` → query → valid?, so write
-    /// invalidation scans only the written table's queries instead of every
-    /// result cached at the node (the dominant per-write cost at high load).
-    query_results: HashMap<(NodeId, TableId), HashMap<Query, bool>>,
+    /// Query caches: node → its cached results, indexed by predicate.
+    query_results: HashMap<NodeId, QueryCache>,
     /// Resolved stubs: (node, component).
     stubs: HashSet<(NodeId, ComponentId)>,
     /// Monotonic version counter per entity row, for staleness audits.
@@ -127,54 +130,35 @@ impl ContainerState {
     /// Whether `query` is cached-and-valid at `node`.
     pub fn query_cached(&self, node: NodeId, query: &Query) -> bool {
         self.query_results
-            .get(&(node, query.table()))
-            .and_then(|m| m.get(query))
-            .copied()
-            .unwrap_or(false)
+            .get(&node)
+            .is_some_and(|c| c.is_valid(query))
     }
 
     /// Stores (or refreshes) a query result at `node`.
     pub fn cache_query(&mut self, node: NodeId, query: Query) {
-        self.query_results
-            .entry((node, query.table()))
-            .or_default()
-            .insert(query, true);
+        self.query_results.entry(node).or_default().cache(query);
     }
 
     /// Invalidates a cached query at `node` if present; returns whether it
     /// was cached.
     pub fn invalidate_query(&mut self, node: NodeId, query: &Query) -> bool {
-        if let Some(m) = self.query_results.get_mut(&(node, query.table())) {
-            if let Some(valid) = m.get_mut(query) {
-                *valid = false;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// All queries currently stored (valid or not) at `node`, any table.
-    pub fn cached_queries(&self, node: NodeId) -> Vec<Query> {
         self.query_results
-            .iter()
-            .filter(|((n, _), _)| *n == node)
-            .flat_map(|(_, m)| m.keys().cloned())
-            .collect()
+            .get_mut(&node)
+            .is_some_and(|c| c.invalidate(query))
     }
 
-    /// Queries stored (valid or not) at `node` that read `table` — the only
-    /// ones a write to `table` can invalidate. Borrowed iteration: the write
-    /// path filters with [`mutsvc_relstore::affects`] without cloning the
-    /// node's whole cache.
-    pub fn cached_queries_on(
+    /// Pushes `(node, q)` onto `out` for every query `q` stored (valid or
+    /// not) at `node` that `effect` invalidates; see
+    /// [`QueryCache::affected`].
+    pub fn affected_queries(
         &self,
         node: NodeId,
-        table: TableId,
-    ) -> impl Iterator<Item = &Query> + '_ {
-        self.query_results
-            .get(&(node, table))
-            .into_iter()
-            .flat_map(|m| m.keys())
+        effect: &MutationEffect,
+        out: &mut Vec<(NodeId, Query)>,
+    ) {
+        if let Some(cache) = self.query_results.get(&node) {
+            cache.affected(effect, |q| out.push((node, q)));
+        }
     }
 
     // ---- stub caches --------------------------------------------------------
@@ -198,7 +182,7 @@ impl ContainerState {
     /// with the database, not the container, and are untouched.
     pub fn evict_node(&mut self, node: NodeId) {
         self.entity_rows.retain(|(_, n), _| *n != node);
-        self.query_results.retain(|(n, _), _| *n != node);
+        self.query_results.remove(&node);
         self.stubs.retain(|(n, _)| *n != node);
         self.replica_versions.retain(|(_, n, _), _| *n != node);
     }
@@ -286,7 +270,10 @@ mod tests {
                 id: RowId(1)
             }
         ));
-        assert_eq!(s.cached_queries(edge).len(), 1);
+        // An invalidated result stays stored until it is re-cached.
+        assert!(s.invalidate_query(edge, &q));
+        s.cache_query(edge, q.clone());
+        assert!(s.query_cached(edge, &q));
     }
 
     #[test]

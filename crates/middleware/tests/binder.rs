@@ -465,6 +465,19 @@ fn query_cache_pull_mode_invalidates() {
     let desc = query_cached_config(&fx, UpdatePropagation::Invalidate);
     let page = product_page(&fx, 1);
     let _ = bind!(&mut fx, &desc, fx.client_edge, fx.edge1, &page);
+    // A write to a product-2 row cannot change the product-1 result, so the
+    // cached page must keep hitting.
+    let unrelated = commit_page(&fx, 6); // item 6 has product (6-1)%3 == 2
+    assert_eq!(
+        fx.db.table(fx.items_table).cell(RowId(6), 1),
+        Some(&Value::Int(2))
+    );
+    let _ = bind!(&mut fx, &desc, fx.client_main, fx.main, &unrelated);
+    let still = bind!(&mut fx, &desc, fx.client_edge, fx.edge1, &page);
+    assert_eq!(
+        still.stats.query_cache_hits, 1,
+        "a write to another product leaves the cached result valid"
+    );
     let commit = commit_page(&fx, 5);
     let _ = bind!(&mut fx, &desc, fx.client_main, fx.main, &commit);
     let after = bind!(&mut fx, &desc, fx.client_edge, fx.edge1, &page);

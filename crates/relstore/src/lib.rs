@@ -9,7 +9,9 @@
 //!   LIKE / full scan), mutations with structured [`MutationEffect`]s, and a
 //!   statement cost model,
 //! * [`invalidation`] — the write-vs-cached-query dependency check that edge
-//!   query-cache containers need (§4.4/§5 of the paper).
+//!   query-cache containers need (§4.4/§5 of the paper), and
+//!   [`QueryCache`], the predicate-indexed result store that answers it for
+//!   a whole cache by lookup.
 //!
 //! ## Example
 //!
@@ -40,6 +42,6 @@ pub mod value;
 pub use database::{
     CostModel, Database, DatabaseBuilder, Mutation, MutationEffect, Query, QueryOutcome,
 };
-pub use invalidation::{affects, GenerationCursor};
+pub use invalidation::{affects, GenerationCursor, QueryCache};
 pub use table::{ColumnDef, Table, TableId};
 pub use value::{RowId, Value};

@@ -2473,7 +2473,7 @@ mod tests {
             .rows()
             .iter()
             .flat_map(|r| r.hists.iter())
-            .map(|h| h.total())
+            .map(LogHistogram::total)
             .sum();
         assert_eq!(hist_total, report.completed);
         // The engine self-profile saw at least one Done per completion and
