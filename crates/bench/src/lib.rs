@@ -1,9 +1,11 @@
-//! # mutsvc-bench — benchmark harness support
+//! # mutsvc-bench — report generators
 //!
-//! Shared helpers for the report binary and the Criterion benches: parallel
-//! sweep execution across scenario cells, the placement move-throughput
-//! measurement behind `BENCH_placement.json`, and the simulator hot-path
-//! throughput measurement behind `BENCH_simperf.json`.
+//! The library behind the `repro-report` binary: parallel sweep execution
+//! across scenario cells, the artifact renderers and validators
+//! (`BENCH_faults.json`, `BENCH_adaptive.json`, the trace and metrics
+//! exports), the placement move-throughput measurement behind
+//! `BENCH_placement.json`, and the simulator hot-path throughput
+//! measurement behind `BENCH_simperf.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,13 @@
-//! Placement move-throughput measurement shared by the Criterion bench and
-//! the `repro-report --placement` report (`BENCH_placement.json`).
+//! Placement move-throughput measurement behind the
+//! `repro-report --placement` report (`BENCH_placement.json`).
 //!
 //! Two measurement families feed the report:
 //!
 //! * the *paper graphs* — Pet Store and RUBiS on the 3-host star, replayed
-//!   two ways (re-sweeping the whole graph with [`cost`] after every move
-//!   versus applying deltas through the incremental [`CostEvaluator`]), so
-//!   the reported speedup is an apples-to-apples moves/sec ratio;
+//!   two ways (re-sweeping the whole graph with [`cost`](fn@cost) after
+//!   every move versus applying deltas through the incremental
+//!   [`CostEvaluator`]), so the reported speedup is an apples-to-apples
+//!   moves/sec ratio;
 //! * the *scale ladder* — the RUBiS graph re-targeted onto generated
 //!   multi-tier topologies ([`MultiTierSpec::ladder_rung`]: 4, 16, 64 and
 //!   256 application-server hosts), recording evaluator build time and the
@@ -81,8 +82,8 @@ pub fn move_sequence(problem: &PlacementProblem, count: usize, seed: u64) -> Vec
 }
 
 /// Replays `moves` mutating a [`Placement`] directly and re-sweeping the
-/// whole graph with [`cost`] after every move — what every search algorithm
-/// did before the incremental evaluator. Returns the final cost.
+/// whole graph with [`cost`](fn@cost) after every move — what every search
+/// algorithm did before the incremental evaluator. Returns the final cost.
 pub fn replay_full_recompute(problem: &PlacementProblem, moves: &[Move]) -> f64 {
     let mut placement = Placement::all_on(problem, HostId(0));
     let mut last = cost(problem, &placement);

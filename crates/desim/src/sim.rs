@@ -14,7 +14,7 @@
 //! open workload keeps thousands) until the horizon reaches them. Each fired
 //! event costs one pop: its heap slot keeps its ordering key while the event
 //! fires, and the first follow-up event scheduled into the near tier takes
-//! that slot over with a single sift-down. See [`Store`] for the exactness
+//! that slot over with a single sift-down. See `Store` for the exactness
 //! argument. Engine bookkeeping (metrics rolls, controller ticks) may ride a
 //! separate internal side heap that shares the same ordering but stays out
 //! of [`QueueDepths`].
@@ -638,7 +638,7 @@ impl<W, E: Fire<W>> Simulation<W, E> {
     /// pending far events.
     ///
     /// The epoch only affects *when* far-future events migrate into the
-    /// near heap, never their firing order (see [`Store`]'s exactness
+    /// near heap, never their firing order (see `Store`'s exactness
     /// invariant), so changing it is behaviour-neutral. Deriving it from the
     /// topology's minimum WAN link delay makes the far-queue horizon and the
     /// conservative-parallel lookahead share one source of truth.

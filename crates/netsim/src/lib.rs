@@ -7,7 +7,7 @@
 //! * [`topology`] — nodes, directed links, latency-shortest routes.
 //! * [`network`] — the live network: CPU and link queueing state.
 //! * [`protocol`] — TCP / HTTP / RMI / JDBC / JMS cost recipes as
-//!   [`Step`](job::Step) fragments.
+//!   [`Step`] fragments.
 //! * [`job`] — the step executor: sequential, parallel (blocking push) and
 //!   forked (asynchronous push) request programs.
 //!

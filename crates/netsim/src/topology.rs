@@ -3,8 +3,8 @@
 //! The paper's testbed (Figure 2) is a star: three application servers, a
 //! database host and client LANs, all joined by a Click software router with
 //! traffic shaping on the WAN legs. [`TopologyBuilder`] describes such graphs;
-//! [`Topology::finalize`] computes all-pairs latency-shortest routes once so
-//! that the hot transfer path is a plain slice lookup.
+//! [`TopologyBuilder::finalize`] computes all-pairs latency-shortest routes
+//! once so that the hot transfer path is a plain slice lookup.
 
 use serde::{Deserialize, Serialize};
 

@@ -15,8 +15,7 @@
 //! instead of a whole-graph sweep per candidate.
 //!
 //! [`climb`] is the one best-improvement loop every hill-climb runs: this
-//! module's flat search, the region-restricted refinement, multi-start
-//! polish and the partitioners' primary polish. It caches each
+//! module's flat search and the region-restricted refinement. It caches each
 //! component's best improving move and, after committing a move, re-probes
 //! only the components `CostEvaluator::mark_stale` marks: the moved
 //! component and its graph neighbours, or every component when some host

@@ -4,10 +4,10 @@
 //! hundreds of hosts that scan dominates. But a multi-tier WAN topology is
 //! not a flat host set: hosts cluster into network *regions* (a hub and its
 //! metro edge PoPs, the main site's LAN) whose intra-region round trips are
-//! bounded by [`region_rtt_threshold_ms`](crate::wan::region_rtt_threshold_ms),
-//! while inter-region paths cost a WAN round trip or more. Within a region,
-//! host choice barely moves the wide-area objective; *between* regions it
-//! dominates. The coarsened search exploits exactly that separation:
+//! bounded by [`region_rtt_threshold_ms`], while inter-region paths cost a
+//! WAN round trip or more. Within a region, host choice barely moves the
+//! wide-area objective; *between* regions it dominates. The coarsened
+//! search exploits exactly that separation:
 //!
 //! 1. **Coarsen** — partition hosts into regions (union-find over the
 //!    round-trip matrix, agreeing with `Topology::regions()` on derived
@@ -65,8 +65,7 @@ impl Default for RegionalOptions {
 }
 
 /// Partitions hosts into network regions: union-find over the round-trip
-/// matrix merging every pair within
-/// [`region_rtt_threshold_ms`](crate::wan::region_rtt_threshold_ms), then
+/// matrix merging every pair within [`region_rtt_threshold_ms`], then
 /// dense region ids numbered by lowest member host (mirroring
 /// `Topology::regions()` — on problems derived from a topology the two
 /// partitions coincide, which the cross-crate property suite pins).

@@ -12,14 +12,14 @@
 //! contributions. A single-component move therefore costs
 //! `O(degree(node) × entry_hosts + hosts)` instead of a whole-graph sweep.
 //!
-//! Communication is priced against **one shared all-pairs distance matrix**
-//! per topology (`hosts²` floats, see
-//! [`shared_distances`]) combined with two scalar weights per edge
+//! Communication is priced against **one all-pairs distance matrix**
+//! (`hosts²` floats, flattened from the problem's round-trip matrix)
+//! combined with two scalar weights per edge
 //! (`calls/s × round_trips` and `calls/s × bytes × serialization ms`):
 //! `cost(e, a, b) = w_rtt[e]·dist[a][b] + w_fixed[e]` for `a ≠ b`. Earlier
 //! revisions materialized a dense host×host table *per edge*
 //! (`O(edges × hosts²)` floats), which was fine for the paper's 3-server
-//! star but is ~21 MB for a 256-host multi-tier graph; the shared matrix
+//! star but is ~21 MB for a 256-host multi-tier graph; the one matrix
 //! brings construction and memory to `O(hosts² + edges)` while pricing
 //! multi-hop WAN paths identically (the matrix rows come from
 //! latency-shortest routes when the problem is derived from a
@@ -35,8 +35,6 @@
 //! millions of `apply`/`undo` deltas stay within `1e-9` of a from-scratch
 //! [`cost_breakdown`](crate::cost::cost_breakdown) — a property test drives
 //! exactly that comparison (`tests/incremental_equivalence.rs`).
-
-use std::sync::Arc;
 
 use petgraph::graph::NodeIndex;
 
@@ -90,23 +88,6 @@ impl Move {
             | Move::DropReplica { node, .. } => node,
         }
     }
-}
-
-/// Flattens a problem's host round-trip matrix into the shared distance
-/// matrix the evaluator prices against (`dist[a·H + b] = rtt_ms[a][b]`).
-///
-/// The matrix is behind an [`Arc`] so that parallel searches (multi-start,
-/// region-coarsened refinement) and repeated evaluator constructions over
-/// the same topology share one allocation: at 256 hosts the matrix is
-/// 512 KiB, and it is the only `hosts²`-sized table left in the evaluator.
-pub fn shared_distances(problem: &PlacementProblem) -> Arc<[f64]> {
-    let h = problem.hosts.len();
-    let mut dist = Vec::with_capacity(h * h);
-    for row in &problem.rtt_ms {
-        assert_eq!(row.len(), h, "rtt matrix shape mismatch");
-        dist.extend_from_slice(row);
-    }
-    dist.into()
 }
 
 /// Kahan-compensated running sum: keeps the error of a long +/- delta
@@ -227,9 +208,10 @@ pub struct CostEvaluator {
     /// Per edge: `calls/s × bytes_per_call × byte_ms` — the distance-free
     /// serialization term paid whenever the endpoints differ.
     edge_w_fixed: Vec<f64>,
-    /// Shared host×host round-trip matrix (`dist[a·H + b]`, milliseconds),
-    /// one allocation per topology (see [`shared_distances`]).
-    dist: Arc<[f64]>,
+    /// Host×host round-trip matrix (`dist[a·H + b] = rtt_ms[a][b]`,
+    /// milliseconds): at 256 hosts it is 512 KiB, the only `hosts²`-sized
+    /// table in the evaluator.
+    dist: Vec<f64>,
     /// Share-weighted distance sums: `s_to[a] = Σ_o share(o)·dist[a][o]`
     /// and `s_from[a] = Σ_o share(o)·dist[o][a]` over the entry origins.
     /// They collapse the per-origin loop of every "origin on one side of
@@ -276,27 +258,10 @@ impl CostEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics if the problem has more than [`MAX_HOSTS`] hosts or the
-    /// placement arity does not match the graph.
+    /// Panics if the problem has more than [`MAX_HOSTS`] hosts, the
+    /// round-trip matrix is not `hosts × hosts`, or the placement arity
+    /// does not match the graph.
     pub fn new(problem: &PlacementProblem, placement: Placement) -> CostEvaluator {
-        let dist = shared_distances(problem);
-        CostEvaluator::with_distances(problem, placement, dist)
-    }
-
-    /// Builds an evaluator sharing a pre-flattened distance matrix (from
-    /// [`shared_distances`] on the same problem). Parallel multi-start and
-    /// the region-coarsened refinement construct many evaluators over one
-    /// topology; sharing the `hosts²` matrix keeps that O(edges) each.
-    ///
-    /// # Panics
-    ///
-    /// Panics on host-count or placement-arity mismatches, including a
-    /// `dist` of the wrong shape.
-    pub fn with_distances(
-        problem: &PlacementProblem,
-        placement: Placement,
-        dist: Arc<[f64]>,
-    ) -> CostEvaluator {
         let g = &problem.graph.graph;
         let n = g.node_count();
         let h = problem.hosts.len();
@@ -304,7 +269,12 @@ impl CostEvaluator {
             h <= MAX_HOSTS,
             "CostEvaluator supports at most {MAX_HOSTS} hosts, got {h}"
         );
-        assert_eq!(dist.len(), h * h, "distance matrix shape mismatch");
+        assert_eq!(problem.rtt_ms.len(), h, "rtt matrix shape mismatch");
+        let mut dist = Vec::with_capacity(h * h);
+        for row in &problem.rtt_ms {
+            assert_eq!(row.len(), h, "rtt matrix shape mismatch");
+            dist.extend_from_slice(row);
+        }
         assert_eq!(placement.primary.len(), n, "placement arity mismatch");
         assert_eq!(placement.replicas.len(), n, "placement arity mismatch");
 
@@ -440,16 +410,8 @@ impl CostEvaluator {
         evaluator
     }
 
-    /// The shared distance matrix (for handing to further
-    /// [`with_distances`](CostEvaluator::with_distances) constructions).
-    pub fn distances(&self) -> Arc<[f64]> {
-        Arc::clone(&self.dist)
-    }
-
-    /// Bytes held by the cost tables: the shared distance matrix, the
-    /// share-weighted distance sums and the per-edge scalar weights. (The
-    /// matrix is counted in full even though concurrent evaluators share
-    /// one allocation.)
+    /// Bytes held by the cost tables: the distance matrix, the
+    /// share-weighted distance sums and the per-edge scalar weights.
     pub fn table_bytes(&self) -> usize {
         (self.dist.len()
             + self.s_to.len()
@@ -1298,12 +1260,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_distance_matrix_is_one_allocation() {
+    fn cost_tables_hold_one_distance_matrix() {
         let p = problem();
-        let dist = shared_distances(&p);
-        let a = CostEvaluator::with_distances(&p, Placement::all_on(&p, HostId(0)), dist.clone());
-        let b = CostEvaluator::with_distances(&p, Placement::all_on(&p, HostId(1)), a.distances());
-        assert!(Arc::ptr_eq(&dist, &b.distances()));
+        let a = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
         // Table memory is hosts² + 2·hosts + 2 scalars per edge, not
         // edges × hosts².
         assert_eq!(a.table_bytes(), (4 + 2 * 2 + 3 * 2) * 8);

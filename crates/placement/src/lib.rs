@@ -5,18 +5,17 @@
 //!
 //! * [`graph`] — component interaction graphs (petgraph-backed), hosts,
 //!   pinning/replication attributes and placement problems;
-//! * [`cost`] — the wide-area objective: RMI round trips × rates across the
-//!   placement cut, plus replica-consistency pushes and capacity penalties —
-//!   with an incremental evaluator ([`cost::incremental`]) that prices
-//!   single-component moves in `O(degree × hosts)` instead of re-sweeping
-//!   the whole graph;
-//! * [`algorithms`] — exhaustive enumeration (optimality oracle), greedy
-//!   hill-climbing with replica moves (derives the read-mostly pattern),
-//!   Kernighan–Lin bipartitioning, and a METIS-style multilevel k-way
-//!   partitioner with RTT-aware refinement;
-//! * [`derive`] — extracting problems from the Pet Store and RUBiS models
-//!   under the paper's workload, with validation that the optimizer
-//!   *recovers the paper's final deployments*;
+//! * [`cost`](mod@cost) — the wide-area objective: RMI round trips × rates
+//!   across the placement cut, plus replica-consistency pushes and capacity
+//!   penalties — with an incremental evaluator ([`cost::incremental`])
+//!   that prices single-component moves in `O(degree × hosts)` instead of
+//!   re-sweeping the whole graph;
+//! * [`algorithms`] — greedy hill-climbing with replica moves (derives the
+//!   read-mostly pattern), its region-coarsened variant for large host
+//!   sets, and exhaustive enumeration (the optimality oracle);
+//! * [`derive`](mod@derive) — extracting problems from the Pet Store and
+//!   RUBiS models under the paper's workload, with validation that the
+//!   optimizer *recovers the paper's final deployments*;
 //! * [`wan`] — deriving host matrices from simulated multi-tier topologies
 //!   (latency-shortest multi-hop round trips, the same pricing the engine
 //!   and the static analyzer use).
@@ -44,7 +43,7 @@ pub mod derive;
 pub mod graph;
 pub mod wan;
 
-pub use cost::incremental::{shared_distances, CostEvaluator, Move};
+pub use cost::incremental::{CostEvaluator, Move};
 pub use cost::{cost, cost_breakdown, CostBreakdown};
 pub use graph::{
     Component, ComponentGraph, CostParams, Host, HostId, Interaction, Placement, PlacementProblem,

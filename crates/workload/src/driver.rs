@@ -12,7 +12,7 @@
 //!
 //! * **Typed events.** Every event — job advancement, request issue,
 //!   request completion, and the handful of control events a run sets up
-//!   (stats reset, perturbations) — is an [`Ev`] enum value stored by value
+//!   (stats reset, perturbations) — is an `Ev` enum value stored by value
 //!   in the queue, so no event allocates.
 //! * **Bound-program memoization.** Binds the binder certifies replayable
 //!   (read-only, no cache-state transitions, no RNG draws) are split into a

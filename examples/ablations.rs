@@ -8,19 +8,16 @@
 //! * **Write blocking** — the sync-push vs async crossover on the writer
 //!   path (Pet Store Commit, §4.3 vs §4.5).
 //!
-//! Series are printed once; Criterion times a representative cell.
+//! ```sh
+//! cargo run --release --example ablations
+//! ```
 
-use std::sync::Once;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-use mutsvc_core::{AppKind, Config, Scenario};
-use mutsvc_desim::SimDuration;
+use mutable_services::core::{AppKind, Config, Scenario};
+use mutable_services::desim::SimDuration;
 
 const REMOTE: [&str; 2] = ["remote1", "remote2"];
 
-static PRINT: Once = Once::new();
-
-fn print_series() {
+fn main() {
     println!("\n== ablation: WAN one-way latency vs remote browser session (Pet Store) ==");
     println!(
         "{:<12} {:>14} {:>14} {:>14}",
@@ -75,20 +72,3 @@ fn print_series() {
     }
     println!();
 }
-
-fn ablations(c: &mut Criterion) {
-    PRINT.call_once(print_series);
-    let mut group = c.benchmark_group("ablations");
-    group.sample_size(10);
-    group.bench_function("wan_sweep_cell", |b| {
-        b.iter(|| {
-            Scenario::quick(AppKind::PetStore, Config::AsyncUpdates)
-                .with_wan_latency(SimDuration::from_millis(200))
-                .run()
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, ablations);
-criterion_main!(benches);

@@ -24,7 +24,7 @@
 //! | [`apps`] | Pet Store and RUBiS models: schemas, pages, session patterns |
 //! | [`workload`] | soft-delay client simulation and the experiment driver |
 //! | [`core`] | the five configurations, scenario runner, paper data, reports |
-//! | [`placement`] | interaction graphs and placement algorithms (greedy, KL, multilevel) |
+//! | [`placement`] | interaction graphs, the wide-area cost model, greedy and regional placement search |
 //!
 //! ## Quick start
 //!
