@@ -361,8 +361,6 @@ impl Topology {
     /// This is the conservative-parallel lookahead: every message between
     /// regions crosses at least one such link, so a shard simulating the
     /// window `[t, t + lookahead)` cannot be affected by any other shard.
-    /// The far-queue horizon epoch derives from the same value, keeping one
-    /// source of truth for both (see `Simulation::set_far_epoch`).
     pub fn min_wan_latency(&self) -> Option<SimDuration> {
         self.links
             .iter()

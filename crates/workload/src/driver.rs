@@ -26,6 +26,7 @@
 //!   [`WorkloadStats::record_ids`].
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use mutsvc_apps::{App, PageKey, SessionKind, SessionState};
@@ -194,6 +195,47 @@ struct Inflight {
     hist: Option<HistId>,
 }
 
+/// An FxHash-style hasher (rotate, xor in a word, multiply) for the
+/// driver's hot maps. Their keys are small integers and static strings the
+/// simulation itself produces, so SipHash's flood resistance guards against
+/// no one, and nothing iterates these maps, so the hash reaches no output.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`FxHasher`].
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// Identity of a memoized plan: what the request looks like and where it
 /// enters the system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -221,7 +263,7 @@ struct CachedPlan {
 /// advance on writes and on deferred propagation applies).
 struct PlanCache {
     enabled: bool,
-    map: HashMap<PlanKey, CachedPlan>,
+    map: FxHashMap<PlanKey, CachedPlan>,
     table_gen: Vec<u64>,
     epoch: u64,
     hits: u64,
@@ -233,7 +275,7 @@ impl PlanCache {
     fn new(enabled: bool) -> Self {
         PlanCache {
             enabled,
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             table_gen: Vec::new(),
             epoch: 0,
             hits: 0,
@@ -376,14 +418,14 @@ pub(crate) struct World {
     app: App,
     rng: SimRng,
     next_tag: u64,
-    deferred: HashMap<u64, (SimTime, DeferredApply)>,
+    deferred: FxHashMap<u64, (SimTime, DeferredApply)>,
     deferred_tables: Vec<TableId>,
     plans: PlanCache,
     stats: WorkloadStats,
     /// Per-(group, pattern, page) series ids plus the page's response-time
     /// histogram handle (`None` when metrics are off), resolved once and
     /// replayed on every later request of the same shape.
-    series_memo: HashMap<SeriesKey, SeriesIds>,
+    series_memo: FxHashMap<SeriesKey, SeriesIds>,
     staleness_ms: Summary,
     bind_totals: BindStats,
     sessions: Vec<SessionSlot>,
@@ -1337,7 +1379,9 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
         }
     }
 
-    ctx.schedule_event_in(
+    // A fixed delay after every issue: the re-arms come due in the order they
+    // are armed, so they wait in the queue's timer lane.
+    ctx.schedule_timer_in(
         world.spec.soft_delay,
         Ev::Issue {
             slot: slot_idx as u32,
@@ -1417,14 +1461,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
     };
     let measuring_from = SimTime::ZERO + spec.warmup;
     let horizon = spec.horizon();
-    // The event queue's far-tier epoch follows the topology — WAN round
-    // trips dominate event spacing, so the minimum WAN leg is the natural
-    // bucket width (500 ms when the topology has no WAN leg at
-    // all). Behavior-neutral: the queue's ordering contract is exact at
-    // any epoch.
-    let far_epoch = topology
-        .min_wan_latency()
-        .unwrap_or(SimDuration::from_millis(500));
 
     // Create the session slots: one per concurrent client session (of the
     // shard's own groups, when sharded; group indices stay global).
@@ -1571,12 +1607,12 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         app,
         rng: world_rng,
         next_tag: 0,
-        deferred: HashMap::new(),
+        deferred: FxHashMap::default(),
         deferred_tables: Vec::new(),
         plans: PlanCache::new(spec.bind_cache),
         fault_rt,
         stats,
-        series_memo: HashMap::new(),
+        series_memo: FxHashMap::default(),
         staleness_ms: Summary::new(),
         bind_totals: BindStats::default(),
         sessions,
@@ -1597,15 +1633,17 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
     };
 
     let mut sim: Simulation<World, Ev> = Simulation::with_events(world);
-    sim.set_far_epoch(far_epoch);
-    // Stagger session starts uniformly across one soft-delay interval.
+    // Stagger session starts uniformly across one soft-delay interval, in
+    // order, as timers: every later re-arm lands behind them in the lane.
     for i in 0..n_sessions {
         let offset = soft_delay.mul_f64(i as f64 / n_sessions.max(1) as f64);
-        sim.schedule_event_at(SimTime::ZERO + offset, Ev::Issue { slot: i as u32 });
+        sim.schedule_timer_at(SimTime::ZERO + offset, Ev::Issue { slot: i as u32 });
     }
     // Reset resource statistics when the measured window opens.
     sim.schedule_event_at(measuring_from, Ev::ResetStats);
     // Surge onsets (no surges: no events, byte-identical queue history).
+    // They go into the heap: a far onset at the lane's tail would turn every
+    // steady-state re-arm before it away from the lane.
     for (slot, at) in surge_starts {
         sim.schedule_event_at(at, Ev::Issue { slot });
     }
@@ -2450,6 +2488,33 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.metrics, b.metrics);
+    }
+
+    /// Session timers ride the event queue's timer lane: every window that
+    /// closes before the horizon sees one pending issue per session slot
+    /// there, so none drifted back into the heap.
+    #[test]
+    fn session_timers_wait_in_the_timer_lane() {
+        let window = SimDuration::from_secs(5);
+        let mut input = small_input(59);
+        input.spec = input.spec.with_metrics(MetricsSettings::windowed(window));
+        let horizon = input.spec.horizon();
+        let mut sim = build_sim(input, None);
+        let slots = sim.world().sessions.len();
+        assert!(slots > 0);
+        sim.run_until(horizon);
+        let report = drain_report(sim);
+        let rec = &report.metrics.expect("metrics armed").recorder;
+        let far = rec.gauge_index("engine.queue.far_depth").unwrap();
+        let closed: Vec<_> = rec
+            .rows()
+            .iter()
+            .filter(|r| SimTime::ZERO + window.mul_f64((r.index + 1) as f64) < horizon)
+            .collect();
+        assert_eq!(closed.len(), 29, "150 s horizon at a 5 s window");
+        for row in closed {
+            assert_eq!(row.gauges[far], slots as f64, "window {}", row.index);
+        }
     }
 
     #[test]
