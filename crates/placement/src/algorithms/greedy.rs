@@ -11,8 +11,9 @@
 //! consistency-push cost — the trade-off §4.3 discusses qualitatively.
 //!
 //! Candidate moves are priced through the incremental [`CostEvaluator`]
-//! (apply → read delta → undo), so probing a move costs `O(degree × hosts)`
-//! instead of a whole-graph sweep per candidate.
+//! (apply → read delta → undo), so probing a replica toggle costs
+//! `O(degree)` and a primary move one pass over the component's replica
+//! set plus `O(degree)`, instead of a whole-graph sweep per candidate.
 //!
 //! [`climb`] is the one best-improvement loop every hill-climb runs: this
 //! module's flat search and the region-restricted refinement. It caches each

@@ -3,9 +3,10 @@
 //! enumeration as the optimality oracle the tests compare against.
 //!
 //! Every algorithm prices candidate moves through the incremental
-//! [`CostEvaluator`](crate::cost::incremental::CostEvaluator) — a
-//! single-component move costs `O(degree × hosts)` instead of a
-//! whole-graph cost sweep. Both hill-climbs (greedy and the regional
+//! [`CostEvaluator`](crate::cost::incremental::CostEvaluator) — a replica
+//! toggle costs `O(degree)` and a primary move one pass over the moved
+//! component's replica set plus `O(degree)`, instead of a whole-graph cost
+//! sweep. Both hill-climbs (greedy and the regional
 //! refinement) run the one cached best-improvement loop,
 //! [`greedy::climb`].
 

@@ -203,8 +203,10 @@ fn lift(problem: &PlacementProblem, coarse: &Placement, medoids: &[usize]) -> Pl
 /// The refinement's restricted neighbourhood over the host partition
 /// `regions` with one medoid per region. Per component:
 ///
-/// * **primary moves** — the expensive probes, `O(degree × origins)` each —
-///   are offered only the component's current region members plus every
+/// * **primary moves** — the expensive probes, one pass over the
+///   component's replica set plus `O(degree)` each, and a walk over a
+///   neighbour's replica hosts the component lacks — are offered only the
+///   component's current region members plus every
 ///   region medoid (the tier hubs): a region hop then a local settle reach
 ///   any (region, host) pair in two accepted moves. That cuts the primary
 ///   scan from `O(hosts)` to `O(region + regions)` candidates.

@@ -9,8 +9,11 @@
 //! per-host CPU load and the three [`CostBreakdown`] terms as live state,
 //! and re-evaluates only the terms a move can touch: the edges incident to
 //! the moved component, that component's consistency pushes, and its load
-//! contributions. A single-component move therefore costs
-//! `O(degree(node) × entry_hosts + hosts)` instead of a whole-graph sweep.
+//! contributions. A replica toggle costs `O(degree)`. A primary move costs
+//! `O(|R| + degree + Σ|Q \ R|)`: one pass over the moved component's
+//! replica hosts `R`, then per incident edge O(1), or one walk over the far
+//! component's replica hosts `Q` that `R` lacks. Either replaces a
+//! whole-graph sweep.
 //!
 //! Communication is priced against **one all-pairs distance matrix**
 //! (`hosts²` floats, flattened from the problem's round-trip matrix)
@@ -40,16 +43,6 @@ use petgraph::graph::NodeIndex;
 
 use crate::cost::CostBreakdown;
 use crate::graph::{HostId, Placement, PlacementProblem, Role};
-
-/// Maximum host count supported by the evaluator. Replica sets are tracked
-/// as multi-word host bitmasks copied to the stack during a primary move,
-/// so the cap is a compile-time stack budget (64 bytes), not a data-model
-/// limit; planet-scale multi-tier graphs (hundreds of edge PoPs) fit with
-/// room to spare.
-pub const MAX_HOSTS: usize = 512;
-
-/// Words of one replica bitmask at [`MAX_HOSTS`].
-const MASK_WORDS_CAP: usize = MAX_HOSTS / 64;
 
 /// A reversible single-component placement mutation — the three move kinds
 /// the search algorithms use.
@@ -135,12 +128,6 @@ fn mask_test(words: &[u64], bit: usize) -> bool {
     words[bit >> 6] & (1u64 << (bit & 63)) != 0
 }
 
-/// Sets bit `bit` of a multi-word mask.
-#[inline]
-fn mask_set(words: &mut [u64], bit: usize) {
-    words[bit >> 6] |= 1u64 << (bit & 63);
-}
-
 /// The host indices set in a multi-word mask, in ascending order.
 fn mask_bits(words: &[u64]) -> MaskBits<'_> {
     MaskBits {
@@ -172,6 +159,24 @@ impl Iterator for MaskBits<'_> {
     }
 }
 
+/// Sums over the replica hosts `R` of a component whose primary moves
+/// `p → p′`, gathered in one pass by
+/// [`CostEvaluator::replica_sums`]. The `_new` sums skip `r = p′`.
+#[derive(Debug, Default)]
+struct ReplicaSums {
+    /// `Σ share(r)`.
+    share: f64,
+    /// `Σ share(r)·dist[p][r]` and `Σ share(r)·dist[p′][r]`.
+    to_old: f64,
+    to_new: f64,
+    /// `Σ share(r)·dist[r][p]` and `Σ share(r)·dist[r][p′]`.
+    from_old: f64,
+    from_new: f64,
+    /// `Σ dist[p][r]` and `Σ dist[p′][r]`.
+    push_old: f64,
+    push_new: f64,
+}
+
 /// Incremental placement cost evaluator.
 ///
 /// Owns a flattened copy of the problem (it does not borrow the
@@ -194,6 +199,12 @@ pub struct CostEvaluator {
     entry_share: Vec<f64>,
     /// Per node: placement role.
     role: Vec<Role>,
+    /// Per node: whether it is the source (`reads_to_entry`) or the target
+    /// (`reads_from_entry`) of a read edge whose other endpoint is an
+    /// Entry. Only then does a primary move need the replica hosts'
+    /// share-weighted distances in that direction.
+    reads_to_entry: Vec<bool>,
+    reads_from_entry: Vec<bool>,
     /// Per node: writes/s against the component's state.
     write_rate: Vec<f64>,
     /// Per node: CPU demand (ms/s) an origin of share 1.0 induces at the
@@ -258,17 +269,12 @@ impl CostEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics if the problem has more than [`MAX_HOSTS`] hosts, the
-    /// round-trip matrix is not `hosts × hosts`, or the placement arity
-    /// does not match the graph.
+    /// Panics if the round-trip matrix is not `hosts × hosts` or the
+    /// placement arity does not match the graph.
     pub fn new(problem: &PlacementProblem, placement: Placement) -> CostEvaluator {
         let g = &problem.graph.graph;
         let n = g.node_count();
         let h = problem.hosts.len();
-        assert!(
-            h <= MAX_HOSTS,
-            "CostEvaluator supports at most {MAX_HOSTS} hosts, got {h}"
-        );
         assert_eq!(problem.rtt_ms.len(), h, "rtt matrix shape mismatch");
         let mut dist = Vec::with_capacity(h * h);
         for row in &problem.rtt_ms {
@@ -329,6 +335,16 @@ impl CostEvaluator {
             edge_w_fixed.push(w.calls_per_sec * w.bytes_per_call * byte_ms);
         }
 
+        let mut reads_to_entry = vec![false; n];
+        let mut reads_from_entry = vec![false; n];
+        for i in 0..edge_src.len() {
+            let (s, t) = (edge_src[i] as usize, edge_dst[i] as usize);
+            if !edge_write[i] {
+                reads_to_entry[s] |= role[t] == Role::Entry;
+                reads_from_entry[t] |= role[s] == Role::Entry;
+            }
+        }
+
         // CSR incidence lists (each edge listed under both endpoints).
         let e = edge_src.len();
         let mut degree = vec![0u32; n];
@@ -381,6 +397,8 @@ impl CostEvaluator {
             share_total,
             entry_share,
             role,
+            reads_to_entry,
+            reads_from_entry,
             write_rate,
             load_ms,
             edge_src,
@@ -445,7 +463,7 @@ impl CostEvaluator {
         self.load.iter_mut().for_each(|l| *l = 0.0);
         self.overload_total = Kahan::default();
         for n in 0..self.primary.len() {
-            self.shift_load(n, 1.0);
+            self.shift_load(n);
         }
     }
 
@@ -659,59 +677,46 @@ impl CostEvaluator {
         }
     }
 
-    /// Re-homes a primary. Every incident edge can re-route for every
-    /// origin, but almost every origin takes the *default* route (its
-    /// traffic is served at the primary on the moving side and at the
-    /// primary on the other side), and the default delta is
-    /// origin-independent. Each incident edge is therefore priced as one
-    /// closed-form default term — `share_total` times the primary-to-
-    /// primary change, or a share-weighted distance sum (`s_to`/`s_from`)
-    /// when the far endpoint is an Entry — plus exact corrections for the
-    /// handful of *exceptional* origins (the old/new primaries and the
-    /// replica hosts of either endpoint, where serving is local). Cost:
-    /// `O(degree × (1 + replicas))` instead of `O(degree × origins)`.
+    /// Re-homes a primary `p → p′`. Replica hosts serve their own origins
+    /// before and after the move, and every other origin of the moving
+    /// component is served at its primary, so one pass over its replica
+    /// set `R` ([`replica_sums`](Self::replica_sums)) yields everything
+    /// the move needs. A read edge then costs O(1) when the far endpoint
+    /// is an Entry (the closed-form `s_to`/`s_from` default minus the
+    /// replicated origins' share), and otherwise O(1) plus one walk over
+    /// the far component's replica hosts `Q` that `R` lacks: origins in
+    /// `R` keep their route, origins outside `R ∪ Q` all see the same
+    /// primary-to-primary change. Cost: `O(|R| + degree + Σ|Q \ R|)`.
     fn execute_move_primary(&mut self, idx: usize, to: HostId) -> f64 {
+        let p_old = self.primary[idx] as usize;
+        let p_new = to.0;
+        if p_new == p_old {
+            return 0.0;
+        }
+        let h = self.hosts;
         let entry = self.role[idx] == Role::Entry;
         let overload_before = self.overload_total.value();
-        let cons_old = self.node_consistency(idx);
-        if !entry {
-            // An Entry serves every origin locally regardless of its
-            // primary: its load never moves.
-            self.shift_load(idx, -1.0);
-        }
+        let absorbed = mask_test(self.mask(idx), p_new);
+        self.primary[idx] = p_new as u32;
+        self.set_mask(idx, p_new, false);
+        let sums = self.replica_sums(idx, p_old, p_new, absorbed);
 
-        let words = self.mask_words;
-        let p_old = self.primary[idx] as usize;
-        let mut mask_old = [0u64; MASK_WORDS_CAP];
-        mask_old[..words].copy_from_slice(self.mask(idx));
-        self.primary[idx] = to.0 as u32;
-        self.set_mask(idx, to.0, false);
-        let p_new = to.0;
-        let mut mask_new = [0u64; MASK_WORDS_CAP];
-        mask_new[..words].copy_from_slice(self.mask(idx));
-        // Exceptional origins on the moving side: its old/new primary and
-        // its replica hosts (the new mask is the old mask minus the
-        // absorbed bit, so the old mask covers both states).
-        let mut moving_side = mask_old;
-        mask_set(&mut moving_side, p_old);
-        mask_set(&mut moving_side, p_new);
-
-        // Serving location of the moving (non-Entry) node under the old /
-        // new state, for an origin host.
-        let loc_old = |origin: usize| {
-            if p_old == origin || mask_test(&mask_old, origin) {
-                origin
-            } else {
-                p_old
-            }
+        // Read edges to or from an Entry: the default moves with the
+        // primary, origins at the replica hosts pay nothing either side, and
+        // the origin at `p′` pays nothing afterwards, so the fixed term
+        // changes by `share(p) − share(p′)` unless `p′` was a replica host.
+        let to_entry_rtt = (self.s_to[p_new] - self.s_to[p_old]) + (sums.to_old - sums.to_new);
+        let from_entry_rtt =
+            (self.s_from[p_new] - self.s_from[p_old]) + (sums.from_old - sums.from_new);
+        let p_new_share = if absorbed {
+            0.0
+        } else {
+            self.entry_share[p_new]
         };
-        let loc_new = |origin: usize| {
-            if p_new == origin || mask_test(&mask_new, origin) {
-                origin
-            } else {
-                p_new
-            }
-        };
+        let entry_fixed = self.entry_share[p_old] - p_new_share;
+        // Origins outside `R` are served at the primary both before and
+        // after the move.
+        let default_share = self.share_total - sums.share;
 
         let mut comm_delta = 0.0;
         for k in self.inc_start[idx]..self.inc_start[idx + 1] {
@@ -752,83 +757,124 @@ impl CostEvaluator {
             let idx_is_src = s == idx;
             let other = if idx_is_src { t } else { s };
             if self.role[other] == Role::Entry {
-                // Far side follows the origin. Default (origin served at
-                // the moving primary): Σ_o share·pair(e, p, o), collapsed
-                // through the share-weighted distance sums.
-                let (sum_new, sum_old) = if idx_is_src {
-                    (self.s_to[p_new], self.s_to[p_old])
+                let rtt = if idx_is_src {
+                    to_entry_rtt
                 } else {
-                    (self.s_from[p_new], self.s_from[p_old])
+                    from_entry_rtt
                 };
-                comm_delta += self.edge_w_rtt[e] * (sum_new - sum_old)
-                    + self.edge_w_fixed[e] * (self.entry_share[p_old] - self.entry_share[p_new]);
-                for o in mask_bits(&moving_side[..words]) {
+                comm_delta += self.edge_w_rtt[e] * rtt + self.edge_w_fixed[e] * entry_fixed;
+                continue;
+            }
+            // Far side served at its primary `q`, or locally at its replica
+            // hosts `Q`. Origins outside `R ∪ Q` all see the default
+            // change `δ`; origins in `Q \ R` are corrected below.
+            let pair = |own: usize, far: usize| {
+                if idx_is_src {
+                    self.pair_cost(e, own, far)
+                } else {
+                    self.pair_cost(e, far, own)
+                }
+            };
+            let q = self.primary[other] as usize;
+            let default = pair(p_new, q) - pair(p_old, q);
+            comm_delta += default_share * default;
+            let far_mask = self.mask(other);
+            if mask_test(far_mask, p_old) {
+                comm_delta += self.entry_share[p_old] * (pair(p_new, p_old) - default);
+            }
+            if !absorbed && mask_test(far_mask, p_new) {
+                comm_delta -= self.entry_share[p_new] * (pair(p_old, p_new) + default);
+            }
+            // Every other origin in `Q \ R` pays the fixed term both before
+            // and after, so only its distance changes.
+            let (mut share_sum, mut dist_sum) = (0.0, 0.0);
+            for (w, (&far_word, &own_word)) in far_mask.iter().zip(self.mask(idx)).enumerate() {
+                let mut word = far_word & !own_word;
+                if w == p_old >> 6 {
+                    word &= !(1u64 << (p_old & 63));
+                }
+                if w == p_new >> 6 {
+                    word &= !(1u64 << (p_new & 63));
+                }
+                while word != 0 {
+                    let o = (w << 6) + word.trailing_zeros() as usize;
+                    word &= word - 1;
                     let share = self.entry_share[o];
                     if share == 0.0 {
                         continue;
                     }
-                    let (actual_new, assumed_new, actual_old, assumed_old) = if idx_is_src {
-                        (
-                            self.pair_cost(e, loc_new(o), o),
-                            self.pair_cost(e, p_new, o),
-                            self.pair_cost(e, loc_old(o), o),
-                            self.pair_cost(e, p_old, o),
-                        )
-                    } else {
-                        (
-                            self.pair_cost(e, o, loc_new(o)),
-                            self.pair_cost(e, o, p_new),
-                            self.pair_cost(e, o, loc_old(o)),
-                            self.pair_cost(e, o, p_old),
-                        )
-                    };
-                    comm_delta += share * ((actual_new - assumed_new) - (actual_old - assumed_old));
-                }
-            } else {
-                // Far side serves at its primary by default; an origin at
-                // the far primary itself serves there too, so only the far
-                // side's *replica* hosts are exceptional.
-                let far = self.primary[other] as usize;
-                let default = if idx_is_src {
-                    self.pair_cost(e, p_new, far) - self.pair_cost(e, p_old, far)
-                } else {
-                    self.pair_cost(e, far, p_new) - self.pair_cost(e, far, p_old)
-                };
-                comm_delta += self.share_total * default;
-                let mut exceptional = moving_side;
-                for (word, &far_word) in exceptional[..words].iter_mut().zip(self.mask(other)) {
-                    *word |= far_word;
-                }
-                for o in mask_bits(&exceptional[..words]) {
-                    let share = self.entry_share[o];
-                    if share == 0.0 {
-                        continue;
-                    }
-                    let far_loc = self.location(other, o as u32) as usize;
-                    let (exact_new, exact_old) = if idx_is_src {
-                        (
-                            self.pair_cost(e, loc_new(o), far_loc),
-                            self.pair_cost(e, loc_old(o), far_loc),
-                        )
-                    } else {
-                        (
-                            self.pair_cost(e, far_loc, loc_new(o)),
-                            self.pair_cost(e, far_loc, loc_old(o)),
-                        )
-                    };
-                    comm_delta += share * ((exact_new - exact_old) - default);
+                    share_sum += share;
+                    dist_sum += share
+                        * if idx_is_src {
+                            self.dist[p_new * h + o] - self.dist[p_old * h + o]
+                        } else {
+                            self.dist[o * h + p_new] - self.dist[o * h + p_old]
+                        };
                 }
             }
+            comm_delta += self.edge_w_rtt[e] * dist_sum - default * share_sum;
         }
 
-        let cons_new = self.node_consistency(idx);
-        if !entry {
-            self.shift_load(idx, 1.0);
+        let rate = self.write_rate[idx];
+        let mut cons_delta = 0.0;
+        if rate > 0.0 {
+            let absorbed_push = if absorbed { self.push_fixed } else { 0.0 };
+            cons_delta = rate * (self.push_rtt * (sums.push_new - sums.push_old) - absorbed_push);
+        }
+
+        // Replicas keep serving their own origins (an absorbed replica's
+        // origin stays at `p′`), so only the primary's bucket moves. An
+        // Entry serves every origin locally regardless of its primary.
+        let demand = self.load_ms[idx];
+        if !entry && demand != 0.0 {
+            let moved = default_share * demand;
+            self.bump_load(p_old, -moved);
+            self.bump_load(p_new, moved);
         }
 
         self.communication.add(comm_delta);
-        self.consistency.add(cons_new - cons_old);
-        comm_delta + (cons_new - cons_old) + (self.overload_total.value() - overload_before)
+        self.consistency.add(cons_delta);
+        comm_delta + cons_delta + (self.overload_total.value() - overload_before)
+    }
+
+    /// One pass over the replica hosts `R` that node `idx` had before its
+    /// primary moved `p_old → p_new`; called with the absorbed bit (if
+    /// any) already cleared, so the `_new` sums run over `r ≠ p_new` and
+    /// the absorbed replica is folded into the `_old` sums afterwards.
+    /// The share-weighted distance sums are gathered only when `idx` has a
+    /// read edge that prices them.
+    fn replica_sums(&self, idx: usize, p_old: usize, p_new: usize, absorbed: bool) -> ReplicaSums {
+        let h = self.hosts;
+        let row_old = &self.dist[p_old * h..(p_old + 1) * h];
+        let row_new = &self.dist[p_new * h..(p_new + 1) * h];
+        let (to, from) = (self.reads_to_entry[idx], self.reads_from_entry[idx]);
+        let mut sums = ReplicaSums::default();
+        for r in mask_bits(self.mask(idx)) {
+            let (d_old, d_new) = (row_old[r], row_new[r]);
+            sums.push_old += d_old;
+            sums.push_new += d_new;
+            let share = self.entry_share[r];
+            if share == 0.0 {
+                continue;
+            }
+            sums.share += share;
+            if to {
+                sums.to_old += share * d_old;
+                sums.to_new += share * d_new;
+            }
+            if from {
+                sums.from_old += share * self.dist[r * h + p_old];
+                sums.from_new += share * self.dist[r * h + p_new];
+            }
+        }
+        if absorbed {
+            let share = self.entry_share[p_new];
+            sums.share += share;
+            sums.push_old += row_old[p_new];
+            sums.to_old += share * row_old[p_new];
+            sums.from_old += share * self.dist[p_new * h + p_old];
+        }
+        sums
     }
 
     /// Toggles a replica of node `idx` at `host`. Fast path: a replica only
@@ -960,12 +1006,13 @@ impl CostEvaluator {
         total
     }
 
-    /// Adds (`sign = 1.0`) or removes (`sign = -1.0`) node `n`'s CPU load
-    /// contributions at its serving locations. Entry nodes spread their
-    /// demand over every origin; replicated nodes serve locally only at
-    /// replica hosts that actually originate traffic, so the loop runs
-    /// over replicas, not origins, with one primary bucket for the rest.
-    fn shift_load(&mut self, n: usize, sign: f64) {
+    /// Adds node `n`'s CPU load contributions at its serving locations
+    /// (construction only: a primary move shifts just the primary's
+    /// bucket). Entry nodes spread their demand over every origin;
+    /// replicated nodes serve locally only at replica hosts that actually
+    /// originate traffic, so the loop runs over replicas, not origins,
+    /// with one primary bucket for the rest.
+    fn shift_load(&mut self, n: usize) {
         let demand = self.load_ms[n];
         if demand == 0.0 {
             return;
@@ -974,7 +1021,7 @@ impl CostEvaluator {
             // Borrow workaround: origins is read-only while load mutates.
             for i in 0..self.origins.len() {
                 let (origin, share) = self.origins[i];
-                self.bump_load(origin as usize, sign * share * demand);
+                self.bump_load(origin as usize, share * demand);
             }
             return;
         }
@@ -989,13 +1036,13 @@ impl CostEvaluator {
                 let share = self.entry_share[r];
                 if share > 0.0 {
                     repl_share += share;
-                    self.bump_load(r, sign * share * demand);
+                    self.bump_load(r, share * demand);
                 }
             }
         }
         // Everyone else — including an origin at the primary itself — is
         // served at the primary.
-        self.bump_load(p, sign * (self.share_total - repl_share) * demand);
+        self.bump_load(p, (self.share_total - repl_share) * demand);
     }
 
     /// Adjusts one host's load and folds the change of its overload
@@ -1198,65 +1245,66 @@ mod tests {
 
     /// Beyond 64 hosts the replica bitmask spans several words; the delta
     /// accounting must keep tracking the full recompute exactly as on the
-    /// paper's 3-host star.
+    /// paper's 3-host star, at 520 hosts (nine words) too.
     #[test]
     fn wide_host_sets_use_multiword_replica_masks() {
-        let mut p = problem();
-        let h = 130;
-        let share = 1.0 / h as f64;
-        p.hosts = (0..h)
-            .map(|i| Host {
-                name: format!("h{i}"),
-                entry_share: share,
-                cpu_capacity: f64::INFINITY,
-            })
-            .collect();
-        p.rtt_ms = (0..h)
-            .map(|a| {
-                (0..h)
-                    .map(|b| {
-                        if a == b {
-                            0.0
-                        } else {
-                            100.0 + ((a * 31 + b * 17) % 200) as f64
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        // Symmetrize.
-        for a in 0..h {
-            for b in 0..a {
-                p.rtt_ms[a][b] = p.rtt_ms[b][a];
+        for h in [130, 520] {
+            let mut p = problem();
+            let share = 1.0 / h as f64;
+            p.hosts = (0..h)
+                .map(|i| Host {
+                    name: format!("h{i}"),
+                    entry_share: share,
+                    cpu_capacity: f64::INFINITY,
+                })
+                .collect();
+            p.rtt_ms = (0..h)
+                .map(|a| {
+                    (0..h)
+                        .map(|b| {
+                            if a == b {
+                                0.0
+                            } else {
+                                100.0 + ((a * 31 + b * 17) % 200) as f64
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            // Symmetrize.
+            for a in 0..h {
+                for b in 0..a {
+                    p.rtt_ms[a][b] = p.rtt_ms[b][a];
+                }
             }
-        }
-        let entity = p.graph.by_name("entity").unwrap();
-        let svc = p.graph.by_name("svc").unwrap();
-        let mut eval = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
-        assert_matches(&p, &eval);
-        for host in [1usize, 63, 64, 65, 127, 129] {
-            eval.apply(Move::AddReplica {
-                node: entity,
-                host: HostId(host),
+            let entity = p.graph.by_name("entity").unwrap();
+            let svc = p.graph.by_name("svc").unwrap();
+            let mut eval = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
+            assert_matches(&p, &eval);
+            for host in [1usize, 63, 64, 65, 127, h - 8, h - 1] {
+                eval.apply(Move::AddReplica {
+                    node: entity,
+                    host: HostId(host),
+                });
+                assert!(eval.has_replica(entity, HostId(host)));
+                assert_matches(&p, &eval);
+            }
+            eval.apply(Move::MovePrimary {
+                node: svc,
+                to: HostId(h - 1),
             });
-            assert!(eval.has_replica(entity, HostId(host)));
+            assert_matches(&p, &eval);
+            eval.apply(Move::MovePrimary {
+                node: entity,
+                to: HostId(65),
+            });
+            assert!(!eval.has_replica(entity, HostId(65)), "replica absorbed");
+            assert_matches(&p, &eval);
+            while eval.depth() > 0 {
+                eval.undo();
+            }
             assert_matches(&p, &eval);
         }
-        eval.apply(Move::MovePrimary {
-            node: svc,
-            to: HostId(129),
-        });
-        assert_matches(&p, &eval);
-        eval.apply(Move::MovePrimary {
-            node: entity,
-            to: HostId(65),
-        });
-        assert!(!eval.has_replica(entity, HostId(65)), "replica absorbed");
-        assert_matches(&p, &eval);
-        while eval.depth() > 0 {
-            eval.undo();
-        }
-        assert_matches(&p, &eval);
     }
 
     #[test]

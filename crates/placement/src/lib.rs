@@ -8,7 +8,8 @@
 //! * [`cost`](mod@cost) — the wide-area objective: RMI round trips × rates
 //!   across the placement cut, plus replica-consistency pushes and capacity
 //!   penalties — with an incremental evaluator ([`cost::incremental`])
-//!   that prices single-component moves in `O(degree × hosts)` instead of
+//!   that prices a replica toggle in `O(degree)` and a primary move in one
+//!   pass over the component's replica set plus `O(degree)`, instead of
 //!   re-sweeping the whole graph;
 //! * [`algorithms`] — greedy hill-climbing with replica moves (derives the
 //!   read-mostly pattern), its region-coarsened variant for large host

@@ -14,6 +14,7 @@
 mod common;
 
 use common::random_problem;
+use mutsvc_bench::placement_report::ladder_problem;
 use mutsvc_desim::rng::SimRng;
 use mutsvc_placement::derive::rubis_problem;
 use mutsvc_placement::graph::{Host, HostId, Placement, PlacementProblem};
@@ -163,13 +164,16 @@ fn all_on_single_host_walks_match() {
     }
 }
 
-/// Moves replayed on the dense 256-host deployment.
+/// Moves replayed on each 256-host deployment.
 const DENSE_REPLAY: usize = 2_000;
 
-/// `total().to_bits()` after the dense replay, recorded when a primary
-/// move still gathered its exceptional origins into a sorted,
-/// deduplicated list rather than walking the union of replica bitmasks.
-const DENSE_REPLAY_TOTAL_BITS: u64 = 4_680_424_194_676_330_061;
+/// Moves between two comparisons against the full sweep during a replay.
+const REPLAY_CHECK_EVERY: usize = 100;
+
+/// `total().to_bits()` after the dense replay, recorded when primary moves
+/// started gathering their replica sums in one pass over the moved
+/// component's replica set.
+const DENSE_REPLAY_TOTAL_BITS: u64 = 4_680_424_194_676_330_056;
 
 /// The RUBiS graph on 256 hosts that all originate client traffic, over a
 /// seeded random round-trip matrix.
@@ -195,28 +199,58 @@ fn dense_problem(rng: &mut SimRng) -> PlacementProblem {
     rehost(&rubis_problem().0, hosts, rtt_ms)
 }
 
+/// Replays [`DENSE_REPLAY`] seeded moves from a random placement with
+/// replicas at about half the hosts, checking the evaluator against the
+/// full sweep every [`REPLAY_CHECK_EVERY`] moves. Returns the evaluator.
+fn replay_checked(problem: &PlacementProblem, rng: &mut SimRng) -> CostEvaluator {
+    let start = random_placement(rng, problem, 0.5);
+    let mut eval = CostEvaluator::new(problem, start);
+    for step in 1..=DENSE_REPLAY {
+        let mv = random_move(rng, &eval, problem);
+        eval.apply(mv);
+        eval.commit();
+        if step % REPLAY_CHECK_EVERY == 0 {
+            let full = cost_breakdown(problem, &eval.placement());
+            assert_breakdown_close(&eval.breakdown(), &full, step);
+        }
+    }
+    eval
+}
+
 /// Pins the arithmetic of primary moves on wide, dense replica sets: every
-/// component starts with replicas at about half of 256 hosts, so each
-/// incident edge has many exceptional origins on both endpoints, mostly
-/// shared. The replay's final total must be bit-identical to the recorded
-/// value, and within 1e-9 of the full sweep.
+/// component starts with replicas at about half of 256 hosts, so a primary
+/// move's replica pass and its far-side walks run over four-word masks.
+/// The replay stays within 1e-9 of the full sweep throughout, and its
+/// final total must be bit-identical to the recorded value: a change that
+/// reassociates the sums re-records it deliberately.
 #[test]
 fn dense_replica_replay_total_is_pinned() {
     let mut rng = SimRng::seed_from_u64(0xDE45_E256);
     let problem = dense_problem(&mut rng);
-    let start = random_placement(&mut rng, &problem, 0.5);
-    let mut eval = CostEvaluator::new(&problem, start);
-    for _ in 0..DENSE_REPLAY {
-        let mv = random_move(&mut rng, &eval, &problem);
-        eval.apply(mv);
-        eval.commit();
-    }
-    let full = cost_breakdown(&problem, &eval.placement());
-    assert_breakdown_close(&eval.breakdown(), &full, DENSE_REPLAY);
+    let eval = replay_checked(&problem, &mut rng);
     assert_eq!(
         eval.total().to_bits(),
         DENSE_REPLAY_TOTAL_BITS,
         "dense replay total {:.15e} moved",
         eval.total()
     );
+}
+
+/// The 256-host multi-tier rung: the 15 regional hubs originate no
+/// traffic, so replica passes and far-side walks skip zero-share hosts, and
+/// every third host has finite CPU capacity, so primary moves shift load
+/// across capacity limits on multi-word masks.
+#[test]
+fn ladder_replica_replay_matches_full_recompute() {
+    let mut problem = ladder_problem(256);
+    for (i, host) in problem.hosts.iter_mut().enumerate() {
+        if i % 3 == 0 {
+            // Around one Entry share's load (2.5 ms/s) plus a primary
+            // bucket, so moves cross the limits in both directions.
+            host.cpu_capacity = 2.0 + (i % 7) as f64;
+        }
+    }
+    let mut rng = SimRng::seed_from_u64(0x1ADD_E256);
+    let eval = replay_checked(&problem, &mut rng);
+    assert!(eval.breakdown().overload > 0.0);
 }
