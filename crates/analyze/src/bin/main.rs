@@ -20,6 +20,7 @@ use std::process::ExitCode;
 
 use mutsvc_analyze::{analyze_target_windows, explain, sarif_document, Report};
 use mutsvc_core::{AppKind, Config, FaultCase, Scenario};
+use mutsvc_desim::json::Json;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::FaultPolicy;
 
@@ -246,12 +247,12 @@ fn main() -> ExitCode {
     match opts.format {
         Format::Text => {}
         Format::Json => {
-            let docs: Vec<String> = reports.iter().map(|(_, _, r)| r.to_json()).collect();
-            println!("[{}]", docs.join(","));
+            let docs = reports.iter().map(|(_, _, r)| r.to_json()).collect();
+            print!("{}", Json::Array(docs).render());
         }
         Format::Sarif => {
             let docs: Vec<Report> = reports.iter().map(|(_, _, r)| r.clone()).collect();
-            println!("{}", sarif_document(&docs));
+            print!("{}", sarif_document(&docs).render());
         }
     }
 

@@ -2,10 +2,12 @@
 //!
 //! Diagnostics carry stable codes (`E001`…, `W101`…) so CI and editors can
 //! filter on them; rendering mimics rustc's `severity[code]: message` shape
-//! with `-->` location lines. JSON output is emitted by hand (the vendored
-//! `serde` stub has no derive support), with proper string escaping.
+//! with `-->` location lines. The JSON and SARIF forms are
+//! [`mutsvc_desim::json::Json`] values.
 
 use std::fmt::Write as _;
+
+use mutsvc_desim::json::Json;
 
 /// Diagnostic severity. Errors fail the build (`mutsvc-analyze` exits
 /// nonzero); warnings are advisory.
@@ -237,113 +239,73 @@ impl Report {
         out
     }
 
-    /// Renders the report as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(out, "\"app\":{},", json_str(&self.app));
-        let _ = write!(out, "\"config\":{},", json_str(&self.config));
-        out.push_str("\"pages\":[");
-        for (i, p) in self.pages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"page\":{},\"entry\":{},\"wan_round_trips\":{},\"limit\":{},\"staleness\":{},\"crossings\":[",
-                json_str(&p.page),
-                json_str(&p.entry),
-                p.wan_round_trips,
-                p.limit,
-                json_str(&p.staleness)
-            );
-            for (j, c) in p.crossings.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"from\":{},\"to\":{},\"kind\":{},\"trips\":{},\"wan\":{},\"wan_hops\":{}}}",
-                    json_str(&c.from),
-                    json_str(&c.to),
-                    json_str(&c.kind),
-                    c.trips,
-                    c.wan,
-                    c.wan_hops
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"availability\":[");
-        for (i, row) in self.availability.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"episode\":{},\"availability\":{:.4}}}",
-                json_str(&row.episode),
-                row.availability
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"staleness_iterations\":{},\"staleness_converged\":{},",
-            self.staleness_iterations, self.staleness_converged
-        );
-        out.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"code\":{},\"severity\":{},\"message\":{},\"component\":{},\"node\":{},\"page\":{},\"path\":{}}}",
-                json_str(d.code),
-                json_str(d.severity.label()),
-                json_str(&d.message),
-                json_opt(d.component.as_deref()),
-                json_opt(d.node.as_deref()),
-                json_opt(d.span.page.as_deref()),
-                json_str(&d.span.path)
-            );
-        }
-        out.push_str("]}");
-        out
+    /// The report as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let pages = self.pages.iter().map(|p| {
+            let crossings = p.crossings.iter().map(|c| {
+                Json::object([
+                    ("from", c.from.as_str().into()),
+                    ("to", c.to.as_str().into()),
+                    ("kind", c.kind.as_str().into()),
+                    ("trips", c.trips.into()),
+                    ("wan", c.wan.into()),
+                    ("wan_hops", c.wan_hops.into()),
+                ])
+            });
+            Json::object([
+                ("page", p.page.as_str().into()),
+                ("entry", p.entry.as_str().into()),
+                ("wan_round_trips", p.wan_round_trips.into()),
+                ("limit", p.limit.into()),
+                ("staleness", p.staleness.as_str().into()),
+                ("crossings", Json::Array(crossings.collect())),
+            ])
+        });
+        let availability = self.availability.iter().map(|row| {
+            Json::object([
+                ("episode", row.episode.as_str().into()),
+                ("availability", Json::fixed(row.availability, 4)),
+            ])
+        });
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Json::object([
+                ("code", d.code.into()),
+                ("severity", d.severity.label().into()),
+                ("message", d.message.as_str().into()),
+                ("component", d.component.as_deref().into()),
+                ("node", d.node.as_deref().into()),
+                ("page", d.span.page.as_deref().into()),
+                ("path", d.span.path.as_str().into()),
+            ])
+        });
+        Json::object([
+            ("app", self.app.as_str().into()),
+            ("config", self.config.as_str().into()),
+            ("pages", Json::Array(pages.collect())),
+            ("availability", Json::Array(availability.collect())),
+            ("staleness_iterations", self.staleness_iterations.into()),
+            ("staleness_converged", self.staleness_converged.into()),
+            ("diagnostics", Json::Array(diagnostics.collect())),
+        ])
     }
 
-    /// Renders this report as a single-run SARIF 2.1.0 document.
-    pub fn to_sarif(&self) -> String {
+    /// This report as a single-run SARIF 2.1.0 document.
+    pub fn to_sarif(&self) -> Json {
         sarif_document(std::slice::from_ref(self))
     }
 
     /// This report's findings as a SARIF `run` object.
-    fn sarif_run(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"tool\":{\"driver\":{\"name\":\"mutsvc-analyze\",");
-        let _ = write!(
-            out,
-            "\"informationUri\":{},\"rules\":[",
-            json_str("https://github.com/mutsvc/mutsvc")
-        );
-        for (i, doc) in crate::explain::CODES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"shortDescription\":{{\"text\":{}}},\"fullDescription\":{{\"text\":{}}},\"helpUri\":{}}}",
-                json_str(doc.code),
-                json_str(doc.summary),
-                json_str(doc.explain),
-                json_str(&format!("paper:{}", doc.section))
-            );
-        }
-        out.push_str("]}},\"results\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+    fn sarif_run(&self) -> Json {
+        let text = |text: &str| Json::object([("text", text.into())]);
+        let rules = crate::explain::CODES.iter().map(|doc| {
+            Json::object([
+                ("id", doc.code.into()),
+                ("shortDescription", text(doc.summary)),
+                ("fullDescription", text(doc.explain)),
+                ("helpUri", format!("paper:{}", doc.section).into()),
+            ])
+        });
+        let results = self.diagnostics.iter().map(|d| {
             let location = match &d.span.page {
                 Some(page) if d.span.path.is_empty() => {
                     format!("{}/{}/{page}", self.app, self.config)
@@ -351,65 +313,46 @@ impl Report {
                 Some(page) => format!("{}/{}/{page}: {}", self.app, self.config, d.span.path),
                 None => format!("{}/{}: {}", self.app, self.config, d.span.path),
             };
-            let _ = write!(
-                out,
-                "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\"locations\":[{{\"logicalLocations\":[{{\"fullyQualifiedName\":{}}}]}}]}}",
-                json_str(d.code),
-                json_str(match d.severity {
-                    Severity::Error => "error",
-                    Severity::Warning => "warning",
-                }),
-                json_str(&d.message),
-                json_str(&location)
-            );
-        }
-        out.push_str("]}");
-        out
+            let logical = Json::object([("fullyQualifiedName", location.into())]);
+            Json::object([
+                ("ruleId", d.code.into()),
+                ("level", d.severity.label().into()),
+                ("message", text(&d.message)),
+                (
+                    "locations",
+                    Json::Array(vec![Json::object([(
+                        "logicalLocations",
+                        Json::Array(vec![logical]),
+                    )])]),
+                ),
+            ])
+        });
+        let driver = Json::object([
+            ("name", "mutsvc-analyze".into()),
+            ("informationUri", "https://github.com/mutsvc/mutsvc".into()),
+            ("rules", Json::Array(rules.collect())),
+        ]);
+        Json::object([
+            ("tool", Json::object([("driver", driver)])),
+            ("results", Json::Array(results.collect())),
+        ])
     }
 }
 
-/// Renders a set of reports as one SARIF 2.1.0 document, one run per
-/// report — the shape GitHub code-scanning ingests for PR annotations.
-pub fn sarif_document(reports: &[Report]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",");
-    out.push_str("\"version\":\"2.1.0\",\"runs\":[");
-    for (i, report) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&report.sarif_run());
-    }
-    out.push_str("]}");
-    out
-}
-
-fn json_opt(s: Option<&str>) -> String {
-    match s {
-        Some(s) => json_str(s),
-        None => "null".to_string(),
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A set of reports as one SARIF 2.1.0 document, one run per report — the
+/// shape GitHub code-scanning ingests for PR annotations.
+pub fn sarif_document(reports: &[Report]) -> Json {
+    Json::object([
+        (
+            "$schema",
+            "https://json.schemastore.org/sarif-2.1.0.json".into(),
+        ),
+        ("version", "2.1.0".into()),
+        (
+            "runs",
+            Json::Array(reports.iter().map(Report::sarif_run).collect()),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -465,7 +408,8 @@ mod tests {
 
     #[test]
     fn json_escapes_and_nests() {
-        let json = sample().to_json();
+        let json = sample().to_json().render();
+        assert_eq!(Json::parse(&json).unwrap().render(), json);
         assert!(json.contains("\"code\":\"W103\""), "{json}");
         assert!(json.contains("stub \\\"caching\\\" disabled"), "{json}");
         assert!(json.contains("\"wan\":true"), "{json}");
@@ -530,29 +474,47 @@ mod tests {
         assert_eq!(before, r.render_text());
     }
 
+    /// The value at a `/`-separated path of object keys and array indices.
+    fn at<'a>(v: &'a Json, path: &str) -> &'a Json {
+        path.split('/')
+            .fold(v, |v, step| match step.parse::<usize>() {
+                Ok(i) => &v.as_array().unwrap()[i],
+                Err(_) => v.get(step).unwrap(),
+            })
+    }
+
     #[test]
     fn sarif_has_2_1_0_shape() {
         let sarif = sample().to_sarif();
+        let text = sarif.render();
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
         // Document envelope.
-        assert!(sarif.starts_with("{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\""));
-        assert!(sarif.contains("\"version\":\"2.1.0\""));
-        assert!(sarif.contains("\"runs\":[{"));
+        assert_eq!(
+            at(&sarif, "$schema"),
+            &Json::from("https://json.schemastore.org/sarif-2.1.0.json")
+        );
+        assert_eq!(at(&sarif, "version"), &Json::from("2.1.0"));
         // Tool driver with the full rule registry.
-        assert!(sarif.contains("\"tool\":{\"driver\":{\"name\":\"mutsvc-analyze\""));
-        for doc in crate::explain::CODES {
-            assert!(
-                sarif.contains(&format!("\"id\":\"{}\"", doc.code)),
-                "rule {} missing",
-                doc.code
-            );
+        assert_eq!(
+            at(&sarif, "runs/0/tool/driver/name"),
+            &Json::from("mutsvc-analyze")
+        );
+        let rules = at(&sarif, "runs/0/tool/driver/rules").as_array().unwrap();
+        assert_eq!(rules.len(), crate::explain::CODES.len());
+        for (rule, doc) in rules.iter().zip(crate::explain::CODES) {
+            assert_eq!(at(rule, "id"), &Json::from(doc.code));
         }
         // Results reference rules by id with level and logical location.
-        assert!(sarif.contains("\"ruleId\":\"W103\""));
-        assert!(sarif.contains("\"level\":\"warning\""));
-        assert!(sarif.contains("\"logicalLocations\":[{\"fullyQualifiedName\":"));
+        let result = at(&sarif, "runs/0/results/0");
+        assert_eq!(at(result, "ruleId"), &Json::from("W103"));
+        assert_eq!(at(result, "level"), &Json::from("warning"));
+        assert_eq!(
+            at(result, "locations/0/logicalLocations/0/fullyQualifiedName"),
+            &Json::from("petstore/remote-facade: descriptor.stub_caching")
+        );
         // Multi-report documents hold one run per report.
         let two = sarif_document(&[sample(), sample()]);
-        assert_eq!(two.matches("\"results\":[").count(), 2);
+        assert_eq!(at(&two, "runs").as_array().unwrap().len(), 2);
     }
 
     #[test]
@@ -566,14 +528,13 @@ mod tests {
         );
         assert!(text.contains("0.9876"), "{text}");
         let json = sample().to_json();
-        assert!(json.contains("\"staleness\":\"fresh\""), "{json}");
-        assert!(json.contains("\"wan_hops\":1"), "{json}");
-        assert!(
-            json.contains(
-                "\"availability\":[{\"episode\":\"main-link-partition\",\"availability\":0.9876}]"
-            ),
-            "{json}"
+        assert_eq!(at(&json, "pages/0/staleness"), &Json::from("fresh"));
+        assert_eq!(at(&json, "pages/0/crossings/0/wan_hops"), &Json::from(1u32));
+        assert_eq!(
+            at(&json, "availability"),
+            &Json::parse("[{\"episode\":\"main-link-partition\",\"availability\":0.9876}]")
+                .unwrap()
         );
-        assert!(json.contains("\"staleness_converged\":true"), "{json}");
+        assert_eq!(at(&json, "staleness_converged"), &Json::Bool(true));
     }
 }

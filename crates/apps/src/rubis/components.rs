@@ -141,11 +141,6 @@ impl RubisComponents {
         ]
     }
 
-    /// Write-path façades: always co-located with the database.
-    pub fn write_facades(&self) -> [ComponentId; 2] {
-        [self.sb_store_bid, self.sb_store_comment]
-    }
-
     /// The "almost linear" architecture edges: servlet → dedicated façade →
     /// related entities.
     pub fn architecture_edges(&self) -> Vec<(ComponentId, ComponentId)> {

@@ -18,9 +18,12 @@
 //! alone. Schedules and controller rounds are deterministic: a same-seed
 //! suite run renders `BENCH_adaptive.json` byte-identically.
 
-use crate::fault_artifacts::{after_each, fmt2, fmt4, outcome_json};
+use crate::fault_artifacts::{
+    check_fraction, check_header, check_names, check_outcome, groups_json,
+};
 use crate::metrics_artifacts::default_slo;
 use mutsvc_core::{adaptive_episode_input, AdaptiveEpisode, AppKind};
+use mutsvc_desim::json::Json;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{
     evaluate, run_experiment, AdaptiveSettings, ExperimentReport, MoveKind, SloReport,
@@ -164,83 +167,57 @@ fn move_kind_name(kind: MoveKind) -> &'static str {
 
 /// Renders one arm cell of `BENCH_adaptive.json` — the migration schedule,
 /// cost trajectory, per-group outcomes and SLO verdicts of a single run.
-/// Public so the thread-invariance suite can pin the rendered bytes.
-pub fn adaptive_cell_json(cell: &AdaptiveCell) -> String {
-    // `"arm":"..","migration_count":N` stays adjacent: the validator keys
-    // its physics checks (quiescent-zero, degradation-nonzero) on the pair.
-    let mut out = format!(
-        "{{\"arm\":\"{}\",\"migration_count\":{},\"completed\":{},\"stressed\":{{\
-         \"group\":\"{STRESSED_GROUP}\",\"session_mean_ms\":{},\"availability\":{}}}",
-        cell.arm,
-        cell.migration_count(),
-        cell.report.completed,
-        fmt2(cell.stressed_session_ms().unwrap_or(f64::NAN)),
-        fmt4(cell.stressed_availability()),
-    );
-    out.push_str(",\"migrations\":[");
-    if let Some(data) = &cell.report.adaptive {
-        for (i, m) in data.migrations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"at_ms\":{},\"component\":\"{}\",\"kind\":\"{}\",\"from\":\"{}\",\
-                 \"to\":\"{}\",\"modeled_gain_ms_per_s\":{}}}",
-                fmt2(m.decided_at.as_millis_f64()),
-                m.component,
-                move_kind_name(m.kind),
-                m.from,
-                m.to,
-                fmt2(m.modeled_gain),
-            ));
-        }
-    }
-    out.push_str("],\"rounds\":[");
-    if let Some(data) = &cell.report.adaptive {
-        for (i, r) in data.rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"at_ms\":{},\"windows\":{},\"cost_before\":{},\"cost_after\":{},\
-                 \"observed_p50_ms\":{},\"moves\":{}}}",
-                fmt2(r.at.as_millis_f64()),
-                r.windows,
-                fmt2(r.cost_before),
-                fmt2(r.cost_after),
-                fmt2(r.observed_p50_ms),
-                r.moves,
-            ));
-        }
-    }
-    out.push_str("],\"groups\":[");
-    for (i, (group, outcome)) in cell.report.stats.outcomes().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"group\":\"{group}\",\"outcome\":{}}}",
-            outcome_json(outcome, cell.window)
-        ));
-    }
-    out.push_str(&format!(
-        "],\"slo\":{{\"all_met\":{},\"verdicts\":[",
-        cell.slo.all_met()
-    ));
-    for (i, v) in cell.slo.verdicts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"objective\":\"{}\",\"target\":{},\"attained\":{},\"met\":{}}}",
-            v.objective,
-            fmt4(v.target),
-            fmt4(v.attained),
-            v.met,
-        ));
-    }
-    out.push_str("]}}");
-    out
+/// Public so the thread-invariance suite can pin the rendered value.
+pub fn adaptive_cell_json(cell: &AdaptiveCell) -> Json {
+    let data = cell.report.adaptive.as_ref();
+    let migrations = data.into_iter().flat_map(|d| &d.migrations).map(|m| {
+        Json::object([
+            ("at_ms", Json::fixed(m.decided_at.as_millis_f64(), 2)),
+            ("component", m.component.as_str().into()),
+            ("kind", move_kind_name(m.kind).into()),
+            ("from", m.from.as_str().into()),
+            ("to", m.to.as_str().into()),
+            ("modeled_gain_ms_per_s", Json::fixed(m.modeled_gain, 2)),
+        ])
+    });
+    let rounds = data.into_iter().flat_map(|d| &d.rounds).map(|r| {
+        Json::object([
+            ("at_ms", Json::fixed(r.at.as_millis_f64(), 2)),
+            ("windows", r.windows.into()),
+            ("cost_before", Json::fixed(r.cost_before, 2)),
+            ("cost_after", Json::fixed(r.cost_after, 2)),
+            ("observed_p50_ms", Json::fixed(r.observed_p50_ms, 2)),
+            ("moves", r.moves.into()),
+        ])
+    });
+    let verdicts = cell.slo.verdicts.iter().map(|v| {
+        Json::object([
+            ("objective", v.objective.as_str().into()),
+            ("target", Json::fixed(v.target, 4)),
+            ("attained", Json::fixed(v.attained, 4)),
+            ("met", v.met.into()),
+        ])
+    });
+    let session_ms = cell.stressed_session_ms().unwrap_or(f64::NAN);
+    let stressed = Json::object([
+        ("group", STRESSED_GROUP.into()),
+        ("session_mean_ms", Json::fixed(session_ms, 2)),
+        ("availability", Json::fixed(cell.stressed_availability(), 4)),
+    ]);
+    let slo = Json::object([
+        ("all_met", cell.slo.all_met().into()),
+        ("verdicts", Json::Array(verdicts.collect())),
+    ]);
+    Json::object([
+        ("arm", cell.arm.into()),
+        ("migration_count", cell.migration_count().into()),
+        ("completed", cell.report.completed.into()),
+        ("stressed", stressed),
+        ("migrations", Json::Array(migrations.collect())),
+        ("rounds", Json::Array(rounds.collect())),
+        ("groups", groups_json(&cell.report, cell.window)),
+        ("slo", slo),
+    ])
 }
 
 /// Renders `BENCH_adaptive.json`: per app × episode, both controller arms
@@ -251,24 +228,8 @@ pub fn render_adaptive_json(
     seed: u64,
     mode: &str,
 ) -> String {
-    let mut out = format!(
-        "{{\"suite\":\"adaptive\",\"mode\":\"{mode}\",\"seed\":{seed},\"cadence_s\":{},\
-         \"stressed_group\":\"{STRESSED_GROUP}\",\"apps\":[",
-        suite_cadence().as_secs_f64() as u64,
-    );
-    for (ai, (app, cells)) in sweeps.iter().enumerate() {
-        if ai > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n{{\"app\":\"{}\",\"episodes\":[", app.name()));
-        for (ei, episode) in AdaptiveEpisode::all().into_iter().enumerate() {
-            if ei > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{{\"episode\":\"{}\",\"arms\":[",
-                episode.name()
-            ));
+    let apps = sweeps.iter().map(|(app, cells)| {
+        let episodes = AdaptiveEpisode::all().into_iter().map(|episode| {
             let arm = |name| {
                 cells
                     .iter()
@@ -276,25 +237,36 @@ pub fn render_adaptive_json(
                     .expect("suite covers every episode x arm")
             };
             let (on, off) = (arm("on"), arm("off"));
-            out.push_str(&format!(
-                "\n{},\n{}",
-                adaptive_cell_json(on),
-                adaptive_cell_json(off)
-            ));
             let rt_delta = match (on.stressed_session_ms(), off.stressed_session_ms()) {
                 (Some(a), Some(b)) => a - b,
                 _ => f64::NAN,
             };
-            out.push_str(&format!(
-                "],\"delta\":{{\"stressed_session_mean_ms\":{},\"stressed_availability\":{}}}}}",
-                fmt2(rt_delta),
-                fmt4(on.stressed_availability() - off.stressed_availability()),
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}\n");
-    out
+            let availability_delta = on.stressed_availability() - off.stressed_availability();
+            let delta = Json::object([
+                ("stressed_session_mean_ms", Json::fixed(rt_delta, 2)),
+                ("stressed_availability", Json::fixed(availability_delta, 4)),
+            ]);
+            let arms = vec![adaptive_cell_json(on), adaptive_cell_json(off)];
+            Json::object([
+                ("episode", episode.name().into()),
+                ("arms", Json::Array(arms)),
+                ("delta", delta),
+            ])
+        });
+        Json::object([
+            ("app", app.name().into()),
+            ("episodes", Json::Array(episodes.collect())),
+        ])
+    });
+    Json::object([
+        ("suite", "adaptive".into()),
+        ("mode", mode.into()),
+        ("seed", seed.into()),
+        ("cadence_s", (suite_cadence().as_secs_f64() as u64).into()),
+        ("stressed_group", STRESSED_GROUP.into()),
+        ("apps", Json::Array(apps.collect())),
+    ])
+    .render()
 }
 
 /// Renders the controller on/off table for one application: the stressed
@@ -339,117 +311,70 @@ pub fn render_adaptive_table(app: AppKind, cells: &[AdaptiveCell]) -> String {
     out
 }
 
-fn leading_number(rest: &str) -> Result<f64, String> {
-    let num = rest.split([',', '}', ']']).next().unwrap_or_default();
-    num.parse()
-        .map_err(|_| format!("bad number {num:?} in adaptive document"))
-}
-
-/// Structurally validates a `BENCH_adaptive.json` document: balanced
-/// braces/brackets, the required header and section keys, known episode
-/// and arm names, every `availability` in `[0, 1]` — and the suite's
-/// physics: the quiescent on-arm committed **zero** migrations while the
-/// link-degradation on-arm committed at least one. Returns the number of
-/// arm cells found.
-///
-/// This is a purpose-built scanner for our own renderer's output, not a
-/// general JSON parser (the vendored `serde` is a stub).
+/// Validates a `BENCH_adaptive.json` document by parsing it: the
+/// `adaptive` header; per app every [`AdaptiveEpisode`] in order, each with
+/// a `delta` and exactly the `on` and `off` arms of [`suite_arms`]; in
+/// every arm a migration count that matches its schedule, the cost
+/// trajectory, the SLO verdicts and every `availability` in `[0, 1]` — and
+/// the suite's physics: the quiescent on-arm and every frozen arm commit
+/// **zero** migrations, while the link-degradation on-arm commits at least
+/// one. Returns the number of arm cells.
 pub fn validate_adaptive_json(json: &str) -> Result<usize, String> {
-    let (mut braces, mut brackets) = (0i64, 0i64);
-    for ch in json.chars() {
-        match ch {
-            '{' => braces += 1,
-            '}' => braces -= 1,
-            '[' => brackets += 1,
-            ']' => brackets -= 1,
-            _ => {}
-        }
-        if braces < 0 || brackets < 0 {
-            return Err("closing brace before its opener".to_string());
-        }
-    }
-    if braces != 0 || brackets != 0 {
-        return Err(format!(
-            "unbalanced document ({braces} braces, {brackets} brackets open)"
-        ));
-    }
-    if !json.starts_with("{\"suite\":\"adaptive\"") {
-        return Err("missing {\"suite\":\"adaptive\"} header".to_string());
-    }
-    for key in [
-        "\"mode\":",
-        "\"seed\":",
-        "\"apps\":",
-        "\"episodes\":",
-        "\"migrations\":",
-        "\"rounds\":",
-        "\"slo\":",
-        "\"delta\":",
-    ] {
-        if !json.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    for rest in after_each(json, "\"episode\":\"") {
-        let name = rest.split('"').next().unwrap_or_default();
-        if !AdaptiveEpisode::all().iter().any(|e| e.name() == name) {
-            return Err(format!("unknown episode {name:?}"));
-        }
-    }
-    for rest in after_each(json, "\"arm\":\"") {
-        let name = rest.split('"').next().unwrap_or_default();
-        if name != "on" && name != "off" {
-            return Err(format!("unknown controller arm {name:?}"));
-        }
-    }
-    for rest in after_each(json, "\"availability\":") {
-        let v = leading_number(rest)?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("availability {v} out of [0,1]"));
-        }
-    }
-    // Physics: the on-arm migration count per episode. Episode chunks run
-    // to the next episode header, so the adjacent arm/count pairs below
-    // belong to the episode that opened the chunk.
-    for rest in after_each(json, "\"episode\":\"") {
-        let episode = rest.split('"').next().unwrap_or_default();
-        let chunk = rest.split("\"episode\":\"").next().unwrap_or(rest);
-        let counts = after_each(chunk, "\"arm\":\"on\",\"migration_count\":");
-        if counts.len() != 1 {
-            return Err(format!(
-                "episode {episode:?} has {} on-arms, wanted exactly one",
-                counts.len()
-            ));
-        }
-        let count = leading_number(counts[0])? as i64;
-        match episode {
-            "quiescent" if count != 0 => {
+    let doc = Json::parse(json)?;
+    check_header(&doc, "adaptive")?;
+    let mut cells = 0;
+    for app in doc.get("apps")?.as_array()? {
+        let episodes = app.get("episodes")?.as_array()?;
+        let names = AdaptiveEpisode::all().map(AdaptiveEpisode::name);
+        check_names(episodes, "episode", &names)?;
+        for (episode, kind) in episodes.iter().zip(AdaptiveEpisode::all()) {
+            episode.get("delta")?;
+            let arms = episode.get("arms")?.as_array()?;
+            check_names(arms, "arm", &suite_arms().map(|(arm, _)| arm))?;
+            let mut counts = Vec::new();
+            for arm in arms {
+                let count = arm.get("migration_count")?.as_u64()?;
+                let scheduled = arm.get("migrations")?.as_array()?.len();
+                if count != scheduled as u64 {
+                    return Err(format!(
+                        "{} arm counts {count} migrations but schedules {scheduled}",
+                        kind.name()
+                    ));
+                }
+                arm.get("rounds")?.as_array()?;
+                arm.get("slo")?.get("verdicts")?.as_array()?;
+                check_fraction(arm.get("stressed")?, "availability")?;
+                for group in arm.get("groups")?.as_array()? {
+                    check_outcome(group.get("outcome")?)?;
+                }
+                counts.push(count);
+                cells += 1;
+            }
+            let (on, off) = (counts[0], counts[1]);
+            match kind {
+                AdaptiveEpisode::Quiescent if on != 0 => {
+                    return Err(format!(
+                        "the quiescent control committed {on} migrations; the drift floor must \
+                         hold at zero"
+                    ));
+                }
+                AdaptiveEpisode::LinkDegradation if on == 0 => {
+                    return Err(
+                        "the link-degradation on-arm committed no migrations; the controller \
+                         must react to the slowed corridor"
+                            .to_string(),
+                    );
+                }
+                _ => {}
+            }
+            if off != 0 {
                 return Err(format!(
-                    "the quiescent control committed {count} migrations; the drift floor must \
-                     hold at zero"
+                    "episode {:?} frozen arm reports {off} migrations",
+                    kind.name()
                 ));
             }
-            "link-degradation" if count == 0 => {
-                return Err(
-                    "the link-degradation on-arm committed no migrations; the controller \
-                     must react to the slowed corridor"
-                        .to_string(),
-                );
-            }
-            _ => {}
-        }
-        if after_each(chunk, "\"arm\":\"off\",\"migration_count\":")
-            .first()
-            .map(|r| leading_number(r))
-            .transpose()?
-            != Some(0.0)
-        {
-            return Err(format!(
-                "episode {episode:?} frozen arm reports migrations (or none at all)"
-            ));
         }
     }
-    let cells = after_each(json, "\"arm\":\"").len();
     if cells == 0 {
         return Err("no arm cells".to_string());
     }
@@ -459,6 +384,7 @@ pub fn validate_adaptive_json(json: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{at, edited, remove};
 
     #[test]
     fn suite_renders_validates_and_pins_the_physics() {
@@ -495,55 +421,111 @@ mod tests {
             let cells = run_adaptive_suite(AppKind::PetStore, true, true, 9);
             render_adaptive_json(&[(AppKind::PetStore, cells)], 9, "smoke")
         };
-        assert_eq!(render(), render());
+        let json = render();
+        assert_eq!(json, render());
+        assert_eq!(Json::parse(&json).unwrap().render(), json);
     }
 
-    /// A minimal well-formed document the rejection tests tamper with.
-    fn minimal_doc(quiescent_on: usize, degradation_on: usize) -> String {
-        let episode = |name: &str, on: usize| {
-            format!(
-                "{{\"episode\":\"{name}\",\"arms\":[\
-                 {{\"arm\":\"on\",\"migration_count\":{on},\"availability\":1.0000,\
-                 \"migrations\":[],\"rounds\":[],\"slo\":{{}}}},\
-                 {{\"arm\":\"off\",\"migration_count\":0,\"availability\":1.0000}}],\
-                 \"delta\":{{}}}}"
-            )
+    /// A minimal well-formed document the rejection tests tamper with: the
+    /// quiescent on-arm holds still and every other on-arm migrates once.
+    fn minimal_doc() -> String {
+        let arm = |arm: &str, migrations: usize| {
+            Json::object([
+                ("arm", arm.into()),
+                ("migration_count", migrations.into()),
+                (
+                    "stressed",
+                    Json::object([("availability", Json::fixed(1.0, 4))]),
+                ),
+                (
+                    "migrations",
+                    Json::Array(vec![Json::object([]); migrations]),
+                ),
+                ("rounds", Json::Array(Vec::new())),
+                ("groups", Json::Array(Vec::new())),
+                ("slo", Json::object([("verdicts", Json::Array(Vec::new()))])),
+            ])
         };
-        format!(
-            "{{\"suite\":\"adaptive\",\"mode\":\"smoke\",\"seed\":1,\"apps\":[\
-             {{\"app\":\"petstore\",\"episodes\":[{},{},{},{}]}}]}}",
-            episode("quiescent", quiescent_on),
-            episode("flash-crowd", 1),
-            episode("link-degradation", degradation_on),
-            episode("diurnal-shift", 0),
-        )
+        let episodes = AdaptiveEpisode::all().into_iter().map(|episode| {
+            let on = usize::from(episode != AdaptiveEpisode::Quiescent);
+            Json::object([
+                ("episode", episode.name().into()),
+                ("arms", Json::Array(vec![arm("on", on), arm("off", 0)])),
+                ("delta", Json::object([])),
+            ])
+        });
+        let app = Json::object([
+            ("app", "petstore".into()),
+            ("episodes", Json::Array(episodes.collect())),
+        ]);
+        Json::object([
+            ("suite", "adaptive".into()),
+            ("mode", "smoke".into()),
+            ("seed", 1u64.into()),
+            ("apps", Json::Array(vec![app])),
+        ])
+        .render()
+    }
+
+    /// Episode `e`'s arm `a` (0 = on, 1 = off) of the first app.
+    fn arm(d: &mut Json, e: usize, a: usize) -> &mut Json {
+        at(d, &format!("apps/0/episodes/{e}/arms/{a}"))
+    }
+
+    /// Sets an arm's migration count and a schedule to match.
+    fn set_migrations(arm: &mut Json, n: usize) {
+        *at(arm, "migration_count") = n.into();
+        *at(arm, "migrations") = Json::Array(vec![Json::object([]); n]);
     }
 
     #[test]
     fn validator_rejects_tampering() {
-        let json = minimal_doc(0, 2);
+        let json = minimal_doc();
         assert_eq!(validate_adaptive_json(&json), Ok(8));
-        // A thrashing quiescent control.
-        assert!(validate_adaptive_json(&minimal_doc(3, 2)).is_err());
-        // A controller asleep through the degradation.
-        assert!(validate_adaptive_json(&minimal_doc(0, 0)).is_err());
-        // A wrong suite header.
-        let bad = json.replacen("\"suite\":\"adaptive\"", "\"suite\":\"faults\"", 1);
-        assert!(validate_adaptive_json(&bad).is_err());
-        // A truncated document.
-        assert!(validate_adaptive_json(&json[..json.len() - 3]).is_err());
+        let rejects = |edit: fn(&mut Json)| validate_adaptive_json(&edited(&json, edit)).is_err();
+        // A dropped episode (the link-degradation one), and a dropped arm.
+        assert!(rejects(|d| remove(d, "apps/0/episodes/2")));
+        assert!(rejects(|d| remove(d, "apps/0/episodes/1/arms/1")));
         // An unknown episode name.
-        let bad = json.replace("diurnal-shift", "earthquake");
-        assert!(validate_adaptive_json(&bad).is_err());
+        assert!(rejects(
+            |d| *at(d, "apps/0/episodes/3/episode") = "earthquake".into()
+        ));
         // An out-of-range availability.
-        let bad = json.replacen("\"availability\":1.0000", "\"availability\":9", 1);
-        assert!(validate_adaptive_json(&bad).is_err());
+        assert!(rejects(|d| {
+            *at(arm(d, 1, 0), "stressed/availability") = Json::fixed(9.0, 4);
+        }));
+        // A thrashing quiescent control.
+        assert!(rejects(|d| set_migrations(arm(d, 0, 0), 3)));
+        // A controller asleep through the degradation.
+        assert!(rejects(|d| set_migrations(arm(d, 2, 0), 0)));
         // A migrating frozen arm.
-        let bad = json.replacen(
-            "\"arm\":\"off\",\"migration_count\":0",
-            "\"arm\":\"off\",\"migration_count\":1",
-            1,
+        assert!(rejects(|d| set_migrations(arm(d, 3, 1), 1)));
+        // A count that disagrees with the schedule.
+        assert!(rejects(
+            |d| *at(arm(d, 1, 0), "migration_count") = 2u64.into()
+        ));
+        // A wrong suite header and a truncated document.
+        assert!(rejects(|d| *at(d, "suite") = "faults".into()));
+        assert!(validate_adaptive_json(&json[..json.len() - 3]).is_err());
+    }
+
+    /// The validator reads fields by name: an arm whose fields come in
+    /// reverse order still passes, and its physics are still checked.
+    #[test]
+    fn validator_reads_fields_in_any_order() {
+        let reversed = |d: &mut Json| {
+            let Json::Object(members) = arm(d, 2, 0) else {
+                panic!("an arm is an object")
+            };
+            members.reverse();
+        };
+        let json = edited(&minimal_doc(), reversed);
+        assert!(
+            json.contains("\"migration_count\":1,\"arm\":\"on\"}"),
+            "{json}"
         );
-        assert!(validate_adaptive_json(&bad).is_err());
+        assert_eq!(validate_adaptive_json(&json), Ok(8));
+        let asleep = edited(&json, |d| set_migrations(arm(d, 2, 0), 0));
+        assert!(validate_adaptive_json(&asleep).is_err());
     }
 }

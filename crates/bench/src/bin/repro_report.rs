@@ -55,10 +55,11 @@
 //! link-degradation, diurnal-shift) with the closed-loop live-migration
 //! controller on and off, prints the per-episode on/off table and writes
 //! `BENCH_adaptive.json` (migration schedules, cost trajectories, SLO
-//! verdicts, stressed-group deltas). The written document must pass the
-//! structural validator — the quiescent control commits zero migrations,
-//! the link-degradation episode at least one. `--smoke` shortens the
-//! windows for CI's schema-validation gate.
+//! verdicts, stressed-group deltas). The written document must parse and
+//! pass `validate_adaptive_json` — every episode with both arms, the
+//! quiescent control committing zero migrations, the link-degradation
+//! episode at least one. `--smoke` shortens the windows for CI's
+//! schema-validation gate.
 //!
 //! With no selection flags, everything is printed. `--quick` (default) uses
 //! a 90 s warm-up + 300 s measured window; `--paper` runs the full
@@ -87,13 +88,13 @@ use mutsvc_bench::simperf_report::{
     thread_counts, FANOUT_REGIONS,
 };
 use mutsvc_bench::trace_artifacts::{
-    config_by_name, render_trace_json, render_wan_rt_table, run_traced_sweep,
-    validate_chrome_trace, TraceCell,
+    config_by_name, render_trace_json, render_wan_rt_table, run_traced_sweep, TraceCell,
 };
 use mutsvc_core::{
     paper_topology, render_comparison, render_figure, render_percentiles, render_table,
     validate_shapes, AppKind, Config,
 };
+use mutsvc_workload::{chrome_trace_json, jsonl, validate_chrome_trace};
 
 struct Options {
     apps: Vec<AppKind>,
@@ -340,11 +341,11 @@ fn print_placement_throughput(smoke: bool) {
         );
     }
     let json = render_placement_json(&cells, cores);
-    let path = "BENCH_placement.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    write_artifact(
+        "BENCH_placement.json",
+        &json,
+        &format!("{} rows", cells.len()),
+    );
 }
 
 fn print_simperf(smoke: bool, seed: u64, parallel: usize) {
@@ -402,11 +403,11 @@ fn print_simperf(smoke: bool, seed: u64, parallel: usize) {
         }
     }
     let json = render_simperf_json(&cells, cores);
-    let path = "BENCH_simperf.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    write_artifact(
+        "BENCH_simperf.json",
+        &json,
+        &format!("{} rows", cells.len()),
+    );
 }
 
 /// How many traces the Chrome export keeps per configuration — enough to
@@ -435,26 +436,15 @@ fn print_trace(opts: &Options) {
         let cells = run_traced_sweep(app, &configs, opts.quick, opts.smoke, opts.seed);
         for cell in &cells {
             let data = cell.report.trace.as_ref().unwrap();
-            let spans_path = format!("TRACE_{}_{}.spans.jsonl", app.name(), cell.config.name());
-            match std::fs::write(&spans_path, mutsvc_workload::jsonl(data)) {
-                Ok(()) => println!("wrote {spans_path} ({} traces)", data.traces.len()),
-                Err(e) => eprintln!("failed to write {spans_path}: {e}"),
-            }
-            let chrome = mutsvc_workload::chrome_trace_json(data, CHROME_TRACE_CAP);
-            match validate_chrome_trace(&chrome) {
-                Ok(pairs) => {
-                    let chrome_path =
-                        format!("TRACE_{}_{}.chrome.json", app.name(), cell.config.name());
-                    match std::fs::write(&chrome_path, &chrome) {
-                        Ok(()) => println!("wrote {chrome_path} ({pairs} span pairs)"),
-                        Err(e) => eprintln!("failed to write {chrome_path}: {e}"),
-                    }
-                }
-                Err(e) => {
-                    eprintln!("invalid Chrome trace for {}: {e}", cell.config.name());
-                    std::process::exit(1);
-                }
-            }
+            let stem = format!("TRACE_{}_{}", app.name(), cell.config.name());
+            let traces = format!("{} traces", data.traces.len());
+            write_artifact(&format!("{stem}.spans.jsonl"), &jsonl(data), &traces);
+            write_validated(
+                &format!("{stem}.chrome.json"),
+                &chrome_trace_json(data, CHROME_TRACE_CAP),
+                validate_chrome_trace,
+                "span pairs",
+            );
             for diag in cell
                 .static_report
                 .diagnostics
@@ -468,11 +458,7 @@ fn print_trace(opts: &Options) {
         sweeps.push((app, cells));
     }
     let json = render_trace_json(&sweeps);
-    let path = "BENCH_trace.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    write_artifact("BENCH_trace.json", &json, &format!("{} apps", sweeps.len()));
     let w108: usize = sweeps
         .iter()
         .flat_map(|(_, cells)| cells.iter().map(|c| c.w108))
@@ -508,19 +494,7 @@ fn print_faults(opts: &Options) {
         sweeps.push((app, cells));
     }
     let json = render_faults_json(&sweeps, opts.seed, mode);
-    match validate_faults_json(&json) {
-        Ok(cells) => {
-            let path = "BENCH_faults.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path} ({cells} cells)"),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
-        }
-        Err(e) => {
-            eprintln!("invalid BENCH_faults.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_validated("BENCH_faults.json", &json, validate_faults_json, "cells");
     if violations.is_empty() {
         println!(
             "graceful degradation: centralized < remote-facade < caching \
@@ -563,10 +537,8 @@ fn print_metrics(opts: &Options) {
         for cell in &cells {
             let data = cell.report.metrics.as_ref().unwrap();
             let path = format!("METRICS_{}_{}.jsonl", app.name(), cell.config.name());
-            match std::fs::write(&path, metrics_jsonl(data)) {
-                Ok(()) => println!("wrote {path} ({} windows)", data.recorder.rows().len()),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
+            let windows = format!("{} windows", data.recorder.rows().len());
+            write_artifact(&path, &metrics_jsonl(data), &windows);
             for diag in cell
                 .static_report
                 .diagnostics
@@ -587,19 +559,7 @@ fn print_metrics(opts: &Options) {
         sweeps.push((app, cells, overhead));
     }
     let json = render_metrics_json(&sweeps, opts.seed, mode);
-    match validate_metrics_json(&json) {
-        Ok(cells) => {
-            let path = "BENCH_metrics.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path} ({cells} cells)"),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
-        }
-        Err(e) => {
-            eprintln!("invalid BENCH_metrics.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_validated("BENCH_metrics.json", &json, validate_metrics_json, "cells");
     if unreachable > 0 {
         eprintln!(
             "SLO reachability: {unreachable} W113 warning(s) — an objective sits below \
@@ -649,16 +609,35 @@ fn print_adaptive(opts: &Options) {
         sweeps.push((app, cells));
     }
     let json = render_adaptive_json(&sweeps, opts.seed, mode);
-    match validate_adaptive_json(&json) {
-        Ok(cells) => {
-            let path = "BENCH_adaptive.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path} ({cells} arm cells)"),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
-        }
+    write_validated(
+        "BENCH_adaptive.json",
+        &json,
+        validate_adaptive_json,
+        "arm cells",
+    );
+}
+
+/// Writes one artifact and reports `what` it holds; a failed write is
+/// reported, not fatal.
+fn write_artifact(path: &str, text: &str, what: &str) {
+    match std::fs::write(path, text) {
+        Ok(()) => println!("wrote {path} ({what})"),
+        Err(e) => eprintln!("failed to write {path}: {e}"),
+    }
+}
+
+/// Writes an artifact `validate` accepts, reporting the count of `unit`s it
+/// returns; exits 1 on a document the validator rejects.
+fn write_validated(
+    path: &str,
+    text: &str,
+    validate: fn(&str) -> Result<usize, String>,
+    unit: &str,
+) {
+    match validate(text) {
+        Ok(n) => write_artifact(path, text, &format!("{n} {unit}")),
         Err(e) => {
-            eprintln!("invalid BENCH_adaptive.json: {e}");
+            eprintln!("invalid {path}: {e}");
             std::process::exit(1);
         }
     }

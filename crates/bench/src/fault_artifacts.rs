@@ -13,6 +13,7 @@
 //! determinism tests diff sequential vs parallel execution.
 
 use mutsvc_core::{AppKind, Config, FaultCase, Scenario};
+use mutsvc_desim::json::Json;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{ExperimentReport, FaultPolicy, GroupOutcome};
 
@@ -89,97 +90,80 @@ pub fn run_fault_suite(app: AppKind, quick: bool, smoke: bool, seed: u64) -> Vec
         .collect()
 }
 
-pub(crate) fn fmt2(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
+pub(crate) fn outcome_json(outcome: &GroupOutcome, window: SimDuration) -> Json {
+    Json::object([
+        ("ok", outcome.ok.into()),
+        ("failed", outcome.failed.into()),
+        ("retries", outcome.retries.into()),
+        ("failovers", outcome.failovers.into()),
+        ("stale_served", outcome.stale_served.into()),
+        ("availability", Json::fixed(outcome.availability(), 4)),
+        ("error_rate", Json::fixed(outcome.error_rate(), 4)),
+        ("goodput_rps", Json::fixed(outcome.goodput(window), 2)),
+    ])
 }
 
-pub(crate) fn fmt4(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_string()
-    }
+/// Each client group's outcome of one run, in group order.
+pub(crate) fn groups_json(report: &ExperimentReport, window: SimDuration) -> Json {
+    let groups = report.stats.outcomes().map(|(group, outcome)| {
+        Json::object([
+            ("group", group.into()),
+            ("outcome", outcome_json(outcome, window)),
+        ])
+    });
+    Json::Array(groups.collect())
 }
 
-pub(crate) fn outcome_json(outcome: &GroupOutcome, window: SimDuration) -> String {
-    format!(
-        "{{\"ok\":{},\"failed\":{},\"retries\":{},\"failovers\":{},\"stale_served\":{},\
-         \"availability\":{},\"error_rate\":{},\"goodput_rps\":{}}}",
-        outcome.ok,
-        outcome.failed,
-        outcome.retries,
-        outcome.failovers,
-        outcome.stale_served,
-        fmt4(outcome.availability()),
-        fmt4(outcome.error_rate()),
-        fmt2(outcome.goodput(window)),
-    )
+fn cell_json(cell: &FaultCell) -> Json {
+    let stats = &cell.report.stats;
+    let hist = stats.staleness_histogram();
+    let staleness = Json::object([
+        ("count", hist.total().into()),
+        ("p50", Json::fixed(hist.quantile(0.5), 2)),
+        ("p95", Json::fixed(hist.quantile(0.95), 2)),
+    ]);
+    Json::object([
+        ("config", cell.config.name().into()),
+        ("completed", cell.report.completed.into()),
+        ("total", outcome_json(&stats.total_outcome(), cell.window)),
+        ("staleness_ms", staleness),
+        ("groups", groups_json(&cell.report, cell.window)),
+    ])
 }
 
 /// Renders `BENCH_faults.json`: per app × episode × policy arm, each
 /// configuration's request outcomes (total and per client group) and the
 /// staleness distribution of partition-served reads.
 pub fn render_faults_json(sweeps: &[(AppKind, Vec<FaultCell>)], seed: u64, mode: &str) -> String {
-    let mut out = format!("{{\"suite\":\"faults\",\"mode\":\"{mode}\",\"seed\":{seed},\"apps\":[");
-    for (ai, (app, cells)) in sweeps.iter().enumerate() {
-        if ai > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n{{\"app\":\"{}\",\"cases\":[", app.name()));
-        for (ci, case) in FaultCase::all().into_iter().enumerate() {
-            if ci > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n{{\"case\":\"{}\",\"policies\":[", case.name()));
-            for (pi, (policy, _)) in suite_policies().into_iter().enumerate() {
-                if pi > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\n{{\"policy\":\"{policy}\",\"configs\":["));
-                let mut first = true;
-                for cell in cells
+    let apps = sweeps.iter().map(|(app, cells)| {
+        let cases = FaultCase::all().into_iter().map(|case| {
+            let policies = suite_policies().into_iter().map(|(policy, _)| {
+                let configs = cells
                     .iter()
                     .filter(|c| c.case == case && c.policy == policy)
-                {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    let stats = &cell.report.stats;
-                    let hist = stats.staleness_histogram();
-                    out.push_str(&format!(
-                        "\n{{\"config\":\"{}\",\"completed\":{},\"total\":{},\
-                         \"staleness_ms\":{{\"count\":{},\"p50\":{},\"p95\":{}}},\"groups\":[",
-                        cell.config.name(),
-                        cell.report.completed,
-                        outcome_json(&stats.total_outcome(), cell.window),
-                        hist.total(),
-                        fmt2(hist.quantile(0.5)),
-                        fmt2(hist.quantile(0.95)),
-                    ));
-                    for (gi, (group, outcome)) in stats.outcomes().enumerate() {
-                        if gi > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!(
-                            "{{\"group\":\"{group}\",\"outcome\":{}}}",
-                            outcome_json(outcome, cell.window)
-                        ));
-                    }
-                    out.push_str("]}");
-                }
-                out.push_str("]}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}\n");
-    out
+                    .map(cell_json);
+                Json::object([
+                    ("policy", policy.into()),
+                    ("configs", Json::Array(configs.collect())),
+                ])
+            });
+            Json::object([
+                ("case", case.name().into()),
+                ("policies", Json::Array(policies.collect())),
+            ])
+        });
+        Json::object([
+            ("app", app.name().into()),
+            ("cases", Json::Array(cases.collect())),
+        ])
+    });
+    Json::object([
+        ("suite", "faults".into()),
+        ("mode", mode.into()),
+        ("seed", seed.into()),
+        ("apps", Json::Array(apps.collect())),
+    ])
+    .render()
 }
 
 /// Renders the edge-1 client availability table of one suite run (rows:
@@ -259,71 +243,74 @@ pub fn partition_ordering_violations(cells: &[FaultCell]) -> Vec<String> {
     violations
 }
 
-pub(crate) fn after_each<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
-    json.match_indices(key)
-        .map(|(i, m)| &json[i + m.len()..])
-        .collect()
+/// Checks the `suite`, `mode` and `seed` header of a parsed artifact.
+pub(crate) fn check_header(doc: &Json, suite: &str) -> Result<(), String> {
+    let found = doc.get("suite")?.as_str()?;
+    if found != suite {
+        return Err(format!("suite {found:?}, expected {suite:?}"));
+    }
+    doc.get("mode")?.as_str()?;
+    doc.get("seed")?.as_u64()?;
+    Ok(())
 }
 
-/// Structurally validates a `BENCH_faults.json` document: balanced
-/// braces/brackets, the required header and section keys, known episode
-/// names, and every `availability`/`error_rate` a number in `[0, 1]`.
-/// Returns the number of configuration cells found.
-///
-/// This is a purpose-built scanner for our own renderer's output, not a
-/// general JSON parser (the vendored `serde` is a stub).
+/// Checks that `items` carry exactly the `expected` names under `key`, in
+/// order.
+pub(crate) fn check_names(items: &[Json], key: &str, expected: &[&str]) -> Result<(), String> {
+    let found: Vec<&str> = items
+        .iter()
+        .map(|item| item.get(key).and_then(Json::as_str))
+        .collect::<Result<_, _>>()?;
+    if found != expected {
+        return Err(format!("{key}s {found:?}, expected {expected:?}"));
+    }
+    Ok(())
+}
+
+/// Checks that the number under `key` lies in `[0, 1]`.
+pub(crate) fn check_fraction(value: &Json, key: &str) -> Result<(), String> {
+    let v = value.get(key)?.as_f64()?;
+    if !(0.0..=1.0).contains(&v) {
+        return Err(format!("{key} {v} out of [0,1]"));
+    }
+    Ok(())
+}
+
+/// Checks a request outcome's `availability` and `error_rate`.
+pub(crate) fn check_outcome(outcome: &Json) -> Result<(), String> {
+    check_fraction(outcome, "availability")?;
+    check_fraction(outcome, "error_rate")
+}
+
+/// Validates a `BENCH_faults.json` document by parsing it: the `faults`
+/// header; per app every [`FaultCase`] in order, each with both policy
+/// arms of [`suite_policies`]; and in every configuration cell the
+/// staleness count and an `availability` and `error_rate` in `[0, 1]`
+/// for the total and for each client group. Returns the number of
+/// configuration cells.
 pub fn validate_faults_json(json: &str) -> Result<usize, String> {
-    let (mut braces, mut brackets) = (0i64, 0i64);
-    for ch in json.chars() {
-        match ch {
-            '{' => braces += 1,
-            '}' => braces -= 1,
-            '[' => brackets += 1,
-            ']' => brackets -= 1,
-            _ => {}
-        }
-        if braces < 0 || brackets < 0 {
-            return Err("closing brace before its opener".to_string());
-        }
-    }
-    if braces != 0 || brackets != 0 {
-        return Err(format!(
-            "unbalanced document ({braces} braces, {brackets} brackets open)"
-        ));
-    }
-    if !json.starts_with("{\"suite\":\"faults\"") {
-        return Err("missing {\"suite\":\"faults\"} header".to_string());
-    }
-    for key in [
-        "\"mode\":",
-        "\"seed\":",
-        "\"apps\":",
-        "\"policies\":",
-        "\"groups\":",
-        "\"staleness_ms\":",
-    ] {
-        if !json.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    for rest in after_each(json, "\"case\":\"") {
-        let name = rest.split('"').next().unwrap_or_default();
-        if !FaultCase::all().iter().any(|c| c.name() == name) {
-            return Err(format!("unknown episode {name:?}"));
-        }
-    }
-    for key in ["\"availability\":", "\"error_rate\":"] {
-        for rest in after_each(json, key) {
-            let num = rest.split([',', '}']).next().unwrap_or_default();
-            let v: f64 = num
-                .parse()
-                .map_err(|_| format!("bad number {num:?} after {key}"))?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{key}{v} out of [0,1]"));
+    let doc = Json::parse(json)?;
+    check_header(&doc, "faults")?;
+    let mut cells = 0;
+    for app in doc.get("apps")?.as_array()? {
+        let cases = app.get("cases")?.as_array()?;
+        check_names(cases, "case", &FaultCase::all().map(FaultCase::name))?;
+        for case in cases {
+            let policies = case.get("policies")?.as_array()?;
+            check_names(policies, "policy", &suite_policies().map(|(p, _)| p))?;
+            for policy in policies {
+                for config in policy.get("configs")?.as_array()? {
+                    config.get("config")?.as_str()?;
+                    config.get("staleness_ms")?.get("count")?.as_u64()?;
+                    check_outcome(config.get("total")?)?;
+                    for group in config.get("groups")?.as_array()? {
+                        check_outcome(group.get("outcome")?)?;
+                    }
+                    cells += 1;
+                }
             }
         }
     }
-    let cells = after_each(json, "\"config\":\"").len();
     if cells == 0 {
         return Err("no configuration cells".to_string());
     }
@@ -362,14 +349,26 @@ mod tests {
         let cells = vec![smoke_cell(Config::Centralized, "resilient", 7)];
         let json = render_faults_json(&[(AppKind::PetStore, cells)], 7, "smoke");
         assert_eq!(validate_faults_json(&json), Ok(1));
-        // An out-of-range rate.
-        let bad = json.replacen("\"availability\":", "\"availability\":9", 1);
-        assert!(validate_faults_json(&bad).is_err());
-        // A truncated document.
-        assert!(validate_faults_json(&json[..json.len() - 3]).is_err());
+        use crate::tests::{at, edited, remove};
+        let rejects = |edit: fn(&mut Json)| validate_faults_json(&edited(&json, edit)).is_err();
+        // A dropped episode, and a dropped policy arm.
+        assert!(rejects(|d| remove(d, "apps/0/cases/1")));
+        assert!(rejects(|d| remove(d, "apps/0/cases/0/policies/1")));
         // An unknown episode name.
-        let bad = json.replace("main-link-partition", "earthquake");
-        assert!(validate_faults_json(&bad).is_err());
+        assert!(rejects(
+            |d| *at(d, "apps/0/cases/2/case") = "earthquake".into()
+        ));
+        // An out-of-range rate, in the total and in a group.
+        const CELL: &str = "apps/0/cases/0/policies/0/configs/0";
+        assert!(rejects(|d| {
+            *at(d, &format!("{CELL}/total/availability")) = Json::fixed(9.0, 4);
+        }));
+        assert!(rejects(|d| {
+            *at(d, &format!("{CELL}/groups/1/outcome/error_rate")) = Json::fixed(-0.5, 4);
+        }));
+        // A wrong header and a truncated document.
+        assert!(rejects(|d| *at(d, "suite") = "adaptive".into()));
+        assert!(validate_faults_json(&json[..json.len() - 3]).is_err());
     }
 
     #[test]
@@ -378,7 +377,9 @@ mod tests {
             let cells = vec![smoke_cell(Config::QueryCaching, "off", 7)];
             render_faults_json(&[(AppKind::PetStore, cells)], 7, "smoke")
         };
-        assert_eq!(run(), run());
+        let json = run();
+        assert_eq!(json, run());
+        assert_eq!(Json::parse(&json).unwrap().render(), json);
     }
 
     #[test]

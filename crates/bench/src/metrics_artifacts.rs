@@ -15,6 +15,7 @@ use std::time::Instant;
 
 use mutsvc_analyze::{analyze_target, check_slo_reachability, Report};
 use mutsvc_core::{AppKind, Config, Scenario};
+use mutsvc_desim::json::Json;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{
     evaluate, ExperimentReport, MetricsData, MetricsSettings, SloReport, SloSpec,
@@ -190,12 +191,15 @@ pub fn run_metrics_sweep(
     (cells, OverheadSample { on_ms, off_ms })
 }
 
-fn fmt2(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
+/// An object whose member `names[i]` holds `value(i)`.
+fn named(names: &[String], value: impl Fn(usize) -> Json) -> Json {
+    Json::Object(
+        names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.clone(), value(i)))
+            .collect(),
+    )
 }
 
 /// Renders one run's window series as JSON lines — one object per window
@@ -205,92 +209,99 @@ fn fmt2(v: f64) -> String {
 pub fn metrics_jsonl(data: &MetricsData) -> String {
     let rec = &data.recorder;
     let window_s = rec.window().as_secs_f64();
-    let mut out = String::new();
-    for row in rec.rows() {
-        let _ = write!(
-            out,
-            "{{\"window\":{},\"end_s\":{:.1},\"counters\":{{",
-            row.index,
-            (row.index + 1) as f64 * window_s
-        );
-        for (i, name) in rec.counter_names().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", row.counters[i]);
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, name) in rec.gauge_names().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", fmt2(row.gauges[i]));
-        }
-        out.push_str("},\"hists\":{");
-        for (i, name) in rec.hist_names().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let h = &row.hists[i];
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"count\":{},\"p50_ms\":{},\"p95_ms\":{}}}",
-                h.total(),
-                fmt2(h.quantile(0.5)),
-                fmt2(h.quantile(0.95)),
-            );
-        }
-        out.push_str("}}\n");
-    }
-    out
+    rec.rows()
+        .iter()
+        .map(|row| {
+            let hist = |i: usize| {
+                let h = &row.hists[i];
+                Json::object([
+                    ("count", h.total().into()),
+                    ("p50_ms", Json::fixed(h.quantile(0.5), 2)),
+                    ("p95_ms", Json::fixed(h.quantile(0.95), 2)),
+                ])
+            };
+            let counters = named(rec.counter_names(), |i| row.counters[i].into());
+            let gauges = named(rec.gauge_names(), |i| Json::fixed(row.gauges[i], 2));
+            Json::object([
+                ("window", row.index.into()),
+                ("end_s", Json::fixed((row.index + 1) as f64 * window_s, 1)),
+                ("counters", counters),
+                ("gauges", gauges),
+                ("hists", named(rec.hist_names(), hist)),
+            ])
+            .render()
+        })
+        .collect()
 }
 
-fn render_slo_report(out: &mut String, slo: &SloReport) {
-    let _ = write!(
-        out,
-        "\"slo\":{{\"all_met\":{},\"burn_threshold\":{},\"verdicts\":[",
-        slo.all_met(),
-        fmt2(slo.burn_threshold)
-    );
-    for (i, v) in slo.verdicts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let threshold = v
-            .threshold_ms
-            .map_or("null".to_string(), |t| format!("{t:.0}"));
-        let _ = write!(
-            out,
-            "{{\"objective\":\"{}\",\"threshold_ms\":{threshold},\"target\":{},\
-             \"attained\":{},\"met\":{},\"max_burn\":{},\"breached_windows\":{},\
-             \"samples\":{}}}",
-            v.objective,
-            fmt2(v.target),
-            fmt2(v.attained),
-            v.met,
-            fmt2(v.max_burn),
-            v.breached_windows,
-            v.samples,
-        );
-    }
-    out.push_str("],\"events\":[");
-    for (i, e) in slo.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+fn slo_json(slo: &SloReport) -> Json {
+    let verdicts = slo.verdicts.iter().map(|v| {
+        let threshold = v.threshold_ms.map_or(Json::Null, |t| Json::fixed(t, 0));
+        Json::object([
+            ("objective", v.objective.as_str().into()),
+            ("threshold_ms", threshold),
+            ("target", Json::fixed(v.target, 2)),
+            ("attained", Json::fixed(v.attained, 2)),
+            ("met", v.met.into()),
+            ("max_burn", Json::fixed(v.max_burn, 2)),
+            ("breached_windows", v.breached_windows.into()),
+            ("samples", v.samples.into()),
+        ])
+    });
+    let events = slo.events.iter().map(|e| {
         let kind = match e.kind {
             mutsvc_workload::SloEventKind::Breach => "breach",
             mutsvc_workload::SloEventKind::Recovery => "recovery",
         };
-        let _ = write!(
-            out,
-            "{{\"window\":{},\"objective\":\"{}\",\"kind\":\"{kind}\",\"burn\":{}}}",
-            e.window,
-            e.objective,
-            fmt2(e.burn),
-        );
-    }
-    out.push_str("]}");
+        Json::object([
+            ("window", e.window.into()),
+            ("objective", e.objective.as_str().into()),
+            ("kind", kind.into()),
+            ("burn", Json::fixed(e.burn, 2)),
+        ])
+    });
+    Json::object([
+        ("all_met", slo.all_met().into()),
+        ("burn_threshold", Json::fixed(slo.burn_threshold, 2)),
+        ("verdicts", Json::Array(verdicts.collect())),
+        ("events", Json::Array(events.collect())),
+    ])
+}
+
+fn metrics_cell_json(cell: &MetricsCell) -> Json {
+    let data = cell
+        .report
+        .metrics
+        .as_ref()
+        .expect("metrics cells carry recorder data");
+    let rec = &data.recorder;
+    let ev_totals = rec
+        .counter_names()
+        .iter()
+        .enumerate()
+        .filter(|(_, name)| name.starts_with("engine.ev."))
+        .map(|(i, name)| {
+            let total: u64 = rec.rows().iter().map(|r| r.counters[i]).sum();
+            (name.clone(), total.into())
+        });
+    let shards = data.shard_profiles.iter().map(|p| {
+        Json::object([
+            ("shard", p.shard.into()),
+            ("windows", p.windows.into()),
+            ("stalled", p.stalled.into()),
+            ("events", p.events.into()),
+            ("utilization", Json::fixed(p.utilization(), 2)),
+        ])
+    });
+    Json::object([
+        ("config", cell.config.name().into()),
+        ("completed", cell.report.completed.into()),
+        ("windows", rec.rows().len().into()),
+        ("w113_warnings", cell.w113.into()),
+        ("slo", slo_json(&cell.slo)),
+        ("ev_totals", Json::Object(ev_totals.collect())),
+        ("shards", Json::Array(shards.collect())),
+    ])
 }
 
 /// Renders `BENCH_metrics.json`: per app, the sweep's recording-overhead
@@ -302,107 +313,62 @@ pub fn render_metrics_json(
     seed: u64,
     mode: &str,
 ) -> String {
-    let mut out = format!("{{\"seed\":{seed},\"mode\":\"{mode}\",\"apps\":[");
-    for (ai, (app, cells, overhead)) in sweeps.iter().enumerate() {
-        if ai > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"app\":\"{}\",\"overhead\":{{\"on_ms\":{},\"off_ms\":{},\"pct\":{}}},\"configs\":[",
-            app.name(),
-            fmt2(overhead.on_ms),
-            fmt2(overhead.off_ms),
-            fmt2(overhead.pct()),
-        );
-        for (ci, cell) in cells.iter().enumerate() {
-            if ci > 0 {
-                out.push(',');
-            }
-            let data = cell.report.metrics.as_ref().unwrap();
-            let rec = &data.recorder;
-            let _ = write!(
-                out,
-                "{{\"config\":\"{}\",\"completed\":{},\"windows\":{},\"w113_warnings\":{},",
-                cell.config.name(),
-                cell.report.completed,
-                rec.rows().len(),
-                cell.w113,
-            );
-            render_slo_report(&mut out, &cell.slo);
-            out.push_str(",\"ev_totals\":{");
-            for (i, name) in rec.counter_names().iter().enumerate() {
-                if !name.starts_with("engine.ev.") {
-                    continue;
-                }
-                let total: u64 = rec.rows().iter().map(|r| r.counters[i]).sum();
-                if !out.ends_with('{') {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{name}\":{total}");
-            }
-            out.push_str("},\"shards\":[");
-            for (si, p) in data.shard_profiles.iter().enumerate() {
-                if si > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"shard\":{},\"windows\":{},\"stalled\":{},\"events\":{},\
-                     \"utilization\":{}}}",
-                    p.shard,
-                    p.windows,
-                    p.stalled,
-                    p.events,
-                    fmt2(p.utilization()),
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}\n");
-    out
+    let apps = sweeps.iter().map(|(app, cells, overhead)| {
+        let overhead = Json::object([
+            ("on_ms", Json::fixed(overhead.on_ms, 2)),
+            ("off_ms", Json::fixed(overhead.off_ms, 2)),
+            ("pct", Json::fixed(overhead.pct(), 2)),
+        ]);
+        let configs = cells.iter().map(metrics_cell_json).collect();
+        Json::object([
+            ("app", app.name().into()),
+            ("overhead", overhead),
+            ("configs", Json::Array(configs)),
+        ])
+    });
+    Json::object([
+        ("seed", seed.into()),
+        ("mode", mode.into()),
+        ("apps", Json::Array(apps.collect())),
+    ])
+    .render()
 }
 
-/// Structurally validates a `BENCH_metrics.json` document: the overhead
-/// A/B, per-config SLO verdicts, the `W113` field and at least one shard
-/// self-profile must all be present. Returns the number of configuration
-/// cells found.
-///
-/// Like the Chrome-trace validator this is a purpose-built scanner for our
-/// own renderer's output, not a general JSON parser (the vendored `serde`
-/// is a stub).
+/// Validates a `BENCH_metrics.json` document by parsing it: per app the
+/// overhead A/B (`on_ms`, `off_ms`, `pct`), and per configuration the
+/// `W113` count, the SLO verdicts with their `all_met` flag, the
+/// per-event-kind totals and at least one shard self-profile. Returns the
+/// number of configuration cells.
 pub fn validate_metrics_json(json: &str) -> Result<usize, String> {
-    if !json.trim_end().ends_with("]}") {
-        return Err("document does not close the apps array".into());
-    }
-    for key in ["\"overhead\":", "\"on_ms\":", "\"off_ms\":", "\"pct\":"] {
-        if !json.contains(key) {
-            return Err(format!("missing overhead field {key}"));
+    let doc = Json::parse(json)?;
+    doc.get("seed")?.as_u64()?;
+    doc.get("mode")?.as_str()?;
+    let mut cells = 0;
+    for app in doc.get("apps")?.as_array()? {
+        let overhead = app.get("overhead")?;
+        for key in ["on_ms", "off_ms", "pct"] {
+            overhead.get(key)?.as_f64()?;
+        }
+        for config in app.get("configs")?.as_array()? {
+            config.get("config")?.as_str()?;
+            config.get("w113_warnings")?.as_u64()?;
+            let slo = config.get("slo")?;
+            slo.get("all_met")?.as_bool()?;
+            slo.get("verdicts")?.as_array()?;
+            config.get("ev_totals")?;
+            let shards = config.get("shards")?.as_array()?;
+            if shards.is_empty() {
+                return Err("no shard self-profiles recorded".into());
+            }
+            for shard in shards {
+                shard.get("shard")?.as_u64()?;
+                shard.get("utilization")?.as_f64()?;
+            }
+            cells += 1;
         }
     }
-    let cells = json.matches("\"config\":").count();
     if cells == 0 {
         return Err("no configuration cells".into());
-    }
-    for key in [
-        "\"slo\":",
-        "\"verdicts\":",
-        "\"all_met\":",
-        "\"w113_warnings\":",
-        "\"ev_totals\":",
-        "\"shards\":",
-    ] {
-        if json.matches(key).count() != cells {
-            return Err(format!(
-                "expected {cells} {key} fields, found {}",
-                json.matches(key).count()
-            ));
-        }
-    }
-    if !json.contains("\"shard\":") {
-        return Err("no shard self-profiles recorded".into());
     }
     Ok(cells)
 }
@@ -512,6 +478,8 @@ mod tests {
         );
         let jsonl = metrics_jsonl(data);
         assert!(jsonl.lines().count() >= 4, "several smoke windows");
+        let line = format!("{}\n", jsonl.lines().next().unwrap());
+        assert_eq!(Json::parse(&line).unwrap().render(), line);
         assert!(overhead.on_ms > 0.0 && overhead.off_ms > 0.0);
 
         let (again, _) =
@@ -525,5 +493,6 @@ mod tests {
 
         let json = render_metrics_json(&[(AppKind::PetStore, cells, overhead)], 7, "smoke");
         assert_eq!(validate_metrics_json(&json), Ok(1), "{json}");
+        assert_eq!(Json::parse(&json).unwrap().render(), json);
     }
 }

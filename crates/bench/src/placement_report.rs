@@ -18,6 +18,7 @@
 use std::time::Instant;
 
 use mutsvc_core::{multi_tier_topology, paper_topology, MultiTierSpec};
+use mutsvc_desim::json::Json;
 use mutsvc_desim::rng::SimRng;
 use mutsvc_placement::derive::{petstore_problem, rubis_problem};
 use mutsvc_placement::graph::{HostId, Placement, PlacementProblem};
@@ -266,58 +267,50 @@ pub fn measure_placement_ladder(
     cells
 }
 
-/// Renders the cells as the `BENCH_placement.json` document. Hand-formatted
-/// (the vendored serde is a no-op stand-in): the `"cores"` the run had,
-/// then per entry `{"algorithm", "graph", "hosts", "links", "components",
-/// "moves_per_sec", "final_cost", "build_ms", "table_bytes"}`, plus a
-/// per-graph `"speedup"` summary map.
+/// Renders the cells as the `BENCH_placement.json` document: the `"cores"`
+/// the run had, then per entry `{"algorithm", "graph", "hosts", "links",
+/// "components", "moves_per_sec", "final_cost", "build_ms",
+/// "table_bytes"}`, plus a per-graph `"speedup"` summary map.
 pub fn render_placement_json(cells: &[PlacementThroughput], cores: usize) -> String {
-    let mut out = format!("{{\n  \"cores\": {cores},\n  \"entries\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"graph\": \"{}\", \"hosts\": {}, \"links\": {}, \"components\": {}, \"moves_per_sec\": {:.1}, \"final_cost\": {:.6}, \"build_ms\": {:.3}, \"table_bytes\": {}}}{comma}\n",
-            cell.algorithm,
-            cell.graph,
-            cell.hosts,
-            cell.links,
-            cell.components,
-            cell.moves_per_sec,
-            cell.final_cost,
-            cell.build_ms,
-            cell.table_bytes
-        ));
-    }
-    out.push_str("  ],\n  \"speedup\": {");
-    let graphs: Vec<&str> = {
-        let mut seen = Vec::new();
-        for cell in cells {
-            if !seen.contains(&cell.graph.as_str()) {
-                seen.push(cell.graph.as_str());
-            }
+    let entries = cells.iter().map(|cell| {
+        Json::object([
+            ("algorithm", cell.algorithm.into()),
+            ("graph", cell.graph.as_str().into()),
+            ("hosts", cell.hosts.into()),
+            ("links", cell.links.into()),
+            ("components", cell.components.into()),
+            ("moves_per_sec", Json::fixed(cell.moves_per_sec, 1)),
+            ("final_cost", Json::fixed(cell.final_cost, 6)),
+            ("build_ms", Json::fixed(cell.build_ms, 3)),
+            ("table_bytes", cell.table_bytes.into()),
+        ])
+    });
+    let mut speedup: Vec<(String, Json)> = Vec::new();
+    for cell in cells {
+        if speedup.iter().any(|(graph, _)| *graph == cell.graph) {
+            continue;
         }
-        seen
-    };
-    for (i, graph) in graphs.iter().enumerate() {
         let rate = |algorithm: &str| {
             cells
                 .iter()
-                .find(|c| c.graph == *graph && c.algorithm == algorithm)
+                .find(|c| c.graph == cell.graph && c.algorithm == algorithm)
                 .map_or(f64::NAN, |c| c.moves_per_sec)
         };
-        let comma = if i + 1 < graphs.len() { "," } else { "" };
-        out.push_str(&format!(
-            "\"{graph}\": {:.1}{comma}",
-            rate("incremental") / rate("full_recompute")
-        ));
+        let ratio = rate("incremental") / rate("full_recompute");
+        speedup.push((cell.graph.clone(), Json::fixed(ratio, 1)));
     }
-    out.push_str("}\n}\n");
-    out
+    Json::object([
+        ("cores", cores.into()),
+        ("entries", Json::Array(entries.collect())),
+        ("speedup", Json::Object(speedup)),
+    ])
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::at;
 
     #[test]
     fn strategies_agree_and_json_is_well_formed() {
@@ -344,16 +337,17 @@ mod tests {
             cell("incremental", 25_000.0, incremental),
         ];
         let json = render_placement_json(&cells, 2);
-        assert!(json.contains("\"cores\": 2"));
-        assert!(json.contains("\"speedup\": {\"rubis\": 25.0}"));
-        assert!(json.contains("\"hosts\": 3"));
-        assert!(json.contains("\"links\": 10"));
-        assert!(json.contains("\"table_bytes\": 512"));
-        assert_eq!(json.matches("\"algorithm\"").count(), 2);
-        // Balanced braces/brackets — cheap well-formedness check without a
-        // JSON parser in the workspace.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let mut doc = Json::parse(&json).unwrap();
+        assert_eq!(doc.render(), json);
+        assert_eq!(*at(&mut doc, "cores"), Json::from(2u64));
+        assert_eq!(
+            *at(&mut doc, "speedup"),
+            Json::parse("{\"rubis\":25.0}").unwrap()
+        );
+        assert_eq!(at(&mut doc, "entries").as_array().unwrap().len(), 2);
+        assert_eq!(*at(&mut doc, "entries/0/hosts"), Json::from(3u64));
+        assert_eq!(*at(&mut doc, "entries/0/links"), Json::from(10u64));
+        assert_eq!(*at(&mut doc, "entries/1/table_bytes"), Json::from(512u64));
     }
 
     #[test]

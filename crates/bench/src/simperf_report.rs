@@ -33,6 +33,7 @@
 use std::time::Instant;
 
 use mutsvc_core::{fanout_input, AppKind, Config, Scenario};
+use mutsvc_desim::json::Json;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{run_experiment, run_experiment_parallel, ExperimentInput, ExperimentReport};
 
@@ -328,10 +329,9 @@ pub fn parallel_scaling_at(cells: &[SimperfCell], app: &str, threads: usize) -> 
     rate(threads) / rate(1)
 }
 
-/// Renders the cells as the `BENCH_simperf.json` document. Hand-formatted
-/// (the vendored serde is a no-op stand-in); schema per entry:
-/// `{"app", "config", "topology", "regions", "load_factor", "bind_cache",
-/// "threads", "wall_secs", "completed", "requests_per_sec",
+/// Renders the cells as the `BENCH_simperf.json` document. Schema per
+/// entry: `{"app", "config", "topology", "regions", "load_factor",
+/// "bind_cache", "threads", "wall_secs", "completed", "requests_per_sec",
 /// "events_per_sec", "hit_rate", "shard_events"}` (`threads` 0 = classic
 /// sequential engine), plus a top-level `"cores"` (the machine's available
 /// parallelism — the honest context for any scaling ratio), a `"speedup"`
@@ -341,84 +341,68 @@ pub fn parallel_scaling_at(cells: &[SimperfCell], app: &str, threads: usize) -> 
 /// row ([`fanout_cost_at`]), and a `"parallel_scaling"` map of `app_Nt` →
 /// N-thread over 1-thread requests/s on the fan-out topology.
 pub fn render_simperf_json(cells: &[SimperfCell], cores: usize) -> String {
-    let mut out = format!("{{\n  \"cores\": {cores},\n  \"entries\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let shards: Vec<String> = c.shard_events.iter().map(u64::to_string).collect();
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"config\": \"{}\", \"topology\": \"{}\", \
-             \"regions\": {}, \"load_factor\": {}, \
-             \"bind_cache\": {}, \"threads\": {}, \"wall_secs\": {:.3}, \
-             \"completed\": {}, \"requests_per_sec\": {:.1}, \
-             \"events_per_sec\": {:.1}, \"hit_rate\": {:.4}, \
-             \"shard_events\": [{}]}}{comma}\n",
-            c.app,
-            c.config,
-            c.topology,
-            c.regions,
-            c.load_factor,
-            c.bind_cache,
-            c.threads,
-            c.wall_secs,
-            c.completed,
-            c.requests_per_sec,
-            c.events_per_sec,
-            c.hit_rate,
-            shards.join(", ")
-        ));
-    }
-    out.push_str("  ],\n  \"speedup\": {");
-    let mut pairs = Vec::new();
-    for c in cells
+    let entries = cells.iter().map(|c| {
+        Json::object([
+            ("app", c.app.into()),
+            ("config", c.config.into()),
+            ("topology", c.topology.into()),
+            ("regions", c.regions.into()),
+            ("load_factor", c.load_factor.into()),
+            ("bind_cache", c.bind_cache.into()),
+            ("threads", c.threads.into()),
+            ("wall_secs", Json::fixed(c.wall_secs, 3)),
+            ("completed", c.completed.into()),
+            ("requests_per_sec", Json::fixed(c.requests_per_sec, 1)),
+            ("events_per_sec", Json::fixed(c.events_per_sec, 1)),
+            ("hit_rate", Json::fixed(c.hit_rate, 4)),
+            (
+                "shard_events",
+                Json::Array(c.shard_events.iter().map(|&e| e.into()).collect()),
+            ),
+        ])
+    });
+    // One member per distinct key, in first-seen order.
+    let ratios = |rows: Vec<(String, f64)>| {
+        let mut members: Vec<(String, Json)> = Vec::new();
+        for (key, ratio) in rows {
+            if !members.iter().any(|(k, _)| *k == key) {
+                members.push((key, Json::fixed(ratio, 2)));
+            }
+        }
+        Json::Object(members)
+    };
+    let speedup = cells
         .iter()
         .filter(|c| c.topology == "paper" && c.threads == 0)
-    {
-        if !pairs.contains(&(c.app, c.load_factor)) {
-            pairs.push((c.app, c.load_factor));
-        }
-    }
-    for (i, (app, factor)) in pairs.iter().enumerate() {
-        let comma = if i + 1 < pairs.len() { "," } else { "" };
-        out.push_str(&format!(
-            "\"{app}_{factor}x\": {:.2}{comma}",
-            speedup_at(cells, app, *factor)
-        ));
-    }
-    out.push_str("},\n  \"fanout_cost\": {");
-    let rows: Vec<&SimperfCell> = cells
+        .map(|c| {
+            let ratio = speedup_at(cells, c.app, c.load_factor);
+            (format!("{}_{}x", c.app, c.load_factor), ratio)
+        });
+    let fanout = cells
         .iter()
         .filter(|c| c.topology == "fanout" && c.threads == 0)
-        .collect();
-    for (i, c) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "\"{}_{}r\": {:.2}{comma}",
-            c.app,
-            c.regions,
-            fanout_cost_at(cells, c.app, c.regions)
-        ));
-    }
-    out.push_str("},\n  \"parallel_scaling\": {");
-    let mut pairs = Vec::new();
-    for c in cells.iter().filter(|c| c.threads > 1) {
-        if !pairs.contains(&(c.app, c.threads)) {
-            pairs.push((c.app, c.threads));
-        }
-    }
-    for (i, (app, threads)) in pairs.iter().enumerate() {
-        let comma = if i + 1 < pairs.len() { "," } else { "" };
-        out.push_str(&format!(
-            "\"{app}_{threads}t\": {:.2}{comma}",
-            parallel_scaling_at(cells, app, *threads)
-        ));
-    }
-    out.push_str("}\n}\n");
-    out
+        .map(|c| {
+            let ratio = fanout_cost_at(cells, c.app, c.regions);
+            (format!("{}_{}r", c.app, c.regions), ratio)
+        });
+    let scaling = cells.iter().filter(|c| c.threads > 1).map(|c| {
+        let ratio = parallel_scaling_at(cells, c.app, c.threads);
+        (format!("{}_{}t", c.app, c.threads), ratio)
+    });
+    Json::object([
+        ("cores", cores.into()),
+        ("entries", Json::Array(entries.collect())),
+        ("speedup", ratios(speedup.collect())),
+        ("fanout_cost", ratios(fanout.collect())),
+        ("parallel_scaling", ratios(scaling.collect())),
+    ])
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::at;
 
     fn cell(bind_cache: bool, threads: usize, rps: f64, shard_events: Vec<u64>) -> SimperfCell {
         let fanout = threads > 0;
@@ -448,11 +432,11 @@ mod tests {
         ];
         assert!((speedup_at(&cells, "rubis", 10) - 8.0).abs() < 1e-9);
         let json = render_simperf_json(&cells, 8);
-        assert!(json.contains("\"cores\": 8"));
-        assert!(json.contains("\"rubis_10x\": 8.00"));
-        assert!(json.contains("\"threads\": 0"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let mut doc = Json::parse(&json).unwrap();
+        assert_eq!(doc.render(), json);
+        assert_eq!(*at(&mut doc, "cores"), Json::from(8u64));
+        assert_eq!(*at(&mut doc, "speedup/rubis_10x"), Json::fixed(8.0, 2));
+        assert_eq!(*at(&mut doc, "entries/0/threads"), Json::from(0u64));
     }
 
     #[test]
@@ -465,15 +449,19 @@ mod tests {
         assert!((parallel_scaling_at(&cells, "rubis", 4) - 3.5).abs() < 1e-9);
         // Sequential-row speedup never reads the parallel rows.
         assert!(speedup_at(&cells, "rubis", 10).is_nan());
-        let json = render_simperf_json(&cells, 1);
-        assert!(json.contains("\"rubis_4t\": 3.50"));
-        assert!(json.contains("\"shard_events\": [100, 200, 300]"));
+        let mut doc = Json::parse(&render_simperf_json(&cells, 1)).unwrap();
+        assert_eq!(
+            *at(&mut doc, "parallel_scaling/rubis_4t"),
+            Json::fixed(3.5, 2)
+        );
+        assert_eq!(
+            *at(&mut doc, "entries/1/shard_events"),
+            Json::parse("[100,200,300]").unwrap()
+        );
         assert!(
-            !json.contains("\"rubis_1t\""),
+            at(&mut doc, "parallel_scaling").get("rubis_1t").is_err(),
             "1t is the baseline, not a ratio"
         );
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
@@ -493,11 +481,17 @@ mod tests {
         assert!(fanout_cost_at(&cells, "rubis", 16).is_nan());
         // The paper-topology speed-up never reads the fan-out rows.
         assert!((speedup_at(&cells, "rubis", 10) - 8.0).abs() < 1e-9);
-        let json = render_simperf_json(&cells, 2);
-        assert!(json.contains("\"fanout_cost\": {\"rubis_2r\": 1.00,\"rubis_8r\": 1.50}"));
-        assert!(json.contains("\"topology\": \"fanout\", \"regions\": 8"));
-        assert_eq!(json.matches("\"rubis_10x\"").count(), 1);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let mut doc = Json::parse(&render_simperf_json(&cells, 2)).unwrap();
+        assert_eq!(
+            *at(&mut doc, "fanout_cost"),
+            Json::parse("{\"rubis_2r\":1.00,\"rubis_8r\":1.50}").unwrap()
+        );
+        assert_eq!(*at(&mut doc, "entries/3/topology"), Json::from("fanout"));
+        assert_eq!(*at(&mut doc, "entries/3/regions"), Json::from(8u64));
+        assert_eq!(
+            *at(&mut doc, "speedup"),
+            Json::parse("{\"rubis_10x\":8.00}").unwrap()
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use mutsvc_analyze::{analyze_target, cross_check_traced_wan, Report};
 use mutsvc_core::{AppKind, Config, Scenario};
+use mutsvc_desim::json::Json;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{page_breakdown, ExperimentReport, PageTraceRow, TraceSettings};
 
@@ -110,71 +111,52 @@ pub fn run_traced_sweep(
         .collect()
 }
 
-fn fmt2(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders `BENCH_trace.json`: per app × configuration, the per-page
 /// critical-path decomposition (with the static walker's WAN count where
 /// one exists), trace accounting and `W108` results.
 pub fn render_trace_json(sweeps: &[(AppKind, Vec<TraceCell>)]) -> String {
-    let mut out = String::from("{\"apps\":[");
-    for (ai, (app, cells)) in sweeps.iter().enumerate() {
-        if ai > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"app\":\"{}\",\"configs\":[", app.name()));
-        for (ci, cell) in cells.iter().enumerate() {
-            if ci > 0 {
-                out.push(',');
-            }
-            let data = cell.report.trace.as_ref().unwrap();
-            out.push_str(&format!(
-                "{{\"config\":\"{}\",\"completed\":{},\"traces\":{},\"w108_warnings\":{},\"pages\":[",
-                cell.config.name(),
-                cell.report.completed,
-                data.traces.len(),
-                cell.w108,
-            ));
-            for (ri, row) in cell.rows.iter().enumerate() {
-                if ri > 0 {
-                    out.push(',');
-                }
-                let static_rts = cell
-                    .static_report
-                    .pages
-                    .iter()
-                    .find(|p| p.page == row.page)
-                    .map_or("null".to_string(), |p| p.wan_round_trips.to_string());
-                out.push_str(&format!(
-                    "{{\"group\":\"{}\",\"page\":\"{}\",\"count\":{},\"mean_ms\":{},\
-                     \"wan_rts_logical\":{},\"wan_rts_critical\":{},\"static_wan_rts\":{static_rts},\
-                     \"wan_propagation_ms\":{},\"serialization_ms\":{},\"queueing_ms\":{},\
-                     \"service_ms\":{},\"db_ms\":{},\"delay_ms\":{}}}",
-                    row.group,
-                    row.page,
-                    row.count,
-                    fmt2(row.mean_ms),
-                    fmt2(row.wan_rts_logical),
-                    fmt2(row.wan_rts_critical),
-                    fmt2(row.wan_propagation_ms),
-                    fmt2(row.serialization_ms),
-                    fmt2(row.queueing_ms),
-                    fmt2(row.service_ms),
-                    fmt2(row.db_ms),
-                    fmt2(row.delay_ms),
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}\n");
-    out
+    let cell_json = |cell: &TraceCell| {
+        let pages = cell.rows.iter().map(|row| {
+            let static_rts = cell
+                .static_report
+                .pages
+                .iter()
+                .find(|p| p.page == row.page)
+                .map(|p| p.wan_round_trips);
+            Json::object([
+                ("group", row.group.as_str().into()),
+                ("page", row.page.into()),
+                ("count", row.count.into()),
+                ("mean_ms", Json::fixed(row.mean_ms, 2)),
+                ("wan_rts_logical", Json::fixed(row.wan_rts_logical, 2)),
+                ("wan_rts_critical", Json::fixed(row.wan_rts_critical, 2)),
+                ("static_wan_rts", static_rts.into()),
+                ("wan_propagation_ms", Json::fixed(row.wan_propagation_ms, 2)),
+                ("serialization_ms", Json::fixed(row.serialization_ms, 2)),
+                ("queueing_ms", Json::fixed(row.queueing_ms, 2)),
+                ("service_ms", Json::fixed(row.service_ms, 2)),
+                ("db_ms", Json::fixed(row.db_ms, 2)),
+                ("delay_ms", Json::fixed(row.delay_ms, 2)),
+            ])
+        });
+        let trace = cell.report.trace.as_ref();
+        let traces = trace.expect("traced cells carry trace data").traces.len();
+        Json::object([
+            ("config", cell.config.name().into()),
+            ("completed", cell.report.completed.into()),
+            ("traces", traces.into()),
+            ("w108_warnings", cell.w108.into()),
+            ("pages", Json::Array(pages.collect())),
+        ])
+    };
+    let apps = sweeps.iter().map(|(app, cells)| {
+        let configs = cells.iter().map(cell_json).collect();
+        Json::object([
+            ("app", app.name().into()),
+            ("configs", Json::Array(configs)),
+        ])
+    });
+    Json::object([("apps", Json::Array(apps.collect()))]).render()
 }
 
 /// Renders the per-page wide-area round-trip table of one traced sweep
@@ -231,73 +213,10 @@ pub fn render_wan_rt_table(app: AppKind, cells: &[TraceCell]) -> String {
     out
 }
 
-/// Structurally validates a Chrome `trace_event` JSON document produced by
-/// [`mutsvc_workload::chrome_trace_json`]: every duration event carries
-/// `ts`, and each lane's `B`/`E` events are balanced and properly nested
-/// (matched by name, LIFO). Returns the number of `B`/`E` pairs checked.
-///
-/// This is a purpose-built scanner for our own single-event-per-line
-/// output, not a general JSON parser (the vendored `serde` is a stub).
-pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
-    use std::collections::HashMap;
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\":");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).ok_or(()).ok()?;
-        Some(rest[..end].trim_matches('"'))
-    }
-    if !json.trim_end().ends_with("]}") {
-        return Err("document does not close the traceEvents array".into());
-    }
-    let mut stacks: HashMap<String, Vec<String>> = HashMap::new();
-    let mut pairs = 0usize;
-    for line in json.lines() {
-        let line = line.trim_start_matches(',');
-        let Some(ph) = field(line, "ph") else {
-            continue;
-        };
-        match ph {
-            "M" => {}
-            "i" | "B" | "E" => {
-                if field(line, "ts").is_none() {
-                    return Err(format!("event without ts: {line}"));
-                }
-                if ph == "i" {
-                    continue;
-                }
-                let tid = field(line, "tid").ok_or_else(|| format!("no tid: {line}"))?;
-                let name = field(line, "name").unwrap_or_default().to_string();
-                let stack = stacks.entry(tid.to_string()).or_default();
-                if ph == "B" {
-                    stack.push(name);
-                } else {
-                    match stack.pop() {
-                        Some(open) if open == name => pairs += 1,
-                        Some(open) => {
-                            return Err(format!("E \"{name}\" closes B \"{open}\" on tid {tid}"))
-                        }
-                        None => return Err(format!("E \"{name}\" with empty stack on tid {tid}")),
-                    }
-                }
-            }
-            other => return Err(format!("unknown ph {other:?}")),
-        }
-    }
-    for (tid, stack) in &stacks {
-        if !stack.is_empty() {
-            return Err(format!("tid {tid} left {} span(s) open", stack.len()));
-        }
-    }
-    if pairs == 0 {
-        return Err("no B/E pairs found".into());
-    }
-    Ok(pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mutsvc_workload::validate_chrome_trace;
 
     #[test]
     fn config_lookup_roundtrips() {

@@ -268,7 +268,7 @@ fn flash_crowd_adaptive_at(
         report,
         slo,
     };
-    let fragment = adaptive_cell_json(&cell);
+    let fragment = adaptive_cell_json(&cell).render();
     (log, fragment, cell.report)
 }
 

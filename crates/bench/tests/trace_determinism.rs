@@ -6,9 +6,10 @@
 //! *logical* WAN accounting to the static analyzer's walk.
 
 use mutsvc_bench::run_scenarios_parallel;
-use mutsvc_bench::trace_artifacts::{run_traced_sweep, traced_scenario, validate_chrome_trace};
+use mutsvc_bench::trace_artifacts::{render_trace_json, run_traced_sweep, traced_scenario};
 use mutsvc_core::{AppKind, Config};
-use mutsvc_workload::{chrome_trace_json, jsonl};
+use mutsvc_desim::json::Json;
+use mutsvc_workload::{chrome_trace_json, jsonl, validate_chrome_trace};
 
 fn smoke_jsonl(app: AppKind, config: Config, seed: u64) -> String {
     let report = traced_scenario(app, config, true, true, seed).run();
@@ -96,5 +97,7 @@ fn remote_facade_traced_wan_matches_the_static_walk() {
             "{}: only {confirmed} wide-area pages confirmed",
             app.name()
         );
+        let json = render_trace_json(&[(app, cells)]);
+        assert_eq!(Json::parse(&json).unwrap().render(), json);
     }
 }

@@ -11,7 +11,8 @@
 //! * constant-memory streaming [`metrics`] (Welford moments plus a
 //!   log-bucketed histogram per series),
 //! * windowed time-series [`recorder`]s over the same exactly-mergeable
-//!   log-bucketed histograms.
+//!   log-bucketed histograms,
+//! * the [`json`] codec every artifact is built, rendered and checked with.
 //!
 //! Higher layers (network, middleware, applications) are worlds `W` plugged
 //! into [`Simulation<W, E>`], each with its own event type `E`.
@@ -61,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod resource;

@@ -117,15 +117,6 @@ impl Welford {
         self.variance().sqrt()
     }
 
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
     /// Smallest sample (0 if empty).
     pub fn min(&self) -> f64 {
         if self.count == 0 {

@@ -39,8 +39,6 @@ pub struct FifoResource {
     jobs_admitted: u64,
     busy_time: SimDuration,
     first_admit: Option<SimTime>,
-    last_completion: SimTime,
-    total_wait: SimDuration,
 }
 
 impl FifoResource {
@@ -59,8 +57,6 @@ impl FifoResource {
             jobs_admitted: 0,
             busy_time: SimDuration::ZERO,
             first_admit: None,
-            last_completion: SimTime::ZERO,
-            total_wait: SimDuration::ZERO,
         }
     }
 
@@ -92,11 +88,9 @@ impl FifoResource {
 
         self.jobs_admitted += 1;
         self.busy_time += demand;
-        self.total_wait += start - now;
         if self.first_admit.is_none() {
             self.first_admit = Some(now);
         }
-        self.last_completion = self.last_completion.max(completion);
         completion
     }
 
@@ -108,15 +102,6 @@ impl FifoResource {
     /// Cumulative service demand admitted (busy server-time).
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
-    }
-
-    /// Mean queueing delay (time between arrival and service start).
-    pub fn mean_wait(&self) -> SimDuration {
-        if self.jobs_admitted == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_wait / self.jobs_admitted
-        }
     }
 
     /// Utilization over `[first admission, horizon]`: busy server-time divided
@@ -132,17 +117,11 @@ impl FifoResource {
         self.busy_time.as_secs_f64() / (elapsed * self.servers as f64)
     }
 
-    /// The earliest time at which some server is free.
-    pub fn earliest_free(&self) -> SimTime {
-        self.free_at.iter().copied().min().unwrap_or(SimTime::ZERO)
-    }
-
     /// Resets statistics (not server occupancy). Used when discarding warm-up.
     pub fn reset_stats(&mut self) {
         self.jobs_admitted = 0;
         self.busy_time = SimDuration::ZERO;
         self.first_admit = None;
-        self.total_wait = SimDuration::ZERO;
     }
 }
 
@@ -185,10 +164,10 @@ mod tests {
     fn utilization_and_wait_accounting() {
         let mut r = FifoResource::new("r", 1);
         r.admit(AT(0), MS(10));
-        r.admit(AT(0), MS(10)); // waits 10ms
+        // The second job waits 10ms behind the first.
+        assert_eq!(r.admit(AT(0), MS(10)), AT(20));
         assert_eq!(r.jobs_admitted(), 2);
         assert_eq!(r.busy_time(), MS(20));
-        assert_eq!(r.mean_wait(), MS(5));
         let u = r.utilization(AT(40));
         assert!((u - 0.5).abs() < 1e-9, "expected 0.5 got {u}");
     }
@@ -233,8 +212,6 @@ mod tests {
         assert_eq!(r.admit(AT(3), MS(9)), AT(19));
         // A fourth queued job waits for the earliest of the second wave.
         assert_eq!(r.admit(AT(4), MS(1)), AT(16));
-        // Wait accounting reflects the FIFO queueing delays above.
-        assert_eq!(r.total_wait, MS(9 + 8 + 7 + 11));
     }
 
     mod properties {

@@ -342,13 +342,6 @@ impl<'a> Binder<'a> {
         self.finish(steps)
     }
 
-    /// Compiles a bare call tree starting at `entry` (no HTTP envelope); used
-    /// for tests and for placement-graph derivation.
-    pub fn bind_tree(mut self, entry: NodeId, root: &Call) -> BoundRequest {
-        let steps = self.bind_call(entry, root, 0, 0);
-        self.finish(steps)
-    }
-
     fn finish(mut self, steps: Vec<Step>) -> BoundRequest {
         self.read_tables.sort_unstable();
         self.written_tables.sort_unstable();

@@ -18,7 +18,7 @@ pub struct Network {
     topology: Topology,
     cpus: Vec<FifoResource>,
     links: Vec<FifoResource>,
-    /// Per-link latency overrides (failure injection / degradation studies).
+    /// Per-link latency overrides (`LinkDegraded` fault episodes).
     latency_overrides: Vec<Option<SimDuration>>,
     /// Messages serialized per directed link (telemetry).
     link_msgs: Vec<u64>,
@@ -86,30 +86,6 @@ impl Network {
     /// windowed series show fault-injected latency changes as they happen.
     pub fn link_round_trip(&self, link: LinkId) -> SimDuration {
         self.link_latency(link) * 2
-    }
-
-    /// Overrides the latency of one directed link (pass the base latency to
-    /// restore). Models link degradation and routing changes mid-run.
-    pub fn set_link_latency(&mut self, link: LinkId, latency: SimDuration) {
-        self.latency_overrides[link.index()] = Some(latency);
-    }
-
-    /// Scales the latency of every link whose *base* latency is at least
-    /// `threshold` — the WAN legs, for the paper's topology — by `factor`.
-    pub fn scale_latencies_above(&mut self, threshold: SimDuration, factor: f64) {
-        for i in 0..self.topology.link_count() {
-            let base = self.topology.link(LinkId(i)).latency;
-            if base >= threshold {
-                self.latency_overrides[i] = Some(base.mul_f64(factor));
-            }
-        }
-    }
-
-    /// Removes all latency overrides.
-    pub fn clear_latency_overrides(&mut self) {
-        for o in &mut self.latency_overrides {
-            *o = None;
-        }
     }
 
     /// The underlying immutable topology.
@@ -325,16 +301,6 @@ impl Network {
         self.cpus[node.index()].jobs_admitted()
     }
 
-    /// Mean CPU queueing delay at `node`.
-    pub fn cpu_mean_wait(&self, node: NodeId) -> SimDuration {
-        self.cpus[node.index()].mean_wait()
-    }
-
-    /// Total bytes-serialization busy time of directed link `link`.
-    pub fn link_busy(&self, link: LinkId) -> SimDuration {
-        self.links[link.index()].busy_time()
-    }
-
     /// `(messages, payload bytes)` serialized onto directed link `link`
     /// via the event-driven path ([`Self::link_send`]) since the last
     /// [`Self::reset_stats`].
@@ -433,29 +399,6 @@ mod tests {
         let (mut net, a, _) = wan_pair();
         assert_eq!(net.cpu(at(3), a, SimDuration::ZERO), at(3));
         assert_eq!(net.cpu_jobs(a), 0);
-    }
-
-    #[test]
-    fn latency_overrides_degrade_and_restore() {
-        // Issue each round trip after the previous one has fully drained so
-        // the FIFO link queues see chronological admissions.
-        let (mut net, a, c) = wan_pair();
-        assert_eq!(net.round_trip(at(0), a, c, 0, 0) - at(0), ms(200));
-        // Double only the WAN legs (base latency >= 50 ms).
-        net.scale_latencies_above(ms(50), 2.0);
-        assert_eq!(net.round_trip(at(1_000), a, c, 0, 0) - at(1_000), ms(380));
-        net.clear_latency_overrides();
-        assert_eq!(net.round_trip(at(2_000), a, c, 0, 0) - at(2_000), ms(200));
-    }
-
-    #[test]
-    fn single_link_override() {
-        let (mut net, a, c) = wan_pair();
-        let route = net.route_of(a, c);
-        net.set_link_latency(route[0], ms(50));
-        assert_eq!(net.link_latency(route[0]), ms(50));
-        // Forward path gains 40ms; reverse path unchanged.
-        assert_eq!(net.round_trip(SimTime::ZERO, a, c, 0, 0), at(240));
     }
 
     #[test]

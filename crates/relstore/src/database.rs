@@ -173,19 +173,12 @@ pub struct MutationEffect {
 pub struct DatabaseBuilder {
     tables: Vec<Table>,
     by_name: HashMap<String, TableId>,
-    cost: Option<CostModel>,
 }
 
 impl DatabaseBuilder {
     /// Creates an empty schema.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the default cost model.
-    pub fn cost_model(&mut self, cost: CostModel) -> &mut Self {
-        self.cost = Some(cost);
-        self
     }
 
     /// Adds a table. Column names prefixed with `*` get an equality index
@@ -221,7 +214,7 @@ impl DatabaseBuilder {
         Database {
             tables: self.tables,
             by_name: self.by_name,
-            cost: self.cost.unwrap_or_default(),
+            cost: CostModel::default(),
         }
     }
 }
@@ -256,11 +249,6 @@ impl Database {
     /// Panics if `id` does not belong to this database.
     pub fn table_mut(&mut self, id: TableId) -> &mut Table {
         &mut self.tables[id.0]
-    }
-
-    /// The active cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Number of tables.

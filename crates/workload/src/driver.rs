@@ -11,16 +11,15 @@
 //! Steady-state requests avoid per-request allocation three ways:
 //!
 //! * **Typed events.** Every event — job advancement, request issue,
-//!   request completion, and the handful of control events a run sets up
-//!   (stats reset, perturbations) — is an `Ev` enum value stored by value
-//!   in the queue, so no event allocates.
+//!   request completion, fault injection and the stats reset — is an `Ev`
+//!   enum value stored by value in the queue, so no event allocates.
 //! * **Bound-program memoization.** Binds the binder certifies replayable
 //!   (read-only, no cache-state transitions, no RNG draws) are split into a
 //!   reusable *plan* (`Arc<[Step]>` program + [`BindStats`]) and cached by
 //!   (page shape, client node, entry node). A hit skips page construction
 //!   and binding entirely and replays the shared program through a cursor.
 //!   Writes and asynchronous propagation invalidate by table generation;
-//!   network perturbations clear the cache wholesale.
+//!   fault transitions clear the cache wholesale.
 //! * **Interned stats.** Series are resolved to dense ids once per
 //!   (group, pattern, page) and recorded through
 //!   [`WorkloadStats::record_ids`].
@@ -258,7 +257,7 @@ struct CachedPlan {
 }
 
 /// The bound-program cache. Validity of an entry requires its capture epoch
-/// to be current (epoch advances on network perturbation and descriptor
+/// to be current (epoch advances on fault transitions and descriptor
 /// change) and every read table's generation to be unchanged (generations
 /// advance on writes and on deferred propagation applies).
 struct PlanCache {
@@ -299,7 +298,7 @@ impl PlanCache {
         self.table_gen[table.index()] += 1;
     }
 
-    /// Drops every cached plan (perturbations, descriptor changes).
+    /// Drops every cached plan (fault transitions, descriptor changes).
     fn invalidate_all(&mut self) {
         self.epoch += 1;
         self.invalidations += self.map.len() as u64;
@@ -541,7 +540,7 @@ impl World {
 /// named slot plus the [`EV_CONTROL_KINDS`] control slots past them.
 const EV_KINDS: usize = 16;
 /// Kind slots of the unnamed control events (see [`Ev::kind_index`]).
-const EV_CONTROL_KINDS: usize = 2;
+const EV_CONTROL_KINDS: usize = 1;
 // Past `EV_KINDS` the `& (EV_KINDS - 1)` mask in `Ev::fire` would silently
 // alias one kind's counter onto another's.
 const _: () = assert!(EV_KIND_NAMES.len() + EV_CONTROL_KINDS <= EV_KINDS);
@@ -712,18 +711,15 @@ pub(crate) enum Ev {
     Migrate { slot: u32 },
     /// The measured window opens: reset the network's resource statistics.
     ResetStats,
-    /// Apply the spec's network perturbation `idx` (scheduled once per
-    /// entry at run start).
-    Perturb { idx: u32 },
 }
 
 impl Ev {
     /// Dense kind index for the engine self-profile counters
     /// ([`EV_KIND_NAMES`]).
     ///
-    /// The control variants fire a handful of times per run and have no
-    /// counter name: their slots sit past the named ones, where
-    /// [`MetricsState::flush_ev_counts`] never reads, so they add no
+    /// The control variant `ResetStats` fires once per run and has no
+    /// counter name: its slot sits past the named ones, where
+    /// [`MetricsState::flush_ev_counts`] never reads, so it adds no
     /// `engine.ev.*` series and no column to any `METRICS_*.jsonl`.
     fn kind_index(&self) -> usize {
         match self {
@@ -737,7 +733,6 @@ impl Ev {
             Ev::AdaptTick => 7,
             Ev::Migrate { .. } => 8,
             Ev::ResetStats => EV_KIND_NAMES.len(),
-            Ev::Perturb { .. } => EV_KIND_NAMES.len() + 1,
         }
     }
 }
@@ -766,21 +761,7 @@ impl Fire<World> for Ev {
             Ev::AdaptTick => adapt_tick(world, ctx),
             Ev::Migrate { slot } => apply_migration(world, slot),
             Ev::ResetStats => world.net.reset_stats(),
-            Ev::Perturb { idx } => apply_perturbation(world, idx),
         }
-    }
-}
-
-/// Applies the spec's network perturbation `idx`. Perturbations change link
-/// timing, so every memoized plan (whose steps carry admission-time
-/// assumptions) is dropped.
-fn apply_perturbation(world: &mut World, idx: u32) {
-    world.plans.invalidate_all();
-    match world.spec.perturbations[idx as usize].action {
-        crate::spec::NetAction::ScaleWanLatency { threshold, factor } => {
-            world.net.scale_latencies_above(threshold, factor);
-        }
-        crate::spec::NetAction::Restore => world.net.clear_latency_overrides(),
     }
 }
 
@@ -985,8 +966,8 @@ fn retry_request(world: &mut World, ctx: &mut Context<'_, World, Ev>, token: u32
 /// refreshes the per-entry partition bookkeeping.
 fn apply_fault(world: &mut World, ctx: &mut Context<'_, World, Ev>, idx: u32) {
     let kind = world.spec.faults.schedule.events[idx as usize].kind;
-    // Memoized plans carry routing and cache-state assumptions; any fault
-    // transition invalidates them wholesale (same rule as perturbations).
+    // Memoized plans carry routing, timing and cache-state assumptions; any
+    // fault transition invalidates them wholesale.
     world.plans.invalidate_all();
     match kind {
         FaultKind::LinkDown { link } => {
@@ -1588,7 +1569,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
     // Fault firing times, captured before `spec` moves into the world; the
     // handler looks the kind up by index.
     let fault_times: Vec<SimDuration> = spec.faults.schedule.events.iter().map(|e| e.at).collect();
-    let perturbation_times: Vec<SimDuration> = spec.perturbations.iter().map(|p| p.at).collect();
     // The live-migration controller (sequential runs only): parallel runs
     // host one controller in the coordinator so every shard applies the
     // same globally decided orders.
@@ -1661,11 +1641,8 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         let warmup = sim.world().spec.warmup;
         sim.schedule_internal_at(SimTime::ZERO + warmup + cadence, Ev::AdaptTick);
     }
-    // Failure injection: network perturbations, then the fault schedule. An
-    // empty list adds zero events, leaving the queue history untouched.
-    for (i, at) in perturbation_times.into_iter().enumerate() {
-        sim.schedule_event_at(SimTime::ZERO + at, Ev::Perturb { idx: i as u32 });
-    }
+    // Failure injection: the fault schedule. An empty schedule adds zero
+    // events, leaving the queue history untouched.
     for (i, at) in fault_times.into_iter().enumerate() {
         sim.schedule_event_at(SimTime::ZERO + at, Ev::Fault { idx: i as u32 });
     }
@@ -1869,19 +1846,39 @@ mod tests {
         assert!(main > 0.05, "main util {main}");
     }
 
+    /// `LinkDegraded` events scaling every directed link of `input` whose
+    /// base latency is at least 50 ms (the WAN legs) by `factor` at `at`.
+    fn wan_degradation(input: &ExperimentInput, at: SimDuration, factor: f64) -> Vec<FaultEvent> {
+        let topology = &input.topology;
+        topology
+            .link_ids()
+            .filter(|&l| topology.link(l).latency >= SimDuration::from_millis(50))
+            .map(|l| FaultEvent {
+                at,
+                kind: FaultKind::LinkDegraded {
+                    link: l.index() as u32,
+                    factor,
+                },
+            })
+            .collect()
+    }
+
+    /// `input` with `events` scheduled and no recovery policy.
+    fn with_fault_events(mut input: ExperimentInput, events: Vec<FaultEvent>) -> ExperimentInput {
+        input.spec = input.spec.with_faults(FaultSettings {
+            schedule: FaultSchedule::scripted(events),
+            ..FaultSettings::off()
+        });
+        input
+    }
+
     #[test]
     fn wan_degradation_perturbation_slows_remote_clients() {
         let baseline = run_experiment(small_input(21));
-        let mut degraded_input = small_input(21);
         // Double the WAN legs for the whole measured window.
-        degraded_input.spec = degraded_input.spec.with_perturbation(
-            SimDuration::from_secs(1),
-            crate::spec::NetAction::ScaleWanLatency {
-                threshold: SimDuration::from_millis(50),
-                factor: 2.0,
-            },
-        );
-        let degraded = run_experiment(degraded_input);
+        let input = small_input(21);
+        let events = wan_degradation(&input, SimDuration::from_secs(1), 2.0);
+        let degraded = run_experiment(with_fault_events(input, events));
         let base = baseline
             .stats
             .mean_ms("remote1", "Browser", "Item")
@@ -1902,22 +1899,11 @@ mod tests {
 
     #[test]
     fn restore_perturbation_heals_mid_run() {
-        let mut input = small_input(22);
-        let horizon = input.spec.horizon();
-        input.spec = input
-            .spec
-            .with_perturbation(
-                SimDuration::from_secs(1),
-                crate::spec::NetAction::ScaleWanLatency {
-                    threshold: SimDuration::from_millis(50),
-                    factor: 3.0,
-                },
-            )
-            .with_perturbation(
-                (horizon - SimTime::ZERO) / 2,
-                crate::spec::NetAction::Restore,
-            );
-        let healed = run_experiment(input);
+        let input = small_input(22);
+        let half = (input.spec.horizon() - SimTime::ZERO) / 2;
+        let mut events = wan_degradation(&input, SimDuration::from_secs(1), 3.0);
+        events.extend(wan_degradation(&input, half, 1.0));
+        let healed = run_experiment(with_fault_events(input, events));
         let baseline = run_experiment(small_input(22));
         let healed_mean = healed.stats.mean_ms("remote1", "Browser", "Item").unwrap();
         let base_mean = baseline
@@ -1968,29 +1954,23 @@ mod tests {
         assert_eq!(cached.events_fired, uncached.events_fired);
     }
 
-    /// Perturbations flush the plan cache wholesale (`Ev::Perturb`): a run
+    /// Latency changes flush the plan cache wholesale (`Ev::Fault`): a run
     /// that degrades and then restores the WAN measures bit-identically with
     /// the cache on and off, and the cache-on run counts the dropped plans.
     #[test]
     fn perturbations_flush_the_plan_cache_without_changing_results() {
         // `factor` scales the WAN legs from 60 s until a restore at 110 s.
+        let schedule = |input: &ExperimentInput, factor: f64| {
+            let mut events = wan_degradation(input, SimDuration::from_secs(60), factor);
+            events.extend(wan_degradation(input, SimDuration::from_secs(110), 1.0));
+            events
+        };
         let run = |bind_cache: bool, factor: Option<f64>| {
             let mut input = small_input(34);
             input.spec = input.spec.with_bind_cache(bind_cache);
             if let Some(factor) = factor {
-                input.spec = input
-                    .spec
-                    .with_perturbation(
-                        SimDuration::from_secs(60),
-                        crate::spec::NetAction::ScaleWanLatency {
-                            threshold: SimDuration::from_millis(50),
-                            factor,
-                        },
-                    )
-                    .with_perturbation(
-                        SimDuration::from_secs(110),
-                        crate::spec::NetAction::Restore,
-                    );
+                let events = schedule(&input, factor);
+                input = with_fault_events(input, events);
             }
             run_experiment(input)
         };
@@ -1999,20 +1979,21 @@ mod tests {
         assert!(on.bind_cache.enabled && !off.bind_cache.enabled);
         assert!(
             on.bind_cache.invalidations > 0,
-            "perturbations must drop plans: {:?}",
+            "latency changes must drop plans: {:?}",
             on.bind_cache
         );
         assert_eq!(on.stats, off.stats);
         assert_eq!(on.bind_totals, off.bind_totals);
         assert_eq!(on.events_fired, off.events_fired);
 
-        // An identity perturbation changes no timing, so only the flush
+        // An identity degradation changes no timing, so only the flush
         // tells it apart from an unperturbed run: every plan it drops is
         // counted and re-bound.
         let plain = run(true, None);
         let flushed = run(true, Some(1.0));
+        let entries = schedule(&small_input(34), 1.0).len() as u64;
         assert_eq!(plain.stats, flushed.stats);
-        assert_eq!(plain.events_fired + 2, flushed.events_fired);
+        assert_eq!(plain.events_fired + entries, flushed.events_fired);
         assert!(
             flushed.bind_cache.invalidations > plain.bind_cache.invalidations
                 && flushed.bind_cache.misses > plain.bind_cache.misses,

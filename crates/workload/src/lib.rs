@@ -43,7 +43,9 @@ pub use parallel::run_experiment_parallel;
 pub use slo::{evaluate, SloEvent, SloEventKind, SloObjective, SloReport, SloSpec, SloVerdict};
 pub use spec::{
     paper_groups, AdaptiveSettings, ClientGroup, FaultPolicy, FaultSettings, MetricsSettings,
-    NetAction, Perturbation, Surge, TraceSettings, WorkloadSpec,
+    Surge, TraceSettings, WorkloadSpec,
 };
 pub use stats::{GroupOutcome, SeriesKey, WorkloadStats};
-pub use trace_report::{chrome_trace_json, jsonl, page_breakdown, PageTraceRow, TraceData};
+pub use trace_report::{
+    chrome_trace_json, jsonl, page_breakdown, validate_chrome_trace, PageTraceRow, TraceData,
+};

@@ -314,30 +314,6 @@ pub struct ClientGroup {
     pub transactional_rate: f64,
 }
 
-/// A scheduled network perturbation (failure injection).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Perturbation {
-    /// Offset from simulation start.
-    pub at: SimDuration,
-    /// What happens.
-    pub action: NetAction,
-}
-
-/// Network-state changes available to perturbations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum NetAction {
-    /// Scale the latency of every link whose base latency is at least
-    /// `threshold` (the WAN legs) by `factor`.
-    ScaleWanLatency {
-        /// Base-latency threshold selecting the links.
-        threshold: SimDuration,
-        /// Multiplier applied to the base latency.
-        factor: f64,
-    },
-    /// Remove all latency overrides.
-    Restore,
-}
-
 /// The complete load specification of one experiment.
 ///
 /// Defaults reproduce §3.3: a combined 30 requests/s from 80 % browsers and
@@ -358,8 +334,6 @@ pub struct WorkloadSpec {
     pub duration: SimDuration,
     /// RNG seed.
     pub seed: u64,
-    /// Scheduled network perturbations (failure injection).
-    pub perturbations: Vec<Perturbation>,
     /// Whether the driver may reuse memoized bound-page programs for
     /// replayable read binds (see DESIGN.md §6.2). On by default; turning it
     /// off forces every request through the full binder — useful for
@@ -398,7 +372,6 @@ impl WorkloadSpec {
             warmup: SimDuration::from_secs(120),
             duration: SimDuration::from_secs(3_600),
             seed: 42,
-            perturbations: Vec::new(),
             bind_cache: default_bind_cache(),
             trace: TraceSettings::off(),
             faults: FaultSettings::off(),
@@ -451,12 +424,6 @@ impl WorkloadSpec {
             g.browser_rate *= factor;
             g.transactional_rate *= factor;
         }
-        self
-    }
-
-    /// Schedules a network perturbation.
-    pub fn with_perturbation(mut self, at: SimDuration, action: NetAction) -> Self {
-        self.perturbations.push(Perturbation { at, action });
         self
     }
 

@@ -9,12 +9,17 @@
 //!   the same seed and configuration (the determinism artifact).
 //! * [`chrome_trace_json`] — Chrome `trace_event` JSON, loadable in
 //!   Perfetto / `chrome://tracing`. Each request gets its own lane; each
-//!   `Parallel` arm gets a sub-lane so `B`/`E` pairs nest properly.
+//!   `Parallel` arm gets a sub-lane so `B`/`E` pairs nest properly, which
+//!   [`validate_chrome_trace`] checks on the parsed document.
 //! * [`page_breakdown`] — the paper-table artifact: mean response time per
 //!   page × client group, decomposed along the critical path into WAN
 //!   propagation, serialization, queueing, server service and DB time, with
 //!   both logical (binder-derived) and critical-path WAN round trips.
 
+use std::collections::HashMap;
+
+use mutsvc_desim::json::Json;
+use mutsvc_desim::time::SimTime;
 use mutsvc_desim::trace::{critical_path, CompletedTrace, PathBreakdown, Span, SpanKind};
 
 /// A run's trace payload, resolved enough to export without the world.
@@ -133,26 +138,6 @@ pub fn page_breakdown(data: &TraceData) -> Vec<PageTraceRow> {
     rows
 }
 
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn node_name(data: &TraceData, id: u32) -> String {
     data.node_names
         .get(id as usize)
@@ -167,6 +152,12 @@ fn link_name(data: &TraceData, id: u32) -> String {
         .unwrap_or_else(|| format!("link{id}"))
 }
 
+fn group_name(data: &TraceData, id: u32) -> &str {
+    data.group_names
+        .get(id as usize)
+        .map_or("?", String::as_str)
+}
+
 /// Renders the compact JSONL span log: one line per span, `\n`-terminated.
 ///
 /// The request span's line carries the trace metadata (page, group, client
@@ -175,84 +166,82 @@ fn link_name(data: &TraceData, id: u32) -> String {
 /// traces, so identical seeds and configurations produce byte-identical
 /// logs.
 pub fn jsonl(data: &TraceData) -> String {
-    let mut out = String::new();
-    for trace in &data.traces {
-        for span in &trace.spans {
-            render_span_line(data, trace, span, &mut out);
-            out.push('\n');
-        }
-    }
-    out
+    data.traces
+        .iter()
+        .flat_map(|trace| {
+            trace
+                .spans
+                .iter()
+                .map(move |span| span_json(data, trace, span).render())
+        })
+        .collect()
 }
 
-fn render_span_line(data: &TraceData, trace: &CompletedTrace, span: &Span, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"trace\":\"{:016x}\",\"span\":{},\"parent\":{},\"kind\":\"{}\",\"start_us\":{},\"end_us\":{}",
-        trace.trace_id,
-        span.id,
-        span.parent as i64 as i32, // NO_PARENT (u32::MAX) prints as -1
-        span.kind.label(),
-        span.start.as_micros(),
-        span.end.as_micros(),
-    ));
+fn span_json(data: &TraceData, trace: &CompletedTrace, span: &Span) -> Json {
+    let mut members = vec![
+        ("trace", format!("{:016x}", trace.trace_id).into()),
+        ("span", span.id.into()),
+        ("parent", (span.parent as i64 as i32).into()), // NO_PARENT (u32::MAX) prints as -1
+        ("kind", span.kind.label().into()),
+        ("start_us", span.start.as_micros().into()),
+        ("end_us", span.end.as_micros().into()),
+    ];
     match span.kind {
         SpanKind::Request => {
             let meta = &trace.meta;
-            out.push_str(&format!(
-                ",\"page\":\"{}\",\"group\":\"",
-                meta.label // page labels are static identifiers, no escaping needed
-            ));
-            esc(
-                data.group_names
-                    .get(meta.group as usize)
-                    .map_or("?", String::as_str),
-                out,
-            );
-            out.push_str(&format!(
-                "\",\"client\":\"{}\",\"entry\":\"{}\",\"measured\":{},\"wan_rts_logical\":{}",
-                node_name(data, meta.client),
-                node_name(data, meta.entry),
-                meta.measured,
-                fmt_f64(meta.wan_rts_logical),
-            ));
+            members.extend([
+                ("page", meta.label.into()),
+                ("group", group_name(data, meta.group).into()),
+                ("client", node_name(data, meta.client).into()),
+                ("entry", node_name(data, meta.entry).into()),
+                ("measured", meta.measured.into()),
+            ]);
         }
-        SpanKind::Cpu { node, service_us } => {
-            out.push_str(&format!(
-                ",\"node\":\"{}\",\"service_us\":{service_us}",
-                node_name(data, node)
-            ));
-        }
-        SpanKind::Hop {
-            link,
-            bytes,
-            propagation_us,
-            serialization_us,
-            wan,
-        } => {
-            out.push_str(&format!(
-                ",\"link\":\"{}\",\"bytes\":{bytes},\"prop_us\":{propagation_us},\"ser_us\":{serialization_us},\"wan\":{wan}",
-                link_name(data, link)
-            ));
-        }
-        SpanKind::Note { name, value } => {
-            out.push_str(&format!(",\"note\":\"{name}\",\"value\":{value}"));
-        }
+        SpanKind::Cpu { node, .. } => members.push(("node", node_name(data, node).into())),
+        SpanKind::Hop { link, .. } => members.push(("link", link_name(data, link).into())),
+        SpanKind::Note { name, .. } => members.push(("note", name.into())),
         SpanKind::Fault { link, node } => {
             // u32::MAX marks "not the failing element" — a fault names either
             // the downed link or the crashed node, never both.
             if link != u32::MAX {
-                out.push_str(&format!(",\"link\":\"{}\"", link_name(data, link)));
+                members.push(("link", link_name(data, link).into()));
             }
             if node != u32::MAX {
-                out.push_str(&format!(",\"node\":\"{}\"", node_name(data, node)));
+                members.push(("node", node_name(data, node).into()));
             }
         }
-        SpanKind::Retry { attempt, failover } => {
-            out.push_str(&format!(",\"attempt\":{attempt},\"failover\":{failover}"));
-        }
-        SpanKind::Program | SpanKind::Branch | SpanKind::Delay => {}
+        _ => {}
     }
-    out.push('}');
+    members.extend(payload(trace, span.kind));
+    Json::object(members)
+}
+
+/// A span's measured payload: the last members of its span line, and the
+/// `args` of its Chrome event.
+fn payload(trace: &CompletedTrace, kind: SpanKind) -> Vec<(&'static str, Json)> {
+    match kind {
+        SpanKind::Request => vec![("wan_rts_logical", Json::float(trace.meta.wan_rts_logical))],
+        SpanKind::Cpu { service_us, .. } => vec![("service_us", service_us.into())],
+        SpanKind::Hop {
+            bytes,
+            propagation_us,
+            serialization_us,
+            wan,
+            ..
+        } => vec![
+            ("bytes", bytes.into()),
+            ("prop_us", propagation_us.into()),
+            ("ser_us", serialization_us.into()),
+            ("wan", wan.into()),
+        ],
+        SpanKind::Note { value, .. } => vec![("value", value.into())],
+        SpanKind::Retry { attempt, failover } => {
+            vec![("attempt", attempt.into()), ("failover", failover.into())]
+        }
+        SpanKind::Program | SpanKind::Branch | SpanKind::Delay | SpanKind::Fault { .. } => {
+            Vec::new()
+        }
+    }
 }
 
 /// Renders Chrome `trace_event` JSON (the object form, `traceEvents` key),
@@ -264,10 +253,12 @@ fn render_span_line(data: &TraceData, trace: &CompletedTrace, span: &Span, out: 
 /// microseconds. At most `max_traces` traces are exported (0 = all) —
 /// span logs stay complete via [`jsonl`]; the Chrome view is for eyeballs.
 pub fn chrome_trace_json(data: &TraceData, max_traces: usize) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(
-        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"mutsvc-sim\"}}",
-    );
+    let mut events = vec![Json::object([
+        ("ph", "M".into()),
+        ("pid", 1u32.into()),
+        ("name", "process_name".into()),
+        ("args", Json::object([("name", "mutsvc-sim".into())])),
+    ])];
     let mut next_tid: u64 = 1;
     let take = if max_traces == 0 {
         data.traces.len()
@@ -282,21 +273,25 @@ pub fn chrome_trace_json(data: &TraceData, max_traces: usize) -> String {
         }
         let lane = next_tid;
         next_tid += 1;
-        out.push_str(&format!(
-            ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"name\":\"thread_name\",\"args\":{{\"name\":\"{} @",
-            trace.meta.label
-        ));
-        esc(
-            data.group_names
-                .get(trace.meta.group as usize)
-                .map_or("?", String::as_str),
-            &mut out,
+        let lane_name = format!(
+            "{} @{}",
+            trace.meta.label,
+            group_name(data, trace.meta.group)
         );
-        out.push_str("\"}}");
-        emit_span(data, trace, &children, 0, lane, &mut next_tid, &mut out);
+        events.push(Json::object([
+            ("ph", "M".into()),
+            ("pid", 1u32.into()),
+            ("tid", lane.into()),
+            ("name", "thread_name".into()),
+            ("args", Json::object([("name", lane_name.into())])),
+        ]));
+        emit_span(data, trace, &children, 0, lane, &mut next_tid, &mut events);
     }
-    out.push_str("\n]}\n");
-    out
+    Json::object([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Array(events)),
+    ])
+    .render()
 }
 
 fn span_display_name(data: &TraceData, trace: &CompletedTrace, span: &Span) -> String {
@@ -323,6 +318,22 @@ fn span_display_name(data: &TraceData, trace: &CompletedTrace, span: &Span) -> S
     }
 }
 
+/// The members of a Chrome event of phase `ph` on lane `tid`.
+fn lane_event(ph: &str, tid: u64, ts: SimTime, name: &str) -> Vec<(&'static str, Json)> {
+    let mut event = vec![
+        ("ph", ph.into()),
+        ("pid", 1u32.into()),
+        ("tid", tid.into()),
+        ("ts", ts.as_micros().into()),
+        ("name", name.into()),
+    ];
+    if ph == "i" {
+        // Instant events are thread-scoped.
+        event.insert(1, ("s", "t".into()));
+    }
+    event
+}
+
 fn emit_span(
     data: &TraceData,
     trace: &CompletedTrace,
@@ -330,52 +341,22 @@ fn emit_span(
     span_id: u32,
     tid: u64,
     next_tid: &mut u64,
-    out: &mut String,
+    events: &mut Vec<Json>,
 ) {
     let span = &trace.spans[span_id as usize];
-    if let SpanKind::Note { name, value } = span.kind {
-        out.push_str(&format!(
-            ",\n{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"{name}\",\"args\":{{\"value\":{value}}}}}",
-            span.start.as_micros()
-        ));
+    let name = span_display_name(data, trace, span);
+    let args = payload(trace, span.kind);
+    // A note is an instant on its parent's lane; every other span opens a
+    // `B`/`E` pair around its children.
+    let note = matches!(span.kind, SpanKind::Note { .. });
+    let mut begin = lane_event(if note { "i" } else { "B" }, tid, span.start, &name);
+    if !args.is_empty() {
+        begin.push(("args", Json::object(args)));
+    }
+    events.push(Json::object(begin));
+    if note {
         return;
     }
-    let name = span_display_name(data, trace, span);
-    out.push_str(&format!(
-        ",\n{{\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"",
-        span.start.as_micros()
-    ));
-    esc(&name, out);
-    out.push('"');
-    match span.kind {
-        SpanKind::Request => {
-            out.push_str(&format!(
-                ",\"args\":{{\"wan_rts_logical\":{}}}",
-                fmt_f64(trace.meta.wan_rts_logical)
-            ));
-        }
-        SpanKind::Cpu { service_us, .. } => {
-            out.push_str(&format!(",\"args\":{{\"service_us\":{service_us}}}"));
-        }
-        SpanKind::Hop {
-            bytes,
-            propagation_us,
-            serialization_us,
-            wan,
-            ..
-        } => {
-            out.push_str(&format!(
-                ",\"args\":{{\"bytes\":{bytes},\"prop_us\":{propagation_us},\"ser_us\":{serialization_us},\"wan\":{wan}}}"
-            ));
-        }
-        SpanKind::Retry { attempt, failover } => {
-            out.push_str(&format!(
-                ",\"args\":{{\"attempt\":{attempt},\"failover\":{failover}}}"
-            ));
-        }
-        _ => {}
-    }
-    out.push('}');
     for &child in &children[span_id as usize] {
         let child_span = &trace.spans[child as usize];
         let child_tid = if matches!(child_span.kind, SpanKind::Branch) {
@@ -385,21 +366,56 @@ fn emit_span(
         } else {
             tid
         };
-        emit_span(data, trace, children, child, child_tid, next_tid, out);
+        emit_span(data, trace, children, child, child_tid, next_tid, events);
     }
-    out.push_str(&format!(
-        ",\n{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"",
-        span.end.as_micros()
-    ));
-    esc(&name, out);
-    out.push_str("\"}");
+    events.push(Json::object(lane_event("E", tid, span.end, &name)));
+}
+
+/// Validates a Chrome `trace_event` document such as
+/// [`chrome_trace_json`] renders, by parsing it: every instant and duration
+/// event carries `ts`, and each lane's `B`/`E` events are balanced and
+/// properly nested (matched by name, LIFO). Returns the number of `B`/`E`
+/// pairs checked.
+pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
+    let doc = Json::parse(json)?;
+    let mut stacks: HashMap<u64, Vec<&str>> = HashMap::new();
+    let mut pairs = 0usize;
+    for event in doc.get("traceEvents")?.as_array()? {
+        let ph = event.get("ph")?.as_str()?;
+        match ph {
+            "M" => continue,
+            "i" | "B" | "E" => event.get("ts")?.as_f64()?,
+            other => return Err(format!("unknown ph {other:?}")),
+        };
+        if ph == "i" {
+            continue;
+        }
+        let tid = event.get("tid")?.as_u64()?;
+        let name = event.get("name")?.as_str()?;
+        let stack = stacks.entry(tid).or_default();
+        if ph == "B" {
+            stack.push(name);
+            continue;
+        }
+        match stack.pop() {
+            Some(open) if open == name => pairs += 1,
+            Some(open) => return Err(format!("E {name:?} closes B {open:?} on tid {tid}")),
+            None => return Err(format!("E {name:?} with empty stack on tid {tid}")),
+        }
+    }
+    if let Some((tid, stack)) = stacks.iter().find(|(_, stack)| !stack.is_empty()) {
+        return Err(format!("tid {tid} left {} span(s) open", stack.len()));
+    }
+    if pairs == 0 {
+        return Err("no B/E pairs found".into());
+    }
+    Ok(pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mutsvc_desim::trace::{TraceConfig, TraceMeta, Tracer};
-    use mutsvc_desim::SimTime;
 
     fn sample_data() -> TraceData {
         let mut t = Tracer::new(TraceConfig::full());
@@ -485,6 +501,8 @@ mod tests {
         assert!(log.contains("\"link\":\"edge1->router\""));
         assert!(log.contains("\"wan\":true"));
         assert!(log.contains("\"note\":\"fork\""));
+        let line = format!("{}\n", lines[0]);
+        assert_eq!(Json::parse(&line).unwrap().render(), line);
         // Determinism: rendering is a pure function of the data.
         assert_eq!(log, jsonl(&data));
     }
@@ -493,13 +511,9 @@ mod tests {
     fn chrome_json_has_balanced_nested_be_pairs() {
         let data = sample_data();
         let json = chrome_trace_json(&data, 0);
-        // Minimal structural check without a JSON parser: equal numbers of
-        // B and E events, and per-tid nesting validated by a scan.
-        let b_count = json.matches("\"ph\":\"B\"").count();
-        let e_count = json.matches("\"ph\":\"E\"").count();
-        assert_eq!(b_count, e_count);
         // request + program + cpu + hop + 2 branches + delay + branch-cpu
-        assert_eq!(b_count, 8);
+        assert_eq!(validate_chrome_trace(&json), Ok(8));
+        assert_eq!(Json::parse(&json).unwrap().render(), json);
         assert!(json.contains("\"ph\":\"i\""), "fork note exported");
         assert!(json.contains("wan hop edge1->router"));
         assert!(json.ends_with("]}\n"));

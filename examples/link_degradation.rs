@@ -12,8 +12,8 @@
 //! ```
 
 use mutable_services::core::{AppKind, Config, Scenario};
-use mutable_services::desim::{SimDuration, SimTime};
-use mutable_services::workload::{run_experiment, NetAction};
+use mutable_services::desim::{FaultEvent, FaultKind, FaultSchedule, SimDuration, SimTime};
+use mutable_services::workload::{run_experiment, FaultSettings};
 
 const REMOTE: [&str; 2] = ["remote1", "remote2"];
 
@@ -33,16 +33,24 @@ fn main() {
 
         let (mut input, _) = scenario.build();
         let horizon = input.spec.horizon() - SimTime::ZERO;
-        input.spec = input
-            .spec
-            .with_perturbation(
-                horizon.mul_f64(1.0 / 3.0),
-                NetAction::ScaleWanLatency {
-                    threshold: SimDuration::from_millis(50),
-                    factor: 3.0,
-                },
-            )
-            .with_perturbation(horizon.mul_f64(2.0 / 3.0), NetAction::Restore);
+        // Every directed WAN leg (base latency >= 50 ms) slows down at one
+        // third of the run and recovers at two thirds.
+        let mut events = Vec::new();
+        for l in input.topology.link_ids() {
+            if input.topology.link(l).latency < SimDuration::from_millis(50) {
+                continue;
+            }
+            let link = l.index() as u32;
+            for (share, factor) in [(1.0 / 3.0, 3.0), (2.0 / 3.0, 1.0)] {
+                let kind = FaultKind::LinkDegraded { link, factor };
+                let at = horizon.mul_f64(share);
+                events.push(FaultEvent { at, kind });
+            }
+        }
+        input.spec = input.spec.with_faults(FaultSettings {
+            schedule: FaultSchedule::scripted(events),
+            ..FaultSettings::off()
+        });
         let degraded = run_experiment(input);
 
         let h = healthy
