@@ -48,7 +48,7 @@
 //! against the propagation machinery and propagates written tables across
 //! pages along the service-usage flow graphs; a reachability analysis
 //! ([`reachability`]) predicts per-episode availability under the standard
-//! fault suite; and a multi-hop path model ([`paths`]) prices every
+//! fault suite; and the multi-hop path cost ([`paths`]) charges every
 //! crossing by its shortest-path WAN hop count.
 
 #![forbid(unsafe_code)]
@@ -74,13 +74,13 @@ use mutsvc_middleware::{
 use mutsvc_netsim::{NodeId, Topology};
 use mutsvc_relstore::Database;
 use mutsvc_workload::{AdaptiveSettings, MetricsSettings, SloSpec};
+use paths::hop_weighted_wan_trips;
 
 pub use dataflow::{analyze_staleness, site_staleness, Staleness, StalenessAnalysis};
 pub use diagnostics::{
     sarif_document, AvailabilityRow, CrossingNote, Diagnostic, PageWanCost, Report, Severity, Span,
 };
 pub use explain::{explain, CodeDoc, CODES};
-pub use paths::{PathModel, WAN_HOP_THRESHOLD};
 pub use reachability::{
     predict_availability, AvailabilityAnalysis, EpisodePrediction, FaultContext, PageFate,
 };
@@ -161,10 +161,9 @@ pub fn analyze(input: &AnalyzeInput<'_>) -> Report {
         return report;
     }
 
-    let model = PathModel::new(input.topology);
-    let walks = walk_all_pages(input, &model, &mut report);
-    check_wan_budget(input, &model, &walks, &mut report);
-    check_multi_hop_crossings(input, &model, &walks, &mut report);
+    let walks = walk_all_pages(input, &mut report);
+    check_wan_budget(input, &walks, &mut report);
+    check_multi_hop_crossings(input, &walks, &mut report);
     check_write_locality(input, &walks, &mut report);
     check_propagation_machinery(input, &mut report);
     check_stub_caching(input, &walks, &mut report);
@@ -354,10 +353,10 @@ pub fn check_adaptive_observability(
     metrics: &MetricsSettings,
     episodes: &[EpisodeView],
 ) -> usize {
-    if !adaptive.active() {
+    let Some(cadence) = adaptive.cadence else {
         return 0;
-    }
-    if !metrics.active() {
+    };
+    let Some(window) = metrics.window else {
         report.diagnostics.push(Diagnostic {
             code: "W114",
             severity: Severity::Warning,
@@ -371,11 +370,11 @@ pub fn check_adaptive_observability(
         });
         report.sort_diagnostics();
         return 1;
-    }
+    };
     if episodes.is_empty() {
         return 0;
     }
-    let period = adaptive.cadence.max(metrics.window);
+    let period = cadence.max(window);
     let longest = episodes
         .iter()
         .max_by_key(|e| e.active())
@@ -463,11 +462,7 @@ fn check_placements(input: &AnalyzeInput<'_>, report: &mut Report) {
     }
 }
 
-fn walk_all_pages(
-    input: &AnalyzeInput<'_>,
-    model: &PathModel<'_>,
-    report: &mut Report,
-) -> Vec<PageWalk> {
+fn walk_all_pages(input: &AnalyzeInput<'_>, report: &mut Report) -> Vec<PageWalk> {
     let nodes = input.nodes;
     let is_wan = |a, b| nodes.is_wan(a, b);
     let mut walks = Vec::with_capacity(input.pages.len());
@@ -485,7 +480,7 @@ fn walk_all_pages(
             .crossings
             .iter()
             .map(|c| {
-                let hops = model.wan_hops(c.from, c.to);
+                let hops = input.topology.wan_hops(c.from, c.to);
                 CrossingNote {
                     from: node_label(nodes, c.from),
                     to: node_label(nodes, c.to),
@@ -499,7 +494,7 @@ fn walk_all_pages(
         report.pages.push(PageWanCost {
             page: walk.page.clone(),
             entry: node_label(nodes, entry),
-            wan_round_trips: hop_weighted_wan_trips(model, &walk),
+            wan_round_trips: hop_weighted_wan_trips(input.topology, &walk),
             limit: input.invariant.page_limit(&walk.page),
             staleness: "fresh".to_string(),
             crossings,
@@ -509,27 +504,11 @@ fn walk_all_pages(
     walks
 }
 
-/// Hop-weighted wide-area cost of a walk: every crossing is charged one
-/// round trip per WAN hop its shortest path traverses, so a relayed
-/// edge-to-edge call costs both wide-area legs (§4.2 on multi-hop
-/// topologies). On the paper's star this equals the flat WAN trip count.
-fn hop_weighted_wan_trips(model: &PathModel<'_>, walk: &PageWalk) -> u32 {
-    walk.crossings
-        .iter()
-        .map(|c| c.round_trips() * model.wan_hops(c.from, c.to))
-        .sum()
-}
-
 /// E003: the §4.2 invariant — each page within its wide-area budget.
-fn check_wan_budget(
-    input: &AnalyzeInput<'_>,
-    model: &PathModel<'_>,
-    walks: &[PageWalk],
-    report: &mut Report,
-) {
+fn check_wan_budget(input: &AnalyzeInput<'_>, walks: &[PageWalk], report: &mut Report) {
     let nodes = input.nodes;
     for walk in walks {
-        let wan = hop_weighted_wan_trips(model, walk);
+        let wan = hop_weighted_wan_trips(input.topology, walk);
         let limit = input.invariant.page_limit(&walk.page);
         if wan > limit {
             report.diagnostics.push(Diagnostic {
@@ -862,16 +841,11 @@ fn via_label(via: ReadVia) -> &'static str {
 /// hops. The §4.2 budget and the descriptors were written assuming one hop
 /// per crossing; the budget check already charges the hop-weighted cost,
 /// and this lint points at the crossing whose placement multiplied it.
-fn check_multi_hop_crossings(
-    input: &AnalyzeInput<'_>,
-    model: &PathModel<'_>,
-    walks: &[PageWalk],
-    report: &mut Report,
-) {
+fn check_multi_hop_crossings(input: &AnalyzeInput<'_>, walks: &[PageWalk], report: &mut Report) {
     for walk in walks {
         let mut seen = BTreeSet::new();
         for c in &walk.crossings {
-            let hops = model.wan_hops(c.from, c.to);
+            let hops = input.topology.wan_hops(c.from, c.to);
             if hops < 2 || !seen.insert((c.from, c.to)) {
                 continue;
             }

@@ -3,75 +3,36 @@
 //! The original walker judged a crossing "WAN or not" through the star
 //! topology's node-name classification ([`mutsvc_core::PaperNodes::is_wan`]),
 //! which silently assumes every wide-area crossing traverses exactly one
-//! WAN leg. [`PathModel`] replaces that with shortest-path reasoning over
-//! the topology graph itself: a crossing's wide-area cost is the number of
-//! WAN *hops* on its route (links whose one-way propagation latency is
-//! strictly above [`WAN_HOP_THRESHOLD`]), so the §4.2 budget check stays
-//! correct
-//! on meshes where an edge-to-edge call relays through several points of
-//! presence. On the paper's star the two models agree link-for-link (an
-//! equivalence the test below pins), except for the deliberately uncovered
-//! edge↔edge direction, which the star walker never produces but a mesh
-//! would: that route crosses two WAN legs and costs — and warns (`W112`) —
-//! accordingly.
+//! WAN leg. The analyzer instead charges each crossing by the number of WAN
+//! *hops* on its shortest-path route ([`Topology::wan_hops`], which counts
+//! the links [`Topology::is_wan`] classifies — the judgement the engine's
+//! region split, lookahead, hop spans and metrics series all make), so the
+//! §4.2 budget check stays correct on meshes where an edge-to-edge call
+//! relays through several points of presence. On the paper's star the two
+//! models agree link-for-link (an equivalence the test below pins), except
+//! for the deliberately uncovered edge↔edge direction, which the star
+//! walker never produces but a mesh would: that route crosses two WAN legs
+//! and costs — and warns (`W112`) — accordingly.
 
-use mutsvc_desim::time::SimDuration;
-use mutsvc_netsim::{NodeId, Topology, WAN_LATENCY_THRESHOLD};
+use mutsvc_netsim::Topology;
 
-/// One-way link propagation latency above which a link counts as a
-/// wide-area hop — *the same constant* the engine uses everywhere a
-/// WAN/LAN judgement is made ([`mutsvc_netsim::WAN_LATENCY_THRESHOLD`]):
-/// `Topology::regions()` merges links at or below it, the
-/// conservative-parallel engine's lookahead (`min_wan_latency`) and this
-/// hop counter take links strictly above it. One definition, complementary
-/// comparisons — the analyzer, the placement layer's region coarsening and
-/// the shard lookahead can never classify a link differently.
-pub const WAN_HOP_THRESHOLD: SimDuration = WAN_LATENCY_THRESHOLD;
+use crate::walker::PageWalk;
 
-/// Shortest-path wide-area cost model over a weighted topology.
-pub struct PathModel<'a> {
-    topology: &'a Topology,
-    threshold: SimDuration,
-}
-
-impl<'a> PathModel<'a> {
-    /// A model over `topology` with the standard [`WAN_HOP_THRESHOLD`].
-    pub fn new(topology: &'a Topology) -> PathModel<'a> {
-        PathModel {
-            topology,
-            threshold: WAN_HOP_THRESHOLD,
-        }
-    }
-
-    /// The number of wide-area hops on the routed path `from → to`
-    /// (0 when the nodes coincide or no route exists).
-    pub fn wan_hops(&self, from: NodeId, to: NodeId) -> u32 {
-        if from == to {
-            return 0;
-        }
-        self.topology.route(from, to).map_or(0, |route| {
-            route
-                .iter()
-                .filter(|&&l| self.topology.link(l).latency > self.threshold)
-                .count() as u32
-        })
-    }
-
-    /// Whether the routed path crosses the wide area at all.
-    pub fn is_wan(&self, from: NodeId, to: NodeId) -> bool {
-        self.wan_hops(from, to) > 0
-    }
-
-    /// Round-trip propagation latency between two nodes.
-    pub fn rtt(&self, a: NodeId, b: NodeId) -> SimDuration {
-        self.topology.rtt(a, b)
-    }
+/// Hop-weighted wide-area cost of a walk: every crossing is charged one
+/// round trip per WAN hop its shortest path traverses, so a relayed
+/// edge-to-edge call costs both wide-area legs (§4.2 on multi-hop
+/// topologies). On the paper's star this equals the flat WAN trip count.
+pub(crate) fn hop_weighted_wan_trips(topology: &Topology, walk: &PageWalk) -> u32 {
+    walk.crossings
+        .iter()
+        .map(|c| c.round_trips() * topology.wan_hops(c.from, c.to))
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use mutsvc_core::paper_topology;
+    use mutsvc_desim::time::SimDuration;
 
     /// On the star, hop counting and the node-name classifier agree for
     /// every pair the walker can produce; the edge↔edge direction (which
@@ -80,11 +41,10 @@ mod tests {
     fn star_hops_match_node_classification() {
         for petstore in [false, true] {
             let (t, n) = paper_topology(petstore);
-            let model = PathModel::new(&t);
             for from in t.node_ids() {
                 for to in t.node_ids() {
                     if from == to {
-                        assert_eq!(model.wan_hops(from, to), 0);
+                        assert_eq!(t.wan_hops(from, to), 0);
                         continue;
                     }
                     let edge_edge = (from == n.edge1 && to == n.edge2)
@@ -96,11 +56,15 @@ mod tests {
                         || ((from == n.edge2 || from == n.client_edge2)
                             && (to == n.edge1 || to == n.client_edge1));
                     if edge_edge {
-                        assert_eq!(model.wan_hops(from, to), 2, "{from} -> {to}");
-                        assert!(model.is_wan(from, to));
+                        assert_eq!(t.wan_hops(from, to), 2, "{from} -> {to}");
+                        assert!(t.wan_hops(from, to) > 0);
                     } else {
-                        assert_eq!(model.is_wan(from, to), n.is_wan(from, to), "{from} -> {to}");
-                        assert!(model.wan_hops(from, to) <= 1, "{from} -> {to}");
+                        assert_eq!(
+                            t.wan_hops(from, to) > 0,
+                            n.is_wan(from, to),
+                            "{from} -> {to}"
+                        );
+                        assert!(t.wan_hops(from, to) <= 1, "{from} -> {to}");
                     }
                 }
             }
@@ -110,8 +74,7 @@ mod tests {
     #[test]
     fn rtt_reflects_wan_latency() {
         let (t, n) = paper_topology(false);
-        let model = PathModel::new(&t);
-        assert!(model.rtt(n.edge1, n.main) >= SimDuration::from_millis(200));
-        assert!(model.rtt(n.main, n.router) < SimDuration::from_millis(2));
+        assert!(t.rtt(n.edge1, n.main) >= SimDuration::from_millis(200));
+        assert!(t.rtt(n.main, n.router) < SimDuration::from_millis(2));
     }
 }

@@ -34,7 +34,7 @@ pub const STRESSED_GROUP: &str = "remote1";
 
 /// Controller round cadence the suite arms — two telemetry windows per
 /// round at the 5 s recorder window [`adaptive_episode_input`] wires.
-pub fn suite_cadence() -> SimDuration {
+fn suite_cadence() -> SimDuration {
     SimDuration::from_secs(10)
 }
 
@@ -42,7 +42,7 @@ pub fn suite_cadence() -> SimDuration {
 /// quarter into the measured window and heals at three quarters either
 /// way; smoke compresses the wall clock for CI's schema-validation gate
 /// while still leaving four controller rounds inside the episode.
-pub fn suite_windows(quick: bool, smoke: bool) -> (SimDuration, SimDuration) {
+fn suite_windows(quick: bool, smoke: bool) -> (SimDuration, SimDuration) {
     if smoke {
         (SimDuration::from_secs(10), SimDuration::from_secs(80))
     } else if quick {
@@ -168,7 +168,7 @@ fn move_kind_name(kind: MoveKind) -> &'static str {
 /// Renders one arm cell of `BENCH_adaptive.json` — the migration schedule,
 /// cost trajectory, per-group outcomes and SLO verdicts of a single run.
 /// Public so the thread-invariance suite can pin the rendered value.
-pub fn adaptive_cell_json(cell: &AdaptiveCell) -> Json {
+fn adaptive_cell_json(cell: &AdaptiveCell) -> Json {
     let data = cell.report.adaptive.as_ref();
     let migrations = data.into_iter().flat_map(|d| &d.migrations).map(|m| {
         Json::object([

@@ -8,20 +8,14 @@
 //! and the traced span JSONL must be byte-identical at 1, 2, 4 and 8
 //! threads.
 
-use mutsvc_bench::adaptive_artifacts::{
-    adaptive_cell_json, suite_cadence, suite_windows, AdaptiveCell,
-};
 use mutsvc_bench::fault_artifacts::{fault_scenario, render_faults_json, validate_faults_json};
 use mutsvc_bench::metrics_artifacts::{default_slo, metrics_jsonl};
 use mutsvc_bench::simperf_report::thread_counts;
-use mutsvc_core::{
-    adaptive_episode_input, multi_tier_input, AdaptiveEpisode, AppKind, Config, FaultCase,
-    MultiTierSpec,
-};
+use mutsvc_core::{multi_tier_input, AppKind, Config, FaultCase, MultiTierSpec};
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{
-    evaluate, jsonl, run_experiment_parallel, AdaptiveSettings, FaultPolicy, MetricsSettings,
-    SloReport, TraceSettings,
+    evaluate, jsonl, run_experiment_parallel, FaultPolicy, MetricsSettings, SloReport,
+    TraceSettings,
 };
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -224,84 +218,6 @@ fn metrics_and_slo_verdicts_are_byte_identical_at_every_thread_count() {
     assert_ne!(
         baseline_log,
         multi_tier_metrics_at(1, 43).0,
-        "different seeds must differ"
-    );
-}
-
-/// The flash-crowd adaptation episode with the live-migration controller
-/// armed and the tracer on, at one thread count: the span log, the rendered
-/// `BENCH_adaptive.json` arm cell, and the raw report.
-fn flash_crowd_adaptive_at(
-    threads: usize,
-    seed: u64,
-) -> (String, String, mutsvc_workload::ExperimentReport) {
-    let (warmup, duration) = suite_windows(true, true);
-    let mut input = adaptive_episode_input(
-        AppKind::PetStore,
-        AdaptiveEpisode::FlashCrowd,
-        None,
-        AdaptiveSettings::every(suite_cadence()),
-        warmup,
-        duration,
-        seed,
-    );
-    input.spec = input.spec.with_trace(TraceSettings::full());
-    let report = run_experiment_parallel(input, threads);
-    let log = jsonl(
-        report
-            .trace
-            .as_ref()
-            .expect("traced run carries trace data"),
-    );
-    let slo = evaluate(
-        &default_slo(AppKind::PetStore),
-        &report
-            .metrics
-            .as_ref()
-            .expect("the adaptation suite arms the recorder")
-            .recorder,
-    );
-    let cell = AdaptiveCell {
-        episode: AdaptiveEpisode::FlashCrowd,
-        arm: "on",
-        window: duration,
-        report,
-        slo,
-    };
-    let fragment = adaptive_cell_json(&cell).render();
-    (log, fragment, cell.report)
-}
-
-#[test]
-fn adaptive_migration_schedule_is_byte_identical_at_every_thread_count() {
-    let (baseline_log, baseline_fragment, baseline) = flash_crowd_adaptive_at(THREADS[0], 42);
-    let data = baseline.adaptive.as_ref().expect("controller log attached");
-    assert!(
-        !data.migrations.is_empty(),
-        "the flash crowd must trigger adaptation"
-    );
-    assert!(!baseline_log.is_empty());
-    for &threads in &THREADS[1..] {
-        let (log, fragment, report) = flash_crowd_adaptive_at(threads, 42);
-        assert_eq!(
-            baseline.adaptive, report.adaptive,
-            "{threads}-thread migration schedule diverged from the 1-thread run"
-        );
-        assert_eq!(baseline.stats, report.stats);
-        assert_eq!(baseline.completed, report.completed);
-        assert_eq!(baseline.events_fired, report.events_fired);
-        assert_eq!(
-            baseline_log, log,
-            "{threads}-thread adaptive span log diverged from the 1-thread log"
-        );
-        assert_eq!(
-            baseline_fragment, fragment,
-            "{threads}-thread BENCH_adaptive.json cell diverged from the 1-thread render"
-        );
-    }
-    assert_ne!(
-        baseline_fragment,
-        flash_crowd_adaptive_at(1, 43).1,
         "different seeds must differ"
     );
 }

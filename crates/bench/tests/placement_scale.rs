@@ -1,10 +1,11 @@
 //! Cross-layer properties of the planet-scale placement pipeline, on
 //! randomized multi-tier topologies:
 //!
-//! * the placement host matrix prices every host pair exactly like the
-//!   analyzer's [`PathModel`] and like an independent Floyd–Warshall over
-//!   the raw links — the engine's Dijkstra routing, the static analyzer and the
-//!   placement layer can never disagree about what a path costs;
+//! * the placement host matrix prices every host pair exactly like
+//!   [`Topology::rtt`] (the routed round trip the analyzer reads) and like
+//!   an independent Floyd–Warshall over the raw links — the engine's
+//!   Dijkstra routing, the static analyzer and the placement layer can
+//!   never disagree about what a path costs;
 //! * the placement layer's region coarsening ([`host_regions`], driven by
 //!   the round-trip matrix alone) induces the same partition as the
 //!   simulator's link-level [`Topology::regions`];
@@ -15,7 +16,6 @@
 //! * region-coarsened search matches the flat greedy search to 1e-9 on
 //!   small graphs and stays close when coarsening is forced.
 
-use mutsvc_analyze::PathModel;
 use mutsvc_bench::placement_report::{ladder_problem, move_sequence};
 use mutsvc_core::{multi_tier_topology, MultiTierSpec};
 use mutsvc_desim::rng::SimRng;
@@ -95,7 +95,6 @@ fn apsp_pricing_matches_analyze_path_model() {
         let (topology, nodes) = multi_tier_topology(&spec);
         let servers = server_specs(&nodes);
         let (hosts, rtt_ms) = hosts_from_topology(&topology, &servers);
-        let model = PathModel::new(&topology);
         let fw = floyd_warshall_ms(&topology);
 
         let h = hosts.len();
@@ -113,10 +112,10 @@ fn apsp_pricing_matches_analyze_path_model() {
                     rtt_ms[a][b]
                 );
                 if a != b {
-                    let analyze = model.rtt(na, nb).as_millis_f64();
+                    let analyze = topology.rtt(na, nb).as_millis_f64();
                     assert!(
                         (rtt_ms[a][b] - analyze).abs() <= 1e-9 * analyze.max(1.0),
-                        "spec {spec:?}: matrix[{a}][{b}] = {} but PathModel says {analyze}",
+                        "spec {spec:?}: matrix[{a}][{b}] = {} but Topology::rtt says {analyze}",
                         rtt_ms[a][b]
                     );
                 }

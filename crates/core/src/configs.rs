@@ -69,6 +69,18 @@ impl Config {
     pub fn uses_facade_app(self) -> bool {
         self != Config::Centralized
     }
+
+    /// The server that remote clients behind `edge` enter through: the edge
+    /// server itself whenever the web tier is deployed there; the
+    /// centralized baseline leaves the edge servers unused and sends
+    /// everyone to `main` (§4.1).
+    pub(crate) fn entry(self, main: NodeId, edge: NodeId) -> NodeId {
+        if self == Config::Centralized {
+            main
+        } else {
+            edge
+        }
+    }
 }
 
 /// Builds the Pet Store deployment descriptor for `config` on the paper

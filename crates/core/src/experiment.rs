@@ -3,7 +3,7 @@
 use mutsvc_apps::App;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_middleware::ContainerCosts;
-use mutsvc_netsim::ProtocolParams;
+use mutsvc_netsim::{NodeId, ProtocolParams, Topology};
 use mutsvc_workload::{
     paper_groups, run_experiment, run_experiment_parallel, AdaptiveSettings, ClientGroup,
     ExperimentInput, ExperimentReport, FaultPolicy, FaultSettings, MetricsSettings, SloSpec,
@@ -12,8 +12,8 @@ use mutsvc_workload::{
 use serde::{Deserialize, Serialize};
 
 use crate::configs::{
-    petstore_adaptive_baseline, petstore_descriptor, petstore_descriptor_on,
-    rubis_adaptive_baseline, rubis_descriptor, rubis_descriptor_on, Config,
+    petstore_adaptive_baseline, petstore_descriptor_on, rubis_adaptive_baseline,
+    rubis_descriptor_on, Config,
 };
 use crate::faultsuite::{AdaptiveEpisode, EpisodeTargets, FaultCase};
 use crate::topology::{
@@ -80,12 +80,6 @@ pub struct Scenario {
     /// set, it replaces `faults.schedule`.
     #[serde(default)]
     pub fault_case: Option<FaultCase>,
-    /// Closed-loop adaptive placement policy (off by default): with the
-    /// controller armed, a run folds observed telemetry into re-priced
-    /// placement problems and commits live migrations (DESIGN.md §6.8).
-    /// Requires an active [`MetricsSettings`] window.
-    #[serde(default)]
-    pub adaptive: AdaptiveSettings,
     /// Run on the conservative-parallel engine with up to this many OS
     /// threads, sharded by client region (DESIGN.md §6.5). `None` (the
     /// default) keeps the classic sequential engine. The parallel result
@@ -112,7 +106,6 @@ impl Scenario {
             slo: None,
             faults: FaultSettings::off(),
             fault_case: None,
-            adaptive: AdaptiveSettings::off(),
             parallel: None,
         }
     }
@@ -134,7 +127,6 @@ impl Scenario {
             slo: None,
             faults: FaultSettings::off(),
             fault_case: None,
-            adaptive: AdaptiveSettings::off(),
             parallel: None,
         }
     }
@@ -188,12 +180,6 @@ impl Scenario {
         self
     }
 
-    /// Arms the closed-loop adaptive placement controller (DESIGN.md §6.8).
-    pub fn with_adaptive(mut self, adaptive: AdaptiveSettings) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
     /// Runs on the conservative-parallel engine with up to `threads` OS
     /// threads (DESIGN.md §6.5).
     pub fn with_parallel(mut self, threads: usize) -> Self {
@@ -210,49 +196,11 @@ impl Scenario {
             None => paper_topology(db_on_main),
         };
 
-        let (app, registry, db, descriptor, mut protocols) = match self.app {
-            AppKind::PetStore => {
-                let (app, registry, db) = App::petstore(self.config.uses_facade_app());
-                let c = match &app {
-                    App::PetStore(ps) => ps.components,
-                    App::Rubis(_) => unreachable!(),
-                };
-                let descriptor = petstore_descriptor(self.config, &registry, &c, &nodes);
-                (
-                    app,
-                    registry,
-                    db,
-                    descriptor,
-                    ProtocolParams::petstore_stack(),
-                )
-            }
-            AppKind::Rubis => {
-                let (app, registry, db) = App::rubis();
-                let c = match &app {
-                    App::Rubis(r) => r.components,
-                    App::PetStore(_) => unreachable!(),
-                };
-                let descriptor = rubis_descriptor(self.config, &registry, &c, &nodes);
-                (app, registry, db, descriptor, ProtocolParams::rubis_stack())
-            }
-        };
-
-        if let Some(prob) = self.rmi_extra_round_trip_prob {
-            protocols.rmi_extra_round_trip_prob = prob;
-        }
-
-        // Remote client groups enter through their edge server whenever the
-        // web tier is deployed there; the centralized baseline leaves the
-        // edge servers unused (§4.1).
-        let (entry1, entry2) = if self.config == Config::Centralized {
-            (nodes.main, nodes.main)
-        } else {
-            (nodes.edge1, nodes.edge2)
-        };
+        let entry = |edge| self.config.entry(nodes.main, edge);
         let groups = paper_groups(
             (nodes.client_local, nodes.main),
-            (nodes.client_edge1, entry1),
-            (nodes.client_edge2, entry2),
+            (nodes.client_edge1, entry(nodes.edge1)),
+            (nodes.client_edge2, entry(nodes.edge2)),
         );
         let mut faults = self.faults.clone();
         if let Some(case) = self.fault_case {
@@ -263,22 +211,21 @@ impl Scenario {
             .with_seed(self.seed)
             .with_trace(self.trace)
             .with_metrics(self.metrics)
-            .with_faults(faults)
-            .with_adaptive(self.adaptive);
+            .with_faults(faults);
 
-        (
-            ExperimentInput {
-                app,
-                registry,
-                db,
-                descriptor,
-                topology,
-                protocols,
-                container_costs: ContainerCosts::default(),
-                spec,
-            },
-            nodes,
-        )
+        let mut input = assemble(
+            self.app,
+            Deployment::Paper(self.config),
+            topology,
+            nodes.main,
+            nodes.db,
+            &nodes.edges(),
+            spec,
+        );
+        if let Some(prob) = self.rmi_extra_round_trip_prob {
+            input.protocols.rmi_extra_round_trip_prob = prob;
+        }
+        (input, nodes)
     }
 
     /// Builds and runs the experiment on the engine selected by
@@ -292,32 +239,48 @@ impl Scenario {
     }
 }
 
-/// Assembles an experiment over a widened [`fanout_topology`]: the paper's
-/// local cluster plus `edges` WAN edge regions, each with its own client
-/// group. The paper's 30 req/s aggregate load is split equally across the
-/// `edges + 1` groups (80 % browsers / 20 % transactional, as in §3.3), so
-/// the offered load stays constant while the region count — and hence the
-/// shard count of the conservative-parallel engine — scales.
-pub fn fanout_input(app: AppKind, config: Config, edges: usize, seed: u64) -> ExperimentInput {
-    let db_on_main = matches!(app, AppKind::Rubis);
-    let (topology, nodes) = fanout_topology(db_on_main, edges);
+/// What an assembled input deploys: one of the paper's configurations, or
+/// the adaptation suite's baseline ([`petstore_adaptive_baseline`]).
+#[derive(Clone, Copy)]
+enum Deployment {
+    Paper(Config),
+    AdaptiveBaseline,
+}
 
+/// Assembles a runnable input over `topology`: the application with its
+/// registry and database, the deployment descriptor over the central server
+/// `main`, the database host `db_node` and the edge servers, the
+/// application's protocol stack, and `spec`.
+fn assemble(
+    app: AppKind,
+    deployment: Deployment,
+    topology: Topology,
+    main: NodeId,
+    db_node: NodeId,
+    edges: &[NodeId],
+    spec: WorkloadSpec,
+) -> ExperimentInput {
     let (app, registry, db, descriptor, protocols) = match app {
         AppKind::PetStore => {
-            let (app, registry, db) = App::petstore(config.uses_facade_app());
+            let facade = match deployment {
+                Deployment::Paper(config) => config.uses_facade_app(),
+                Deployment::AdaptiveBaseline => true,
+            };
+            let (app, registry, db) = App::petstore(facade);
             let c = match &app {
                 App::PetStore(ps) => ps.components,
                 App::Rubis(_) => unreachable!(),
             };
-            let descriptor =
-                petstore_descriptor_on(config, &registry, &c, nodes.main, nodes.db, &nodes.edges);
-            (
-                app,
-                registry,
-                db,
-                descriptor,
-                ProtocolParams::petstore_stack(),
-            )
+            let descriptor = match deployment {
+                Deployment::Paper(config) => {
+                    petstore_descriptor_on(config, &registry, &c, main, db_node, edges)
+                }
+                Deployment::AdaptiveBaseline => {
+                    petstore_adaptive_baseline(&registry, &c, main, db_node, edges)
+                }
+            };
+            let protocols = ProtocolParams::petstore_stack();
+            (app, registry, db, descriptor, protocols)
         }
         AppKind::Rubis => {
             let (app, registry, db) = App::rubis();
@@ -325,33 +288,17 @@ pub fn fanout_input(app: AppKind, config: Config, edges: usize, seed: u64) -> Ex
                 App::Rubis(r) => r.components,
                 App::PetStore(_) => unreachable!(),
             };
-            let descriptor =
-                rubis_descriptor_on(config, &registry, &c, nodes.main, nodes.db, &nodes.edges);
+            let descriptor = match deployment {
+                Deployment::Paper(config) => {
+                    rubis_descriptor_on(config, &registry, &c, main, db_node, edges)
+                }
+                Deployment::AdaptiveBaseline => {
+                    rubis_adaptive_baseline(&registry, &c, main, db_node, edges)
+                }
+            };
             (app, registry, db, descriptor, ProtocolParams::rubis_stack())
         }
     };
-
-    let group_rate = 30.0 / (edges + 1) as f64;
-    let mk = |name: String, client, entry| ClientGroup {
-        name,
-        client_node: client,
-        entry_node: entry,
-        browser_rate: group_rate * 0.8,
-        transactional_rate: group_rate * 0.2,
-    };
-    let mut groups = vec![mk("local".to_string(), nodes.client_local, nodes.main)];
-    for (i, (&edge, &clients)) in nodes.edges.iter().zip(&nodes.edge_clients).enumerate() {
-        let entry = if config == Config::Centralized {
-            nodes.main
-        } else {
-            edge
-        };
-        groups.push(mk(format!("remote{}", i + 1), clients, entry));
-    }
-    let spec = WorkloadSpec::paper_load(groups)
-        .with_duration(SimDuration::from_secs(90), SimDuration::from_secs(300))
-        .with_seed(seed);
-
     ExperimentInput {
         app,
         registry,
@@ -362,6 +309,63 @@ pub fn fanout_input(app: AppKind, config: Config, edges: usize, seed: u64) -> Ex
         container_costs: ContainerCosts::default(),
         spec,
     }
+}
+
+/// Splits the paper's 30 req/s aggregate equally (80 % browsers / 20 %
+/// transactional, as in §3.3) across a `"local"` group of `client_local`
+/// entering at `main`, and one group per edge server, named `{prefix}1`,
+/// `{prefix}2`, …, whose clients `edge_clients[i]` enter at
+/// `entry(edges[i])`.
+fn equal_split_groups(
+    (client_local, main): (NodeId, NodeId),
+    prefix: &str,
+    edges: &[NodeId],
+    edge_clients: &[NodeId],
+    entry: impl Fn(NodeId) -> NodeId,
+) -> Vec<ClientGroup> {
+    let group_rate = 30.0 / (edges.len() + 1) as f64;
+    let mk = |name: String, client, entry| ClientGroup {
+        name,
+        client_node: client,
+        entry_node: entry,
+        browser_rate: group_rate * 0.8,
+        transactional_rate: group_rate * 0.2,
+    };
+    let mut groups = vec![mk("local".to_string(), client_local, main)];
+    for (i, (&edge, &clients)) in edges.iter().zip(edge_clients).enumerate() {
+        groups.push(mk(format!("{prefix}{}", i + 1), clients, entry(edge)));
+    }
+    groups
+}
+
+/// Assembles an experiment over a widened [`fanout_topology`]: the paper's
+/// local cluster plus `edges` WAN edge regions, each with its own client
+/// group. The paper's 30 req/s aggregate load is split equally across the
+/// `edges + 1` groups (80 % browsers / 20 % transactional, as in §3.3), so
+/// the offered load stays constant while the region count — and hence the
+/// shard count of the conservative-parallel engine — scales.
+pub fn fanout_input(app: AppKind, config: Config, edges: usize, seed: u64) -> ExperimentInput {
+    let db_on_main = matches!(app, AppKind::Rubis);
+    let (topology, nodes) = fanout_topology(db_on_main, edges);
+    let groups = equal_split_groups(
+        (nodes.client_local, nodes.main),
+        "remote",
+        &nodes.edges,
+        &nodes.edge_clients,
+        |edge| config.entry(nodes.main, edge),
+    );
+    let spec = WorkloadSpec::paper_load(groups)
+        .with_duration(SimDuration::from_secs(90), SimDuration::from_secs(300))
+        .with_seed(seed);
+    assemble(
+        app,
+        Deployment::Paper(config),
+        topology,
+        nodes.main,
+        nodes.db,
+        &nodes.edges,
+        spec,
+    )
 }
 
 /// Assembles an experiment over a generated [`multi_tier_topology`]: the
@@ -380,68 +384,25 @@ pub fn multi_tier_input(
     seed: u64,
 ) -> ExperimentInput {
     let (topology, nodes) = multi_tier_topology(spec);
-
-    let (app, registry, db, descriptor, protocols) = match app {
-        AppKind::PetStore => {
-            let (app, registry, db) = App::petstore(config.uses_facade_app());
-            let c = match &app {
-                App::PetStore(ps) => ps.components,
-                App::Rubis(_) => unreachable!(),
-            };
-            let descriptor =
-                petstore_descriptor_on(config, &registry, &c, nodes.main, nodes.db, &nodes.edges);
-            (
-                app,
-                registry,
-                db,
-                descriptor,
-                ProtocolParams::petstore_stack(),
-            )
-        }
-        AppKind::Rubis => {
-            let (app, registry, db) = App::rubis();
-            let c = match &app {
-                App::Rubis(r) => r.components,
-                App::PetStore(_) => unreachable!(),
-            };
-            let descriptor =
-                rubis_descriptor_on(config, &registry, &c, nodes.main, nodes.db, &nodes.edges);
-            (app, registry, db, descriptor, ProtocolParams::rubis_stack())
-        }
-    };
-
-    let pops = nodes.edges.len();
-    let group_rate = 30.0 / (pops + 1) as f64;
-    let mk = |name: String, client, entry| ClientGroup {
-        name,
-        client_node: client,
-        entry_node: entry,
-        browser_rate: group_rate * 0.8,
-        transactional_rate: group_rate * 0.2,
-    };
-    let mut groups = vec![mk("local".to_string(), nodes.client_local, nodes.main)];
-    for (i, (&edge, &clients)) in nodes.edges.iter().zip(&nodes.edge_clients).enumerate() {
-        let entry = if config == Config::Centralized {
-            nodes.main
-        } else {
-            edge
-        };
-        groups.push(mk(format!("pop{}", i + 1), clients, entry));
-    }
+    let groups = equal_split_groups(
+        (nodes.client_local, nodes.main),
+        "pop",
+        &nodes.edges,
+        &nodes.edge_clients,
+        |edge| config.entry(nodes.main, edge),
+    );
     let spec = WorkloadSpec::paper_load(groups)
         .with_duration(SimDuration::from_secs(90), SimDuration::from_secs(300))
         .with_seed(seed);
-
-    ExperimentInput {
+    assemble(
         app,
-        registry,
-        db,
-        descriptor,
+        Deployment::Paper(config),
         topology,
-        protocols,
-        container_costs: ContainerCosts::default(),
+        nodes.main,
+        nodes.db,
+        &nodes.edges,
         spec,
-    }
+    )
 }
 
 /// Assembles one adaptation-suite experiment: the application on its
@@ -486,54 +447,14 @@ pub fn adaptive_episode_input(
     };
     assert!(edges.len() >= 2, "the adaptation suite needs two edge PoPs");
 
-    let (app, registry, db, descriptor, protocols) = match app {
-        AppKind::PetStore => {
-            let (app, registry, dbm) = App::petstore(true);
-            let c = match &app {
-                App::PetStore(ps) => ps.components,
-                App::Rubis(_) => unreachable!(),
-            };
-            let descriptor = petstore_adaptive_baseline(&registry, &c, main, db, &edges);
-            (
-                app,
-                registry,
-                dbm,
-                descriptor,
-                ProtocolParams::petstore_stack(),
-            )
-        }
-        AppKind::Rubis => {
-            let (app, registry, dbm) = App::rubis();
-            let c = match &app {
-                App::Rubis(r) => r.components,
-                App::PetStore(_) => unreachable!(),
-            };
-            let descriptor = rubis_adaptive_baseline(&registry, &c, main, db, &edges);
-            (
-                app,
-                registry,
-                dbm,
-                descriptor,
-                ProtocolParams::rubis_stack(),
-            )
-        }
-    };
-
-    // Load split as in the scaled inputs: 30 req/s across local + one
-    // group per PoP, every remote group entering at its own edge.
-    let group_rate = 30.0 / (edges.len() + 1) as f64;
-    let mk = |name: String, client, entry| ClientGroup {
-        name,
-        client_node: client,
-        entry_node: entry,
-        browser_rate: group_rate * 0.8,
-        transactional_rate: group_rate * 0.2,
-    };
-    let mut groups = vec![mk("local".to_string(), client_local, main)];
-    for (i, (&edge, &clients)) in edges.iter().zip(&edge_clients).enumerate() {
-        groups.push(mk(format!("remote{}", i + 1), clients, edge));
-    }
-
+    // Every remote group enters at its own edge.
+    let groups = equal_split_groups(
+        (client_local, main),
+        "remote",
+        &edges,
+        &edge_clients,
+        |edge| edge,
+    );
     let targets = EpisodeTargets {
         core: main,
         edge1: edges[0],
@@ -554,17 +475,15 @@ pub fn adaptive_episode_input(
     for surge in surges {
         spec = spec.with_surge(surge);
     }
-
-    ExperimentInput {
+    assemble(
         app,
-        registry,
-        db,
-        descriptor,
+        Deployment::AdaptiveBaseline,
         topology,
-        protocols,
-        container_costs: ContainerCosts::default(),
+        main,
+        db,
+        &edges,
         spec,
-    }
+    )
 }
 
 /// Runs the five configurations of one application (the full Table 6 or

@@ -25,7 +25,7 @@
 
 use mutsvc_desim::fault::{FaultEvent, FaultKind, FaultSchedule};
 use mutsvc_desim::time::SimDuration;
-use mutsvc_netsim::{LinkId, NodeId, Topology, WAN_LATENCY_THRESHOLD};
+use mutsvc_netsim::{LinkId, NodeId, Topology};
 use mutsvc_workload::Surge;
 use serde::{Deserialize, Serialize};
 
@@ -393,7 +393,7 @@ fn corridor(topology: &Topology, edge: NodeId, core: NodeId) -> Vec<u32> {
             .route(a, b)
             .unwrap_or_else(|| panic!("no route between edge and core"));
         for &l in route {
-            if topology.link(l).latency > WAN_LATENCY_THRESHOLD {
+            if topology.is_wan(l) {
                 links.push(l.index() as u32);
             }
         }

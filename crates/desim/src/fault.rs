@@ -1,5 +1,4 @@
-//! Deterministic fault schedules: scripted or seeded-random WAN failure
-//! episodes.
+//! Deterministic fault schedules: scripted WAN failure episodes.
 //!
 //! A [`FaultSchedule`] is a time-sorted list of [`FaultEvent`]s — link
 //! outages, latency degradations, node crashes/restarts and message-loss
@@ -12,18 +11,16 @@
 //! Two properties matter and are pinned by tests here and in the workload
 //! driver:
 //!
-//! * **Determinism** — a scripted schedule is replayed verbatim;
-//!   [`FaultSchedule::random`] draws only from the [`SimRng`] stream it is
-//!   handed (by convention [`crate::rng::stream::FAULTS`]), so same-seed
-//!   runs produce byte-identical timelines and the workload's own arrival
-//!   and think-time streams are never touched.
+//! * **Determinism** — a scripted schedule is replayed verbatim and draws
+//!   nothing from any RNG stream, so same-seed runs produce byte-identical
+//!   timelines and the workload's own arrival and think-time streams are
+//!   never touched.
 //! * **Purity** — an empty schedule is a no-op: nothing is scheduled,
 //!   nothing is drawn, and a fault-off run is bit-identical to a build
 //!   without the subsystem.
 
 use serde::{Deserialize, Serialize};
 
-use crate::rng::SimRng;
 use crate::time::SimDuration;
 
 /// One kind of injected fault. Targets are dense indices into the owning
@@ -98,31 +95,12 @@ pub struct FaultEvent {
 
 /// A time-sorted fault timeline.
 ///
-/// Construct scripted schedules with [`FaultSchedule::scripted`] (events are
-/// sorted for you, ties keep insertion order) or random ones with
-/// [`FaultSchedule::random`]. The default schedule is empty.
+/// Construct schedules with [`FaultSchedule::scripted`] (events are sorted
+/// for you, ties keep insertion order). The default schedule is empty.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultSchedule {
     /// Events in non-decreasing `at` order.
     pub events: Vec<FaultEvent>,
-}
-
-/// Parameters for [`FaultSchedule::random`]: independent outage episodes on
-/// a set of candidate links and nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RandomFaults {
-    /// Number of episodes to draw.
-    pub episodes: usize,
-    /// Candidate directed links (an episode downs one and later restores it).
-    pub links: Vec<u32>,
-    /// Candidate nodes (an episode crashes one and later restarts it).
-    pub nodes: Vec<u32>,
-    /// Earliest episode start offset.
-    pub earliest: SimDuration,
-    /// Latest episode start offset.
-    pub latest: SimDuration,
-    /// Mean episode duration (exponentially distributed, floored at 1 ms).
-    pub mean_outage: SimDuration,
 }
 
 impl FaultSchedule {
@@ -140,51 +118,6 @@ impl FaultSchedule {
     /// Whether the schedule has no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Draws a random schedule of paired outage/recovery episodes using only
-    /// the supplied stream. Zero `episodes` (or no candidates) draws nothing
-    /// and returns the empty schedule, preserving purity.
-    pub fn random(rng: &mut SimRng, params: &RandomFaults) -> Self {
-        let candidates = params.links.len() + params.nodes.len();
-        if params.episodes == 0 || candidates == 0 {
-            return FaultSchedule::none();
-        }
-        let lo = params.earliest.as_micros() as f64;
-        let hi = params
-            .latest
-            .as_micros()
-            .max(params.earliest.as_micros() + 1) as f64;
-        let mut events = Vec::with_capacity(params.episodes * 2);
-        for _ in 0..params.episodes {
-            let start = SimDuration::from_micros(rng.uniform_range(lo, hi) as u64);
-            let outage = rng
-                .exponential(params.mean_outage)
-                .max(SimDuration::from_millis(1));
-            let pick = rng.index(candidates);
-            let (down, up) = if pick < params.links.len() {
-                let link = params.links[pick];
-                (
-                    FaultKind::LinkDown { link },
-                    FaultKind::LinkRestore { link },
-                )
-            } else {
-                let node = params.nodes[pick - params.links.len()];
-                (
-                    FaultKind::NodeCrash { node },
-                    FaultKind::NodeRestart { node },
-                )
-            };
-            events.push(FaultEvent {
-                at: start,
-                kind: down,
-            });
-            events.push(FaultEvent {
-                at: start + outage,
-                kind: up,
-            });
-        }
-        FaultSchedule::scripted(events)
     }
 
     /// Renders the timeline as one line per event (`+12.500s link-down link=3`),
@@ -242,7 +175,6 @@ pub fn message_lost(salt: u64, link: u32, seq: u64, probability: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::stream;
 
     fn sec(s: u64) -> SimDuration {
         SimDuration::from_secs(s)
@@ -275,82 +207,6 @@ mod tests {
         assert!(FaultSchedule::none().is_empty());
         assert!(FaultSchedule::default().is_empty());
         assert_eq!(FaultSchedule::none().render_timeline(), "");
-        // Zero episodes draw nothing from the stream.
-        let root = SimRng::seed_from_u64(7);
-        let mut faults = root.derive(stream::FAULTS);
-        let before = faults.clone().uniform().to_bits();
-        let s = FaultSchedule::random(
-            &mut faults,
-            &RandomFaults {
-                episodes: 0,
-                links: vec![0, 1],
-                nodes: vec![2],
-                earliest: sec(1),
-                latest: sec(10),
-                mean_outage: sec(5),
-            },
-        );
-        assert!(s.is_empty());
-        assert_eq!(faults.uniform().to_bits(), before, "no draws consumed");
-    }
-
-    #[test]
-    fn random_schedules_replay_byte_identical_per_seed() {
-        let params = RandomFaults {
-            episodes: 5,
-            links: vec![3, 4],
-            nodes: vec![1],
-            earliest: sec(10),
-            latest: sec(100),
-            mean_outage: sec(20),
-        };
-        let a = FaultSchedule::random(
-            &mut SimRng::seed_from_u64(42).derive(stream::FAULTS),
-            &params,
-        );
-        let b = FaultSchedule::random(
-            &mut SimRng::seed_from_u64(42).derive(stream::FAULTS),
-            &params,
-        );
-        assert_eq!(a, b);
-        assert_eq!(a.render_timeline(), b.render_timeline());
-        assert_eq!(a.events.len(), 10, "paired down/restore events");
-        let c = FaultSchedule::random(
-            &mut SimRng::seed_from_u64(43).derive(stream::FAULTS),
-            &params,
-        );
-        assert_ne!(a, c, "different seeds draw different timelines");
-    }
-
-    #[test]
-    fn random_outages_pair_down_with_restore() {
-        let params = RandomFaults {
-            episodes: 3,
-            links: vec![7],
-            nodes: vec![],
-            earliest: sec(1),
-            latest: sec(50),
-            mean_outage: sec(10),
-        };
-        let s = FaultSchedule::random(
-            &mut SimRng::seed_from_u64(9).derive(stream::FAULTS),
-            &params,
-        );
-        let downs = s
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::LinkDown { link: 7 }))
-            .count();
-        let ups = s
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::LinkRestore { link: 7 }))
-            .count();
-        assert_eq!(downs, 3);
-        assert_eq!(ups, 3);
-        for w in s.events.windows(2) {
-            assert!(w[0].at <= w[1].at, "sorted timeline");
-        }
     }
 
     #[test]

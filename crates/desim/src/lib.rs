@@ -72,17 +72,14 @@ pub mod sim;
 pub mod time;
 pub mod trace;
 
-pub use fault::{message_lost, FaultEvent, FaultKind, FaultSchedule, RandomFaults};
+pub use fault::{message_lost, FaultEvent, FaultKind, FaultSchedule};
 pub use metrics::{nearest_rank, weighted_mean, Summary, Welford};
 pub use recorder::{CounterId, GaugeId, HistId, LogHistogram, Recorder, WindowRow};
 pub use resource::FifoResource;
 pub use rng::SimRng;
-pub use shard::{
-    run_conservative, run_coordinated, Coordinator, NoCoordinator, Outbox, ShardWorld,
-};
+pub use shard::{run_conservative, Outbox, ShardWorld};
 pub use sim::{Context, Fire, QueueDepths, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    critical_path, CompletedTrace, PathBreakdown, Span, SpanCtx, SpanKind, TraceConfig, TraceMeta,
-    Tracer,
+    critical_path, CompletedTrace, PathBreakdown, Span, SpanCtx, SpanKind, TraceMeta, Tracer,
 };

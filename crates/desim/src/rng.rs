@@ -10,8 +10,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::time::SimDuration;
-
 /// Named derived-stream identifiers.
 ///
 /// Every model part that draws randomness derives its own sub-stream from
@@ -23,10 +21,6 @@ pub mod stream {
     pub const SESSIONS: u64 = 1;
     /// World-level protocol jitter (sampled RMI chatter).
     pub const WORLD: u64 = 2;
-    /// Fault-schedule generation ([`crate::fault::FaultSchedule::random`]).
-    /// Independent of the workload streams, so enabling an (even empty)
-    /// fault schedule cannot shift arrival or think-time draws.
-    pub const FAULTS: u64 = 3;
     /// Load-surge session generation (flash crowds, diurnal shifts).
     /// Independent of `SESSIONS`, so a run with an empty surge list draws
     /// nothing from it and stays byte-identical to a pre-surge build.
@@ -106,19 +100,6 @@ impl SimRng {
         self.inner.random::<f64>() < p
     }
 
-    /// Exponentially distributed duration with the given mean.
-    ///
-    /// Used for Poisson arrival processes and think-time jitter.
-    pub fn exponential(&mut self, mean: SimDuration) -> SimDuration {
-        if mean.is_zero() {
-            return SimDuration::ZERO;
-        }
-        let u: f64 = self.inner.random::<f64>();
-        // Inverse-CDF; (1 - u) avoids ln(0).
-        let sample = -(1.0 - u).ln() * mean.as_secs_f64();
-        SimDuration::from_secs_f64(sample)
-    }
-
     /// Draws an index according to non-negative `weights`.
     ///
     /// # Panics
@@ -185,25 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_converges() {
-        let mut rng = SimRng::seed_from_u64(99);
-        let mean = SimDuration::from_millis(100);
-        let n = 20_000;
-        let total: f64 = (0..n).map(|_| rng.exponential(mean).as_millis_f64()).sum();
-        let sample_mean = total / n as f64;
-        assert!(
-            (sample_mean - 100.0).abs() < 3.0,
-            "sample mean {sample_mean}"
-        );
-    }
-
-    #[test]
-    fn exponential_of_zero_mean_is_zero() {
-        let mut rng = SimRng::seed_from_u64(1);
-        assert_eq!(rng.exponential(SimDuration::ZERO), SimDuration::ZERO);
-    }
-
-    #[test]
     fn weighted_index_respects_weights() {
         let mut rng = SimRng::seed_from_u64(5);
         let weights = [0.1, 0.0, 0.9];
@@ -241,12 +203,12 @@ mod tests {
         SimRng::seed_from_u64(0).index(0);
     }
 
-    /// The fault stream is independent: draining it (as fault-schedule
+    /// The surge stream is independent: draining it (as surge session
     /// generation does) leaves the session and world streams bit-identical,
-    /// so enabling an empty fault schedule cannot perturb workload arrival
-    /// or think-time draws.
+    /// so scheduling a surge cannot perturb workload arrival or think-time
+    /// draws.
     #[test]
-    fn fault_stream_does_not_perturb_workload_streams() {
+    fn surge_stream_does_not_perturb_workload_streams() {
         let root = SimRng::seed_from_u64(4242);
         let baseline_sessions: Vec<u64> = {
             let mut s = root.derive(stream::SESSIONS);
@@ -257,11 +219,11 @@ mod tests {
             (0..256).map(|_| w.uniform().to_bits()).collect()
         };
 
-        // Now derive and heavily consume the fault stream first, as a run
-        // with fault generation enabled would.
-        let mut faults = root.derive(stream::FAULTS);
+        // Now derive and heavily consume the surge stream first, as a run
+        // with surges scheduled would.
+        let mut surges = root.derive(stream::SURGES);
         for _ in 0..1_000 {
-            faults.uniform();
+            surges.uniform();
         }
         let mut s = root.derive(stream::SESSIONS);
         let mut w = root.derive(stream::WORLD);
@@ -276,7 +238,7 @@ mod tests {
         let root = SimRng::seed_from_u64(1);
         let mut a = root.derive(stream::SESSIONS);
         let mut b = root.derive(stream::WORLD);
-        let mut c = root.derive(stream::FAULTS);
+        let mut c = root.derive(stream::SURGES);
         let same_ab = (0..32)
             .filter(|_| a.uniform().to_bits() == b.uniform().to_bits())
             .count();

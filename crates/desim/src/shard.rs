@@ -27,6 +27,10 @@
 //! entire execution — is independent of thread count and scheduling. Runs
 //! with 1, 2, 4 or 8 threads are byte-identical by construction.
 //!
+//! [`run_conservative`] is the engine's one entry point. Nothing but mailbox
+//! routing happens at a window boundary, so shards only ever influence each
+//! other through timestamped messages.
+//!
 //! [`Simulation::run_before`]: crate::sim::Simulation::run_before
 
 use std::sync::{Barrier, Mutex};
@@ -87,81 +91,6 @@ struct Envelope<M> {
     msg: M,
 }
 
-/// A global controller driven at every conservative window boundary.
-///
-/// The coordinator closes the loop between shards that otherwise only talk
-/// through timestamped messages: at the end of window `k` every shard is
-/// *observed*, one *decision* is taken over the merged observations, and the
-/// resulting *directive* is applied to every shard before window `k+1`
-/// starts. Three properties make this deterministic at any thread count:
-///
-/// 1. observations are collected after the window barrier discipline has
-///    made every shard's state at `window_end` thread-invisible,
-/// 2. [`decide`](Coordinator::decide) sees them sorted by shard index — a
-///    pure function of simulated history, never of collection order,
-/// 3. the directive is published once, behind a barrier, before any shard
-///    resumes.
-///
-/// Per coordinated window the engine pays two extra barriers (observations
-/// in; directive out). Coordinators that can never act set
-/// [`ACTIVE`](Coordinator::ACTIVE) to `false`, which statically removes the
-/// extra barriers and every lock touch — the uncoordinated engine's exact
-/// execution.
-pub trait Coordinator<S: ShardWorld>: Send {
-    /// Per-shard observation extracted at a window boundary (`None` when the
-    /// shard has nothing new to report).
-    type Obs: Send;
-    /// A global decision broadcast to every shard.
-    type Directive: Clone + Send;
-
-    /// Statically gates the coordination phases. `false` makes the engine
-    /// skip observe/decide/apply entirely.
-    const ACTIVE: bool = true;
-
-    /// Extracts shard `index`'s observation at `window_end`. Called for
-    /// every shard each window, on the worker thread owning the shard, in
-    /// shard-index order within a worker.
-    fn observe(&mut self, index: usize, shard: &mut S, window_end: SimTime) -> Option<Self::Obs>;
-
-    /// Takes the global decision for the window just closed. `obs` holds
-    /// every non-`None` observation sorted by shard index. Called exactly
-    /// once per window, on one thread, after all observations are in.
-    fn decide(
-        &mut self,
-        window_end: SimTime,
-        obs: Vec<(usize, Self::Obs)>,
-    ) -> Option<Self::Directive>;
-
-    /// Applies the window's directive to shard `index` before the next
-    /// window starts. Called for every shard, on its owning worker thread.
-    fn apply(
-        &mut self,
-        index: usize,
-        shard: &mut S,
-        window_end: SimTime,
-        directive: &Self::Directive,
-    );
-}
-
-/// The inert coordinator: statically inactive, so coordinated execution
-/// degenerates to the plain conservative engine.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoCoordinator;
-
-impl<S: ShardWorld> Coordinator<S> for NoCoordinator {
-    type Obs = ();
-    type Directive = ();
-    const ACTIVE: bool = false;
-
-    fn observe(&mut self, _: usize, _: &mut S, _: SimTime) -> Option<()> {
-        None
-    }
-    fn decide(&mut self, _: SimTime, _: Vec<(usize, ())>) -> Option<()> {
-        None
-    }
-    fn apply(&mut self, _: usize, _: &mut S, _: SimTime, (): &()) {}
-}
-
 /// Runs `shard_count` shards to `horizon` on up to `threads` OS threads,
 /// with conservative windows of width `lookahead`.
 ///
@@ -190,46 +119,9 @@ where
     S: ShardWorld,
     F: Fn(usize) -> S + Sync,
 {
-    run_coordinated(
-        shard_count,
-        threads,
-        lookahead,
-        horizon,
-        factory,
-        NoCoordinator,
-    )
-    .0
-}
-
-/// [`run_conservative`] with a [`Coordinator`] closing the loop at every
-/// window boundary: observe all shards → one global decision → apply the
-/// directive everywhere, separated by barriers so the coordination round is
-/// a pure function of simulated history. Returns the shard results and the
-/// coordinator (which typically carries its decision log).
-///
-/// The closing window is not coordinated — shards are consumed by
-/// [`finish`](ShardWorld::finish) immediately after it, so a directive could
-/// never take effect.
-///
-/// # Panics
-///
-/// Same contract as [`run_conservative`].
-pub fn run_coordinated<S, F, C>(
-    shard_count: usize,
-    threads: usize,
-    lookahead: SimDuration,
-    horizon: SimTime,
-    factory: F,
-    coordinator: C,
-) -> (Vec<S::Out>, C)
-where
-    S: ShardWorld,
-    F: Fn(usize) -> S + Sync,
-    C: Coordinator<S>,
-{
     assert!(!lookahead.is_zero(), "conservative lookahead must be > 0");
     if shard_count == 0 {
-        return (Vec::new(), coordinator);
+        return Vec::new();
     }
     let threads = threads.clamp(1, shard_count);
     let la = lookahead.as_micros();
@@ -242,11 +134,6 @@ where
         (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
     let barrier = Barrier::new(threads);
     let outs: Mutex<Vec<Option<S::Out>>> = Mutex::new((0..shard_count).map(|_| None).collect());
-    // Coordination state: observations pooled during a window, the leader's
-    // directive published between the two coordination barriers.
-    let coord: Mutex<C> = Mutex::new(coordinator);
-    let obs_pool: Mutex<Vec<(usize, C::Obs)>> = Mutex::new(Vec::new());
-    let directive: Mutex<Option<C::Directive>> = Mutex::new(None);
 
     // (index, shard, undelivered envelopes, emission counter)
     type LocalShard<S> = (usize, S, Vec<Envelope<<S as ShardWorld>::Msg>>, u64);
@@ -302,42 +189,6 @@ where
                         });
                 }
             }
-            if C::ACTIVE && !closing {
-                // Coordination round. Observations first, still pre-barrier:
-                // each worker reads only shards it owns.
-                {
-                    let mut coord = coord.lock().expect("coordinator poisoned");
-                    let mut pool = obs_pool.lock().expect("observation pool poisoned");
-                    for (idx, shard, _, _) in &mut local {
-                        if let Some(obs) = coord.observe(*idx, shard, wend) {
-                            pool.push((*idx, obs));
-                        }
-                    }
-                }
-                // Barrier 1: every observation (and every routed send) in.
-                if barrier.wait().is_leader() {
-                    let mut obs =
-                        std::mem::take(&mut *obs_pool.lock().expect("observation pool poisoned"));
-                    // Collection order depends on worker scheduling; the
-                    // decision input must not.
-                    obs.sort_by_key(|(idx, _)| *idx);
-                    *directive.lock().expect("directive slot poisoned") = coord
-                        .lock()
-                        .expect("coordinator poisoned")
-                        .decide(wend, obs);
-                }
-                // Barrier 2: the directive is published; apply to owned
-                // shards. Every worker finishes applying before it can pass
-                // the *next* window's barrier 1, where the slot is rewritten.
-                barrier.wait();
-                let published = directive.lock().expect("directive slot poisoned").clone();
-                if let Some(d) = published {
-                    let mut coord = coord.lock().expect("coordinator poisoned");
-                    for (idx, shard, _, _) in &mut local {
-                        coord.apply(*idx, shard, wend, &d);
-                    }
-                }
-            }
             barrier.wait();
         }
         let mut outs = outs.lock().expect("shard outputs poisoned");
@@ -368,13 +219,11 @@ where
         });
     }
 
-    let outs = outs
-        .into_inner()
+    outs.into_inner()
         .expect("shard outputs poisoned")
         .into_iter()
         .map(|out| out.expect("every shard produces an output"))
-        .collect();
-    (outs, coord.into_inner().expect("coordinator poisoned"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -395,27 +244,20 @@ mod tests {
         outgoing: Vec<(usize, SimTime, u64)>,
     }
 
-    /// Ring events: a token with `ttl` hops left arrives, or a coordinator
-    /// directive lands as a marker in the log.
+    /// A ring event: a token with `ttl` hops left arrives.
     #[derive(Debug)]
-    enum RingEv {
-        Token(u64),
-        Marker(u64),
-    }
+    struct Token(u64);
 
-    impl Fire<RingState> for RingEv {
+    impl Fire<RingState> for Token {
         fn fire(self, s: &mut RingState, ctx: &mut Context<'_, RingState, Self>) {
-            match self {
-                RingEv::Token(ttl) => forward(s, ctx.now(), ttl),
-                RingEv::Marker(d) => s.log.push((ctx.now().as_micros(), usize::MAX, d)),
-            }
+            forward(s, ctx.now(), self.0);
         }
     }
 
     /// A shard wrapping a real `Simulation`: every delivered token is logged
     /// and forwarded around the ring with a WAN-scale delay until it expires.
     struct RingShard {
-        sim: Simulation<RingState, RingEv>,
+        sim: Simulation<RingState, Token>,
     }
 
     impl RingShard {
@@ -429,7 +271,7 @@ mod tests {
             // Each shard seeds a couple of tokens at staggered times.
             for k in 0..2u64 {
                 let at = SimTime::from_micros(idx as u64 * 1_000 + k * 77_000);
-                sim.schedule_event_at(at, RingEv::Token(40 + k));
+                sim.schedule_event_at(at, Token(40 + k));
             }
             RingShard { sim }
         }
@@ -450,7 +292,7 @@ mod tests {
         type Out = (Vec<(u64, usize, u64)>, u64);
 
         fn deliver(&mut self, at: SimTime, _from: usize, ttl: u64) {
-            self.sim.schedule_event_at(at, RingEv::Token(ttl));
+            self.sim.schedule_event_at(at, Token(ttl));
         }
 
         fn advance(&mut self, upto: SimTime, closing: bool, outbox: &mut Outbox<u64>) {
@@ -529,7 +371,7 @@ mod tests {
                 // earlier queue sequence numbers in the engine too), then
                 // the delivery itself, so its sends surface immediately.
                 plain.sim.run_until(at);
-                plain.sim.schedule_event_at(at, RingEv::Token(ttl));
+                plain.sim.schedule_event_at(at, Token(ttl));
                 plain.sim.run_until(at);
                 now = at;
             } else {
@@ -562,74 +404,6 @@ mod tests {
             run_conservative(0, 4, LOOKAHEAD, HORIZON, |_| Never)
         };
         assert!(outs.is_empty());
-    }
-
-    /// A closed-loop coordinator over the ring: observes every shard's hop
-    /// count each window, decides a directive from the global total, and
-    /// injects marker events back into every shard.
-    struct CountCoordinator {
-        rounds: Vec<(u64, usize)>,
-    }
-
-    impl Coordinator<RingShard> for CountCoordinator {
-        type Obs = usize;
-        type Directive = u64;
-
-        fn observe(&mut self, _: usize, shard: &mut RingShard, _: SimTime) -> Option<usize> {
-            Some(shard.sim.world().log.len())
-        }
-
-        fn decide(&mut self, wend: SimTime, obs: Vec<(usize, usize)>) -> Option<u64> {
-            let total: usize = obs.iter().map(|(_, n)| n).sum();
-            self.rounds.push((wend.as_micros(), total));
-            // Act on every other round so both branches are exercised.
-            self.rounds.len().is_multiple_of(2).then_some(total as u64)
-        }
-
-        fn apply(&mut self, _: usize, shard: &mut RingShard, wend: SimTime, &d: &u64) {
-            shard.sim.schedule_event_at(wend, RingEv::Marker(d));
-        }
-    }
-
-    #[test]
-    fn coordinated_rounds_are_thread_invariant_and_close_the_loop() {
-        let run = |threads: usize| {
-            run_coordinated(5, threads, LOOKAHEAD, HORIZON, |i| RingShard::new(i, 5), {
-                CountCoordinator { rounds: Vec::new() }
-            })
-        };
-        let (ref_outs, ref_coord) = run(1);
-        // The directive actually lands back in the shards (closed loop) and
-        // the decision log covers every non-closing window.
-        assert!(
-            ref_outs
-                .iter()
-                .any(|(log, _)| log.iter().any(|&(_, i, _)| i == usize::MAX)),
-            "no coordinator marker reached any shard"
-        );
-        assert_eq!(
-            ref_coord.rounds.len() as u64,
-            HORIZON.as_micros() / LOOKAHEAD.as_micros() - 1
-        );
-        for threads in [2, 4, 8] {
-            let (outs, coord) = run(threads);
-            assert_eq!(ref_outs, outs, "threads={threads}");
-            assert_eq!(ref_coord.rounds, coord.rounds, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn inert_coordinator_matches_run_conservative() {
-        let plain = run_ring(3, 2);
-        let (coordinated, NoCoordinator) = run_coordinated(
-            3,
-            2,
-            LOOKAHEAD,
-            HORIZON,
-            |i| RingShard::new(i, 3),
-            NoCoordinator,
-        );
-        assert_eq!(plain, coordinated);
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //!
 //! ## Sampling
 //!
-//! Head sampling keeps 1-in-N requests (`sample_every`), plus optionally
-//! every request slower than the slowest committed so far
-//! (`trace_slowest`). Unsampled requests are never buffered unless the
-//! slowest-so-far policy needs a tentative buffer.
+//! Head sampling keeps 1-in-N requests (the period [`Tracer::new`] takes),
+//! plus every request slower than the slowest committed so far. Every
+//! request therefore starts a tentative trace; an unsampled one that does
+//! not set a new maximum is discarded at completion and its buffer reused.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -172,53 +172,6 @@ pub struct TraceMeta {
     pub wan_rts_logical: f64,
 }
 
-/// Tracing policy. Default is fully disabled.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceConfig {
-    /// Master switch. When false every instrumentation site is one branch.
-    pub enabled: bool,
-    /// Keep 1-in-N requests (head sampling). `1` keeps everything.
-    pub sample_every: u64,
-    /// Additionally commit any request slower than the slowest committed
-    /// so far, regardless of head sampling.
-    pub trace_slowest: bool,
-}
-
-impl TraceConfig {
-    /// Tracing off (the default; zero observable cost).
-    pub fn off() -> Self {
-        TraceConfig {
-            enabled: false,
-            sample_every: 1,
-            trace_slowest: false,
-        }
-    }
-
-    /// Trace every request plus slowest-so-far (no-op given every=1).
-    pub fn full() -> Self {
-        TraceConfig {
-            enabled: true,
-            sample_every: 1,
-            trace_slowest: true,
-        }
-    }
-
-    /// Head-sample 1-in-`n`, and always keep the slowest-so-far.
-    pub fn sampled(n: u64) -> Self {
-        TraceConfig {
-            enabled: true,
-            sample_every: n.max(1),
-            trace_slowest: true,
-        }
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::off()
-    }
-}
-
 /// A committed span tree.
 #[derive(Debug, Clone)]
 pub struct CompletedTrace {
@@ -243,7 +196,10 @@ struct ActiveTrace {
 /// Collects span trees for sampled requests. See module docs.
 #[derive(Debug)]
 pub struct Tracer {
-    config: TraceConfig,
+    /// Master switch. When false every instrumentation site is one branch.
+    enabled: bool,
+    /// Keep 1-in-N requests (head sampling). `1` keeps everything.
+    sample_every: u64,
     /// Per-client trace sequence numbers (index = client node id).
     client_seq: Vec<u32>,
     /// Global request counter driving head sampling.
@@ -267,10 +223,12 @@ impl std::fmt::Debug for ActiveTrace {
 }
 
 impl Tracer {
-    /// Creates a tracer with the given policy.
-    pub fn new(config: TraceConfig) -> Self {
+    /// Creates a tracer that head-samples 1-in-`sample_every` requests
+    /// (`1` keeps everything) and always keeps the slowest so far.
+    pub fn new(sample_every: u64) -> Self {
         Tracer {
-            config,
+            enabled: true,
+            sample_every: sample_every.max(1),
             client_seq: Vec::new(),
             requests_seen: 0,
             active: Vec::new(),
@@ -284,34 +242,30 @@ impl Tracer {
 
     /// A tracer that never records (the hot-path default).
     pub fn disabled() -> Self {
-        Tracer::new(TraceConfig::off())
+        Tracer {
+            enabled: false,
+            ..Tracer::new(1)
+        }
     }
 
     /// Whether tracing is on at all. The one branch on the hot path.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.config.enabled
+        self.enabled
     }
 
-    /// The active policy.
-    pub fn config(&self) -> TraceConfig {
-        self.config
-    }
-
-    /// Begins a trace for one page request. Returns `None` when tracing is
-    /// disabled or head sampling skips the request (and slowest-so-far
-    /// tracking is off). `meta.wan_rts_logical` should start as `f64::NAN`
-    /// and be filled via [`Tracer::set_logical_wan`].
+    /// Begins a trace for one page request. Returns `None` only when
+    /// tracing is disabled: an unsampled request still gets a tentative
+    /// trace, committed only if it turns out slower than every trace so
+    /// far. `meta.wan_rts_logical` should start as `f64::NAN` and be filled
+    /// via [`Tracer::set_logical_wan`].
     pub fn start_request(&mut self, now: SimTime, meta: TraceMeta) -> Option<SpanCtx> {
-        if !self.config.enabled {
+        if !self.enabled {
             return None;
         }
         let seq_in_run = self.requests_seen;
         self.requests_seen += 1;
-        let sampled = seq_in_run.is_multiple_of(self.config.sample_every);
-        if !sampled && !self.config.trace_slowest {
-            return None;
-        }
+        let sampled = seq_in_run.is_multiple_of(self.sample_every);
         let client = meta.client as usize;
         if self.client_seq.len() <= client {
             self.client_seq.resize(client + 1, 0);
@@ -414,7 +368,7 @@ impl Tracer {
         self.free.push(ctx.slot);
         trace.spans[0].end = now;
         let duration = now.saturating_since(trace.start);
-        let keep = trace.sampled || (self.config.trace_slowest && duration > self.slowest);
+        let keep = trace.sampled || duration > self.slowest;
         if keep {
             if duration > self.slowest {
                 self.slowest = duration;
@@ -643,7 +597,7 @@ mod tests {
 
     #[test]
     fn trace_ids_derive_from_client_and_sequence() {
-        let mut t = Tracer::new(TraceConfig::full());
+        let mut t = Tracer::new(1);
         for i in 0..3 {
             let ctx = t.start_request(us(i), meta(7)).unwrap();
             t.finish_request(ctx, us(i + 1));
@@ -660,30 +614,21 @@ mod tests {
 
     #[test]
     fn head_sampling_keeps_one_in_n() {
-        let mut t = Tracer::new(TraceConfig {
-            enabled: true,
-            sample_every: 4,
-            trace_slowest: false,
-        });
-        let mut kept = 0;
+        let mut t = Tracer::new(4);
         for i in 0..16 {
-            if let Some(ctx) = t.start_request(us(i), meta(0)) {
-                t.finish_request(ctx, us(i + 1));
-                kept += 1;
-            }
+            let ctx = t.start_request(us(i), meta(0)).unwrap();
+            t.finish_request(ctx, us(i + 1));
         }
-        assert_eq!(kept, 4);
+        // Equal durations never set a new maximum, so only the head
+        // samples commit.
         assert_eq!(t.finished().len(), 4);
+        assert_eq!(t.dropped(), 12);
         assert_eq!(t.requests_seen(), 16);
     }
 
     #[test]
     fn slowest_so_far_commits_regressions_only() {
-        let mut t = Tracer::new(TraceConfig {
-            enabled: true,
-            sample_every: u64::MAX,
-            trace_slowest: true,
-        });
+        let mut t = Tracer::new(u64::MAX);
         // First request is always sampled (seq 0); durations then ratchet.
         let durations = [10u64, 5, 20, 15, 30];
         let mut now = 0;
@@ -703,7 +648,7 @@ mod tests {
 
     #[test]
     fn span_tree_shape_and_closure() {
-        let mut t = Tracer::new(TraceConfig::full());
+        let mut t = Tracer::new(1);
         let root = t.start_request(us(0), meta(0)).unwrap();
         let prog = t.open_span(root, us(0), SpanKind::Program);
         t.leaf(
@@ -731,7 +676,7 @@ mod tests {
     /// Builds: request → program → [cpu 10us(6 service), wan hop, branch
     /// pair where the longer branch holds a db cpu slice, delay].
     fn sample_trace() -> CompletedTrace {
-        let mut t = Tracer::new(TraceConfig::full());
+        let mut t = Tracer::new(1);
         let root = t.start_request(us(0), meta(0)).unwrap();
         let prog = t.open_span(root, us(0), SpanKind::Program);
         t.leaf(
@@ -794,7 +739,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_keeps_traces_separate() {
-        let mut t = Tracer::new(TraceConfig::full());
+        let mut t = Tracer::new(1);
         let a = t.start_request(us(0), meta(0)).unwrap();
         t.finish_request(a, us(1));
         let b = t.start_request(us(2), meta(0)).unwrap();

@@ -294,15 +294,6 @@ pub trait JobWorld: Sized + 'static {
     fn tracer_mut(&mut self) -> Option<&mut Tracer> {
         None
     }
-
-    /// Links whose one-way base latency meets this threshold are classified
-    /// as wide-area legs in emitted hop spans. The default is the shared
-    /// [`WAN_LATENCY_THRESHOLD`](crate::topology::WAN_LATENCY_THRESHOLD),
-    /// which cleanly splits the paper's topology (sub-millisecond LAN vs
-    /// 100 ms WAN) and matches the conservative-parallel region split.
-    fn trace_wan_threshold(&self) -> SimDuration {
-        crate::topology::WAN_LATENCY_THRESHOLD
-    }
 }
 
 /// Starts executing `program` now; the `done` event fires (synchronously, as
@@ -476,12 +467,10 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                 let arrival = world.network_mut().link_send(ctx.now(), link, bytes);
                 if let Some(tc) = trace {
                     let now = ctx.now();
-                    let threshold = world.trace_wan_threshold();
                     let net = world.network_mut();
                     let prop = net.link_latency(link);
-                    let spec = net.topology().link(link);
-                    let ser = spec.serialization_time(bytes);
-                    let wan = spec.latency >= threshold;
+                    let ser = net.topology().link(link).serialization_time(bytes);
+                    let wan = net.topology().is_wan(link);
                     if let Some(t) = world.tracer_mut() {
                         t.leaf(
                             tc,
@@ -1202,7 +1191,7 @@ mod tests {
 
     #[test]
     fn traced_job_emits_span_tree() {
-        use mutsvc_desim::trace::{critical_path, TraceConfig, TraceMeta};
+        use mutsvc_desim::trace::{critical_path, TraceMeta};
 
         struct TracedWorld {
             net: Network,
@@ -1268,7 +1257,7 @@ mod tests {
         let w = TracedWorld {
             net: Network::new(b.finalize()),
             jobs: Jobs::new(),
-            tracer: Tracer::new(TraceConfig::full()),
+            tracer: Tracer::new(1),
             edge,
         };
         let steps = vec![

@@ -13,12 +13,12 @@ use mutsvc_desim::time::SimDuration;
 /// One-way latency above which a link counts as wide-area.
 ///
 /// The paper's LAN legs cost ~200 µs and its shaped WAN legs ≥100 ms; 20 ms
-/// splits them with two orders of magnitude of slack on either side. The
-/// same threshold classifies traced hops ([`JobWorld::trace_wan_threshold`])
-/// and bounds the conservative-parallel region decomposition
-/// ([`Topology::regions`]), so "WAN" means one thing everywhere.
-///
-/// [`JobWorld::trace_wan_threshold`]: crate::job::JobWorld::trace_wan_threshold
+/// splits them with two orders of magnitude of slack on either side. Every
+/// WAN/LAN judgement goes through [`Topology::is_wan`], which takes links
+/// strictly above it: traced hops, logical WAN round trips, the `wan.*`
+/// metrics series, the analyzer's hop counts, the conservative-parallel
+/// region decomposition ([`Topology::regions`]) and its lookahead
+/// ([`Topology::min_wan_latency`]). So "WAN" means one thing everywhere.
 pub const WAN_LATENCY_THRESHOLD: SimDuration = SimDuration::from_millis(20);
 
 /// Identifies a node (host) in the topology.
@@ -314,11 +314,25 @@ impl Topology {
         self.path_latency(a, b) + self.path_latency(b, a)
     }
 
+    /// Whether `link` is a wide-area link: its one-way latency is strictly
+    /// above [`WAN_LATENCY_THRESHOLD`].
+    pub fn is_wan(&self, link: LinkId) -> bool {
+        self.links[link.0].latency > WAN_LATENCY_THRESHOLD
+    }
+
+    /// The number of wide-area links ([`Topology::is_wan`]) on the routed
+    /// path `from → to` (0 when the nodes coincide or no route exists).
+    pub fn wan_hops(&self, from: NodeId, to: NodeId) -> u32 {
+        self.route(from, to).map_or(0, |route| {
+            route.iter().filter(|&&l| self.is_wan(l)).count() as u32
+        })
+    }
+
     /// Partitions the nodes into *regions*: connected components of the
-    /// subgraph keeping only links with latency at or below
-    /// [`WAN_LATENCY_THRESHOLD`]. Returns one region index per node, dense
-    /// from zero, numbered by each region's lowest node index — a pure
-    /// function of the topology, independent of link insertion order.
+    /// subgraph keeping only non-WAN links ([`Topology::is_wan`]). Returns
+    /// one region index per node, dense from zero, numbered by each
+    /// region's lowest node index — a pure function of the topology,
+    /// independent of link insertion order.
     ///
     /// Hosts in one region interact at LAN speed; hosts in different regions
     /// only through ≥1 wide-area link, which is exactly the shard boundary
@@ -333,8 +347,8 @@ impl Topology {
             }
             x
         }
-        for link in &self.links {
-            if link.latency <= WAN_LATENCY_THRESHOLD {
+        for (l, link) in self.links.iter().enumerate() {
+            if !self.is_wan(LinkId(l)) {
                 let a = find(&mut parent, link.from.0);
                 let b = find(&mut parent, link.to.0);
                 // Lower root wins, keeping numbering insertion-order-free.
@@ -355,17 +369,16 @@ impl Topology {
             .collect()
     }
 
-    /// The smallest one-way latency among wide-area links (those above
-    /// [`WAN_LATENCY_THRESHOLD`]), or `None` for an all-LAN topology.
+    /// The smallest one-way latency among wide-area links
+    /// ([`Topology::is_wan`]), or `None` for an all-LAN topology.
     ///
     /// This is the conservative-parallel lookahead: every message between
     /// regions crosses at least one such link, so a shard simulating the
     /// window `[t, t + lookahead)` cannot be affected by any other shard.
     pub fn min_wan_latency(&self) -> Option<SimDuration> {
-        self.links
-            .iter()
-            .map(|l| l.latency)
-            .filter(|&l| l > WAN_LATENCY_THRESHOLD)
+        self.link_ids()
+            .filter(|&l| self.is_wan(l))
+            .map(|l| self.link(l).latency)
             .min()
     }
 

@@ -7,8 +7,8 @@
 //! This module prices those paths the same way the simulator and the static
 //! analyzer do: [`Topology::rtt`] sums latency-shortest routes (Dijkstra per
 //! source, computed once per topology), so the placement matrix, the
-//! analyzer's `PathModel`, and the engine's message timing can never
-//! disagree about what a host pair costs.
+//! analyzer, and the engine's message timing can never disagree about what
+//! a host pair costs.
 
 use mutsvc_netsim::{LinkId, NodeId, Topology, WAN_LATENCY_THRESHOLD};
 

@@ -5,20 +5,23 @@
 //! subscribes to the engine's windowed telemetry (per-link WAN round trips,
 //! per-page response histograms — see the metrics pipeline in the driver),
 //! re-prices the placement problem with the *observed* link latencies via
-//! [`reprice_matrix`], and runs a bounded incremental delta-cost search
-//! ([`CostEvaluator`]) over single-component `MovePrimary` moves. Moves that
-//! clear a hysteresis threshold become typed migration orders the driver
-//! turns into mid-run component moves (state transfer over the WAN, cold
-//! caches at the destination — the fault machinery's crash/restart
-//! semantics, reused).
+//! [`reprice_matrix`], and runs an incremental delta-cost search
+//! ([`CostEvaluator`]) over single-component primary moves and replica
+//! additions. The best move, if it clears the hysteresis gate, becomes a
+//! typed migration order the driver turns into a mid-run component move
+//! (state transfer over the WAN, cold caches at the destination — the fault
+//! machinery's crash/restart semantics, reused).
+//!
+//! The run's spec sets one value, the round cadence
+//! ([`AdaptiveSettings`](crate::spec::AdaptiveSettings)). The rest of the
+//! policy is constants: at most one move per round, a 5 % hysteresis gate,
+//! a cooldown of two cadences and 4 MiB of state per transfer.
 //!
 //! Determinism: a controller round is a pure function of the observed
 //! telemetry rows and the controller's own committed history — no RNG, no
 //! wall clock, and iteration in (component, host) index order with
-//! strict-improvement tie-breaks. Sequential runs drive rounds from an
-//! internal tick event; parallel runs drive them from the conservative
-//! engine's window barriers (see `parallel::AdaptiveCoordinator`), so
-//! same-seed runs stay byte-identical at any thread count.
+//! strict-improvement tie-breaks. Its one host is the sequential driver,
+//! which runs rounds from an internal tick event.
 
 use mutsvc_middleware::{ComponentId, ComponentRegistry, DeploymentDescriptor};
 use mutsvc_netsim::{NodeId, Topology};
@@ -27,9 +30,22 @@ use mutsvc_placement::wan::{host_matrix, reprice_matrix};
 use mutsvc_placement::{CostEvaluator, HostId, Move, NodeIndex, Placement, PlacementProblem, Role};
 
 use mutsvc_apps::App;
-use mutsvc_desim::time::SimTime;
+use mutsvc_desim::time::{SimDuration, SimTime};
 
 use crate::spec::WorkloadSpec;
+
+/// Hysteresis: a round only commits a move whose modeled cost gain is at
+/// least this fraction of the current total cost, so telemetry noise cannot
+/// thrash components back and forth.
+const HYSTERESIS_PCT: f64 = 0.05;
+
+/// After migrating, a component sits out of the search for this many round
+/// cadences.
+const COOLDOWN_CADENCES: u64 = 2;
+
+/// Serialized component state size in bytes: prices the migration transfer
+/// that occupies the WAN link between old and new primary.
+pub(crate) const STATE_BYTES: u64 = 4 << 20;
 
 /// What the controller sees at one decision point: the freshest closed
 /// telemetry window, reduced to the model's inputs.
@@ -131,10 +147,8 @@ pub struct AdaptiveData {
 /// entry point; it never touches simulation state.
 #[derive(Debug)]
 pub struct Controller {
-    cadence_active: bool,
-    budget_per_round: u32,
-    hysteresis_pct: f64,
-    cooldown: mutsvc_desim::time::SimDuration,
+    /// How long a moved component sits out: `COOLDOWN_CADENCES` rounds.
+    cooldown: SimDuration,
     topology: Topology,
     problem: PlacementProblem,
     /// `HostId` index → topology node backing that host.
@@ -348,10 +362,7 @@ impl Controller {
             .collect();
 
         Controller {
-            cadence_active: spec.adaptive.active(),
-            budget_per_round: spec.adaptive.budget_per_round,
-            hysteresis_pct: spec.adaptive.hysteresis_pct,
-            cooldown: spec.adaptive.cooldown,
+            cooldown: spec.adaptive.cadence.unwrap_or(SimDuration::ZERO) * COOLDOWN_CADENCES,
             topology: topology.clone(),
             problem,
             hosts,
@@ -363,11 +374,6 @@ impl Controller {
             drift_floor,
             data: AdaptiveData::default(),
         }
-    }
-
-    /// Whether the controller can ever act.
-    pub fn active(&self) -> bool {
-        self.cadence_active && self.budget_per_round > 0
     }
 
     /// Re-weights the model's entry shares from the cumulative demand
@@ -396,34 +402,26 @@ impl Controller {
     }
 
     /// One decision round at simulated time `now`: re-price the model with
-    /// the observed link latencies, then greedily commit up to
-    /// `budget_per_round` single-primary moves whose modeled gain clears
-    /// both `hysteresis_pct` of the current total cost and the
-    /// construction-time drift floor. Components keep a cooldown after
-    /// moving so the loop cannot thrash a component back and forth between
-    /// windows.
-    pub fn round(&mut self, now: SimTime, obs: &AdaptiveObs) -> Vec<MigrationOrder> {
+    /// the observed link latencies, then commit the best single move if its
+    /// modeled gain clears both `HYSTERESIS_PCT` of the current total cost
+    /// and the construction-time drift floor. A moved component keeps a
+    /// cooldown so the loop cannot thrash it back and forth between windows.
+    pub fn round(&mut self, now: SimTime, obs: &AdaptiveObs) -> Option<MigrationOrder> {
         self.problem.rtt_ms = reprice_matrix(&self.topology, &self.hosts, &obs.one_way_ms);
         self.reweight_entry_shares(obs);
         let mut eval = CostEvaluator::new(&self.problem, self.placement.clone());
         let cost_before = eval.total();
-        let mut orders: Vec<MigrationOrder> = Vec::new();
-
-        for _ in 0..self.budget_per_round {
-            let current_total = eval.total();
-            let gate = (self.hysteresis_pct * current_total.abs().max(1e-9))
-                .max(self.drift_floor * DRIFT_MARGIN);
-            let best = best_move(
-                &mut eval,
-                &self.movable,
-                self.problem.hosts.len(),
-                &self.cooldown_until,
-                now,
-            );
-            let Some((mv, delta)) = best else { break };
-            if -delta < gate {
-                break;
-            }
+        let gate =
+            (HYSTERESIS_PCT * cost_before.abs().max(1e-9)).max(self.drift_floor * DRIFT_MARGIN);
+        let best = best_move(
+            &mut eval,
+            &self.movable,
+            self.problem.hosts.len(),
+            &self.cooldown_until,
+            now,
+        )
+        .filter(|&(_, delta)| -delta >= gate);
+        let order = best.map(|(mv, delta)| {
             let (node, to, kind) = match mv {
                 Move::MovePrimary { node, to } => (node, to, MoveKind::Primary),
                 Move::AddReplica { node, host } => (node, host, MoveKind::Replica),
@@ -442,7 +440,7 @@ impl Controller {
                 to: self.problem.hosts[to.0].name.clone(),
                 modeled_gain: -delta,
             });
-            orders.push(MigrationOrder {
+            MigrationOrder {
                 component: self.node_component[node.index()]
                     .expect("movable nodes map to runtime components"),
                 name,
@@ -450,8 +448,8 @@ impl Controller {
                 from: self.hosts[from.0],
                 to: self.hosts[to.0],
                 modeled_gain: -delta,
-            });
-        }
+            }
+        });
 
         self.placement = eval.placement();
         self.data.rounds.push(RoundRecord {
@@ -460,18 +458,13 @@ impl Controller {
             cost_before,
             cost_after: eval.total(),
             observed_p50_ms: obs.p50_ms,
-            moves: orders.len() as u32,
+            moves: u32::from(order.is_some()),
         });
-        orders
+        order
     }
 
     /// Consumes the controller, yielding its decision log.
     pub fn into_data(self) -> AdaptiveData {
         self.data
-    }
-
-    /// The decision log so far.
-    pub fn data(&self) -> &AdaptiveData {
-        &self.data
     }
 }

@@ -46,7 +46,7 @@ use mutsvc_netsim::{
 };
 use mutsvc_relstore::{Database, TableId};
 
-use crate::adaptive::{AdaptiveData, AdaptiveObs, Controller, MigrationOrder, MoveKind};
+use crate::adaptive::{AdaptiveData, AdaptiveObs, Controller, MoveKind, STATE_BYTES};
 use crate::spec::WorkloadSpec;
 use crate::stats::WorkloadStats;
 use crate::trace_report::TraceData;
@@ -448,9 +448,7 @@ pub(crate) struct World {
     /// totals into the recorder only when metrics are armed.
     ev_counts: [u64; EV_KINDS],
     /// Live-migration controller; `None` unless the spec arms adaptive
-    /// placement *and* the run is sequential — conservative-parallel runs
-    /// host one controller in the coordinator instead (every shard then
-    /// keeps this `None` and only applies the broadcast orders).
+    /// placement (sequential runs only: the parallel driver rejects it).
     adaptive: Option<Controller>,
     /// Migrations in transfer, indexed by the [`Ev::Migrate`] slot.
     adaptive_pending: Vec<(ComponentId, MoveKind, NodeId)>,
@@ -477,7 +475,7 @@ impl World {
     /// (from the `wan.*.rtt_ms` gauges the roll samples) and the pooled
     /// median response time. `None` until the first window closes, or when
     /// metrics are off — the controller then has nothing to act on.
-    pub(crate) fn adaptive_observation(&self) -> Option<AdaptiveObs> {
+    fn adaptive_observation(&self) -> Option<AdaptiveObs> {
         let m = self.metrics.as_ref()?;
         let last = m.rec.rows().last()?;
         let mut one_way_ms = vec![None; self.net.topology().link_count()];
@@ -497,9 +495,7 @@ impl World {
             pooled.quantile(0.5)
         };
         // Cumulative issued requests per client group over every *closed*
-        // window — the controller's offered-demand signal. (Shard replicas
-        // report their member groups only; the rest stay zero and sum
-        // correctly across shards.)
+        // window — the controller's offered-demand signal.
         let group_issued = m
             .groups
             .iter()
@@ -514,24 +510,6 @@ impl World {
             p50_ms,
             group_issued,
         })
-    }
-
-    /// Starts one ordered migration: prices the state transfer onto the
-    /// WAN (control handshake + bulk bytes occupying the link — see
-    /// [`Network::migrate`]) and parks the order in the pending buffer.
-    /// Returns the arrival time and the [`Ev::Migrate`] slot the caller
-    /// schedules.
-    pub(crate) fn commit_migration(
-        &mut self,
-        now: SimTime,
-        order: &MigrationOrder,
-    ) -> (SimTime, u32) {
-        let arrival = self
-            .net
-            .migrate(now, order.from, order.to, self.spec.adaptive.state_bytes);
-        self.adaptive_pending
-            .push((order.component, order.kind, order.to));
-        (arrival, (self.adaptive_pending.len() - 1) as u32)
     }
 }
 
@@ -572,8 +550,7 @@ struct MetricsState {
     jobs_in_flight: GaugeId,
     /// `(page label, histogram)` in the app's page-inventory order.
     pages: Vec<(String, HistId)>,
-    /// Per-WAN-leg series: every link at or above the WAN latency
-    /// threshold.
+    /// Per-WAN-leg series: every WAN link ([`mutsvc_netsim::Topology::is_wan`]).
     wan: Vec<WanSeries>,
     /// Per-client-group issued-request counters (`group.<name>.issued`),
     /// aligned with `spec.groups`: the offered-demand signal the adaptive
@@ -599,7 +576,6 @@ impl MetricsState {
         app: &App,
         groups: &[crate::spec::ClientGroup],
         window: SimDuration,
-        wan_threshold: SimDuration,
     ) -> Self {
         let mut rec = Recorder::new(window);
         let ev_kinds = EV_KIND_NAMES.map(|n| rec.counter(n));
@@ -623,7 +599,7 @@ impl MetricsState {
         let wan = net
             .topology()
             .link_ids()
-            .filter(|&l| net.topology().link(l).latency >= wan_threshold)
+            .filter(|&l| net.topology().is_wan(l))
             .map(|l| {
                 let name = &net.topology().link(l).name;
                 WanSeries {
@@ -701,9 +677,9 @@ pub(crate) enum Ev {
     /// runs never see this variant). Rides the engine's internal side queue
     /// so the recorder never perturbs the `queue.*` gauges it reports.
     MetricsRoll,
-    /// Adaptive-controller decision point (sequential runs only; parallel
-    /// runs drive the controller from the conservative engine's window
-    /// barriers). Internal-queue event, like [`Ev::MetricsRoll`].
+    /// Adaptive-controller decision point (sequential runs only: the
+    /// parallel driver rejects an armed controller). Internal-queue event,
+    /// like [`Ev::MetricsRoll`].
     AdaptTick,
     /// A migrating component's state transfer arrived: flip the primary in
     /// the deployment descriptor and restart the destination container
@@ -1025,25 +1001,18 @@ fn apply_fault(world: &mut World, ctx: &mut Context<'_, World, Ev>, idx: u32) {
     }
 }
 
-/// Whether any link on the `from -> to` route is a WAN leg (base latency at
-/// or above `threshold`). Mirrors the hop classification in the job
-/// executor, so logical and traced WAN accounting agree on what "WAN" means.
-fn path_is_wan(net: &Network, threshold: SimDuration, from: NodeId, to: NodeId) -> bool {
-    from != to
-        && net
-            .route(from, to)
-            .iter()
-            .any(|&l| net.topology().link(l).latency >= threshold)
-}
-
 /// Logical WAN round trips of a bind: the sum of round trips of every
-/// crossing whose path traverses a WAN leg. This is the *static* figure —
-/// derived from the binder's crossing list, independent of sampled protocol
-/// chatter — and is what the analyzer's static budget is compared against.
-fn logical_wan_rts(net: &Network, threshold: SimDuration, crossings: &[Crossing]) -> f64 {
+/// crossing whose route traverses a WAN link ([`Topology::is_wan`], the
+/// classification the executor's hop spans use). This is the *static*
+/// figure — derived from the binder's crossing list, independent of sampled
+/// protocol chatter — and is what the analyzer's static budget is compared
+/// against.
+///
+/// [`Topology::is_wan`]: mutsvc_netsim::Topology::is_wan
+fn logical_wan_rts(net: &Network, crossings: &[Crossing]) -> f64 {
     crossings
         .iter()
-        .filter(|c| path_is_wan(net, threshold, c.from, c.to))
+        .filter(|c| net.topology().wan_hops(c.from, c.to) > 0)
         .map(|c| f64::from(c.round_trips()))
         .sum()
 }
@@ -1086,26 +1055,37 @@ fn roll_metrics(world: &mut World, ctx: &mut Context<'_, World, Ev>) {
     world.metrics = Some(m);
 }
 
-/// One sequential adaptive-controller decision point: observe the freshest
-/// metrics window, run a bounded delta-cost search, and launch the ordered
-/// migrations as WAN state transfers.
+/// One adaptive-controller decision point: observe the freshest metrics
+/// window, run a delta-cost search, and launch the ordered migration as a
+/// WAN state transfer.
 fn adapt_tick(world: &mut World, ctx: &mut Context<'_, World, Ev>) {
     let now = ctx.now();
-    let cadence = world.spec.adaptive.cadence;
+    let cadence = world
+        .spec
+        .adaptive
+        .cadence
+        .expect("the controller tick is armed only with a cadence");
     if now + cadence <= world.spec.horizon() {
         ctx.schedule_internal_in(cadence, Ev::AdaptTick);
     }
     let Some(obs) = world.adaptive_observation() else {
         return;
     };
-    let Some(mut controller) = world.adaptive.take() else {
+    let Some(controller) = world.adaptive.as_mut() else {
         return;
     };
-    for order in controller.round(now, &obs) {
-        let (arrival, slot) = world.commit_migration(now, &order);
-        ctx.schedule_event_at(arrival, Ev::Migrate { slot });
-    }
-    world.adaptive = Some(controller);
+    let Some(order) = controller.round(now, &obs) else {
+        return;
+    };
+    // The state transfer occupies the WAN (control handshake plus bulk
+    // bytes — see `Network::migrate`); the order waits in the pending
+    // buffer until it arrives.
+    let arrival = world.net.migrate(now, order.from, order.to, STATE_BYTES);
+    world
+        .adaptive_pending
+        .push((order.component, order.kind, order.to));
+    let slot = (world.adaptive_pending.len() - 1) as u32;
+    ctx.schedule_event_at(arrival, Ev::Migrate { slot });
 }
 
 /// A migration's state transfer arrived: re-home the component's primary
@@ -1299,8 +1279,7 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
         // Logical WAN accounting is only needed when tracing is on; keep the
         // untraced bind path free of route walks.
         let wan_rts = if world.tracer.enabled() {
-            let threshold = world.trace_wan_threshold();
-            logical_wan_rts(&world.net, threshold, &bound.crossings)
+            logical_wan_rts(&world.net, &bound.crossings)
         } else {
             0.0
         };
@@ -1550,17 +1529,14 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
             || !descriptor.query_cache.nodes.is_empty(),
         last_done_failed: false,
     };
-    let tracer = Tracer::new(spec.trace.tracer_config());
-    let metrics = spec.metrics.active().then(|| {
-        MetricsState::register(
-            &net,
-            &app,
-            &spec.groups,
-            spec.metrics.window,
-            SimDuration::from_millis(20),
-        )
-    });
-    let metrics_window = metrics.as_ref().map(|m| m.window);
+    let tracer = spec
+        .trace
+        .sample_every
+        .map_or_else(Tracer::disabled, Tracer::new);
+    let metrics = spec
+        .metrics
+        .window
+        .map(|window| MetricsState::register(&net, &app, &spec.groups, window));
     // Pre-intern each group's outcome slot so its id equals its index.
     let mut stats = WorkloadStats::new();
     for g in &spec.groups {
@@ -1569,12 +1545,10 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
     // Fault firing times, captured before `spec` moves into the world; the
     // handler looks the kind up by index.
     let fault_times: Vec<SimDuration> = spec.faults.schedule.events.iter().map(|e| e.at).collect();
-    // The live-migration controller (sequential runs only): parallel runs
-    // host one controller in the coordinator so every shard applies the
-    // same globally decided orders.
-    let adaptive = (shard.is_none() && spec.adaptive.active())
+    let adaptive = spec
+        .adaptive
+        .active()
         .then(|| Controller::new(&app, &registry, &descriptor, net.topology(), &spec));
-    let adaptive_cadence = adaptive.as_ref().map(|_| spec.adaptive.cadence);
     let world = World {
         net,
         jobs: Jobs::new(),
@@ -1629,15 +1603,15 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
     }
     // Arm the metrics roll cadence on the engine's *internal* side queue:
     // the roll samples the main queue's gauges, so it must not sit in it.
-    if let Some(window) = metrics_window {
+    if let Some(window) = sim.world().spec.metrics.window {
         sim.schedule_internal_at(SimTime::ZERO + window, Ev::MetricsRoll);
     }
-    // Arm the adaptive decision cadence (sequential runs only; also an
-    // internal event — controller rounds read telemetry, they are not
-    // simulated work). The first round fires one cadence past warm-up:
-    // windows closed during the ramp carry cold caches and connection
-    // setup, and a controller acting on them migrates against transients.
-    if let Some(cadence) = adaptive_cadence {
+    // Arm the adaptive decision cadence (also an internal event —
+    // controller rounds read telemetry, they are not simulated work). The
+    // first round fires one cadence past warm-up: windows closed during the
+    // ramp carry cold caches and connection setup, and a controller acting
+    // on them migrates against transients.
+    if let Some(cadence) = sim.world().spec.adaptive.cadence {
         let warmup = sim.world().spec.warmup;
         sim.schedule_internal_at(SimTime::ZERO + warmup + cadence, Ev::AdaptTick);
     }
@@ -1735,6 +1709,11 @@ mod tests {
 
     /// A small Pet Store experiment on a two-server topology.
     fn small_input(seed: u64) -> ExperimentInput {
+        small_input_over(seed, SimDuration::from_millis(100))
+    }
+
+    /// [`small_input`] with the edge leg's one-way latency set to `wan`.
+    fn small_input_over(seed: u64, wan: SimDuration) -> ExperimentInput {
         let (app, registry, db) = App::petstore(false);
         let mut tb = TopologyBuilder::new();
         let main = tb.node("main", 2);
@@ -1744,7 +1723,6 @@ mod tests {
         let lc = tb.node("client-local", 4);
         let rc = tb.node("client-remote", 4);
         let lan = SimDuration::from_micros(200);
-        let wan = SimDuration::from_millis(100);
         tb.duplex_link(main, router, lan, 100e6);
         tb.duplex_link(dbn, router, lan, 100e6);
         tb.duplex_link(lc, router, lan, 100e6);
@@ -2090,6 +2068,46 @@ mod tests {
         assert!(n_sampled > n_full / 20, "{n_sampled} vs {n_full}");
     }
 
+    /// A link at exactly `WAN_LATENCY_THRESHOLD` is LAN for every
+    /// judgement: the region split merges its ends, traced hops across it
+    /// carry `wan: false`, and the recorder registers no `wan.*` series.
+    #[test]
+    fn a_link_at_the_wan_threshold_is_lan_everywhere() {
+        use crate::spec::TraceSettings;
+        use mutsvc_desim::trace::SpanKind;
+        let mut input = small_input_over(43, mutsvc_netsim::WAN_LATENCY_THRESHOLD);
+        let regions = input.topology.regions();
+        assert!(regions.iter().all(|&r| r == 0), "one region: {regions:?}");
+        assert_eq!(input.topology.min_wan_latency(), None);
+        let edge_leg = link_index(&input, "edge1->router");
+        input.spec = input
+            .spec
+            .with_trace(TraceSettings::full())
+            .with_metrics(MetricsSettings::windowed(SimDuration::from_secs(5)));
+        let report = run_experiment(input);
+
+        let traces = report.trace.expect("tracing enabled").traces;
+        let hops: Vec<bool> = traces
+            .iter()
+            .flat_map(|t| &t.spans)
+            .filter_map(|s| match s.kind {
+                SpanKind::Hop { link, wan, .. } if link == edge_leg => Some(wan),
+                _ => None,
+            })
+            .collect();
+        assert!(!hops.is_empty(), "remote clients cross the edge leg");
+        assert!(hops.iter().all(|&wan| !wan), "a 20 ms hop is not WAN");
+
+        let rec = &report.metrics.expect("metrics armed").recorder;
+        let wan_series = rec
+            .counter_names()
+            .iter()
+            .chain(rec.gauge_names())
+            .filter(|n| n.starts_with("wan."))
+            .count();
+        assert_eq!(wan_series, 0);
+    }
+
     #[test]
     fn span_logs_are_byte_identical_per_seed() {
         use crate::spec::TraceSettings;
@@ -2318,7 +2336,6 @@ mod tests {
                     failover,
                     stale_serve: false,
                     max_retries: 0,
-                    ..FaultPolicy::resilient()
                 },
             });
             run_experiment(input)

@@ -15,7 +15,8 @@
 //! and a topology into a deterministic discrete-event run;
 //! [`parallel::run_experiment_parallel`] runs the same experiment sharded
 //! by client region under conservative synchronization (DESIGN.md §6.5),
-//! byte-identical at every thread count.
+//! byte-identical at every thread count. The live-migration controller
+//! ([`adaptive`], DESIGN.md §6.8) runs on the sequential driver only.
 //!
 //! With [`spec::MetricsSettings`] armed, a run additionally rolls a
 //! windowed metrics [`recorder`](mutsvc_desim::recorder) — per-page

@@ -36,14 +36,17 @@
 //! functions of the input alone — never of the thread count. A run at 8
 //! threads is byte-identical to a run at 1: same span logs, same fault
 //! tables, same statistics.
+//!
+//! The live-migration controller ([`crate::adaptive`]) is not hosted here:
+//! it runs on the sequential driver's tick, and a spec that arms it is
+//! rejected.
 
 use mutsvc_desim::sim::Simulation;
 use mutsvc_desim::time::{SimDuration, SimTime};
-use mutsvc_desim::{run_conservative, run_coordinated, Coordinator, Outbox, ShardWorld};
+use mutsvc_desim::{run_conservative, Outbox, ShardWorld};
 use mutsvc_netsim::NodeId;
 use mutsvc_relstore::TableId;
 
-use crate::adaptive::{AdaptiveObs, Controller, MigrationOrder};
 use crate::driver::{
     build_sim, drain_report, Ev, ExperimentInput, ExperimentReport, ShardPlan, ShardProfile, World,
 };
@@ -107,83 +110,6 @@ impl ShardWorld for ExperimentShard {
     }
 }
 
-/// The conservative-parallel home of the live-migration controller: one
-/// [`Controller`] driven from the engine's window barriers instead of the
-/// sequential driver's internal tick event.
-///
-/// Each coordination round is a pure function of simulated history — every
-/// shard observes (WAN rtt gauges sample replicated network state; demand
-/// counters are summed across shards, since each group issues only in its
-/// owning shard), the leader runs one decision round when the cadence is
-/// due, and the resulting orders are applied to *every* shard replica,
-/// which prices the same state transfer and flips the same descriptor
-/// primary. Thread count changes nothing.
-struct AdaptiveCoordinator {
-    controller: Controller,
-    cadence: SimDuration,
-    /// The next decision time; rounds fire at the first window boundary at
-    /// or past each cadence multiple beyond warm-up.
-    next_round: SimTime,
-}
-
-impl Coordinator<ExperimentShard> for AdaptiveCoordinator {
-    type Obs = AdaptiveObs;
-    type Directive = Vec<MigrationOrder>;
-
-    fn observe(
-        &mut self,
-        _index: usize,
-        shard: &mut ExperimentShard,
-        window_end: SimTime,
-    ) -> Option<AdaptiveObs> {
-        if window_end < self.next_round {
-            return None;
-        }
-        // Every shard reports: the WAN gauges are replicated (identical in
-        // each shard), but the demand counters are real only in the shard
-        // that owns the issuing group, so the fleet view is their sum.
-        shard.sim.world().adaptive_observation()
-    }
-
-    fn decide(
-        &mut self,
-        window_end: SimTime,
-        obs: Vec<(usize, AdaptiveObs)>,
-    ) -> Option<Vec<MigrationOrder>> {
-        if window_end < self.next_round {
-            return None;
-        }
-        while self.next_round <= window_end {
-            self.next_round += self.cadence;
-        }
-        // No closed telemetry window yet: nothing to act on this round.
-        let mut obs = obs;
-        obs.sort_by_key(|&(index, _)| index);
-        let mut iter = obs.into_iter();
-        let (_, mut merged) = iter.next()?;
-        for (_, o) in iter {
-            for (acc, n) in merged.group_issued.iter_mut().zip(&o.group_issued) {
-                *acc += n;
-            }
-        }
-        let orders = self.controller.round(window_end, &merged);
-        (!orders.is_empty()).then_some(orders)
-    }
-
-    fn apply(
-        &mut self,
-        _index: usize,
-        shard: &mut ExperimentShard,
-        window_end: SimTime,
-        orders: &Vec<MigrationOrder>,
-    ) {
-        for order in orders {
-            let (arrival, slot) = shard.sim.world_mut().commit_migration(window_end, order);
-            shard.sim.schedule_event_at(arrival, Ev::Migrate { slot });
-        }
-    }
-}
-
 /// How a topology and workload decompose into shards: one shard per client
 /// region, in ascending region order.
 struct Decomposition {
@@ -244,10 +170,16 @@ fn decompose(input: &ExperimentInput) -> Decomposition {
 ///
 /// # Panics
 ///
-/// Panics if the spec has no client groups, or if the topology puts client
-/// groups in more than one region without any WAN link to derive the
-/// lookahead from (impossible for connected topologies).
+/// Panics if the spec arms the adaptive controller (it runs on
+/// [`run_experiment`](crate::driver::run_experiment) only), if the spec has
+/// no client groups, or if the topology puts client groups in more than one
+/// region without any WAN link to derive the lookahead from (impossible for
+/// connected topologies).
 pub fn run_experiment_parallel(input: ExperimentInput, threads: usize) -> ExperimentReport {
+    assert!(
+        !input.spec.adaptive.active(),
+        "the adaptive controller runs on the sequential engine only"
+    );
     let d = decompose(&input);
     let shard_count = d.members.len();
     assert!(shard_count > 0, "no client groups to shard");
@@ -295,46 +227,13 @@ pub fn run_experiment_parallel(input: ExperimentInput, threads: usize) -> Experi
         windows: 0,
         stalled: 0,
     };
-    if input.spec.adaptive.active() {
-        // Closed-loop run: the controller rides the window barriers. The
-        // adaptive-off path below is the exact pre-adaptive engine
-        // (`run_conservative` is `run_coordinated` with the statically
-        // inert coordinator), so arming adaptive is the only way to reach
-        // this branch.
-        let cadence = input.spec.adaptive.cadence;
-        let coordinator = AdaptiveCoordinator {
-            controller: Controller::new(
-                &input.app,
-                &input.registry,
-                &input.descriptor,
-                &input.topology,
-                &input.spec,
-            ),
-            cadence,
-            // First round one cadence past warm-up, matching the
-            // sequential driver: ramp windows are not acted on.
-            next_round: SimTime::ZERO + input.spec.warmup + cadence,
-        };
-        let (reports, coordinator) = run_coordinated(
-            shard_count,
-            threads,
-            lookahead,
-            horizon,
-            factory,
-            coordinator,
-        );
-        let mut merged = merge_reports(reports);
-        merged.adaptive = Some(coordinator.controller.into_data());
-        merged
-    } else {
-        merge_reports(run_conservative(
-            shard_count,
-            threads,
-            lookahead,
-            horizon,
-            factory,
-        ))
-    }
+    merge_reports(run_conservative(
+        shard_count,
+        threads,
+        lookahead,
+        horizon,
+        factory,
+    ))
 }
 
 /// Reduces per-shard reports into one, in ascending shard order: summaries
@@ -375,8 +274,6 @@ fn merge_reports(reports: Vec<ExperimentReport>) -> ExperimentReport {
             (None, None) => {}
             _ => unreachable!("every shard runs the same metrics settings"),
         }
-        // Sharded worlds never own a controller — the coordinator does, and
-        // `run_experiment_parallel` attaches its log after the merge.
         debug_assert!(r.adaptive.is_none(), "shard worlds do not run controllers");
     }
     total.shard_events = shard_events;
@@ -564,98 +461,16 @@ mod tests {
         }
     }
 
-    /// Three regions with *edge entries*: remote groups enter at their own
-    /// edge pop, the web facade is replicated there (binding requires it),
-    /// and the session tier is centralized — the adaptable surface.
-    fn edge_entry_three_region_input(seed: u64) -> ExperimentInput {
-        let mut input = three_region_input(seed);
-        let node = |name: &str| {
-            input
-                .topology
-                .node_ids()
-                .find(|&n| input.topology.node(n).name == name)
-                .unwrap()
-        };
-        let (main, dbn) = (node("main"), node("db"));
-        let (edge1, edge2) = (node("edge1"), node("edge2"));
-        input.spec.groups[1].entry_node = edge1;
-        input.spec.groups[2].entry_node = edge2;
-        let components = match &input.app {
-            App::PetStore(ps) => ps.components,
-            App::Rubis(_) => unreachable!(),
-        };
-        let mut b = DescriptorBuilder::new(&input.registry, "central-sessions", dbn);
-        b.central_node(main);
-        for c in components.all() {
-            b.place(c, main);
-        }
-        b.place_replicated(components.web, main, [edge1, edge2]);
-        input.descriptor = b.build().unwrap();
-        input
-    }
-
     #[test]
-    fn adaptive_migration_schedules_are_thread_count_invariant() {
-        use crate::spec::{AdaptiveSettings, FaultPolicy, FaultSettings, MetricsSettings};
-        use mutsvc_desim::fault::{FaultEvent, FaultKind, FaultSchedule};
-        let run = |threads| {
-            let mut input = edge_entry_three_region_input(78);
-            let link = |name: &str| {
-                input
-                    .topology
-                    .link_ids()
-                    .find(|&l| input.topology.link(l).name == name)
-                    .unwrap()
-                    .index() as u32
-            };
-            let events = vec![
-                FaultEvent {
-                    at: SimDuration::from_secs(20),
-                    kind: FaultKind::LinkDegraded {
-                        link: link("edge1->router"),
-                        factor: 8.0,
-                    },
-                },
-                FaultEvent {
-                    at: SimDuration::from_secs(20),
-                    kind: FaultKind::LinkDegraded {
-                        link: link("router->edge1"),
-                        factor: 8.0,
-                    },
-                },
-            ];
-            input.spec = input
-                .spec
-                .with_trace(TraceSettings::full())
-                .with_metrics(MetricsSettings::windowed(SimDuration::from_secs(5)))
-                .with_faults(FaultSettings {
-                    schedule: FaultSchedule::scripted(events),
-                    timeout: SimDuration::from_secs(30),
-                    policy: FaultPolicy::none(),
-                })
-                .with_adaptive(AdaptiveSettings::every(SimDuration::from_secs(10)));
-            run_experiment_parallel(input, threads)
-        };
-        let one = run(1);
-        let data = one.adaptive.as_ref().expect("controller log attached");
-        assert!(
-            !data.migrations.is_empty(),
-            "degrading the edge WAN must trigger a migration"
-        );
-        assert!(data.rounds.len() >= 5, "rounds {}", data.rounds.len());
-        let log = jsonl(one.trace.as_ref().unwrap());
-        for threads in [2, 4, 8] {
-            let r = run(threads);
-            assert_eq!(one.adaptive, r.adaptive, "schedule at {threads} threads");
-            assert_eq!(one.stats, r.stats);
-            assert_eq!(one.completed, r.completed);
-            assert_eq!(one.events_fired, r.events_fired);
-            assert_eq!(
-                log,
-                jsonl(r.trace.as_ref().unwrap()),
-                "span log byte-identical at {threads} threads"
-            );
-        }
+    #[should_panic(expected = "sequential engine only")]
+    fn an_armed_controller_is_rejected() {
+        use crate::spec::{AdaptiveSettings, MetricsSettings};
+        let mut input = three_region_input(78);
+        input.spec = input
+            .spec
+            .with_metrics(MetricsSettings::windowed(SimDuration::from_secs(5)))
+            .with_adaptive(AdaptiveSettings::every(SimDuration::from_secs(10)));
+        run_experiment_parallel(input, 2);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use mutsvc_desim::fault::FaultSchedule;
 use mutsvc_desim::time::{SimDuration, SimTime};
-use mutsvc_desim::trace::TraceConfig;
 use mutsvc_netsim::NodeId;
 
 /// Tracing policy for one run. Fully disabled by default: the driver then
@@ -13,48 +12,27 @@ use mutsvc_netsim::NodeId;
 /// are the windowed recorder's job (see [`MetricsSettings`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceSettings {
-    /// Master switch for span collection.
-    pub enabled: bool,
-    /// Head sampling: keep 1-in-N requests (`1` keeps everything).
-    pub sample_every: u64,
-    /// Additionally commit any request slower than the slowest committed
-    /// so far.
-    pub trace_slowest: bool,
+    /// Head-sampling period: keep 1-in-N requests (`Some(1)` keeps
+    /// everything), plus every request slower than the slowest kept so
+    /// far. `None` turns span collection off.
+    pub sample_every: Option<u64>,
 }
 
 impl TraceSettings {
     /// Tracing off (the default).
     pub fn off() -> Self {
-        TraceSettings {
-            enabled: false,
-            sample_every: 1,
-            trace_slowest: false,
-        }
+        TraceSettings { sample_every: None }
     }
 
     /// Trace every request.
     pub fn full() -> Self {
-        TraceSettings {
-            enabled: true,
-            sample_every: 1,
-            trace_slowest: true,
-        }
+        TraceSettings::sampled(1)
     }
 
     /// Head-sample 1-in-`n` (plus slowest-so-far).
     pub fn sampled(n: u64) -> Self {
         TraceSettings {
-            sample_every: n.max(1),
-            ..TraceSettings::full()
-        }
-    }
-
-    /// The desim-level tracer policy this spec maps to.
-    pub fn tracer_config(&self) -> TraceConfig {
-        TraceConfig {
-            enabled: self.enabled,
-            sample_every: self.sample_every.max(1),
-            trace_slowest: self.trace_slowest,
+            sample_every: Some(n.max(1)),
         }
     }
 }
@@ -72,33 +50,27 @@ impl Default for TraceSettings {
 /// pinned by the metrics-on/off parity test.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSettings {
-    /// Master switch for the windowed recorder.
-    pub enabled: bool,
     /// Window width series roll at (window `k` covers `[k·w, (k+1)·w)`
-    /// of sim time). Ignored unless `enabled`.
-    pub window: SimDuration,
+    /// of sim time); `None` turns the windowed recorder off.
+    pub window: Option<SimDuration>,
 }
 
 impl MetricsSettings {
     /// Metrics off (the default).
     pub fn off() -> Self {
-        MetricsSettings {
-            enabled: false,
-            window: SimDuration::ZERO,
-        }
+        MetricsSettings { window: None }
     }
 
-    /// Roll windows every `window` of sim time.
+    /// Roll windows every `window` of sim time (a zero window is off).
     pub fn windowed(window: SimDuration) -> Self {
         MetricsSettings {
-            enabled: true,
-            window,
+            window: (!window.is_zero()).then_some(window),
         }
     }
 
     /// Whether the windowed recorder is armed.
     pub fn active(&self) -> bool {
-        self.enabled && !self.window.is_zero()
+        self.window.is_some()
     }
 }
 
@@ -112,62 +84,37 @@ impl Default for MetricsSettings {
 /// Fully disabled by default: the driver then never builds a controller,
 /// never schedules the controller tick, and each instrumentation site costs
 /// a single branch — the same zero-cost-when-off contract as
-/// [`MetricsSettings`], pinned by the adaptive-off purity test.
+/// [`MetricsSettings`], pinned by the adaptive-off purity test. The
+/// controller's other parameters are constants in [`crate::adaptive`].
 ///
 /// The controller only observes *windowed metrics* rows, so an active
 /// adaptive policy requires an active [`MetricsSettings`] whose window it
-/// adopts as its observation granularity.
+/// adopts as its observation granularity. It runs on the sequential engine
+/// only: [`crate::run_experiment_parallel`] rejects an armed controller.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveSettings {
-    /// Master switch for the live-migration controller.
-    pub enabled: bool,
     /// Controller round cadence: how often observed telemetry is folded
     /// into a re-priced placement problem and a move is considered.
-    /// Ignored unless `enabled`.
-    pub cadence: SimDuration,
-    /// Most migrations the controller may commit per round.
-    pub budget_per_round: u32,
-    /// Hysteresis: a round only commits moves whose modeled cost gain is
-    /// at least this fraction of the current total cost, so telemetry
-    /// noise cannot thrash components back and forth.
-    pub hysteresis_pct: f64,
-    /// After migrating, a component sits out of the search for this long.
-    pub cooldown: SimDuration,
-    /// Serialized component state size in bytes: prices the migration
-    /// transfer that occupies the WAN link between old and new primary.
-    pub state_bytes: u64,
+    /// `None` turns the controller off.
+    pub cadence: Option<SimDuration>,
 }
 
 impl AdaptiveSettings {
     /// Controller off (the default).
     pub fn off() -> Self {
-        AdaptiveSettings {
-            enabled: false,
-            cadence: SimDuration::ZERO,
-            budget_per_round: 0,
-            hysteresis_pct: 0.0,
-            cooldown: SimDuration::ZERO,
-            state_bytes: 0,
-        }
+        AdaptiveSettings { cadence: None }
     }
 
-    /// Controller on at the given round cadence, with the default
-    /// conservative knobs: one move per round, 5 % hysteresis, a
-    /// two-round cooldown, 4 MiB of component state.
+    /// Controller on at the given round cadence (a zero cadence is off).
     pub fn every(cadence: SimDuration) -> Self {
         AdaptiveSettings {
-            enabled: true,
-            cadence,
-            budget_per_round: 1,
-            hysteresis_pct: 0.05,
-            cooldown: cadence * 2,
-            state_bytes: 4 << 20,
+            cadence: (!cadence.is_zero()).then_some(cadence),
         }
     }
 
     /// Whether the controller is armed.
     pub fn active(&self) -> bool {
-        self.enabled && !self.cadence.is_zero()
+        self.cadence.is_some()
     }
 }
 
@@ -204,10 +151,6 @@ pub struct Surge {
 pub struct FaultPolicy {
     /// Retries after the first failed attempt (`0` fails immediately).
     pub max_retries: u32,
-    /// First backoff delay; attempt `n` waits `base * 2^(n-1)`.
-    pub backoff_base: SimDuration,
-    /// Cap on the exponential backoff.
-    pub backoff_cap: SimDuration,
     /// Re-target new requests from a crashed edge entry to the central
     /// server (the façade failover of §4.2's deployment flexibility).
     pub failover: bool,
@@ -222,8 +165,6 @@ impl FaultPolicy {
     pub fn none() -> Self {
         FaultPolicy {
             max_retries: 0,
-            backoff_base: SimDuration::from_millis(500),
-            backoff_cap: SimDuration::from_secs(8),
             failover: false,
             stale_serve: false,
         }
@@ -234,18 +175,22 @@ impl FaultPolicy {
     pub fn resilient() -> Self {
         FaultPolicy {
             max_retries: 3,
-            backoff_base: SimDuration::from_millis(500),
-            backoff_cap: SimDuration::from_secs(8),
             failover: true,
             stale_serve: true,
         }
     }
 
-    /// Backoff before retry attempt `n` (1-based), capped.
+    /// First backoff delay; attempt `n` waits `BACKOFF_BASE * 2^(n-1)`.
+    const BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
+    /// Cap on the exponential backoff.
+    const BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
+
+    /// Backoff before retry attempt `n` (1-based): 500 ms, doubling per
+    /// attempt, capped at 8 s.
     pub fn backoff(&self, attempt: u32) -> SimDuration {
         let exp = attempt.saturating_sub(1).min(20);
-        self.backoff_cap.min(SimDuration::from_micros(
-            self.backoff_base.as_micros() << exp,
+        Self::BACKOFF_CAP.min(SimDuration::from_micros(
+            Self::BACKOFF_BASE.as_micros() << exp,
         ))
     }
 }

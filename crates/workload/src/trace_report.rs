@@ -415,10 +415,10 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mutsvc_desim::trace::{TraceConfig, TraceMeta, Tracer};
+    use mutsvc_desim::trace::{TraceMeta, Tracer};
 
     fn sample_data() -> TraceData {
-        let mut t = Tracer::new(TraceConfig::full());
+        let mut t = Tracer::new(1);
         let us = SimTime::from_micros;
         let meta = TraceMeta {
             label: "Item",
