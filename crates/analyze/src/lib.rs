@@ -464,7 +464,6 @@ fn check_placements(input: &AnalyzeInput<'_>, report: &mut Report) {
 
 fn walk_all_pages(input: &AnalyzeInput<'_>, report: &mut Report) -> Vec<PageWalk> {
     let nodes = input.nodes;
-    let is_wan = |a, b| nodes.is_wan(a, b);
     let mut walks = Vec::with_capacity(input.pages.len());
     for page in input.pages {
         let entry = entry_node(input.descriptor, nodes.edge1, nodes.main, page);
@@ -472,7 +471,7 @@ fn walk_all_pages(input: &AnalyzeInput<'_>, report: &mut Report) -> Vec<PageWalk
             input.registry,
             input.descriptor,
             input.db,
-            &is_wan,
+            input.topology,
             entry,
             page,
         );
@@ -541,7 +540,7 @@ fn check_write_locality(input: &AnalyzeInput<'_>, walks: &[PageWalk], report: &m
     for table in written {
         for entity in input.registry.entities_of_table(table) {
             let primary = input.descriptor.placement(entity).primary;
-            if input.nodes.is_wan(primary, db_node) {
+            if input.topology.wan_hops(primary, db_node) > 0 {
                 let spec = input.registry.spec(entity);
                 report.diagnostics.push(Diagnostic {
                     code: "E001",
@@ -810,7 +809,10 @@ fn check_wan_single_point_of_failure(
     }
     let partition_servable = |w: &PageWalk| {
         (w.entry == nodes.edge1 || w.entry == nodes.edge2)
-            && !w.crossings.iter().any(|c| nodes.is_wan(c.from, c.to))
+            && !w
+                .crossings
+                .iter()
+                .any(|c| input.topology.wan_hops(c.from, c.to) > 0)
     };
     if read_pages.iter().any(|w| partition_servable(w)) {
         return;

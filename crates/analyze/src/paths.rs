@@ -1,18 +1,18 @@
 //! Multi-hop WAN path costs over an arbitrary weighted topology.
 //!
-//! The original walker judged a crossing "WAN or not" through the star
-//! topology's node-name classification ([`mutsvc_core::PaperNodes::is_wan`]),
-//! which silently assumes every wide-area crossing traverses exactly one
-//! WAN leg. The analyzer instead charges each crossing by the number of WAN
-//! *hops* on its shortest-path route ([`Topology::wan_hops`], which counts
-//! the links [`Topology::is_wan`] classifies — the judgement the engine's
-//! region split, lookahead, hop spans and metrics series all make), so the
-//! §4.2 budget check stays correct on meshes where an edge-to-edge call
-//! relays through several points of presence. On the paper's star the two
-//! models agree link-for-link (an equivalence the test below pins), except
-//! for the deliberately uncovered edge↔edge direction, which the star
-//! walker never produces but a mesh would: that route crosses two WAN legs
-//! and costs — and warns (`W112`) — accordingly.
+//! The analyzer charges each crossing by the number of WAN *hops* on its
+//! shortest-path route ([`Topology::wan_hops`], which counts the links
+//! [`Topology::is_wan`] classifies — the judgement the engine's region
+//! split, hop spans and metrics series all make, and the one the walker
+//! uses to call a crossing wide-area at all). A node-name classification
+//! of the star would silently assume every wide-area crossing traverses
+//! exactly one WAN leg; hop counting keeps the §4.2 budget check correct on
+//! meshes where an edge-to-edge call relays through several points of
+//! presence. On the paper's star the two agree link-for-link (an
+//! equivalence the test below pins), except for the deliberately uncovered
+//! edge↔edge direction, which the star walker never produces but a mesh
+//! would: that route crosses two WAN legs and costs — and warns (`W112`) —
+//! accordingly.
 
 use mutsvc_netsim::Topology;
 
@@ -34,13 +34,24 @@ mod tests {
     use mutsvc_core::paper_topology;
     use mutsvc_desim::time::SimDuration;
 
-    /// On the star, hop counting and the node-name classifier agree for
-    /// every pair the walker can produce; the edge↔edge direction (which
-    /// the star walker never routes) is the one genuinely multi-hop pair.
+    /// On the star, hop counting and the node-name classification (which
+    /// side of the star a node sits on: edge 1, edge 2 or the central site)
+    /// agree for every pair the walker can produce; the edge↔edge direction
+    /// (which the star walker never routes) is the one genuinely multi-hop
+    /// pair.
     #[test]
     fn star_hops_match_node_classification() {
         for petstore in [false, true] {
             let (t, n) = paper_topology(petstore);
+            let side = |node| {
+                if node == n.edge1 || node == n.client_edge1 {
+                    1
+                } else if node == n.edge2 || node == n.client_edge2 {
+                    2
+                } else {
+                    0
+                }
+            };
             for from in t.node_ids() {
                 for to in t.node_ids() {
                     if from == to {
@@ -61,7 +72,7 @@ mod tests {
                     } else {
                         assert_eq!(
                             t.wan_hops(from, to) > 0,
-                            n.is_wan(from, to),
+                            side(from) != side(to),
                             "{from} -> {to}"
                         );
                         assert!(t.wan_hops(from, to) <= 1, "{from} -> {to}");

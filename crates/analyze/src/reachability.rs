@@ -227,7 +227,6 @@ pub fn predict_availability(
     let central = descriptor.central_node;
     let caches_serve = descriptor.entity_propagation != UpdatePropagation::None;
     let ladder = ctx.ladder();
-    let is_wan = |a, b| nodes.is_wan(a, b);
 
     let mut episodes = Vec::new();
     let mut broken_failovers = Vec::new();
@@ -275,7 +274,14 @@ pub fn predict_availability(
             if graph.node_dead(entry) && ctx.policy.failover {
                 entry = central;
                 failover = true;
-                rewalked = walk_page(input.registry, descriptor, input.db, &is_wan, central, page);
+                rewalked = walk_page(
+                    input.registry,
+                    descriptor,
+                    input.db,
+                    input.topology,
+                    central,
+                    page,
+                );
                 effective = &rewalked;
             }
 

@@ -14,7 +14,7 @@ use mutsvc_middleware::{
     Action, Call, ComponentId, ComponentKind, ComponentRegistry, Crossing, CrossingKind, DbAccess,
     DeploymentDescriptor, MutateAction, PageRequest, QueryAction, UpdatePropagation,
 };
-use mutsvc_netsim::NodeId;
+use mutsvc_netsim::{NodeId, Topology};
 use mutsvc_relstore::{Database, Query, TableId};
 
 /// How a read was served locally (for staleness lint context).
@@ -100,17 +100,6 @@ pub struct PageWalk {
     pub cached_reads: Vec<CachedRead>,
 }
 
-impl PageWalk {
-    /// Wide-area round trips in the call tree, judged by `is_wan`.
-    pub fn wan_round_trips(&self, is_wan: impl Fn(NodeId, NodeId) -> bool) -> u32 {
-        self.crossings
-            .iter()
-            .filter(|c| is_wan(c.from, c.to))
-            .map(Crossing::round_trips)
-            .fold(0u32, u32::saturating_add)
-    }
-}
-
 /// The entry server a remote edge-1 client uses for `page`: the edge when
 /// the root web component is deployed there, otherwise the main server
 /// (mirrors the workload driver's group wiring).
@@ -127,12 +116,14 @@ pub fn entry_node(
     }
 }
 
-/// Statically walks `page` as served from `entry`.
+/// Statically walks `page` as served from `entry`. A crossing is wide-area
+/// when its route over `topology` traverses a WAN link
+/// ([`Topology::wan_hops`]).
 pub fn walk_page(
     registry: &ComponentRegistry,
     descriptor: &DeploymentDescriptor,
     db: &Database,
-    is_wan: &dyn Fn(NodeId, NodeId) -> bool,
+    topology: &Topology,
     entry: NodeId,
     page: &PageRequest,
 ) -> PageWalk {
@@ -140,7 +131,7 @@ pub fn walk_page(
         registry,
         descriptor,
         db,
-        is_wan,
+        topology,
         crossings: Vec::new(),
         events: Vec::new(),
         tags_issued: BTreeSet::new(),
@@ -164,7 +155,7 @@ struct Walker<'a> {
     registry: &'a ComponentRegistry,
     descriptor: &'a DeploymentDescriptor,
     db: &'a Database,
-    is_wan: &'a dyn Fn(NodeId, NodeId) -> bool,
+    topology: &'a Topology,
     crossings: Vec<Crossing>,
     events: Vec<WalkEvent>,
     tags_issued: BTreeSet<String>,
@@ -278,7 +269,7 @@ impl Walker<'_> {
                     to: db_node,
                     kind: CrossingKind::Jdbc { trips },
                 });
-                if qa.access == DbAccess::BmpFinder && (self.is_wan)(host, db_node) {
+                if qa.access == DbAccess::BmpFinder && self.topology.wan_hops(host, db_node) > 0 {
                     self.events.push(WalkEvent {
                         component,
                         node: host,
@@ -328,7 +319,7 @@ impl Walker<'_> {
             kind,
             ComponentKind::StatefulSession | ComponentKind::StatelessSession
         );
-        if session_tier && (self.is_wan)(host, db_node) {
+        if session_tier && self.topology.wan_hops(host, db_node) > 0 {
             self.events.push(WalkEvent {
                 component,
                 node: host,

@@ -25,7 +25,7 @@ fn check_scenario(app: AppKind, config: Config) {
     let mut rng = SimRng::seed_from_u64(7);
     let mut tag = 0u64;
     let costs = ContainerCosts::default();
-    let is_wan = |a, b| nodes.is_wan(a, b);
+    let is_wan = |c: &Crossing| input.topology.wan_hops(c.from, c.to) > 0;
 
     for page in &pages {
         let entry = entry_node(&input.descriptor, nodes.edge1, nodes.main, page);
@@ -33,7 +33,7 @@ fn check_scenario(app: AppKind, config: Config) {
             &input.registry,
             &input.descriptor,
             &input.db,
-            &is_wan,
+            &input.topology,
             entry,
             page,
         );
@@ -68,11 +68,7 @@ fn check_scenario(app: AppKind, config: Config) {
         );
 
         let wan_only = |crossings: &[Crossing]| -> Vec<Crossing> {
-            crossings
-                .iter()
-                .copied()
-                .filter(|c| nodes.is_wan(c.from, c.to))
-                .collect()
+            crossings.iter().copied().filter(is_wan).collect()
         };
         let static_wan = wan_only(&walk.crossings);
         let dynamic_wan = wan_only(&warm.crossings);
@@ -94,13 +90,6 @@ fn check_scenario(app: AppKind, config: Config) {
                 d.kind
             );
         }
-
-        let static_total: u32 = static_wan.iter().map(Crossing::round_trips).sum();
-        assert_eq!(
-            static_total,
-            walk.wan_round_trips(is_wan),
-            "{label}: PageWalk::wan_round_trips consistency"
-        );
     }
 }
 

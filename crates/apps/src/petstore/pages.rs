@@ -16,7 +16,6 @@
 use mutsvc_desim::time::SimDuration;
 use mutsvc_middleware::{Call, DbAccess, PageRequest};
 use mutsvc_relstore::{Mutation, Query, RowId, Value};
-use serde::{Deserialize, Serialize};
 
 use super::components::PsComponents;
 use super::schema::{PsShape, PsTables};
@@ -27,7 +26,7 @@ pub const TAG_PRODUCTS_BY_CATEGORY: &str = "ps:products-by-category";
 pub const TAG_ITEMS_BY_PRODUCT: &str = "ps:items-by-product";
 
 /// The Pet Store pages measured in Table 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PsPage {
     /// Application entry point.
     Main,
@@ -118,7 +117,7 @@ pub struct PsParams {
 }
 
 /// CPU and size calibration for Pet Store pages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PsCosts {
     /// Web-tier render demand per page (ms); heavier than RUBiS by design.
     pub render_ms: f64,

@@ -21,7 +21,7 @@
 //! 8 and 16 client regions (best of 3 runs each), and writes
 //! `BENCH_simperf.json`; `--smoke` shortens the windows and stops at 10× for
 //! CI's wall-clock-bounded regression gate.
-//! `--parallel N` caps the conservative-parallel engine's thread ladder
+//! `--parallel N` caps the region-sharded parallel engine's thread ladder
 //! (1/2/4/8) measured on the eight-region fan-out topology; every thread
 //! count is asserted in-process to produce an identical report digest.
 //! `--parallel 0` skips the parallel rows.

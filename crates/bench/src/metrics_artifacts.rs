@@ -49,9 +49,9 @@ pub fn default_slo(app: AppKind) -> SloSpec {
 
 /// Builds the scenario a `--metrics` run executes for one cell. Smoke mode
 /// shortens the windows to 10 s warm-up + 30 s measured (CI wall-clock).
-/// Cells run on the conservative-parallel engine (two shards) so the
-/// artifact carries real per-shard self-profiles; the engine is
-/// byte-identical to sequential execution at any thread count.
+/// Cells run on the region-sharded parallel engine (two shards) so the
+/// artifact carries real per-shard self-profiles; the merged report is
+/// byte-identical at any thread count.
 pub fn metrics_scenario(
     app: AppKind,
     config: Config,
@@ -284,15 +284,10 @@ fn metrics_cell_json(cell: &MetricsCell) -> Json {
             let total: u64 = rec.rows().iter().map(|r| r.counters[i]).sum();
             (name.clone(), total.into())
         });
-    let shards = data.shard_profiles.iter().map(|p| {
-        Json::object([
-            ("shard", p.shard.into()),
-            ("windows", p.windows.into()),
-            ("stalled", p.stalled.into()),
-            ("events", p.events.into()),
-            ("utilization", Json::fixed(p.utilization(), 2)),
-        ])
-    });
+    let shards = data
+        .shard_profiles
+        .iter()
+        .map(|p| Json::object([("shard", p.shard.into()), ("events", p.events.into())]));
     Json::object([
         ("config", cell.config.name().into()),
         ("completed", cell.report.completed.into()),
@@ -307,7 +302,7 @@ fn metrics_cell_json(cell: &MetricsCell) -> Json {
 /// Renders `BENCH_metrics.json`: per app, the sweep's recording-overhead
 /// A/B, and per configuration the SLO verdict table, the breach/recovery
 /// timeline, the `W113` reachability result, and the engine self-profile
-/// (per-event-kind totals plus per-shard window stall/utilization).
+/// (per-event-kind totals plus each shard's event count).
 pub fn render_metrics_json(
     sweeps: &[(AppKind, Vec<MetricsCell>, OverheadSample)],
     seed: u64,
@@ -362,7 +357,7 @@ pub fn validate_metrics_json(json: &str) -> Result<usize, String> {
             }
             for shard in shards {
                 shard.get("shard")?.as_u64()?;
-                shard.get("utilization")?.as_f64()?;
+                shard.get("events")?.as_u64()?;
             }
             cells += 1;
         }
@@ -452,12 +447,12 @@ mod tests {
                   {\"config\":\"centralized\",\"completed\":5,\"windows\":3,\"w113_warnings\":0,\
                   \"slo\":{\"all_met\":true,\"burn_threshold\":1.00,\"verdicts\":[],\"events\":[]},\
                   \"ev_totals\":{\"engine.ev.net\":12},\
-                  \"shards\":[{\"shard\":0,\"windows\":3,\"stalled\":0,\"events\":12,\
-                  \"utilization\":1.00}]}]}]}";
+                  \"shards\":[{\"shard\":0,\"events\":12}]}]}]}";
         assert_eq!(validate_metrics_json(ok), Ok(1));
         assert!(validate_metrics_json(&ok.replace("\"overhead\"", "\"xx\"")).is_err());
         assert!(validate_metrics_json(&ok.replace("\"shards\":", "\"s\":")).is_err());
         assert!(validate_metrics_json(&ok.replace("\"shard\":0,", "")).is_err());
+        assert!(validate_metrics_json(&ok.replace(",\"events\":12", "")).is_err());
         assert!(validate_metrics_json(ok.trim_end_matches("]}")).is_err());
     }
 

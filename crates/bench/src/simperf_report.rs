@@ -22,7 +22,7 @@
 //! paper-topology row (the `"fanout_cost"` map) is the per-edge cost of the
 //! write path. Each row keeps the fastest of three in-process runs.
 //!
-//! A third family measures the conservative-parallel engine (DESIGN.md
+//! A third family measures the region-sharded parallel engine (DESIGN.md
 //! §6.5) on the eight-region fan-out at thread counts 1/2/4/8 (capped by
 //! `--parallel N`). Because the parallel merge is deterministic by
 //! construction, the bench asserts in-process that every thread count
@@ -65,7 +65,7 @@ pub struct SimperfCell {
     pub events_per_sec: f64,
     /// Bound-program cache hit rate over all issued requests (0 when off).
     pub hit_rate: f64,
-    /// OS threads of the conservative-parallel engine; 0 for rows measured
+    /// OS threads of the region-sharded parallel engine; 0 for rows measured
     /// on the classic sequential engine.
     pub threads: usize,
     /// Events fired per shard, in shard order (empty for sequential rows).
@@ -226,11 +226,10 @@ fn run_parallel_cell(
 /// Measures both applications across the load factors, cache off then on at
 /// each point. Cells come back grouped `(app, factor, [off, on])`, followed
 /// by the sequential RUBiS fan-out rows at the top load factor, one per
-/// [`FANOUT_REGIONS`] entry. When `parallel_cap > 0`, appends the
-/// conservative-parallel rows: each
-/// application at the top load factor on the eight-region fan-out, at every
-/// [`thread_counts`] point, asserting that all thread counts digest
-/// identically before any number is reported.
+/// [`FANOUT_REGIONS`] entry. When `parallel_cap > 0`, appends the parallel
+/// engine's rows: each application at the top load factor on the
+/// eight-region fan-out, at every [`thread_counts`] point, asserting that
+/// all thread counts digest identically before any number is reported.
 pub fn measure_simperf(smoke: bool, seed: u64, parallel_cap: usize) -> Vec<SimperfCell> {
     let mut cells = Vec::new();
     for app in AppKind::all() {
@@ -318,7 +317,7 @@ pub fn fanout_cost_at(cells: &[SimperfCell], app: &str, regions: usize) -> f64 {
 }
 
 /// Requests/s of an application's `threads`-thread parallel row over its
-/// 1-thread row — the conservative engine's scaling ratio.
+/// 1-thread row — the parallel engine's scaling ratio.
 pub fn parallel_scaling_at(cells: &[SimperfCell], app: &str, threads: usize) -> f64 {
     let rate = |t: usize| {
         cells

@@ -1,12 +1,13 @@
-//! Thread-count invariance of the conservative-parallel engine.
+//! Thread-count invariance of the region-sharded parallel engine.
 //!
 //! The parallel engine's contract (DESIGN.md §6.5) is that the OS thread
-//! count is invisible in the simulated history: shard decomposition, RNG
-//! streams, window structure and the merge order depend only on the input,
-//! never on scheduling. These tests pin the contract at the artifact level —
-//! the rendered `BENCH_faults.json` for the three standard fault episodes
-//! and the traced span JSONL must be byte-identical at 1, 2, 4 and 8
-//! threads.
+//! count is invisible in the simulated history. A run is one independent
+//! simulation per client region, and the shard decomposition, the
+//! per-shard RNG streams and the merge order depend only on the input,
+//! never on which worker ran which shard or when. These tests pin the
+//! contract at the artifact level — the rendered `BENCH_faults.json` for the
+//! three standard fault episodes, the traced span JSONL and the metrics
+//! window log must be byte-identical at 1, 2, 4 and 8 threads.
 
 use mutsvc_bench::fault_artifacts::{fault_scenario, render_faults_json, validate_faults_json};
 use mutsvc_bench::metrics_artifacts::{default_slo, metrics_jsonl};
@@ -106,8 +107,8 @@ fn span_logs_are_byte_identical_at_every_thread_count() {
 }
 
 /// A generated multi-tier topology (4 hubs × 8 WAN PoPs → 33 client
-/// regions) run through the conservative-parallel engine at one thread
-/// count: the shard-count scaling cell of the invariance suite.
+/// regions) run through the parallel engine at one thread count: the
+/// shard-count scaling cell of the invariance suite.
 fn multi_tier_report_at(threads: usize, seed: u64) -> (String, mutsvc_workload::ExperimentReport) {
     let spec = MultiTierSpec {
         hubs: 4,

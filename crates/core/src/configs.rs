@@ -8,12 +8,11 @@ use mutsvc_middleware::{
     ComponentRegistry, DeploymentDescriptor, DescriptorBuilder, UpdatePropagation,
 };
 use mutsvc_netsim::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::topology::PaperNodes;
 
 /// The five configurations, in the paper's incremental order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Config {
     /// §4.1 — everything on the main server.
     Centralized,

@@ -9,7 +9,6 @@ use mutsvc_workload::{
     ExperimentInput, ExperimentReport, FaultPolicy, FaultSettings, MetricsSettings, SloSpec,
     TraceSettings, WorkloadSpec,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::configs::{
     petstore_adaptive_baseline, petstore_descriptor_on, rubis_adaptive_baseline,
@@ -21,7 +20,7 @@ use crate::topology::{
 };
 
 /// Which application a scenario drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppKind {
     /// Java Pet Store.
     PetStore,
@@ -45,7 +44,7 @@ impl AppKind {
 }
 
 /// One experiment: an application under one configuration at the paper's load.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// The application.
     pub app: AppKind,
@@ -62,30 +61,24 @@ pub struct Scenario {
     /// RMI extra-round-trip probability override (ablation).
     pub rmi_extra_round_trip_prob: Option<f64>,
     /// Tracing policy (off by default).
-    #[serde(default)]
     pub trace: TraceSettings,
     /// Windowed metrics recorder policy (off by default).
-    #[serde(default)]
     pub metrics: MetricsSettings,
     /// Service-level objectives graded against the metrics windows by
     /// [`mutsvc_workload::evaluate`]. Carried on the scenario so report
     /// generators and the static analyzer see the same objectives.
-    #[serde(default)]
     pub slo: Option<SloSpec>,
     /// Fault schedule, timeout and recovery policy (off by default).
-    #[serde(default)]
     pub faults: FaultSettings,
     /// A standard-suite episode scripted at build time against the built
     /// topology (it needs link/node indices, which only exist then). When
     /// set, it replaces `faults.schedule`.
-    #[serde(default)]
     pub fault_case: Option<FaultCase>,
-    /// Run on the conservative-parallel engine with up to this many OS
-    /// threads, sharded by client region (DESIGN.md §6.5). `None` (the
+    /// Run on the parallel engine with up to this many OS threads, as
+    /// independent client-region shards (DESIGN.md §6.5). `None` (the
     /// default) keeps the classic sequential engine. The parallel result
     /// is byte-identical at every thread count, but draws from per-shard
     /// RNG streams, so it is not bit-comparable to a sequential run.
-    #[serde(default)]
     pub parallel: Option<usize>,
 }
 
@@ -180,7 +173,7 @@ impl Scenario {
         self
     }
 
-    /// Runs on the conservative-parallel engine with up to `threads` OS
+    /// Runs on the region-sharded parallel engine with up to `threads` OS
     /// threads (DESIGN.md §6.5).
     pub fn with_parallel(mut self, threads: usize) -> Self {
         self.parallel = Some(threads);
@@ -343,7 +336,7 @@ fn equal_split_groups(
 /// group. The paper's 30 req/s aggregate load is split equally across the
 /// `edges + 1` groups (80 % browsers / 20 % transactional, as in §3.3), so
 /// the offered load stays constant while the region count — and hence the
-/// shard count of the conservative-parallel engine — scales.
+/// shard count of the parallel engine — scales.
 pub fn fanout_input(app: AppKind, config: Config, edges: usize, seed: u64) -> ExperimentInput {
     let db_on_main = matches!(app, AppKind::Rubis);
     let (topology, nodes) = fanout_topology(db_on_main, edges);
@@ -375,8 +368,8 @@ pub fn fanout_input(app: AppKind, config: Config, edges: usize, seed: u64) -> Ex
 /// like the paper's router), and the 30 req/s aggregate load is split
 /// equally across the core client group and one client group per PoP —
 /// with WAN edge legs (`metro_edges: false`) every PoP is its own client
-/// region, so this is the shard-count scaling axis for the
-/// conservative-parallel engine.
+/// region, so this is the shard-count scaling axis for the parallel
+/// engine.
 pub fn multi_tier_input(
     app: AppKind,
     config: Config,

@@ -8,7 +8,6 @@
 
 use mutsvc_desim::time::SimDuration;
 use mutsvc_netsim::{NodeId, Topology, TopologyBuilder};
-use serde::{Deserialize, Serialize};
 
 /// One-way WAN latency (§3.1: "100 ms latency each way").
 pub const WAN_ONE_WAY: SimDuration = SimDuration::from_millis(100);
@@ -18,7 +17,7 @@ pub const LAN_ONE_WAY: SimDuration = SimDuration::from_micros(200);
 pub const LINK_BANDWIDTH_BPS: f64 = 100e6;
 
 /// Node handles of the paper topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperNodes {
     /// Main application server (dual-CPU workstation).
     pub main: NodeId,
@@ -48,20 +47,6 @@ impl PaperNodes {
     /// The two edge servers.
     pub fn edges(&self) -> [NodeId; 2] {
         [self.edge1, self.edge2]
-    }
-
-    /// Whether `(a, b)` crosses a WAN leg.
-    pub fn is_wan(&self, a: NodeId, b: NodeId) -> bool {
-        let edge_side = |n: NodeId| {
-            if n == self.edge1 || n == self.client_edge1 {
-                1
-            } else if n == self.edge2 || n == self.client_edge2 {
-                2
-            } else {
-                0
-            }
-        };
-        edge_side(a) != edge_side(b)
     }
 }
 
@@ -130,7 +115,7 @@ pub struct FanoutNodes {
 /// `edges` WAN edge regions instead of two. Each edge region is an edge
 /// server plus a client LAN behind a 100 ms shaped leg, so the topology
 /// decomposes into `edges + 1` client regions — the scaling axis of the
-/// conservative-parallel engine benchmarks (DESIGN.md §6.5).
+/// region-sharded parallel engine benchmarks (DESIGN.md §6.5).
 pub fn fanout_topology(db_on_main: bool, edges: usize) -> (Topology, FanoutNodes) {
     let mut b = TopologyBuilder::new();
     let main = b.node("main", 2);
@@ -460,12 +445,13 @@ mod tests {
 
     #[test]
     fn wan_classification() {
-        let (_, n) = paper_topology(false);
-        assert!(n.is_wan(n.main, n.edge1));
-        assert!(n.is_wan(n.client_edge1, n.main));
-        assert!(n.is_wan(n.edge1, n.edge2));
-        assert!(!n.is_wan(n.main, n.db));
-        assert!(!n.is_wan(n.edge1, n.client_edge1));
-        assert!(!n.is_wan(n.client_local, n.main));
+        let (t, n) = paper_topology(false);
+        let is_wan = |a, b| t.wan_hops(a, b) > 0;
+        assert!(is_wan(n.main, n.edge1));
+        assert!(is_wan(n.client_edge1, n.main));
+        assert!(is_wan(n.edge1, n.edge2));
+        assert!(!is_wan(n.main, n.db));
+        assert!(!is_wan(n.edge1, n.client_edge1));
+        assert!(!is_wan(n.client_local, n.main));
     }
 }

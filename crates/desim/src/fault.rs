@@ -19,13 +19,11 @@
 //!   nothing is drawn, and a fault-off run is bit-identical to a build
 //!   without the subsystem.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// One kind of injected fault. Targets are dense indices into the owning
 /// world's topology (directed links, nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// A directed link stops delivering messages.
     LinkDown {
@@ -85,7 +83,7 @@ impl FaultKind {
 }
 
 /// One scheduled fault: a kind applied at an offset from simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires, as an offset from simulation start.
     pub at: SimDuration,
@@ -97,7 +95,7 @@ pub struct FaultEvent {
 ///
 /// Construct schedules with [`FaultSchedule::scripted`] (events are sorted
 /// for you, ties keep insertion order). The default schedule is empty.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     /// Events in non-decreasing `at` order.
     pub events: Vec<FaultEvent>,

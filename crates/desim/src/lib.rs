@@ -15,7 +15,10 @@
 //! * the [`json`] codec every artifact is built, rendered and checked with.
 //!
 //! Higher layers (network, middleware, applications) are worlds `W` plugged
-//! into [`Simulation<W, E>`], each with its own event type `E`.
+//! into [`Simulation<W, E>`], each with its own event type `E`. Parallel
+//! runs need nothing more from the kernel: the workload crate splits an
+//! experiment into independent client-region shards, each one
+//! [`Simulation`] on its own thread, and merges their results.
 //!
 //! ## Example
 //!
@@ -67,7 +70,6 @@ pub mod metrics;
 pub mod recorder;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod sim;
 pub mod time;
 pub mod trace;
@@ -77,7 +79,6 @@ pub use metrics::{nearest_rank, weighted_mean, Summary, Welford};
 pub use recorder::{CounterId, GaugeId, HistId, LogHistogram, Recorder, WindowRow};
 pub use resource::FifoResource;
 pub use rng::SimRng;
-pub use shard::{run_conservative, Outbox, ShardWorld};
 pub use sim::{Context, Fire, QueueDepths, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use trace::{

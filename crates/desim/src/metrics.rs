@@ -6,8 +6,6 @@
 //! exactly-mergeable [`LogHistogram`] for a response-time series'
 //! percentiles.
 
-use serde::{Deserialize, Serialize};
-
 use crate::recorder::LogHistogram;
 use crate::time::SimDuration;
 
@@ -54,7 +52,7 @@ pub fn weighted_mean(parts: impl IntoIterator<Item = (f64, u64)>) -> Option<f64>
 /// assert_eq!(w.mean(), 4.0);
 /// assert_eq!(w.variance(), 4.0); // sample variance
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -165,7 +163,7 @@ impl Welford {
 /// the single stream's count, min, max and percentiles, and its mean and
 /// standard deviation up to float rounding. Percentiles are the histogram's
 /// nearest-rank bucket upper bounds clamped to the exact `[min, max]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     welford: Welford,
     hist: LogHistogram,

@@ -30,8 +30,6 @@
 //! shards is the fleet-wide value).
 //! See DESIGN.md §6.7 for the bucket scheme and the merge proof sketch.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::nearest_rank;
 use crate::time::SimDuration;
 
@@ -79,7 +77,7 @@ fn exp2(e: i32) -> f64 {
 /// assert_eq!(a.total(), 2);
 /// assert!(a.quantile(1.0) >= 450.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     /// Dense bucket counts. Empty until the first sample lands — the
     /// recorder re-creates every histogram at each window roll, and most
@@ -242,22 +240,22 @@ impl LogHistogram {
 }
 
 /// Handle for a registered counter series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(u32);
 
 /// Handle for a registered gauge series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeId(u32);
 
 /// Handle for a registered histogram series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistId(u32);
 
 /// One closed window of every registered series: counter deltas, gauge
 /// values sampled at the roll, and per-window histograms, each indexed in
 /// registration order. Window `index` covers sim-time
 /// `[index·w, (index+1)·w)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowRow {
     /// Zero-based window number.
     pub index: u64,
@@ -276,7 +274,7 @@ pub struct WindowRow {
 /// the hot path. [`Recorder::roll`] closes the current window. Shard
 /// recorders built from the same registration sequence merge exactly with
 /// [`Recorder::merge`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recorder {
     window: SimDuration,
     counter_names: Vec<String>,

@@ -26,8 +26,8 @@ pub mod stream {
     /// nothing from it and stays byte-identical to a pre-surge build.
     pub const SURGES: u64 = 4;
 
-    /// The per-shard variant of a base stream, for conservative-parallel
-    /// runs (see [`crate::shard`]): shard `index`'s copy of e.g. `SESSIONS`.
+    /// The per-shard variant of a base stream, for runs split into
+    /// independent region shards: shard `index`'s copy of e.g. `SESSIONS`.
     ///
     /// The shard index (plus one) lives in the high 32 bits, so shard
     /// streams can never collide with the global streams above (whose high

@@ -603,20 +603,6 @@ impl<W, E: Fire<W>> Simulation<W, E> {
         while self.fire_next(|time| time <= deadline) {}
         self.clock = self.clock.max(deadline);
     }
-
-    /// Runs until the queue is empty or the next event lies at or after
-    /// `deadline`: the half-open window `[clock, deadline)`. Events exactly
-    /// at `deadline` do *not* fire — they belong to the next window. On
-    /// return the clock is `max(clock, deadline)`, so repeated calls advance.
-    ///
-    /// Conservative parallel windows are built from this: a shard advancing
-    /// through `[w·L, (w+1)·L)` must leave events at the window boundary to
-    /// the next window, where freshly delivered cross-shard messages with
-    /// the same timestamp can still be ordered ahead of them by `seq`.
-    pub fn run_before(&mut self, deadline: SimTime) {
-        while self.fire_next(|time| time < deadline) {}
-        self.clock = self.clock.max(deadline);
-    }
 }
 
 #[cfg(test)]
@@ -738,59 +724,6 @@ mod tests {
         assert_eq!(*sim.world(), 7);
         sim.run();
         assert_eq!(*sim.world(), 10);
-    }
-
-    #[test]
-    fn run_before_excludes_the_deadline() {
-        let mut sim = Simulation::with_events(0u32);
-        for t in 1..=10u64 {
-            sim.schedule_event_at(SimTime::from_secs(t), Tick);
-        }
-        sim.run_before(SimTime::from_secs(4));
-        // Events strictly before 4 s fire; the 4 s event waits.
-        assert_eq!(*sim.world(), 3);
-        assert_eq!(sim.now(), SimTime::from_secs(4));
-        sim.run_before(SimTime::from_secs(4));
-        assert_eq!(*sim.world(), 3, "repeat call at same deadline is a no-op");
-        sim.run_until(SimTime::from_secs(4));
-        assert_eq!(*sim.world(), 4, "run_until picks up the boundary event");
-        sim.run();
-        assert_eq!(*sim.world(), 10);
-    }
-
-    /// Windowed execution (run_before at every boundary, run_until at the
-    /// end) fires the exact same sequence as one run_until, with half the
-    /// events scheduled as (mostly out-of-order) timers.
-    #[test]
-    fn windowed_execution_matches_run_until() {
-        fn run(windows: Option<u64>) -> Log {
-            let mut sim = log_sim();
-            let mut x = 42u64;
-            for i in 0..300u64 {
-                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                let at = SimTime::ZERO + SimDuration::from_micros(x % 5_000_000);
-                if i % 2 == 0 {
-                    sim.schedule_timer_at(at, Ev::Mark(i));
-                } else {
-                    sim.schedule_event_at(at, Ev::Mark(i));
-                }
-            }
-            let horizon = SimTime::from_secs(5);
-            match windows {
-                Some(n) => {
-                    for k in 1..n {
-                        sim.run_before(SimTime::from_micros(5_000_000 * k / n));
-                    }
-                    sim.run_until(horizon);
-                }
-                None => sim.run_until(horizon),
-            }
-            sim.into_world()
-        }
-        let reference = run(None);
-        assert_eq!(reference, run(Some(7)));
-        assert_eq!(reference, run(Some(50)));
-        assert_eq!(reference, run(Some(3)));
     }
 
     #[test]
@@ -1004,8 +937,8 @@ mod tests {
     /// would, across a seeded sweep: fixed-delay timers that keep the lane
     /// in order, out-of-order timers that fall back to the heap, follow-ups
     /// at the same instant (the fused pop/push) and in the past, internal
-    /// events tied with workload events, and windowed `run_before`/
-    /// `run_until` execution. The reference is a plain `BinaryHeap`
+    /// events tied with workload events, and execution resumed by
+    /// `run_until` at window boundaries. The reference is a plain `BinaryHeap`
     /// replaying the same scheduling calls under the lane rule, so every
     /// fire checks `near`, `far`, `slab_slots` and `slab_free` exactly.
     #[test]
@@ -1051,7 +984,7 @@ mod tests {
                 }
                 let end = SimTime::from_secs(30);
                 for k in 1..windows {
-                    sim.run_before(SimTime::from_micros(end.as_micros() * k / windows));
+                    sim.run_until(SimTime::from_micros(end.as_micros() * k / windows));
                 }
                 sim.run_until(end);
                 sim.run();

@@ -20,8 +20,6 @@
 //! sized to avoid data contention (§3.4), so this ordering simplification
 //! does not alter any measured behaviour.
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_desim::rng::SimRng;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_netsim::{NodeId, ProtocolParams, Step};
@@ -33,7 +31,7 @@ use crate::invocation::{Action, Call, Invoke, MutateAction, PageRequest, QueryAc
 use crate::state::{ContainerState, RowCacheState};
 
 /// CPU cost constants of the container runtime itself.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContainerCosts {
     /// Serving a read from an in-memory cache (entity replica or query cache).
     pub cache_hit: SimDuration,
@@ -60,7 +58,7 @@ impl Default for ContainerCosts {
 }
 
 /// Counters describing how one page bind resolved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BindStats {
     /// Invocations that crossed nodes (RMI).
     pub remote_invocations: u32,
@@ -118,7 +116,7 @@ impl BindStats {
 /// The wire interaction kind of one node crossing on a request's synchronous
 /// path (update propagation is excluded: it rides on forks or blocking
 /// pushes, not on the logical call tree).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrossingKind {
     /// A remote component invocation (RMI).
     Rmi,
@@ -136,7 +134,7 @@ pub enum CrossingKind {
 
 /// One node crossing recorded while binding a page — the introspection the
 /// static analyzer cross-validates against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crossing {
     /// Originating node.
     pub from: NodeId,

@@ -8,12 +8,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_relstore::TableId;
 
 /// Identifies a logical component within a [`ComponentRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComponentId(pub(crate) usize);
 
 impl ComponentId {
@@ -30,7 +28,7 @@ impl std::fmt::Display for ComponentId {
 }
 
 /// The component taxonomy of the paper's §2.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentKind {
     /// Servlets, JSPs and web-tier JavaBeans: the client-facing tier,
     /// instantiated independently on every server that accepts HTTP traffic.
@@ -56,7 +54,7 @@ impl ComponentKind {
 }
 
 /// Static description of one logical component.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComponentSpec {
     /// Unique component name (`"Catalog"`, `"ItemEJB"`, …).
     pub name: String,

@@ -9,14 +9,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_netsim::NodeId;
 
 use crate::component::{ComponentId, ComponentKind, ComponentRegistry};
 
 /// Where a component's instances live.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// The authoritative instance (read-write primary for entities, the
     /// delegate-of-last-resort for session beans).
@@ -47,7 +45,7 @@ impl Placement {
 }
 
 /// How updates reach read-only entity replicas and edge query caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdatePropagation {
     /// No replicas exist; nothing to propagate.
     None,
@@ -71,7 +69,7 @@ impl UpdatePropagation {
 }
 
 /// Declarative configuration of edge query caching (§4.4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryCachePolicy {
     /// Nodes running a query-cache container.
     pub nodes: BTreeSet<NodeId>,

@@ -108,26 +108,6 @@ impl Step {
             _ => SimDuration::ZERO,
         }
     }
-
-    /// Counts round trips crossing `is_wan` node pairs on the *response path*
-    /// (i.e. excluding forked branches). `Transfer` counts as half a trip.
-    pub fn wan_round_trips(&self, is_wan: &dyn Fn(NodeId, NodeId) -> bool) -> f64 {
-        match self {
-            Step::Transfer { from, to, .. } if is_wan(*from, *to) => 0.5,
-            Step::Exchange { a, b, .. } if is_wan(*a, *b) => 1.0,
-            Step::Parallel(branches) => branches
-                .iter()
-                .map(|b| b.iter().map(|s| s.wan_round_trips(is_wan)).sum::<f64>())
-                .fold(0.0, f64::max),
-            Step::Fork { .. } => 0.0,
-            _ => 0.0,
-        }
-    }
-}
-
-/// Total response-path WAN round trips of a step program.
-pub fn wan_round_trips(steps: &[Step], is_wan: &dyn Fn(NodeId, NodeId) -> bool) -> f64 {
-    steps.iter().map(|s| s.wan_round_trips(is_wan)).sum()
 }
 
 /// Identifies an in-flight job in the world's [`Jobs`] slab.
@@ -902,22 +882,6 @@ mod tests {
             }],
         ]);
         assert_eq!(step.total_cpu(), ms(17));
-    }
-
-    #[test]
-    fn wan_round_trip_counting() {
-        let (w, main, _, edge) = world();
-        let is_wan = move |a: NodeId, b: NodeId| (a == main) != (b == main);
-        let steps = vec![
-            Step::exchange(edge, main, 0, 0),
-            Step::exchange(edge, edge, 0, 0),
-            Step::Fork {
-                steps: vec![Step::exchange(main, edge, 0, 0)],
-                tag: None,
-            },
-        ];
-        assert_eq!(wan_round_trips(&steps, &is_wan), 1.0);
-        drop(w);
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub mod protocol;
 pub mod topology;
 
 pub use job::{
-    advance_job, spawn_program, spawn_program_traced, wan_round_trips, JobId, JobWorld, Jobs,
-    NetEvent, Program, Step,
+    advance_job, spawn_program, spawn_program_traced, JobId, JobWorld, Jobs, NetEvent, Program,
+    Step,
 };
 pub use network::Network;
 pub use protocol::ProtocolParams;

@@ -6,8 +6,6 @@
 //! [`TopologyBuilder::finalize`] computes all-pairs latency-shortest routes
 //! once so that the hot transfer path is a plain slice lookup.
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_desim::time::SimDuration;
 
 /// One-way latency above which a link counts as wide-area.
@@ -16,13 +14,13 @@ use mutsvc_desim::time::SimDuration;
 /// splits them with two orders of magnitude of slack on either side. Every
 /// WAN/LAN judgement goes through [`Topology::is_wan`], which takes links
 /// strictly above it: traced hops, logical WAN round trips, the `wan.*`
-/// metrics series, the analyzer's hop counts, the conservative-parallel
-/// region decomposition ([`Topology::regions`]) and its lookahead
-/// ([`Topology::min_wan_latency`]). So "WAN" means one thing everywhere.
+/// metrics series, the analyzer's hop counts and its SLO round-trip floor
+/// ([`Topology::min_wan_latency`]), and the parallel engine's region
+/// shards ([`Topology::regions`]). So "WAN" means one thing everywhere.
 pub const WAN_LATENCY_THRESHOLD: SimDuration = SimDuration::from_millis(20);
 
 /// Identifies a node (host) in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -39,7 +37,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Identifies a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub(crate) usize);
 
 impl LinkId {
@@ -50,7 +48,7 @@ impl LinkId {
 }
 
 /// Static description of a host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Human-readable name ("main", "edge1", …).
     pub name: String,
@@ -61,7 +59,7 @@ pub struct NodeSpec {
 }
 
 /// Static description of one direction of a link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkSpec {
     /// Human-readable name ("main->router", …).
     pub name: String,
@@ -335,8 +333,8 @@ impl Topology {
     /// independent of link insertion order.
     ///
     /// Hosts in one region interact at LAN speed; hosts in different regions
-    /// only through ≥1 wide-area link, which is exactly the shard boundary
-    /// the conservative-parallel engine needs.
+    /// only through ≥1 wide-area link. The parallel engine runs one
+    /// independent shard per client region.
     pub fn regions(&self) -> Vec<usize> {
         // Union-find over sub-threshold links (graphs are tiny).
         let mut parent: Vec<usize> = (0..self.nodes.len()).collect();
@@ -372,9 +370,9 @@ impl Topology {
     /// The smallest one-way latency among wide-area links
     /// ([`Topology::is_wan`]), or `None` for an all-LAN topology.
     ///
-    /// This is the conservative-parallel lookahead: every message between
-    /// regions crosses at least one such link, so a shard simulating the
-    /// window `[t, t + lookahead)` cannot be affected by any other shard.
+    /// Every message between regions crosses at least one such link, so
+    /// each wide-area round trip costs at least twice this; the analyzer's
+    /// `W113` floor prices a page's round trips with it.
     pub fn min_wan_latency(&self) -> Option<SimDuration> {
         self.link_ids()
             .filter(|&l| self.is_wan(l))

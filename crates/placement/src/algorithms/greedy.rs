@@ -16,7 +16,8 @@
 //! set plus `O(degree)`, instead of a whole-graph sweep per candidate.
 //!
 //! [`climb`] is the one best-improvement loop every hill-climb runs: this
-//! module's flat search and the region-restricted refinement. It caches each
+//! module's flat search, the region-restricted refinement and the
+//! live-migration controller's one-move rounds. It caches each
 //! component's best improving move and, after committing a move, re-probes
 //! only the components `CostEvaluator::mark_stale` marks: the moved
 //! component and its graph neighbours, or every component when some host
@@ -51,7 +52,8 @@ impl Default for GreedyOptions {
 /// candidate moves at the evaluator's current state; it must read only
 /// that component's own placement. Each round commits the move with the
 /// most negative delta below `−1e-9`, the first in node-major candidate
-/// order on ties. Returns the committed moves in order.
+/// order on ties. Returns the committed moves in order, each with the
+/// delta its probe priced.
 ///
 /// A move's delta reads only the state of the moved component and its
 /// neighbours (plus host loads under finite capacity), so a component's
@@ -62,7 +64,7 @@ pub fn climb(
     eval: &mut CostEvaluator,
     max_rounds: usize,
     candidates: impl Fn(&CostEvaluator, NodeIndex, &mut Vec<Move>),
-) -> Vec<Move> {
+) -> Vec<(Move, f64)> {
     let components = eval.components();
     let mut best: Vec<Option<(Move, f64)>> = vec![None; components];
     let mut stale = vec![true; components];
@@ -90,11 +92,13 @@ pub fn climb(
                 round_best = Some((mv, delta));
             }
         }
-        let Some((mv, _)) = round_best else { break };
+        let Some((mv, delta)) = round_best else {
+            break;
+        };
         eval.apply(mv);
         eval.commit();
         eval.mark_stale(mv, &mut stale);
-        committed.push(mv);
+        committed.push((mv, delta));
     }
     committed
 }

@@ -86,7 +86,10 @@ fn assert_same_climbs(
         let start = Placement::all_on(problem, HostId(h));
         let mut cached = CostEvaluator::new(problem, start.clone());
         let mut full = CostEvaluator::new(problem, start);
-        let cached_moves = climb(&mut cached, max_rounds, &candidates);
+        let cached_moves: Vec<Move> = climb(&mut cached, max_rounds, &candidates)
+            .into_iter()
+            .map(|(mv, _)| mv)
+            .collect();
         let full_moves = reference_climb(&mut full, max_rounds, &candidates);
         assert_eq!(
             cached_moves, full_moves,

@@ -9,15 +9,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_desim::time::SimDuration;
 
 use crate::table::{ColumnDef, Table, TableId};
 use crate::value::{RowId, Value};
 
 /// CPU cost parameters for statement execution on the database host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// Fixed cost per read statement.
     pub statement_base: SimDuration,
@@ -44,7 +42,7 @@ impl Default for CostModel {
 ///
 /// `Ord` gives propagation code a cheap canonical order (variant, then
 /// fields) for deterministic invalidation batches without string keys.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Query {
     /// Primary-key fetch.
     ByPk {
@@ -109,7 +107,7 @@ impl QueryOutcome {
 }
 
 /// A write operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Mutation {
     /// Insert a new row.
     Insert {

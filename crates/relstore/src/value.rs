@@ -1,9 +1,7 @@
 //! Cell values and row identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// A stable row identifier (primary key), unique within a table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u64);
 
 impl std::fmt::Display for RowId {
@@ -14,7 +12,7 @@ impl std::fmt::Display for RowId {
 
 /// A cell value. The model only needs integers (including foreign keys) and
 /// strings (names, keywords); monetary amounts are stored as integer cents.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// An integer (quantity, price in cents, foreign key…).
     Int(i64),

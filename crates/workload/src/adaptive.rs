@@ -5,12 +5,13 @@
 //! subscribes to the engine's windowed telemetry (per-link WAN round trips,
 //! per-page response histograms — see the metrics pipeline in the driver),
 //! re-prices the placement problem with the *observed* link latencies via
-//! [`reprice_matrix`], and runs an incremental delta-cost search
-//! ([`CostEvaluator`]) over single-component primary moves and replica
-//! additions. The best move, if it clears the hysteresis gate, becomes a
-//! typed migration order the driver turns into a mid-run component move
-//! (state transfer over the WAN, cold caches at the destination — the fault
-//! machinery's crash/restart semantics, reused).
+//! [`reprice_matrix`], and runs one round of the planner's best-improvement
+//! climb ([`greedy::climb`] over a [`CostEvaluator`]) across
+//! single-component primary moves and replica additions. The best move, if
+//! it clears the hysteresis gate, becomes a typed migration order the
+//! driver turns into a mid-run component move (state transfer over the
+//! WAN, cold caches at the destination — the fault machinery's
+//! crash/restart semantics, reused).
 //!
 //! The run's spec sets one value, the round cadence
 //! ([`AdaptiveSettings`](crate::spec::AdaptiveSettings)). The rest of the
@@ -25,6 +26,7 @@
 
 use mutsvc_middleware::{ComponentId, ComponentRegistry, DeploymentDescriptor};
 use mutsvc_netsim::{NodeId, Topology};
+use mutsvc_placement::algorithms::greedy;
 use mutsvc_placement::derive::{petstore_problem, rubis_problem};
 use mutsvc_placement::wan::{host_matrix, reprice_matrix};
 use mutsvc_placement::{CostEvaluator, HostId, Move, NodeIndex, Placement, PlacementProblem, Role};
@@ -156,11 +158,11 @@ pub struct Controller {
     /// Graph node → runtime component (None for pseudo-components such as
     /// the database, or model components absent from this run's registry).
     node_component: Vec<Option<ComponentId>>,
-    /// Unpinned, non-Entry graph nodes with a runtime counterpart, in index
-    /// order. (Entry-role components are priced at the origin by the model
-    /// — the runtime mirrors this by requiring the web facade on every
-    /// entry node — so moving them is meaningless.)
-    movable: Vec<NodeIndex>,
+    /// Per graph node: whether it is an unpinned, non-Entry node with a
+    /// runtime counterpart. (Entry-role components are priced at the origin
+    /// by the model — the runtime mirrors this by requiring the web facade
+    /// on every entry node — so moving them is meaningless.)
+    movable: Vec<bool>,
     /// Client group index → candidate-host index of its entry node.
     group_host: Vec<usize>,
     /// Mirror of the descriptor-level placement, in model terms.
@@ -182,47 +184,31 @@ pub struct Controller {
 /// static modeling disagreement.
 const DRIFT_MARGIN: f64 = 1.25;
 
-/// Best single move — primary re-homing or replica addition — over
-/// `(component, host, kind)` in index order (strict `<` keeps ties
-/// deterministic); `delta < 0` is an improvement. Replica drops are left to
-/// the offline search: they never pay mid-run in our episodes and halve the
-/// runtime surface the driver must support.
-fn best_move(
-    eval: &mut CostEvaluator,
-    movable: &[NodeIndex],
-    hosts: usize,
-    cooldown_until: &[SimTime],
+/// The controller's candidate moves of one component, in probe order for
+/// [`greedy::climb`]: none unless the node is movable and out of cooldown
+/// at `now`; otherwise, for each other host in index order, re-homing the
+/// primary there and then adding a replica there when it has none. The
+/// climb's strict `<` keeps ties on the first candidate. Replica drops are
+/// left to the offline search: they never pay mid-run in our episodes and
+/// halve the runtime surface the driver must support.
+fn candidates<'a>(
+    movable: &'a [bool],
+    cooldown_until: &'a [SimTime],
     now: SimTime,
-) -> Option<(Move, f64)> {
-    let mut best: Option<(Move, f64)> = None;
-    let consider = |mv: Move, delta: f64, best: &mut Option<(Move, f64)>| {
-        if delta < best.map_or(f64::INFINITY, |(_, d)| d) {
-            *best = Some((mv, delta));
-        }
-    };
-    for &node in movable {
-        if cooldown_until[node.index()] > now {
-            continue;
+    hosts: usize,
+) -> impl Fn(&CostEvaluator, NodeIndex, &mut Vec<Move>) + 'a {
+    move |eval, node, out| {
+        if !movable[node.index()] || cooldown_until[node.index()] > now {
+            return;
         }
         let from = eval.primary_of(node);
-        for h in 0..hosts {
-            let to = HostId(h);
-            if to == from {
-                continue;
-            }
-            let mv = Move::MovePrimary { node, to };
-            let delta = eval.apply(mv);
-            eval.undo();
-            consider(mv, delta, &mut best);
+        for to in (0..hosts).map(HostId).filter(|&h| h != from) {
+            out.push(Move::MovePrimary { node, to });
             if !eval.has_replica(node, to) {
-                let mv = Move::AddReplica { node, host: to };
-                let delta = eval.apply(mv);
-                eval.undo();
-                consider(mv, delta, &mut best);
+                out.push(Move::AddReplica { node, host: to });
             }
         }
     }
-    best
 }
 
 impl Controller {
@@ -309,7 +295,7 @@ impl Controller {
             |n: NodeId| -> Option<HostId> { hosts.iter().position(|&h| h == n).map(HostId) };
         let n_nodes = problem.graph.len();
         let mut node_component = vec![None; n_nodes];
-        let mut movable = Vec::new();
+        let mut movable = vec![false; n_nodes];
         let mut placement = Placement::all_on(&problem, HostId(0));
         for node in problem.graph.graph.node_indices() {
             let model = &problem.graph.graph[node];
@@ -321,7 +307,7 @@ impl Controller {
             };
             node_component[node.index()] = Some(component);
             if model.pinned.is_none() && model.role != Role::Entry {
-                movable.push(node);
+                movable[node.index()] = true;
             }
             if let Some(h) = host_of(deployed.primary) {
                 placement.primary[node.index()] = h;
@@ -341,14 +327,13 @@ impl Controller {
         // apart from observed drift.
         let zero_cool = vec![SimTime::ZERO; n_nodes];
         let mut probe = CostEvaluator::new(&problem, placement.clone());
-        let drift_floor = best_move(
+        let drift_floor = greedy::climb(
             &mut probe,
-            &movable,
-            problem.hosts.len(),
-            &zero_cool,
-            SimTime::ZERO,
+            1,
+            candidates(&movable, &zero_cool, SimTime::ZERO, problem.hosts.len()),
         )
-        .map_or(0.0, |(_, delta)| (-delta).max(0.0));
+        .first()
+        .map_or(0.0, |&(_, delta)| -delta);
 
         let group_host = spec
             .groups
@@ -413,13 +398,19 @@ impl Controller {
         let cost_before = eval.total();
         let gate =
             (HYSTERESIS_PCT * cost_before.abs().max(1e-9)).max(self.drift_floor * DRIFT_MARGIN);
-        let best = best_move(
+        // The climb commits its move to `eval`; one that misses the gate is
+        // discarded with it, leaving the placement as it was.
+        let best = greedy::climb(
             &mut eval,
-            &self.movable,
-            self.problem.hosts.len(),
-            &self.cooldown_until,
-            now,
+            1,
+            candidates(
+                &self.movable,
+                &self.cooldown_until,
+                now,
+                self.problem.hosts.len(),
+            ),
         )
+        .pop()
         .filter(|&(_, delta)| -delta >= gate);
         let order = best.map(|(mv, delta)| {
             let (node, to, kind) = match mv {
@@ -427,9 +418,7 @@ impl Controller {
                 Move::AddReplica { node, host } => (node, host, MoveKind::Replica),
                 Move::DropReplica { .. } => unreachable!("drops are never searched"),
             };
-            let from = eval.primary_of(node);
-            eval.apply(mv);
-            eval.commit();
+            let from = self.placement.primary[node.index()];
             self.cooldown_until[node.index()] = now + self.cooldown;
             let name = self.problem.graph.graph[node].name.clone();
             self.data.migrations.push(MigrationRecord {
@@ -451,12 +440,17 @@ impl Controller {
             }
         });
 
-        self.placement = eval.placement();
+        let cost_after = if order.is_some() {
+            self.placement = eval.placement();
+            eval.total()
+        } else {
+            cost_before
+        };
         self.data.rounds.push(RoundRecord {
             at: now,
             windows: obs.windows,
             cost_before,
-            cost_after: eval.total(),
+            cost_after,
             observed_p50_ms: obs.p50_ms,
             moves: u32::from(order.is_some()),
         });

@@ -53,7 +53,7 @@ use crate::trace_report::TraceData;
 
 /// Everything needed to run one experiment.
 ///
-/// `Clone` exists for the conservative-parallel driver
+/// `Clone` exists for the region-sharded driver
 /// ([`crate::parallel::run_experiment_parallel`]), which gives every shard
 /// its own full replica of the world's inputs.
 #[derive(Debug, Clone)]
@@ -110,8 +110,8 @@ pub struct ExperimentReport {
     pub events_fired: u64,
     /// Bound-program cache counters.
     pub bind_cache: BindCacheStats,
-    /// Events fired per shard of a conservative-parallel run, in shard
-    /// order. Empty for classic sequential runs.
+    /// Events fired per shard of a region-sharded run, in shard order.
+    /// Empty for classic sequential runs.
     pub shard_events: Vec<u64>,
     /// Committed request traces (present iff the spec's
     /// [`crate::spec::TraceSettings`] enabled tracing).
@@ -125,7 +125,7 @@ pub struct ExperimentReport {
 }
 
 /// Windowed metric series of one run: the rolled [`Recorder`] plus the
-/// conservative-parallel engine's per-shard self-profile.
+/// region-sharded engine's per-shard self-profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsData {
     /// The rolled counter/gauge/histogram series.
@@ -135,28 +135,19 @@ pub struct MetricsData {
     pub shard_profiles: Vec<ShardProfile>,
 }
 
-/// Lookahead-window profile of one conservative-parallel shard.
+/// Self-profile of one region shard of a parallel run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardProfile {
     /// Shard index (ascending region order).
     pub shard: u32,
-    /// Lookahead windows the shard advanced through.
+    /// Passes the shard ran. Always 1: a shard runs straight to the horizon
+    /// in one pass.
     pub windows: u64,
-    /// Windows in which the shard fired no events: it was idle but still
-    /// paid the synchronization barrier.
+    /// Passes spent waiting on a peer without firing an event. Always 0:
+    /// shards never wait on each other.
     pub stalled: u64,
     /// Events the shard fired over the run.
     pub events: u64,
-}
-
-impl ShardProfile {
-    /// Fraction of the shard's lookahead windows that did useful work.
-    pub fn utilization(&self) -> f64 {
-        if self.windows == 0 {
-            return 1.0;
-        }
-        1.0 - self.stalled as f64 / self.windows as f64
-    }
 }
 
 struct SessionSlot {
@@ -377,25 +368,16 @@ struct FaultRuntime {
     last_done_failed: bool,
 }
 
-/// Which slice of the experiment one conservative-parallel shard runs:
-/// its index (fixing its derived RNG streams) and the client groups whose
-/// sessions it owns. Built by [`crate::parallel`] from the topology's
-/// client regions — never from the thread count, so the decomposition (and
-/// with it every simulated byte) is identical at any parallelism.
+/// Which slice of the experiment one region shard runs: its index (fixing
+/// its derived RNG streams) and the client groups whose sessions it owns.
+/// Built by [`crate::parallel`] from the topology's client regions — never
+/// from the thread count, so the decomposition (and with it every simulated
+/// byte) is identical at any parallelism.
 pub(crate) struct ShardPlan {
     /// This shard's index in ascending-region order.
     pub index: usize,
     /// Per client group: whether this shard simulates its sessions.
     pub members: Vec<bool>,
-}
-
-/// Cross-shard runtime state of one shard replica: invalidation notes this
-/// shard's writes posted (drained by the parallel driver at each window
-/// boundary) and the payloads of inbound notes already scheduled as
-/// [`Ev::ShardNote`] events.
-struct ShardCtx {
-    outbound: Vec<(SimTime, Vec<TableId>)>,
-    notes: Vec<Vec<TableId>>,
 }
 
 /// Memo key of one request shape: (group index, pattern, page label).
@@ -405,7 +387,7 @@ type SeriesKey = (u16, &'static str, &'static str);
 type SeriesIds = (u32, u32, Option<HistId>);
 
 /// The simulation world.
-pub(crate) struct World {
+struct World {
     net: Network,
     jobs: Jobs<World>,
     db: Database,
@@ -435,9 +417,6 @@ pub(crate) struct World {
     completed: u64,
     tracer: Tracer,
     fault_rt: FaultRuntime,
-    /// Cross-shard note state; `None` on classic sequential runs, whose
-    /// hot path then pays exactly one predictable branch per full bind.
-    shard: Option<ShardCtx>,
     /// Windowed metrics recorder state; `None` when the spec's
     /// [`crate::spec::MetricsSettings`] are off — the `Ev::MetricsRoll`
     /// event is then never scheduled.
@@ -455,21 +434,6 @@ pub(crate) struct World {
 }
 
 impl World {
-    /// Accepts one inbound cross-shard invalidation note, returning the
-    /// index the caller schedules as [`Ev::ShardNote`].
-    pub(crate) fn shard_note(&mut self, tables: Vec<TableId>) -> u32 {
-        let shard = self.shard.as_mut().expect("note on unsharded world");
-        shard.notes.push(tables);
-        (shard.notes.len() - 1) as u32
-    }
-
-    /// Drains the invalidation notes this shard's writes posted since the
-    /// last window boundary.
-    pub(crate) fn shard_take_outbound(&mut self) -> Vec<(SimTime, Vec<TableId>)> {
-        let shard = self.shard.as_mut().expect("drain on unsharded world");
-        std::mem::take(&mut shard.outbound)
-    }
-
     /// Reduces the freshest closed metrics window to the adaptive
     /// controller's inputs: observed per-directed-link one-way latencies
     /// (from the `wan.*.rtt_ms` gauges the roll samples) and the pooled
@@ -523,13 +487,12 @@ const EV_CONTROL_KINDS: usize = 1;
 // alias one kind's counter onto another's.
 const _: () = assert!(EV_KIND_NAMES.len() + EV_CONTROL_KINDS <= EV_KINDS);
 /// Self-profile counter names, indexed by [`Ev::kind_index`].
-const EV_KIND_NAMES: [&str; 9] = [
+const EV_KIND_NAMES: [&str; 8] = [
     "engine.ev.net",
     "engine.ev.issue",
     "engine.ev.done",
     "engine.ev.fault",
     "engine.ev.retry",
-    "engine.ev.shard_note",
     "engine.ev.metrics_roll",
     "engine.ev.adapt_tick",
     "engine.ev.migrate",
@@ -655,7 +618,7 @@ impl MetricsState {
 /// The driver's event type: every event of a run, recurring or control, is
 /// one of these, stored by value in the queue.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Ev {
+enum Ev {
     /// Advance an in-flight job (network/CPU step completion).
     Net(NetEvent),
     /// A session's soft-delay timer expired: issue its next request.
@@ -667,11 +630,6 @@ pub(crate) enum Ev {
     Fault { idx: u32 },
     /// A failed request's backoff expired: re-spawn its program.
     Retry { token: u32 },
-    /// A cross-shard invalidation note arrived (conservative-parallel runs
-    /// only): bump the plan cache's generation for the tables a remote
-    /// shard's bind wrote. The payload index points into the shard
-    /// context's note buffer, keeping the event itself `Copy`.
-    ShardNote { idx: u32 },
     /// Close the current metrics window (scheduled only when the spec's
     /// [`crate::spec::MetricsSettings`] arm the recorder, so metrics-off
     /// runs never see this variant). Rides the engine's internal side queue
@@ -704,10 +662,9 @@ impl Ev {
             Ev::Done { .. } => 2,
             Ev::Fault { .. } => 3,
             Ev::Retry { .. } => 4,
-            Ev::ShardNote { .. } => 5,
-            Ev::MetricsRoll => 6,
-            Ev::AdaptTick => 7,
-            Ev::Migrate { .. } => 8,
+            Ev::MetricsRoll => 5,
+            Ev::AdaptTick => 6,
+            Ev::Migrate { .. } => 7,
             Ev::ResetStats => EV_KIND_NAMES.len(),
         }
     }
@@ -732,25 +689,11 @@ impl Fire<World> for Ev {
             Ev::Done { token } => complete_request(world, ctx, token),
             Ev::Fault { idx } => apply_fault(world, ctx, idx),
             Ev::Retry { token } => retry_request(world, ctx, token),
-            Ev::ShardNote { idx } => apply_shard_note(world, idx),
             Ev::MetricsRoll => roll_metrics(world, ctx),
             Ev::AdaptTick => adapt_tick(world, ctx),
             Ev::Migrate { slot } => apply_migration(world, slot),
             Ev::ResetStats => world.net.reset_stats(),
         }
-    }
-}
-
-/// Applies one inbound cross-shard invalidation note: every memoized plan
-/// reading a table a remote shard wrote must re-bind, exactly as a local
-/// write would force (see [`PlanCache::bump`]).
-fn apply_shard_note(world: &mut World, idx: u32) {
-    let tables = {
-        let shard = world.shard.as_mut().expect("note on unsharded world");
-        std::mem::take(&mut shard.notes[idx as usize])
-    };
-    for &t in &tables {
-        world.plans.bump(t);
     }
 }
 
@@ -1264,14 +1207,6 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
         for &t in &bound.written_tables {
             world.plans.bump(t);
         }
-        // Conservative-parallel runs announce writes to the other shards:
-        // the note rides a WAN path, so its arrival is always at or past
-        // the engine's lookahead horizon.
-        if let Some(shard) = &mut world.shard {
-            if !bound.written_tables.is_empty() {
-                shard.outbound.push((now, bound.written_tables.clone()));
-            }
-        }
         for (tag, apply) in bound.deferred {
             world.deferred.insert(tag, (now, apply));
         }
@@ -1392,14 +1327,13 @@ fn warm_caches(
 
 /// Builds one run's fully-scheduled simulation without running it.
 ///
-/// The classic sequential driver (`shard: None`) runs the result straight
-/// to the horizon; the conservative-parallel driver builds one simulation
-/// per [`ShardPlan`] and advances them in lookahead windows
-/// ([`crate::parallel`]). A shard simulates only its own client groups'
-/// sessions and draws from per-shard RNG streams
-/// ([`stream::shard`]) — both fixed by the decomposition, never by the
-/// thread count.
-pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Simulation<World, Ev> {
+/// The classic sequential driver builds one simulation (`shard: None`); the
+/// region-sharded driver ([`crate::parallel`]) builds one per
+/// [`ShardPlan`]. Either way [`run_to_horizon`] runs it straight to the
+/// horizon. A shard simulates only its own client groups' sessions and
+/// draws from per-shard RNG streams ([`stream::shard`]) — both fixed by the
+/// decomposition, never by the thread count.
+fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Simulation<World, Ev> {
     let ExperimentInput {
         app,
         registry,
@@ -1576,10 +1510,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         measuring_from,
         completed: 0,
         tracer,
-        shard: shard.map(|_| ShardCtx {
-            outbound: Vec::new(),
-            notes: Vec::new(),
-        }),
         metrics,
         ev_counts: [0; EV_KINDS],
         adaptive,
@@ -1626,14 +1556,20 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
 
 /// Runs one experiment to completion and reports its measurements.
 pub fn run_experiment(input: ExperimentInput) -> ExperimentReport {
+    run_to_horizon(input, None)
+}
+
+/// Builds one simulation — the whole experiment, or one region shard of
+/// it — runs it to the horizon and drains its report.
+pub(crate) fn run_to_horizon(input: ExperimentInput, shard: Option<ShardPlan>) -> ExperimentReport {
     let horizon = input.spec.horizon();
-    let mut sim = build_sim(input, None);
+    let mut sim = build_sim(input, shard);
     sim.run_until(horizon);
     drain_report(sim)
 }
 
 /// Tears a finished simulation down into its [`ExperimentReport`].
-pub(crate) fn drain_report(sim: Simulation<World, Ev>) -> ExperimentReport {
+fn drain_report(sim: Simulation<World, Ev>) -> ExperimentReport {
     let horizon = sim.world().spec.horizon();
     let events_fired = sim.events_fired();
 

@@ -13,9 +13,10 @@
 //!
 //! [`driver::run_experiment`] wires an application, a deployment descriptor
 //! and a topology into a deterministic discrete-event run;
-//! [`parallel::run_experiment_parallel`] runs the same experiment sharded
-//! by client region under conservative synchronization (DESIGN.md §6.5),
-//! byte-identical at every thread count. The live-migration controller
+//! [`parallel::run_experiment_parallel`] runs the same experiment as
+//! independent client-region shards, each to the horizon on its own world
+//! replica, and merges their reports exactly (DESIGN.md §6.5); the result
+//! is byte-identical at every thread count. The live-migration controller
 //! ([`adaptive`], DESIGN.md §6.8) runs on the sequential driver only.
 //!
 //! With [`spec::MetricsSettings`] armed, a run additionally rolls a

@@ -18,8 +18,6 @@
 //!
 //! [`LogHistogram::count_over`]: mutsvc_desim::LogHistogram::count_over
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_desim::Recorder;
 
 /// Name of the per-window successful-completions counter the driver
@@ -35,7 +33,7 @@ pub fn page_series(page: &str) -> String {
 
 /// One per-page latency objective: at least `target` of the page's
 /// measured requests complete under `latency_ms`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloObjective {
     /// Page label as the application descriptor names it.
     pub page: String,
@@ -47,7 +45,7 @@ pub struct SloObjective {
 
 /// A deployment's service-level objectives: per-page latency targets plus
 /// an optional availability floor, graded by the burn-rate engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SloSpec {
     /// Per-page latency objectives.
     pub objectives: Vec<SloObjective>,
@@ -110,7 +108,7 @@ impl SloSpec {
 }
 
 /// What happened to one objective in one window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloEventKind {
     /// The objective's burn rate crossed up through the threshold.
     Breach,
@@ -119,7 +117,7 @@ pub enum SloEventKind {
 }
 
 /// A window-stamped breach or recovery of one objective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloEvent {
     /// Window index the transition was observed in.
     pub window: u64,
@@ -132,7 +130,7 @@ pub struct SloEvent {
 }
 
 /// The final grade of one objective over every complete window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloVerdict {
     /// Objective name (`page.<page>` or `availability`).
     pub objective: String,
@@ -157,7 +155,7 @@ pub struct SloVerdict {
 /// The burn-rate engine's output: one verdict per objective plus the
 /// window-stamped breach/recovery timeline, in objective order then window
 /// order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloReport {
     /// Final grades, one per objective, in spec order (availability last).
     pub verdicts: Vec<SloVerdict>,

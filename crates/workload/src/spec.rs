@@ -1,7 +1,5 @@
 //! Workload specification: client groups, rates and soft delays (§3.3).
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_desim::fault::FaultSchedule;
 use mutsvc_desim::time::{SimDuration, SimTime};
 use mutsvc_netsim::NodeId;
@@ -10,7 +8,7 @@ use mutsvc_netsim::NodeId;
 /// never allocates a tracer buffer and each instrumentation site costs a
 /// single branch (verified by the `--simperf` hot-path bench). Time series
 /// are the windowed recorder's job (see [`MetricsSettings`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSettings {
     /// Head-sampling period: keep 1-in-N requests (`Some(1)` keeps
     /// everything), plus every request slower than the slowest kept so
@@ -48,7 +46,7 @@ impl Default for TraceSettings {
 /// the roll-cadence event, and each instrumentation site costs a single
 /// branch — the same zero-cost-when-off contract as [`TraceSettings`],
 /// pinned by the metrics-on/off parity test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricsSettings {
     /// Window width series roll at (window `k` covers `[k·w, (k+1)·w)`
     /// of sim time); `None` turns the windowed recorder off.
@@ -91,7 +89,7 @@ impl Default for MetricsSettings {
 /// adaptive policy requires an active [`MetricsSettings`] whose window it
 /// adopts as its observation granularity. It runs on the sequential engine
 /// only: [`crate::run_experiment_parallel`] rejects an armed controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveSettings {
     /// Controller round cadence: how often observed telemetry is folded
     /// into a re-priced placement problem and a move is considered.
@@ -129,7 +127,7 @@ impl Default for AdaptiveSettings {
 /// sessions draw from their own RNG stream
 /// ([`stream::SURGES`](mutsvc_desim::rng::stream::SURGES)), so an empty
 /// surge list leaves a run byte-identical to a pre-surge build.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Surge {
     /// Name of the client group whose load surges.
     pub group: String,
@@ -147,7 +145,7 @@ pub struct Surge {
 /// All knobs are deterministic: backoff is computed from the attempt count
 /// in simulated time (no wall clock), and failover re-targets requests by
 /// descriptor, never by sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPolicy {
     /// Retries after the first failed attempt (`0` fails immediately).
     pub max_retries: u32,
@@ -204,17 +202,14 @@ impl Default for FaultPolicy {
 /// Fault injection for one run: the scripted timeline plus the stack's
 /// reaction policy. Default is fully off — an empty schedule adds zero
 /// events, zero RNG draws and zero per-request work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSettings {
     /// The fault timeline (empty = faults off).
-    #[serde(default)]
     pub schedule: FaultSchedule,
     /// RMI timeout: how long a requester waits on a lost message or a
     /// crashed callee before the attempt counts as failed.
-    #[serde(default = "default_fault_timeout")]
     pub timeout: SimDuration,
     /// Retry/failover/stale-serve policy.
-    #[serde(default)]
     pub policy: FaultPolicy,
 }
 
@@ -245,7 +240,7 @@ impl Default for FaultSettings {
 }
 
 /// One group of clients co-located with an application server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClientGroup {
     /// Group name ("local", "remote1", "remote2").
     pub name: String,
@@ -265,7 +260,7 @@ pub struct ClientGroup {
 /// 20 % buyers/bidders, split evenly across three client groups (10 req/s
 /// each), soft inter-request delays, one (simulated) hour of measurement
 /// after warm-up.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Client groups.
     pub groups: Vec<ClientGroup>,
@@ -283,29 +278,19 @@ pub struct WorkloadSpec {
     /// replayable read binds (see DESIGN.md §6.2). On by default; turning it
     /// off forces every request through the full binder — useful for
     /// equivalence testing and as the baseline in `--simperf` benches.
-    #[serde(default = "default_bind_cache")]
     pub bind_cache: bool,
     /// Tracing policy (off by default; see [`TraceSettings`]).
-    #[serde(default)]
     pub trace: TraceSettings,
     /// Fault injection: schedule, RMI timeout and reaction policy (off by
     /// default; see [`FaultSettings`]).
-    #[serde(default)]
     pub faults: FaultSettings,
     /// Windowed metrics policy (off by default; see [`MetricsSettings`]).
-    #[serde(default)]
     pub metrics: MetricsSettings,
     /// Closed-loop adaptive placement (off by default; see
     /// [`AdaptiveSettings`]).
-    #[serde(default)]
     pub adaptive: AdaptiveSettings,
     /// Scheduled load surges (empty by default; see [`Surge`]).
-    #[serde(default)]
     pub surges: Vec<Surge>,
-}
-
-fn default_bind_cache() -> bool {
-    true
 }
 
 impl WorkloadSpec {
@@ -317,7 +302,7 @@ impl WorkloadSpec {
             warmup: SimDuration::from_secs(120),
             duration: SimDuration::from_secs(3_600),
             seed: 42,
-            bind_cache: default_bind_cache(),
+            bind_cache: true,
             trace: TraceSettings::off(),
             faults: FaultSettings::off(),
             metrics: MetricsSettings::off(),

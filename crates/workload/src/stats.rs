@@ -3,14 +3,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_desim::metrics::Summary;
 use mutsvc_desim::recorder::LogHistogram;
 use mutsvc_desim::time::SimDuration;
 
 /// Identifies one measured series: client group × usage pattern × page.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeriesKey {
     /// Client group name ("local", "remote1", "remote2").
     pub group: String,
@@ -22,7 +20,7 @@ pub struct SeriesKey {
 
 /// Per-client-group request outcomes under fault injection: the inputs for
 /// availability, goodput and error-rate reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupOutcome {
     /// Measured requests that completed successfully.
     pub ok: u64,
@@ -281,7 +279,7 @@ impl WorkloadStats {
     /// aggregates and group outcomes *by key* (so the two collections may
     /// have interned in any order) and summing the staleness histogram.
     ///
-    /// This is the reduce step of a conservative-parallel run (DESIGN.md
+    /// This is the reduce step of a region-sharded parallel run (DESIGN.md
     /// §6.5): each shard measures its own client groups, and the merged
     /// collection is identical whichever shard order produced it — merging
     /// is applied in ascending shard index, which is fixed by the topology,
