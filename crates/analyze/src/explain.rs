@@ -209,22 +209,6 @@ pub const CODES: &[CodeDoc] = &[
                   redeploy (replicas, query caches) so the page sheds wide-area round \
                   trips.",
     },
-    CodeDoc {
-        code: "W114",
-        summary: "adaptive controller's observation period outlasts every fault episode",
-        section: "§6.8",
-        explain: "The live-migration controller only sees the deployment through closed \
-                  metric windows folded in once per cadence, so the soonest it can react \
-                  to a condition is one observation period — the larger of its cadence \
-                  and the metrics window — after the condition appears. Every scripted \
-                  fault episode here heals in less time than that: each episode is over \
-                  before a single controller round can observe it, and any migrations the \
-                  controller does commit are priced against post-heal telemetry. Shorten \
-                  the cadence or the metrics window below the shortest episode you want \
-                  the controller to ride out, or disable the controller and keep the \
-                  static placement. The same code fires when the controller is armed with \
-                  the windowed recorder off entirely — no telemetry, no possible round.",
-    },
 ];
 
 /// Looks up a code's documentation (case-sensitive, `E…`/`W…`).

@@ -41,7 +41,6 @@
 //! | `W111` | failover target statically unreachable during its episode |
 //! | `W112` | binder crossing routes through ≥2 WAN hops (one-hop budget assumption broken) |
 //! | `W113` | SLO latency objective below the static WAN round-trip floor |
-//! | `W114` | adaptive controller's observation period outlasts every fault episode |
 //!
 //! Beyond the flat walk, three dataflow analyses run over the walked pages:
 //! a staleness lattice ([`dataflow`]) abstract-interprets every cached read
@@ -64,16 +63,14 @@ pub mod walker;
 use std::collections::BTreeSet;
 
 use mutsvc_apps::SessionFlow;
-use mutsvc_core::{
-    wan_invariant, AppKind, Config, EpisodeView, PaperNodes, Scenario, WanInvariant,
-};
+use mutsvc_core::{wan_invariant, AppKind, Config, PaperNodes, Scenario, WanInvariant};
 use mutsvc_middleware::{
     ComponentKind, ComponentRegistry, CrossingKind, DeploymentDescriptor, PageRequest,
     UpdatePropagation,
 };
 use mutsvc_netsim::{NodeId, Topology};
 use mutsvc_relstore::Database;
-use mutsvc_workload::{AdaptiveSettings, MetricsSettings, SloSpec};
+use mutsvc_workload::SloSpec;
 use paths::hop_weighted_wan_trips;
 
 pub use dataflow::{analyze_staleness, site_staleness, Staleness, StalenessAnalysis};
@@ -329,77 +326,6 @@ pub fn check_slo_reachability(report: &mut Report, slo: &SloSpec, topology: &Top
         report.sort_diagnostics();
     }
     added
-}
-
-/// W114: the adaptive controller is armed but can never observe the fault
-/// episodes it is meant to react to.
-///
-/// The live-migration controller only sees the world through closed metric
-/// windows, and it only folds them in once per cadence — so the shortest
-/// interval between a condition appearing and the controller being able to
-/// act on it is `max(cadence, metrics window)`, one full observation
-/// period. If every scripted fault episode heals in less time than that,
-/// the controller is dead weight: each episode is over before a single
-/// round can see it, yet the run still pays the controller's rounds and
-/// any migrations it commits against post-heal telemetry. The check also
-/// flags the degenerate wiring where the controller is armed with the
-/// windowed recorder off — then there is no telemetry at all and no round
-/// can ever commit a move. Runs with no scripted episodes are left alone
-/// (steady-state drift is a legitimate target). Returns the number of
-/// warnings added.
-pub fn check_adaptive_observability(
-    report: &mut Report,
-    adaptive: &AdaptiveSettings,
-    metrics: &MetricsSettings,
-    episodes: &[EpisodeView],
-) -> usize {
-    let Some(cadence) = adaptive.cadence else {
-        return 0;
-    };
-    let Some(window) = metrics.window else {
-        report.diagnostics.push(Diagnostic {
-            code: "W114",
-            severity: Severity::Warning,
-            component: None,
-            node: None,
-            message: "adaptive controller is enabled but the windowed metrics recorder is \
-                      off: rounds have no telemetry to fold in, so no migration can ever \
-                      be decided"
-                .to_string(),
-            span: Span::descriptor("spec.adaptive vs spec.metrics"),
-        });
-        report.sort_diagnostics();
-        return 1;
-    };
-    if episodes.is_empty() {
-        return 0;
-    }
-    let period = cadence.max(window);
-    let longest = episodes
-        .iter()
-        .max_by_key(|e| e.active())
-        .expect("episodes is non-empty");
-    if longest.active() >= period {
-        return 0;
-    }
-    report.diagnostics.push(Diagnostic {
-        code: "W114",
-        severity: Severity::Warning,
-        component: None,
-        node: None,
-        message: format!(
-            "adaptive controller folds telemetry in every {:.0} s (max of its cadence and \
-             the metrics window), but the longest fault episode (`{}`) is active for only \
-             {:.0} s — every episode heals before the controller can observe it, so the \
-             controller reacts only to post-heal transients",
-            period.as_secs_f64(),
-            longest.name,
-            longest.active().as_secs_f64(),
-        ),
-        span: Span::descriptor("spec.adaptive vs fault schedule"),
-    });
-    report.sort_diagnostics();
-    1
 }
 
 /// E004: every component must be placed, and only on hosting nodes (the

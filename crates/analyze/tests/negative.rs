@@ -365,68 +365,6 @@ fn w113_slo_latency_objective_below_the_wan_floor() {
 }
 
 #[test]
-fn w114_adaptive_controller_blind_to_every_episode() {
-    use mutsvc_analyze::check_adaptive_observability;
-    use mutsvc_core::FaultCase;
-    use mutsvc_workload::{AdaptiveSettings, MetricsSettings};
-
-    let (input, nodes) = Scenario::quick(AppKind::PetStore, Config::StatefulCaching).build();
-    let warmup = SimDuration::from_secs(10);
-    let metrics = MetricsSettings::windowed(SimDuration::from_secs(5));
-
-    // The standard suite's episodes are active for half their run window.
-    let episodes: Vec<_> = FaultCase::all()
-        .iter()
-        .map(|case| case.view(&input.topology, &nodes, warmup, SimDuration::from_secs(120)))
-        .collect();
-    assert!(episodes.iter().all(|e| !e.active().is_zero()));
-
-    // A controller folding telemetry well inside the episodes stays silent,
-    // as does a disabled controller no matter how slow its cadence reads.
-    let mut report = report_for(AppKind::PetStore, Config::StatefulCaching, |_, _| {});
-    let nimble = AdaptiveSettings::every(SimDuration::from_secs(10));
-    assert_eq!(
-        check_adaptive_observability(&mut report, &nimble, &metrics, &episodes),
-        0
-    );
-    assert_eq!(
-        check_adaptive_observability(&mut report, &AdaptiveSettings::off(), &metrics, &episodes),
-        0
-    );
-    // Steady-state drift is a legitimate target: no episodes, no warning.
-    let sluggish = AdaptiveSettings::every(SimDuration::from_secs(90));
-    assert_eq!(
-        check_adaptive_observability(&mut report, &sluggish, &metrics, &[]),
-        0
-    );
-    assert!(!report.codes().contains(&"W114"));
-
-    // A 90 s cadence outlasts every 60 s-active episode: the controller can
-    // never observe the faults it is deployed to ride out.
-    assert_eq!(
-        check_adaptive_observability(&mut report, &sluggish, &metrics, &episodes),
-        1
-    );
-    assert!(report.codes().contains(&"W114"), "{}", report.render_text());
-    let w114 = report
-        .diagnostics
-        .iter()
-        .find(|d| d.code == "W114")
-        .unwrap();
-    assert!(w114
-        .message
-        .contains("heals before the controller can observe"));
-
-    // Armed controller with the recorder off: no telemetry, no round.
-    let mut blind = report_for(AppKind::PetStore, Config::StatefulCaching, |_, _| {});
-    assert_eq!(
-        check_adaptive_observability(&mut blind, &nimble, &MetricsSettings::off(), &episodes),
-        1
-    );
-    assert!(blind.codes().contains(&"W114"), "{}", blind.render_text());
-}
-
-#[test]
 fn w106_replicated_stateful_session_off_the_central_node() {
     let report = report_for(
         AppKind::PetStore,

@@ -16,16 +16,16 @@
 //! the heap. Each fired heap event costs one pop: its slot keeps its
 //! ordering key while the event fires, and the first follow-up event
 //! scheduled into the heap takes that slot over with a single sift-down. See
-//! `Store` for the exactness argument. Engine bookkeeping (metrics rolls,
-//! controller ticks) may ride a separate internal side heap that shares the
-//! same ordering but stays out of [`QueueDepths`].
+//! `EventQueue` for the exactness argument. Engine bookkeeping (metrics
+//! rolls, controller ticks) is ordinary heap events: a roll that samples
+//! [`Context::queue_depths`] while it fires sits in the open slot, which the
+//! depths exclude.
 //!
 //! Determinism: events fire in `(time, insertion sequence)` order regardless
-//! of which store holds them, so two runs with the same seed and the same
-//! scheduling order are identical.
+//! of whether the heap or the lane holds them, so two runs with the same
+//! seed and the same scheduling order are identical.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::hint::select_unpredictable;
 use std::marker::PhantomData;
 
@@ -45,10 +45,9 @@ fn key(time: SimTime, seq: u64) -> u128 {
     (u128::from(time.as_micros()) << 64) | u128::from(seq)
 }
 
-/// A pending event with its ordering key, as the timer lane and the
-/// internal side heap hold it. The `seq` is drawn from the queue's shared
-/// counter, so the merged pop order across every store is exactly the order
-/// a single queue would produce.
+/// A pending timer with its ordering key, as the timer lane holds it. The
+/// `seq` is drawn from the queue's one counter, so the merged pop order of
+/// heap and lane is exactly the order a single heap would produce.
 struct Timed<E> {
     time: SimTime,
     seq: u64,
@@ -58,24 +57,6 @@ struct Timed<E> {
 impl<E> Timed<E> {
     fn key(&self) -> u128 {
         key(self.time, self.seq)
-    }
-}
-
-impl<E> PartialEq for Timed<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Timed<E> {}
-impl<E> PartialOrd for Timed<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Timed<E> {
-    // Reversed so that the BinaryHeap (a max-heap) pops the *earliest* event.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
     }
 }
 
@@ -146,7 +127,18 @@ fn sift_up<E>(heap: &mut [Entry<E>], mut pos: usize) {
     }
 }
 
-/// The workload store: a d-ary heap of inline entries plus the timer lane.
+/// Observed occupancy of the pending-event store, for the recorder's
+/// `engine.queue.*` gauges: `near` is the heap and `far` the timer lane.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueDepths {
+    /// Events in the heap, excluding the firing head's open slot.
+    pub near: usize,
+    /// Timers waiting in the FIFO timer lane.
+    pub far: usize,
+}
+
+/// The event store: a d-ary heap of inline entries plus the timer lane,
+/// both drawing their seq from one counter.
 ///
 /// Open workloads keep thousands of session timers pending several simulated
 /// seconds out while network events resolve within milliseconds. Each timer
@@ -168,38 +160,47 @@ fn sift_up<E>(heap: &mut [Entry<E>], mut pos: usize) {
 /// one that lands in the heap may take the slot over with one sift-down. If
 /// none does, the slot is popped after the fire. A lane pop opens no slot.
 /// Counts and depths exclude the open slot.
-struct Store<E> {
+struct EventQueue<E> {
     heap: Vec<Entry<E>>,
     /// `heap[0]` is the firing head, emptied of its payload.
     open: bool,
     /// Timers in `(time, seq)` order.
     lane: VecDeque<Timed<E>>,
-    /// Most events ever pending at once (reported as `slab_slots`).
-    high_water: usize,
+    seq: u64,
 }
 
-impl<E> Store<E> {
+impl<E> EventQueue<E> {
     fn new() -> Self {
-        Store {
+        EventQueue {
             heap: Vec::new(),
             open: false,
             lane: VecDeque::new(),
-            high_water: 0,
+            seq: 0,
         }
     }
 
-    fn heap_len(&self) -> usize {
-        self.heap.len() - usize::from(self.open)
-    }
-
     fn len(&self) -> usize {
-        self.heap_len() + self.lane.len()
+        let depths = self.depths();
+        depths.near + depths.far
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, event: E) {
+    fn depths(&self) -> QueueDepths {
+        QueueDepths {
+            near: self.heap.len() - usize::from(self.open),
+            far: self.lane.len(),
+        }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    fn push(&mut self, time: SimTime, event: E) {
         let entry = Entry {
             time,
-            seq,
+            seq: self.next_seq(),
             event: Some(event),
         };
         if self.open {
@@ -211,42 +212,41 @@ impl<E> Store<E> {
             self.heap.push(entry);
             sift_up(&mut self.heap, pos);
         }
-        self.high_water = self.high_water.max(self.len());
     }
 
-    /// Appends a timer to the lane when that keeps the lane sorted, and
-    /// pushes it into the heap otherwise.
-    fn push_timer(&mut self, time: SimTime, seq: u64, event: E) {
+    /// Schedules a timer: into the lane when it comes due at or after the
+    /// lane's last timer, into the heap otherwise.
+    fn push_timer(&mut self, time: SimTime, event: E) {
         if self.lane.back().is_some_and(|last| time < last.time) {
-            return self.push(time, seq, event);
+            return self.push(time, event);
         }
+        let seq = self.next_seq();
         self.lane.push_back(Timed { time, seq, event });
-        self.high_water = self.high_water.max(self.len());
     }
 
-    /// The smallest pending key, and whether the lane holds it.
-    fn head(&self) -> Option<(u128, bool)> {
+    /// Removes the earliest pending event if `due` accepts its time: the
+    /// lane's front, or the heap's head, whose slot then stays open until
+    /// [`EventQueue::close`].
+    fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
         let heap = self.heap.first().map(|e| (e.key(), false));
         let lane = self.lane.front().map(|t| (t.key(), true));
-        match (heap, lane) {
-            (Some(heap), Some(lane)) => Some(select_unpredictable(lane.0 < heap.0, lane, heap)),
-            (heap, lane) => heap.or(lane),
+        let (head, from_lane) = match (heap, lane) {
+            (Some(heap), Some(lane)) => select_unpredictable(lane.0 < heap.0, lane, heap),
+            (heap, lane) => heap.or(lane)?,
+        };
+        if !due(time_of(head)) {
+            return None;
         }
-    }
-
-    /// Takes the head's payload: the lane's front, or the heap's head, whose
-    /// slot then stays open until [`Store::close`].
-    fn pop(&mut self, from_lane: bool) -> (SimTime, E) {
         if from_lane {
             let timer = self.lane.pop_front().expect("lane holds the head");
-            return (timer.time, timer.event);
+            return Some((timer.time, timer.event));
         }
         self.open = true;
         let head = &mut self.heap[0];
-        (
+        Some((
             head.time,
             head.event.take().expect("head entry holds an event"),
-        )
+        ))
     }
 
     /// Pops the open slot unless an event scheduled by the fire took it.
@@ -256,109 +256,6 @@ impl<E> Store<E> {
             self.heap.swap_remove(0);
             sift_down(&mut self.heap, 0);
         }
-    }
-}
-
-/// Observed occupancy of the pending-event store, for the recorder's
-/// `engine.queue.*` gauges: `near` is the heap and `far` the timer lane, and
-/// `slab_slots`/`slab_free` are the pending high-water mark and its headroom
-/// — the slot counts a free-list payload slab would report, which only grows
-/// when every slot is full (`slab_slots` is `slab_free` plus `near` plus
-/// `far`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueDepths {
-    /// Events in the heap, excluding the firing head's open slot.
-    pub near: usize,
-    /// Timers waiting in the FIFO timer lane.
-    pub far: usize,
-    /// High-water mark of pending workload events.
-    pub slab_slots: usize,
-    /// `slab_slots` minus the events pending now.
-    pub slab_free: usize,
-}
-
-/// The event queue shared between the driver and in-flight events.
-struct EventQueue<E> {
-    store: Store<E>,
-    /// Engine-internal events (metrics rolls, controller ticks) in a side
-    /// heap: they fire in exact `(time, seq)` order with workload events but
-    /// are invisible to [`EventQueue::depths`], so arming them cannot perturb
-    /// `queue.*` telemetry.
-    internal: BinaryHeap<Timed<E>>,
-    seq: u64,
-}
-
-impl<E> EventQueue<E> {
-    fn new() -> Self {
-        EventQueue {
-            store: Store::new(),
-            internal: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.store.len() + self.internal.len()
-    }
-
-    /// Occupancy of the *workload* store only: engine-internal side-queue
-    /// events are bookkeeping, not model state, and reporting them would
-    /// make the act of measuring shift the measurement.
-    fn depths(&self) -> QueueDepths {
-        let pending = self.store.len();
-        QueueDepths {
-            near: self.store.heap_len(),
-            far: self.store.lane.len(),
-            slab_slots: self.store.high_water,
-            slab_free: self.store.high_water - pending,
-        }
-    }
-
-    /// Removes the earliest pending event if `due` accepts its time. A heap
-    /// event leaves its slot open until [`Store::close`].
-    fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
-        // The smallest of three heads: the heap's, the lane's and the side
-        // heap's. seq values come from one shared counter, so keys are unique
-        // and the merged order is exactly the single-queue order.
-        let side = self.internal.peek().map(Timed::key);
-        match self.store.head() {
-            Some((head, from_lane)) if side.is_none_or(|side| head < side) => {
-                due(time_of(head)).then(|| self.store.pop(from_lane))
-            }
-            _ => {
-                if !due(time_of(side?)) {
-                    return None;
-                }
-                let i = self.internal.pop().expect("peeked internal event");
-                Some((i.time, i.event))
-            }
-        }
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq();
-        self.store.push(time, seq, event);
-    }
-
-    /// Schedules a timer: into the lane when it comes due at or after the
-    /// lane's last timer, into the heap otherwise.
-    fn push_timer(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq();
-        self.store.push_timer(time, seq, event);
-    }
-
-    /// Schedules an engine-internal event on the side heap. Internal events
-    /// share the global `(time, seq)` order but stay invisible to
-    /// [`EventQueue::depths`].
-    fn push_internal(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq();
-        self.internal.push(Timed { time, seq, event });
     }
 }
 
@@ -385,12 +282,13 @@ impl<'a, W, E> Context<'a, W, E> {
     }
 
     /// Occupancy of the pending-event store, excluding the event currently
-    /// firing. Lets a metrics roll observe queue depth mid-run.
+    /// firing. Lets a metrics roll observe queue depth mid-run without
+    /// counting itself.
     pub fn queue_depths(&self) -> QueueDepths {
         self.queue.depths()
     }
 
-    /// Number of events still pending.
+    /// Number of events still pending, excluding the event currently firing.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -418,23 +316,6 @@ impl<'a, W, E> Context<'a, W, E> {
     pub fn schedule_timer_in(&mut self, delay: SimDuration, event: E) {
         let at = self.now + delay;
         self.queue.push_timer(at, event);
-    }
-
-    /// Schedules an *engine-internal* event at absolute time `at` (clamped
-    /// to now). Internal events fire in the same global `(time, seq)` order
-    /// as everything else but are excluded from [`Context::queue_depths`],
-    /// so telemetry that samples queue occupancy never observes the engine's
-    /// own bookkeeping (metrics rolls, adaptive controller ticks).
-    pub fn schedule_internal_at(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now);
-        self.queue.push_internal(at, event);
-    }
-
-    /// Schedules an engine-internal event after `delay`. See
-    /// [`Context::schedule_internal_at`].
-    pub fn schedule_internal_in(&mut self, delay: SimDuration, event: E) {
-        let at = self.now + delay;
-        self.queue.push_internal(at, event);
     }
 }
 
@@ -516,11 +397,6 @@ impl<W, E: Fire<W>> Simulation<W, E> {
         &self.world
     }
 
-    /// Exclusive access to the world.
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the simulation, returning the world.
     pub fn into_world(self) -> W {
         self.world
@@ -546,21 +422,6 @@ impl<W, E: Fire<W>> Simulation<W, E> {
         self.queue.push_timer(at, event);
     }
 
-    /// Schedules an engine-internal event at absolute time `at` (clamped to
-    /// the clock): same global firing order, invisible to
-    /// [`Simulation::queue_depths`]. See [`Context::schedule_internal_at`].
-    pub fn schedule_internal_at(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.clock);
-        self.queue.push_internal(at, event);
-    }
-
-    /// Schedules an engine-internal event `delay` from now. See
-    /// [`Context::schedule_internal_at`].
-    pub fn schedule_internal_in(&mut self, delay: SimDuration, event: E) {
-        let at = self.clock + delay;
-        self.queue.push_internal(at, event);
-    }
-
     /// Fires the earliest pending event if `due` accepts its time: one pop
     /// per event.
     fn fire_next(&mut self, due: impl FnOnce(SimTime) -> bool) -> bool {
@@ -579,7 +440,7 @@ impl<W, E: Fire<W>> Simulation<W, E> {
             world: PhantomData,
         };
         event.fire(&mut self.world, &mut ctx);
-        self.queue.store.close();
+        self.queue.close();
         true
     }
 
@@ -609,6 +470,7 @@ impl<W, E: Fire<W>> Simulation<W, E> {
 mod tests {
     use super::*;
     use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// The test world: a log of `(fired at µs, tag)` pairs.
     type Log = Vec<(u64, u64)>;
@@ -756,15 +618,13 @@ mod tests {
     /// How a test probe schedules one follow-up.
     #[derive(Debug, Clone, Copy)]
     enum Sched {
-        /// A workload event `delay` after now (zero: the fused pop/push).
+        /// An event `delay` after now (zero: the fused pop/push).
         In(SimDuration),
-        /// A workload event at `now - back`, which the queue fires now.
+        /// An event at `now - back`, which the queue fires now.
         Past(SimDuration),
         /// A timer `delay` after now: the lane when it keeps the lane
         /// sorted, the heap otherwise.
         Timer(SimDuration),
-        /// An internal side-heap event `delay` after now.
-        Internal(SimDuration),
     }
 
     /// A probe's follow-ups: a pure function of its tag, so the reference
@@ -793,17 +653,15 @@ mod tests {
                 // ones away.
                 6 => Sched::Timer(us(draw(7_500_000))),
                 7 => Sched::Past(us(draw(50_000))),
-                8 => Sched::Internal(SimDuration::ZERO),
-                _ => Sched::Internal(us(draw(3_000))),
+                _ => Sched::In(us(draw(3_000))),
             };
             out.push((sched, tag * 10 + k));
         }
         out
     }
 
-    /// One fire as the store saw it: `(µs, tag, near, far, slab_slots,
-    /// slab_free)`.
-    type Probe = (u64, u64, usize, usize, usize, usize);
+    /// One fire as the store saw it: `(µs, tag, near, far)`.
+    type Probe = (u64, u64, usize, usize);
 
     #[derive(Debug)]
     struct ProbeEv(u64);
@@ -812,31 +670,15 @@ mod tests {
         fn fire(self, log: &mut Vec<Probe>, ctx: &mut Context<'_, Vec<Probe>, Self>) {
             let d = ctx.queue_depths();
             let now = ctx.now();
-            log.push((
-                now.as_micros(),
-                self.0,
-                d.near,
-                d.far,
-                d.slab_slots,
-                d.slab_free,
-            ));
+            log.push((now.as_micros(), self.0, d.near, d.far));
             for (sched, tag) in follow_ups(self.0) {
                 match sched {
                     Sched::In(delay) => ctx.schedule_event_in(delay, ProbeEv(tag)),
                     Sched::Past(back) => ctx.schedule_event_at(now - back, ProbeEv(tag)),
                     Sched::Timer(delay) => ctx.schedule_timer_in(delay, ProbeEv(tag)),
-                    Sched::Internal(delay) => ctx.schedule_internal_in(delay, ProbeEv(tag)),
                 }
             }
         }
-    }
-
-    /// Where the reference files a pending event.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    enum Held {
-        Heap,
-        Lane,
-        Internal,
     }
 
     /// What the reference saw: the log the store must reproduce, and how
@@ -848,43 +690,39 @@ mod tests {
     }
 
     /// Replays the probes' scheduling calls on a plain `(time, seq)`
-    /// `BinaryHeap`, filing each workload event under the lane rule (a timer
-    /// joins the lane when the lane is empty or the timer is due at or
-    /// after its last entry) and counting the heap, the lane and the running
-    /// maximum of their sum.
+    /// `BinaryHeap`, filing each event under the lane rule (a timer joins
+    /// the lane when the lane is empty or the timer is due at or after its
+    /// last entry) and counting the heap and the lane.
     fn reference_log(initial: &[(SimTime, u64, Sched)]) -> Reference {
         struct Model {
-            heap: BinaryHeap<Reverse<(SimTime, u64, u64, Held)>>,
+            heap: BinaryHeap<Reverse<(SimTime, u64, u64, bool)>>,
             seq: u64,
             near: usize,
             far: usize,
             lane_tail: SimTime,
-            most: usize,
             laned: usize,
             turned_away: usize,
         }
         impl Model {
             fn push(&mut self, at: SimTime, tag: u64, sched: Sched) {
-                let held = match sched {
-                    Sched::Internal(_) => Held::Internal,
+                let laned = match sched {
                     Sched::Timer(_) if self.far == 0 || at >= self.lane_tail => {
                         self.lane_tail = at;
                         self.laned += 1;
-                        Held::Lane
+                        true
                     }
                     Sched::Timer(_) => {
                         self.turned_away += 1;
-                        Held::Heap
+                        false
                     }
-                    Sched::In(_) | Sched::Past(_) => Held::Heap,
+                    Sched::In(_) | Sched::Past(_) => false,
                 };
-                match held {
-                    Held::Heap => self.near += 1,
-                    Held::Lane => self.far += 1,
-                    Held::Internal => {}
+                if laned {
+                    self.far += 1;
+                } else {
+                    self.near += 1;
                 }
-                self.most = self.most.max(self.near + self.far);
-                self.heap.push(Reverse((at, self.seq, tag, held)));
+                self.heap.push(Reverse((at, self.seq, tag, laned)));
                 self.seq += 1;
             }
         }
@@ -894,7 +732,6 @@ mod tests {
             near: 0,
             far: 0,
             lane_tail: SimTime::ZERO,
-            most: 0,
             laned: 0,
             turned_away: 0,
         };
@@ -902,24 +739,16 @@ mod tests {
             m.push(at, tag, sched);
         }
         let mut log = Vec::new();
-        while let Some(Reverse((now, _, tag, held))) = m.heap.pop() {
-            match held {
-                Held::Heap => m.near -= 1,
-                Held::Lane => m.far -= 1,
-                Held::Internal => {}
+        while let Some(Reverse((now, _, tag, laned))) = m.heap.pop() {
+            if laned {
+                m.far -= 1;
+            } else {
+                m.near -= 1;
             }
-            let pending = m.near + m.far;
-            log.push((
-                now.as_micros(),
-                tag,
-                m.near,
-                m.far,
-                m.most,
-                m.most - pending,
-            ));
+            log.push((now.as_micros(), tag, m.near, m.far));
             for (sched, next) in follow_ups(tag) {
                 let at = match sched {
-                    Sched::In(delay) | Sched::Timer(delay) | Sched::Internal(delay) => now + delay,
+                    Sched::In(delay) | Sched::Timer(delay) => now + delay,
                     Sched::Past(back) => (now - back).max(now),
                 };
                 m.push(at, next, sched);
@@ -933,26 +762,24 @@ mod tests {
     }
 
     /// The heap plus timer lane fires in exactly the order of a single
-    /// `(time, seq)` heap, and reports the depths a free-list payload slab
-    /// would, across a seeded sweep: fixed-delay timers that keep the lane
-    /// in order, out-of-order timers that fall back to the heap, follow-ups
-    /// at the same instant (the fused pop/push) and in the past, internal
-    /// events tied with workload events, and execution resumed by
-    /// `run_until` at window boundaries. The reference is a plain `BinaryHeap`
-    /// replaying the same scheduling calls under the lane rule, so every
-    /// fire checks `near`, `far`, `slab_slots` and `slab_free` exactly.
+    /// `(time, seq)` heap, and reports exact depths, across a seeded sweep:
+    /// fixed-delay timers that keep the lane in order, out-of-order timers
+    /// that fall back to the heap, follow-ups at the same instant (the fused
+    /// pop/push) and in the past, and execution resumed by `run_until` at
+    /// window boundaries. The reference is a plain `BinaryHeap` replaying
+    /// the same scheduling calls under the lane rule, so every fire checks
+    /// `near` and `far` exactly.
     #[test]
     fn store_fires_in_single_heap_order() {
         for seed in [1u64, 42, 9_876_543_210] {
-            // Scrambled times with exact-time collisions, some internal
-            // events and some timers among them.
+            // Scrambled times with exact-time collisions and some timers
+            // among them.
             let mut initial = Vec::new();
             let mut x = seed;
             for i in 0..300u64 {
                 x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                 let scrambled = SimTime::from_micros((x >> 11) % 20_000_000);
                 let (at, sched) = match i % 11 {
-                    0 => (scrambled, Sched::Internal(SimDuration::ZERO)),
                     // A session ramp: timers armed in the order they come due.
                     1..=3 => (
                         SimTime::from_micros(i * 20_000),
@@ -977,7 +804,6 @@ mod tests {
                 let mut sim = Simulation::with_events(Vec::new());
                 for &(at, tag, sched) in &initial {
                     match sched {
-                        Sched::Internal(_) => sim.schedule_internal_at(at, ProbeEv(tag)),
                         Sched::Timer(_) => sim.schedule_timer_at(at, ProbeEv(tag)),
                         Sched::In(_) | Sched::Past(_) => sim.schedule_event_at(at, ProbeEv(tag)),
                     }
@@ -997,54 +823,51 @@ mod tests {
         }
     }
 
-    /// Internal side-queue events interleave with workload events in exact
-    /// insertion order at equal times, but never appear in the telemetry
-    /// depth snapshot — scheduling one cannot shift a `queue.*` gauge.
+    /// A metrics roll's pattern: an event that samples the depths while it
+    /// fires and then re-arms itself. It sits in the heap's open slot while
+    /// it samples, so each reading counts only the other pending events —
+    /// here the ticks and timers still ahead — and never the roll itself.
     #[test]
-    fn internal_events_order_globally_but_hide_from_depths() {
-        #[derive(Debug)]
-        struct Push(u64);
-        impl Fire<Vec<u64>> for Push {
-            fn fire(self, world: &mut Vec<u64>, ctx: &mut Context<'_, Vec<u64>, Self>) {
-                world.push(self.0);
-                if self.0 == 10 {
-                    // Internal events can re-arm themselves from a firing.
-                    ctx.schedule_internal_in(SimDuration::from_millis(1), Push(11));
+    fn a_firing_roll_reads_only_the_other_pending_events() {
+        enum Ev {
+            Tick,
+            Roll,
+        }
+        impl Fire<Vec<(u64, QueueDepths, usize)>> for Ev {
+            fn fire(
+                self,
+                log: &mut Vec<(u64, QueueDepths, usize)>,
+                ctx: &mut Context<'_, Vec<(u64, QueueDepths, usize)>, Self>,
+            ) {
+                if let Ev::Roll = self {
+                    let now = ctx.now();
+                    log.push((now.as_micros(), ctx.queue_depths(), ctx.pending_events()));
+                    if now < SimTime::from_millis(20) {
+                        ctx.schedule_event_in(SimDuration::from_millis(2), Ev::Roll);
+                    }
                 }
             }
         }
-        let mut sim = Simulation::<Vec<u64>, Push>::with_events(Vec::new());
-        let t = SimTime::from_millis(5);
-        sim.schedule_event_at(t, Push(0));
-        sim.schedule_internal_at(t, Push(10));
-        sim.schedule_event_at(t, Push(1));
-        let bare = sim.queue_depths();
-        assert_eq!(bare.near + bare.far, 2, "internal event hidden from depths");
-        assert_eq!(sim.pending_events(), 3, "but counted as pending");
+        let mut sim = Simulation::with_events(Vec::new());
+        sim.schedule_event_at(SimTime::ZERO, Ev::Roll);
+        for k in 0..10u64 {
+            // Ticks in the heap at odd milliseconds, timers in the lane half
+            // a millisecond later: neither ever ties with a roll.
+            sim.schedule_event_at(SimTime::from_millis(2 * k + 1), Ev::Tick);
+            sim.schedule_timer_at(SimTime::from_micros(2_000 * k + 1_500), Ev::Tick);
+        }
+        assert_eq!(sim.queue_depths(), QueueDepths { near: 11, far: 10 });
         sim.run();
-        assert_eq!(sim.world(), &vec![0, 10, 1, 11]);
-        assert_eq!(sim.events_fired(), 4);
-    }
-
-    /// Queue-depth telemetry reads identically whether or not an internal
-    /// event is pending, before and during the run.
-    #[test]
-    fn arming_an_internal_event_does_not_perturb_depths() {
-        let run = |armed: bool| {
-            let mut sim = Simulation::<u32, Tick>::with_events(0);
-            for t in 1..=20u64 {
-                sim.schedule_event_at(SimTime::from_millis(t), Tick);
-            }
-            if armed {
-                sim.schedule_internal_at(SimTime::from_millis(7), Tick);
-            }
-            let depths = sim.queue_depths();
-            sim.run_until(SimTime::from_millis(3));
-            (depths, sim.queue_depths())
-        };
-        let (d_off, m_off) = run(false);
-        let (d_on, m_on) = run(true);
-        assert_eq!(d_off, d_on, "pre-run depths must not see the arm");
-        assert_eq!(m_off, m_on, "mid-run depths must not see the arm");
+        let expected: Vec<_> = (0..=10u64)
+            .map(|k| {
+                let ahead = (10 - k) as usize;
+                let depths = QueueDepths {
+                    near: ahead,
+                    far: ahead,
+                };
+                (2_000 * k, depths, 2 * ahead)
+            })
+            .collect();
+        assert_eq!(sim.into_world(), expected);
     }
 }

@@ -20,6 +20,8 @@
 //! sized to avoid data contention (§3.4), so this ordering simplification
 //! does not alter any measured behaviour.
 
+use std::sync::Arc;
+
 use mutsvc_desim::rng::SimRng;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_netsim::{NodeId, ProtocolParams, Step};
@@ -709,7 +711,7 @@ impl<'a> Binder<'a> {
                     }
                     // Invalidation control messages travel asynchronously.
                     steps.push(Step::Fork {
-                        steps: vec![Step::transfer(host, node, 200)],
+                        steps: Arc::new([Step::transfer(host, node, 200)]),
                         tag: None,
                     });
                 }
@@ -718,7 +720,7 @@ impl<'a> Binder<'a> {
                 let mut branches = Vec::new();
                 for (&node, (rows, queries)) in &per_node {
                     self.stats.sync_push_nodes += 1;
-                    branches.push(self.push_branch(host, node, rows, queries, true));
+                    branches.push(self.push_branch(host, node, rows, queries));
                     for &(entity, row) in rows {
                         self.state.load_entity_row(entity, node, row);
                     }
@@ -765,7 +767,7 @@ impl<'a> Binder<'a> {
                 }
                 self.deferred.push((tag, apply));
                 steps.push(Step::Fork {
-                    steps: fork,
+                    steps: fork.into(),
                     tag: Some(tag),
                 });
             }
@@ -796,15 +798,12 @@ impl<'a> Binder<'a> {
         node: NodeId,
         rows: &[(ComponentId, RowId)],
         queries: &[Query],
-        ack: bool,
-    ) -> Vec<Step> {
+    ) -> Arc<[Step]> {
         let bytes = self.node_push_bytes(rows, queries);
         let mut branch = self.protocols.rmi_request(self.rng, from, node, bytes);
         branch.push(Step::cpu(node, self.costs.push_apply));
-        if ack {
-            branch.extend(self.protocols.rmi_response(node, from, 50));
-        }
-        branch
+        branch.extend(self.protocols.rmi_response(node, from, 50));
+        branch.into()
     }
 
     fn node_push_bytes(&self, rows: &[(ComponentId, RowId)], queries: &[Query]) -> u64 {

@@ -8,8 +8,8 @@ use mutsvc_middleware::{
     DbAccess, DeploymentDescriptor, DescriptorBuilder, PageRequest, UpdatePropagation,
 };
 use mutsvc_netsim::{
-    advance_job, spawn_program, JobWorld, Jobs, NetEvent, Network, NodeId, Program, ProtocolParams,
-    Step, TopologyBuilder,
+    advance_job, spawn_program, JobWorld, Jobs, NetEvent, Network, NodeId, ProtocolParams, Step,
+    TopologyBuilder,
 };
 use mutsvc_relstore::{Database, DatabaseBuilder, Mutation, Query, RowId, TableId, Value};
 
@@ -226,7 +226,7 @@ fn execute(fx: &Fixture, steps: Vec<Step>) -> f64 {
         fn fire(self, w: &mut W, ctx: &mut Context<'_, W, Ev>) {
             match self {
                 Ev::Net(NetEvent::Advance { job }) => advance_job(w, ctx, job),
-                Ev::Start(steps) => spawn_program(w, ctx, Program::Owned(steps), Ev::Done),
+                Ev::Start(steps) => spawn_program(w, ctx, steps.into(), Ev::Done, None),
                 Ev::Done => w.done = Some(ctx.now()),
             }
         }

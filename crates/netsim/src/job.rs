@@ -15,8 +15,11 @@
 //!
 //! ## Execution model
 //!
-//! In-flight requests live in a [`Jobs`] slab owned by the world: each job
-//! holds its [`Program`] (owned or `Arc`-shared), a step cursor and the
+//! A program is one `Arc<[Step]>`, and so is every branch of a
+//! [`Step::Parallel`] or [`Step::Fork`]: a cached plan replayed by many
+//! requests, a one-shot bind and a spawned branch all share their steps
+//! instead of copying them. In-flight requests live in a [`Jobs`] slab owned
+//! by the world: each job holds its program, a step cursor and the
 //! in-progress message phase. Step boundaries are driven by the plain-enum
 //! [`NetEvent::Advance`] event, and a job's completion is a typed world event
 //! fired when its program ends — so steady-state execution performs **zero**
@@ -67,12 +70,12 @@ pub enum Step {
     /// Pure waiting (e.g. user think time inside a composite job).
     Delay(SimDuration),
     /// Run branches concurrently; continue when **all** have completed.
-    Parallel(Vec<Vec<Step>>),
+    Parallel(Vec<Arc<[Step]>>),
     /// Detach a branch: it consumes resources but the parent continues
     /// immediately. `tag` is reported to [`JobWorld::fork_completed`].
     Fork {
         /// The detached program.
-        steps: Vec<Step>,
+        steps: Arc<[Step]>,
         /// Correlation tag for staleness accounting.
         tag: Option<u64>,
     },
@@ -103,7 +106,11 @@ impl Step {
     pub fn total_cpu(&self) -> SimDuration {
         match self {
             Step::Cpu { demand, .. } => *demand,
-            Step::Parallel(branches) => branches.iter().flatten().map(Step::total_cpu).sum(),
+            Step::Parallel(branches) => branches
+                .iter()
+                .flat_map(|branch| branch.iter())
+                .map(Step::total_cpu)
+                .sum(),
             Step::Fork { steps, .. } => steps.iter().map(Step::total_cpu).sum(),
             _ => SimDuration::ZERO,
         }
@@ -130,16 +137,6 @@ impl<W: JobWorld<Event = NetEvent>> Fire<W> for NetEvent {
             NetEvent::Advance { job } => advance_job(world, ctx, job),
         }
     }
-}
-
-/// A step program: owned for one-shot binds, `Arc`-shared for cached plans
-/// replayed by many requests without cloning the step vector.
-#[derive(Debug, Clone)]
-pub enum Program {
-    /// A program owned by this job (cold binds, update pushes).
-    Owned(Vec<Step>),
-    /// A memoized program shared across requests; jobs only hold a cursor.
-    Shared(Arc<[Step]>),
 }
 
 /// What to do when a job's program (excluding forked branches) completes.
@@ -169,7 +166,7 @@ enum Phase {
 }
 
 struct Job<W: JobWorld> {
-    program: Program,
+    steps: Arc<[Step]>,
     cursor: usize,
     phase: Phase,
     done: JobDone<W>,
@@ -276,36 +273,28 @@ pub trait JobWorld: Sized + 'static {
     }
 }
 
-/// Starts executing `program` now; the `done` event fires (synchronously, as
+/// Starts executing `steps` now; the `done` event fires (synchronously, as
 /// if scheduled at the completion instant) when the program (excluding forked
-/// branches) completes. A [`Program::Shared`] plan plus an enum completion
-/// event touch the heap zero times per request in steady state.
+/// branches) completes. A shared plan plus an enum completion event touch the
+/// heap zero times per request in steady state.
+///
+/// With a `parent` span the job's resource usage is attributed to an open
+/// trace: a `Program` span is opened under `parent` and every CPU slice, link
+/// hop and delay the job performs is recorded as a child leaf.
 pub fn spawn_program<W: JobWorld>(
     world: &mut W,
     ctx: &mut Context<'_, W, W::Event>,
-    program: Program,
-    done: W::Event,
-) {
-    spawn(world, ctx, program, JobDone::Event(done), None);
-}
-
-/// Like [`spawn_program`], but attributes the job's resource usage to an
-/// open trace span: a `Program` span is opened under `parent` and every CPU
-/// slice, link hop and delay the job performs is recorded as a child leaf.
-pub fn spawn_program_traced<W: JobWorld>(
-    world: &mut W,
-    ctx: &mut Context<'_, W, W::Event>,
-    program: Program,
+    steps: Arc<[Step]>,
     done: W::Event,
     parent: Option<SpanCtx>,
 ) {
-    spawn(world, ctx, program, JobDone::Event(done), parent);
+    spawn(world, ctx, steps, JobDone::Event(done), parent);
 }
 
 fn spawn<W: JobWorld>(
     world: &mut W,
     ctx: &mut Context<'_, W, W::Event>,
-    program: Program,
+    steps: Arc<[Step]>,
     done: JobDone<W>,
     parent: Option<SpanCtx>,
 ) {
@@ -325,7 +314,7 @@ fn spawn<W: JobWorld>(
         _ => None,
     };
     let id = world.jobs_mut().alloc(Job {
-        program,
+        steps,
         cursor: 0,
         phase: Phase::Steps,
         done,
@@ -334,63 +323,6 @@ fn spawn<W: JobWorld>(
         failed: false,
     });
     advance_job(world, ctx, id);
-}
-
-/// What the cursor found, with branch bodies moved (owned programs) or cloned
-/// (shared programs — cached plans never contain branches, so the clone is a
-/// cold path) out of the program so the job can be mutated freely.
-enum Fetched {
-    End,
-    Cpu(NodeId, SimDuration),
-    Transfer(NodeId, NodeId, u64),
-    Exchange(NodeId, NodeId, u64, u64),
-    Delay(SimDuration),
-    Parallel(Vec<Vec<Step>>),
-    Fork(Vec<Step>, Option<u64>),
-}
-
-fn fetch(program: &mut Program, idx: usize) -> Fetched {
-    match program {
-        Program::Owned(steps) => match steps.get_mut(idx) {
-            None => Fetched::End,
-            Some(slot) => match slot {
-                Step::Cpu { node, demand } => Fetched::Cpu(*node, *demand),
-                Step::Transfer { from, to, bytes } => Fetched::Transfer(*from, *to, *bytes),
-                Step::Exchange {
-                    a,
-                    b,
-                    req_bytes,
-                    resp_bytes,
-                } => Fetched::Exchange(*a, *b, *req_bytes, *resp_bytes),
-                Step::Delay(d) => Fetched::Delay(*d),
-                Step::Parallel(_) | Step::Fork { .. } => {
-                    // Move the branch bodies out; the cursor has already
-                    // passed this slot, so the placeholder is never executed.
-                    match std::mem::replace(slot, Step::Delay(SimDuration::ZERO)) {
-                        Step::Parallel(branches) => Fetched::Parallel(branches),
-                        Step::Fork { steps, tag } => Fetched::Fork(steps, tag),
-                        _ => unreachable!(),
-                    }
-                }
-            },
-        },
-        Program::Shared(steps) => match steps.get(idx) {
-            None => Fetched::End,
-            Some(step) => match step {
-                Step::Cpu { node, demand } => Fetched::Cpu(*node, *demand),
-                Step::Transfer { from, to, bytes } => Fetched::Transfer(*from, *to, *bytes),
-                Step::Exchange {
-                    a,
-                    b,
-                    req_bytes,
-                    resp_bytes,
-                } => Fetched::Exchange(*a, *b, *req_bytes, *resp_bytes),
-                Step::Delay(d) => Fetched::Delay(*d),
-                Step::Parallel(branches) => Fetched::Parallel(branches.clone()),
-                Step::Fork { steps, tag } => Fetched::Fork(steps.clone(), *tag),
-            },
-        },
-    }
 }
 
 /// Resumes job `id`: crosses pending message hops, then executes steps from
@@ -493,12 +425,12 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
 
         let idx = job.cursor;
         job.cursor += 1;
-        match fetch(&mut job.program, idx) {
-            Fetched::End => {
-                complete(world, ctx, id);
-                return;
-            }
-            Fetched::Cpu(node, demand) => {
+        let Some(step) = job.steps.get(idx).cloned() else {
+            complete(world, ctx, id);
+            return;
+        };
+        match step {
+            Step::Cpu { node, demand } => {
                 if !world.network_mut().node_is_up(node) {
                     fail_job(world, ctx, id, u32::MAX, node.index() as u32);
                     return;
@@ -523,7 +455,7 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                 ctx.schedule_event_at(completion, NetEvent::Advance { job: id }.into());
                 return;
             }
-            Fetched::Transfer(from, to, bytes) => {
+            Step::Transfer { from, to, bytes } => {
                 job.phase = Phase::Send {
                     from,
                     to,
@@ -532,7 +464,12 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                     respond: None,
                 };
             }
-            Fetched::Exchange(a, b, req_bytes, resp_bytes) => {
+            Step::Exchange {
+                a,
+                b,
+                req_bytes,
+                resp_bytes,
+            } => {
                 job.phase = Phase::Send {
                     from: a,
                     to: b,
@@ -541,7 +478,7 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                     respond: Some((b, a, resp_bytes)),
                 };
             }
-            Fetched::Delay(d) => {
+            Step::Delay(d) => {
                 if let Some(tc) = trace {
                     let now = ctx.now();
                     if let Some(t) = world.tracer_mut() {
@@ -551,30 +488,25 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                 ctx.schedule_event_in(d, NetEvent::Advance { job: id }.into());
                 return;
             }
-            Fetched::Parallel(branches) => {
-                let branches: Vec<Vec<Step>> =
-                    branches.into_iter().filter(|b| !b.is_empty()).collect();
-                if branches.is_empty() {
+            Step::Parallel(branches) => {
+                let live = branches.iter().filter(|b| !b.is_empty());
+                let count = live.clone().count();
+                if count == 0 {
                     continue;
                 }
                 // Arm the join *before* spawning: a branch may complete
                 // synchronously, and the last one resumes the parent from
                 // inside its own advance.
-                job.join_remaining = branches.len();
-                for branch in branches {
-                    spawn(
-                        world,
-                        ctx,
-                        Program::Owned(branch),
-                        JobDone::Join { parent: id },
-                        trace,
-                    );
+                job.join_remaining = count;
+                for branch in live {
+                    let branch = Arc::clone(branch);
+                    spawn(world, ctx, branch, JobDone::Join { parent: id }, trace);
                 }
                 // The parent may already have resumed (or completed) via the
                 // join path — do not touch it here.
                 return;
             }
-            Fetched::Fork(branch, tag) => {
+            Step::Fork { steps, tag } => {
                 // Detached: consumes resources but the parent continues
                 // immediately after spawning. Forks are not traced (they can
                 // outlive the request), but leave an instant marker behind.
@@ -584,13 +516,7 @@ pub fn advance_job<W: JobWorld>(world: &mut W, ctx: &mut Context<'_, W, W::Event
                         t.note(tc, now, "fork", tag.unwrap_or(0));
                     }
                 }
-                spawn(
-                    world,
-                    ctx,
-                    Program::Owned(branch),
-                    JobDone::Fork { tag },
-                    None,
-                );
+                spawn(world, ctx, steps, JobDone::Fork { tag }, None);
             }
         }
     }
@@ -681,7 +607,7 @@ mod tests {
     enum Ev {
         Net(NetEvent),
         /// Spawn the program; the label is logged when it completes.
-        Start(Program, &'static str),
+        Start(Arc<[Step]>, &'static str),
         /// Log the label at the completion instant.
         Done(&'static str),
     }
@@ -696,7 +622,7 @@ mod tests {
         fn fire(self, w: &mut World, c: &mut Context<'_, World, Ev>) {
             match self {
                 Ev::Net(NetEvent::Advance { job }) => advance_job(w, c, job),
-                Ev::Start(program, label) => spawn_program(w, c, program, Ev::Done(label)),
+                Ev::Start(steps, label) => spawn_program(w, c, steps, Ev::Done(label), None),
                 Ev::Done(label) => {
                     let now = c.now();
                     w.finished.push((now, label));
@@ -724,6 +650,19 @@ mod tests {
         }
         fn fault_timeout(&self) -> SimDuration {
             SimDuration::from_millis(500)
+        }
+    }
+
+    /// A `Parallel` step over `branches`.
+    fn par(branches: Vec<Vec<Step>>) -> Step {
+        Step::Parallel(branches.into_iter().map(Into::into).collect())
+    }
+
+    /// A `Fork` step detaching `steps`.
+    fn fork(steps: Vec<Step>, tag: Option<u64>) -> Step {
+        Step::Fork {
+            steps: steps.into(),
+            tag,
         }
     }
 
@@ -759,7 +698,7 @@ mod tests {
 
     fn run(world: World, steps: Vec<Step>) -> World {
         let mut sim = Simulation::with_events(world);
-        sim.schedule_event_at(SimTime::ZERO, Ev::Start(Program::Owned(steps), "job"));
+        sim.schedule_event_at(SimTime::ZERO, Ev::Start(steps.into(), "job"));
         sim.run();
         sim.into_world()
     }
@@ -794,7 +733,7 @@ mod tests {
     #[test]
     fn parallel_blocks_on_slowest_branch() {
         let (w, main, _, edge) = world();
-        let steps = vec![Step::Parallel(vec![
+        let steps = vec![par(vec![
             vec![Step::cpu(main, ms(5))],
             vec![Step::exchange(main, edge, 0, 0)], // 200ms
             vec![Step::Delay(ms(50))],
@@ -806,7 +745,7 @@ mod tests {
     #[test]
     fn parallel_with_empty_branches_is_noop() {
         let (w, main, ..) = world();
-        let steps = vec![Step::Parallel(vec![vec![], vec![]]), Step::cpu(main, ms(3))];
+        let steps = vec![par(vec![vec![], vec![]]), Step::cpu(main, ms(3))];
         let w = run(w, steps);
         assert_eq!(w.finished, vec![(at(3), "job")]);
     }
@@ -815,10 +754,7 @@ mod tests {
     fn fork_does_not_delay_parent_but_reports() {
         let (w, main, _, edge) = world();
         let steps = vec![
-            Step::Fork {
-                steps: vec![Step::exchange(main, edge, 0, 0)],
-                tag: Some(7),
-            },
+            fork(vec![Step::exchange(main, edge, 0, 0)], Some(7)),
             Step::cpu(main, ms(5)),
         ];
         let w = run(w, steps);
@@ -830,10 +766,7 @@ mod tests {
     fn untagged_fork_completes_silently() {
         let (w, from, _, edge) = world();
         let steps = vec![
-            Step::Fork {
-                steps: vec![Step::transfer(from, edge, 100)],
-                tag: None,
-            },
+            fork(vec![Step::transfer(from, edge, 100)], None),
             Step::cpu(from, ms(1)),
         ];
         let w = run(w, steps);
@@ -845,8 +778,8 @@ mod tests {
     fn nested_parallel_joins_correctly() {
         let (w, _main, _, edge) = world();
         let steps = vec![
-            Step::Parallel(vec![
-                vec![Step::Parallel(vec![
+            par(vec![
+                vec![par(vec![
                     vec![Step::Delay(ms(10))],
                     vec![Step::Delay(ms(30))],
                 ])],
@@ -863,7 +796,7 @@ mod tests {
         let (w, main, _, edge) = world();
         // Two concurrent exchanges: both complete at 200ms (links are fast,
         // no serialization contention at 1 Gbit/s with zero payload).
-        let steps = vec![Step::Parallel(vec![
+        let steps = vec![par(vec![
             vec![Step::exchange(edge, main, 0, 0)],
             vec![Step::exchange(edge, main, 0, 0)],
         ])];
@@ -874,12 +807,9 @@ mod tests {
     #[test]
     fn total_cpu_recurses() {
         let (_, main, _, edge) = world();
-        let step = Step::Parallel(vec![
+        let step = par(vec![
             vec![Step::cpu(main, ms(5)), Step::cpu(edge, ms(5))],
-            vec![Step::Fork {
-                steps: vec![Step::cpu(main, ms(7))],
-                tag: None,
-            }],
+            vec![fork(vec![Step::cpu(main, ms(7))], None)],
         ]);
         assert_eq!(step.total_cpu(), ms(17));
     }
@@ -895,10 +825,7 @@ mod tests {
                     Step::exchange(edge, main, 500, 2_000),
                     Step::cpu(edge, ms(2)),
                 ];
-                sim.schedule_event_at(
-                    SimTime::from_millis(i * 7),
-                    Ev::Start(Program::Owned(steps), "j"),
-                );
+                sim.schedule_event_at(SimTime::from_millis(i * 7), Ev::Start(steps.into(), "j"));
             }
             sim.run();
             sim.into_world().finished
@@ -967,7 +894,7 @@ mod tests {
         let (mut w, main, _, edge) = world();
         w.net.set_node_up(main, false);
         let steps = vec![
-            Step::Parallel(vec![
+            par(vec![
                 vec![Step::exchange(edge, main, 0, 0)], // fails at 0, done 500
                 vec![Step::Delay(ms(50))],
             ]),
@@ -982,7 +909,7 @@ mod tests {
     /// Runs `steps` from `start`, returning the world once the queue drains.
     fn run_from(world: World, start: SimTime, steps: Vec<Step>) -> World {
         let mut sim = Simulation::with_events(world);
-        sim.schedule_event_at(start, Ev::Start(Program::Owned(steps), "job"));
+        sim.schedule_event_at(start, Ev::Start(steps.into(), "job"));
         sim.run();
         sim.into_world()
     }
@@ -995,7 +922,7 @@ mod tests {
     fn synchronous_parallel_branches_resume_the_parent_once() {
         let (w, main, _, edge) = world();
         let steps = vec![
-            Step::Parallel(vec![
+            par(vec![
                 vec![Step::transfer(main, main, 10)],
                 vec![],
                 vec![
@@ -1018,16 +945,16 @@ mod tests {
     fn synchronous_join_inside_a_fork() {
         let (w, main, _, edge) = world();
         let steps = vec![
-            Step::Fork {
-                steps: vec![
-                    Step::Parallel(vec![
+            fork(
+                vec![
+                    par(vec![
                         vec![Step::transfer(edge, edge, 0)],
                         vec![Step::transfer(main, main, 0)],
                     ]),
                     Step::cpu(edge, ms(2)),
                 ],
-                tag: Some(3),
-            },
+                Some(3),
+            ),
             Step::cpu(main, ms(1)),
         ];
         let w = run_from(w, at(10), steps);
@@ -1046,7 +973,7 @@ mod tests {
         let bad = w.net.route(router, main)[0];
         w.net.set_link_up(bad, false);
         let steps = vec![
-            Step::Parallel(vec![
+            par(vec![
                 vec![Step::transfer(edge, edge, 0)],
                 vec![Step::exchange(edge, main, 0, 0)], // fails at 90, done 590
                 vec![Step::Delay(ms(50))],
@@ -1064,13 +991,13 @@ mod tests {
         let bad = w.net.route(router, main)[0];
         w.net.set_link_up(bad, false);
         let steps = vec![
-            Step::Fork {
-                steps: vec![Step::Parallel(vec![
+            fork(
+                vec![par(vec![
                     vec![Step::transfer(edge, main, 0)],
                     vec![Step::transfer(main, main, 0)],
                 ])],
-                tag: Some(5),
-            },
+                Some(5),
+            ),
             Step::cpu(edge, ms(1)),
         ];
         let w = run_from(w, at(0), steps);
@@ -1089,10 +1016,7 @@ mod tests {
         let (mut w, main, _, edge) = world();
         w.net.set_node_up(main, false);
         let steps = vec![
-            Step::Fork {
-                steps: vec![Step::transfer(edge, main, 100)],
-                tag: Some(9),
-            },
+            fork(vec![Step::transfer(edge, main, 100)], Some(9)),
             Step::cpu(edge, ms(1)),
         ];
         let w = run(w, steps);
@@ -1136,7 +1060,7 @@ mod tests {
         for i in 0..3u64 {
             sim.schedule_event_at(
                 SimTime::from_secs(i),
-                Ev::Start(Program::Shared(Arc::clone(&plan)), "cached"),
+                Ev::Start(Arc::clone(&plan), "cached"),
             );
         }
         sim.run();
@@ -1149,8 +1073,10 @@ mod tests {
                 (SimTime::from_millis(2210), "cached"),
             ]
         );
-        // All slots recycled once the programs complete.
+        // All slots recycled once the programs complete, each releasing
+        // its share of the plan.
         assert_eq!(w.jobs.in_flight(), 0);
+        assert_eq!(Arc::strong_count(&plan), 1);
     }
 
     #[test]
@@ -1189,9 +1115,8 @@ mod tests {
                             wan_rts_logical: f64::NAN,
                         };
                         let root = w.tracer.start_request(now, meta).unwrap();
-                        let program = Program::Owned(steps);
                         let done = TracedEv::Finish(root);
-                        spawn_program_traced(w, c, program, done, Some(root));
+                        spawn_program(w, c, steps.into(), done, Some(root));
                     }
                     TracedEv::Finish(root) => {
                         w.tracer.finish_request(root, now);
@@ -1227,11 +1152,8 @@ mod tests {
         let steps = vec![
             Step::cpu(edge, ms(5)),
             Step::exchange(edge, main, 1_000, 4_000),
-            Step::Parallel(vec![vec![Step::Delay(ms(3))], vec![Step::cpu(edge, ms(8))]]),
-            Step::Fork {
-                steps: vec![Step::transfer(edge, main, 64)],
-                tag: None,
-            },
+            par(vec![vec![Step::Delay(ms(3))], vec![Step::cpu(edge, ms(8))]]),
+            fork(vec![Step::transfer(edge, main, 64)], None),
         ];
         let mut sim = Simulation::with_events(w);
         sim.schedule_event_at(SimTime::ZERO, TracedEv::Start(steps));

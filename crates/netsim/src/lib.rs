@@ -9,14 +9,15 @@
 //! * [`protocol`] — TCP / HTTP / RMI / JDBC / JMS cost recipes as
 //!   [`Step`] fragments.
 //! * [`job`] — the step executor: sequential, parallel (blocking push) and
-//!   forked (asynchronous push) request programs.
+//!   forked (asynchronous push) request programs, each one shared
+//!   `Arc<[Step]>`.
 //!
 //! ## Example: a remote HTTP request over a 100 ms WAN
 //!
 //! ```
 //! use mutsvc_desim::{Context, Fire, SimDuration, SimTime, Simulation};
 //! use mutsvc_netsim::{advance_job, spawn_program, Jobs, JobWorld, NetEvent, Network,
-//!                     Program, ProtocolParams, Step, TopologyBuilder};
+//!                     ProtocolParams, Step, TopologyBuilder};
 //!
 //! let mut b = TopologyBuilder::new();
 //! let client = b.node("client", 1);
@@ -38,7 +39,7 @@
 //!     fn fire(self, w: &mut World, ctx: &mut Context<'_, World, Ev>) {
 //!         match self {
 //!             Ev::Net(NetEvent::Advance { job }) => advance_job(w, ctx, job),
-//!             Ev::Start(steps) => spawn_program(w, ctx, Program::Owned(steps), Ev::Done),
+//!             Ev::Start(steps) => spawn_program(w, ctx, steps.into(), Ev::Done, None),
 //!             Ev::Done => w.done_at = Some(ctx.now()),
 //!         }
 //!     }
@@ -75,10 +76,7 @@ pub mod network;
 pub mod protocol;
 pub mod topology;
 
-pub use job::{
-    advance_job, spawn_program, spawn_program_traced, JobId, JobWorld, Jobs, NetEvent, Program,
-    Step,
-};
+pub use job::{advance_job, spawn_program, JobId, JobWorld, Jobs, NetEvent, Step};
 pub use network::Network;
 pub use protocol::ProtocolParams;
 pub use topology::{

@@ -225,11 +225,12 @@ impl Network {
     /// Sends `bytes` from `from` to `to` starting at `now`; returns the
     /// arrival time at `to`. A transfer to self arrives immediately.
     ///
-    /// All hop admissions happen at call time, so a long-latency path
-    /// reserves far-hop link slots "in the future". This is fine for
-    /// one-shot estimates and tests; the event-driven job executor instead
-    /// walks hops with [`Self::link_send`] at their actual times, keeping
-    /// link admissions chronological under load.
+    /// All hop admissions happen at call time, through [`Self::link_send`]
+    /// hop by hop, so a long-latency path reserves far-hop link slots "in the
+    /// future". This is fine for one-shot estimates and tests; the
+    /// event-driven job executor instead calls [`Self::link_send`] for each
+    /// hop at its actual time, keeping link admissions chronological under
+    /// load.
     ///
     /// # Panics
     ///
@@ -238,18 +239,10 @@ impl Network {
         if from == to {
             return now;
         }
-        let route: Vec<LinkId> = self
-            .topology
-            .route(from, to)
-            .unwrap_or_else(|| panic!("no route {from} -> {to}"))
-            .to_vec();
         let mut t = now;
-        for link in route {
-            let spec = self.topology.link(link);
-            let serialization = spec.serialization_time(bytes);
-            let latency = self.link_latency(link);
-            let sent = self.links[link.index()].admit(t, serialization);
-            t = sent + latency;
+        for hop in 0..self.route(from, to).len() {
+            let link = self.route(from, to)[hop];
+            t = self.link_send(t, link, bytes);
         }
         t
     }
@@ -302,8 +295,9 @@ impl Network {
     }
 
     /// `(messages, payload bytes)` serialized onto directed link `link`
-    /// via the event-driven path ([`Self::link_send`]) since the last
-    /// [`Self::reset_stats`].
+    /// since the last [`Self::reset_stats`]: every [`Self::link_send`],
+    /// whether the job executor's hop or one of a [`Self::transfer`],
+    /// [`Self::round_trip`] or [`Self::migrate`].
     pub fn link_traffic(&self, link: LinkId) -> (u64, u64) {
         (self.link_msgs[link.index()], self.link_bytes[link.index()])
     }
@@ -487,6 +481,23 @@ mod tests {
         let (mut net2, a2, c2) = wan_pair();
         let big = net2.migrate(SimTime::ZERO, a2, c2, 1_250_000);
         assert!(big > small, "bulk size must price the transfer: {big:?}");
+    }
+
+    /// A migration's handshake and state transfer are link traffic: each
+    /// forward link carries the handshake request and the state, each
+    /// return link the handshake response, with their bytes.
+    #[test]
+    fn migration_counts_as_link_traffic() {
+        let (mut net, a, c) = wan_pair();
+        let state = 1_250_000;
+        net.migrate(SimTime::ZERO, a, c, state);
+        let handshake = Network::MIGRATION_HANDSHAKE_BYTES;
+        for &link in net.route(a, c) {
+            assert_eq!(net.link_traffic(link), (2, handshake + state));
+        }
+        for &link in net.route(c, a) {
+            assert_eq!(net.link_traffic(link), (1, handshake));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! row it touched, the row's values after it and the value an update
 //! replaced, and those are the index keys.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use crate::database::{MutationEffect, Query};
 use crate::value::{RowId, Value};
@@ -225,78 +225,6 @@ impl QueryCache {
     }
 }
 
-/// Replica-side cursor over the authority's invalidation push stream.
-///
-/// The authority numbers its pushes with a dense, monotonically increasing
-/// generation (1, 2, 3, …). Asynchronous delivery (paper §4.3) can reorder,
-/// duplicate, or — under injected faults — drop pushes entirely. The cursor
-/// gives the replica two guarantees regardless:
-///
-/// * **The watermark never regresses.** Stale replays and duplicates are
-///   recognised and ignored; applying pushes in any order converges to the
-///   same watermark.
-/// * **A dropped push is detectable.** The watermark only advances over
-///   *contiguous* generations, so a gap holds it back and
-///   [`GenerationCursor::lag`] against the authority's generation stays
-///   positive until the replica resynchronises ([`GenerationCursor::resync`],
-///   modelling a full re-fetch).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GenerationCursor {
-    /// Highest generation through which every push has been applied.
-    contiguous: u64,
-    /// Applied generations above the watermark (out-of-order arrivals).
-    pending: BTreeSet<u64>,
-}
-
-impl GenerationCursor {
-    /// A fresh cursor: nothing applied, watermark 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Applies the push numbered `generation`. Returns `true` if it was
-    /// fresh, `false` for a duplicate or already-covered replay (ignored —
-    /// the watermark never moves backwards).
-    pub fn apply(&mut self, generation: u64) -> bool {
-        if generation <= self.contiguous || !self.pending.insert(generation) {
-            return false;
-        }
-        while self.pending.remove(&(self.contiguous + 1)) {
-            self.contiguous += 1;
-        }
-        true
-    }
-
-    /// Highest generation through which no push is missing.
-    pub fn watermark(&self) -> u64 {
-        self.contiguous
-    }
-
-    /// Generations above the watermark that arrived out of order.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// How far the replica is behind an authority at `authority_generation`:
-    /// 0 means provably up to date, anything positive means pushes are
-    /// missing (lost or still in flight) — the replica is detectably stale.
-    pub fn lag(&self, authority_generation: u64) -> u64 {
-        authority_generation.saturating_sub(self.contiguous)
-    }
-
-    /// Resynchronises with the authority (a full re-fetch at
-    /// `authority_generation`): the watermark jumps forward and buffered
-    /// out-of-order pushes at or below it are discarded.
-    pub fn resync(&mut self, authority_generation: u64) {
-        self.contiguous = self.contiguous.max(authority_generation);
-        let keep = self.pending.split_off(&(self.contiguous + 1));
-        self.pending = keep;
-        while self.pending.remove(&(self.contiguous + 1)) {
-            self.contiguous += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,82 +390,6 @@ mod tests {
             id: RowId(99),
         });
         assert!(!affects(&e, &q));
-    }
-
-    /// Out-of-order delivery converges: any arrival order of a complete
-    /// prefix yields the same watermark, and it never moves backwards.
-    #[test]
-    fn out_of_order_pushes_converge_without_regressing() {
-        let mut c = GenerationCursor::new();
-        assert!(c.apply(2));
-        assert_eq!(c.watermark(), 0, "gap at 1 holds the watermark");
-        assert_eq!(c.pending(), 1);
-        assert!(c.apply(4));
-        assert!(c.apply(1));
-        assert_eq!(c.watermark(), 2, "1 arrived, 1..=2 now contiguous");
-        assert!(c.apply(3));
-        assert_eq!(c.watermark(), 4);
-        assert_eq!(c.pending(), 0);
-
-        // The same set in a different order lands on the same cursor.
-        let mut d = GenerationCursor::new();
-        for g in [4, 3, 2, 1] {
-            d.apply(g);
-        }
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn duplicate_and_stale_replays_are_ignored() {
-        let mut c = GenerationCursor::new();
-        assert!(c.apply(1));
-        assert!(c.apply(2));
-        assert!(!c.apply(2), "duplicate above nothing");
-        assert!(!c.apply(1), "replay below the watermark");
-        assert_eq!(c.watermark(), 2);
-        assert!(c.apply(4));
-        assert!(!c.apply(4), "duplicate of a pending push");
-        assert_eq!(c.watermark(), 2);
-    }
-
-    /// A dropped push leaves the replica *detectably* stale: the watermark
-    /// stalls at the gap and the lag against the authority stays positive —
-    /// forever — until an explicit resync.
-    #[test]
-    fn dropped_push_is_detectable_until_resync() {
-        let mut c = GenerationCursor::new();
-        c.apply(1);
-        // Push 2 is lost on a faulty link; 3..=5 arrive fine.
-        for g in [3, 4, 5] {
-            c.apply(g);
-        }
-        assert_eq!(c.watermark(), 1);
-        assert_eq!(c.lag(5), 4, "replica knows it is behind");
-        assert_eq!(c.pending(), 3);
-
-        // Re-fetch from the authority at generation 5.
-        c.resync(5);
-        assert_eq!(c.watermark(), 5);
-        assert_eq!(c.lag(5), 0);
-        assert_eq!(c.pending(), 0);
-    }
-
-    #[test]
-    fn resync_never_regresses_and_keeps_future_pushes() {
-        let mut c = GenerationCursor::new();
-        for g in 1..=6 {
-            c.apply(g);
-        }
-        c.resync(3); // a lagging snapshot cannot move the watermark back
-        assert_eq!(c.watermark(), 6);
-
-        let mut d = GenerationCursor::new();
-        d.apply(5); // in-flight push from beyond the snapshot
-        d.apply(7);
-        d.resync(4);
-        assert_eq!(d.watermark(), 5, "buffered 5 extends the snapshot");
-        assert_eq!(d.pending(), 1, "7 still waits for 6");
-        assert_eq!(d.lag(7), 2);
     }
 
     /// A write that touches nothing a cached result depends on leaves it

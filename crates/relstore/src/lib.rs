@@ -42,6 +42,6 @@ pub mod value;
 pub use database::{
     CostModel, Database, DatabaseBuilder, Mutation, MutationEffect, Query, QueryOutcome,
 };
-pub use invalidation::{affects, GenerationCursor, QueryCache};
+pub use invalidation::{affects, QueryCache};
 pub use table::{ColumnDef, Table, TableId};
 pub use value::{RowId, Value};

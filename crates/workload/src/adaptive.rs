@@ -22,7 +22,7 @@
 //! telemetry rows and the controller's own committed history — no RNG, no
 //! wall clock, and iteration in (component, host) index order with
 //! strict-improvement tie-breaks. Its one host is the sequential driver,
-//! which runs rounds from an internal tick event.
+//! which runs rounds from a recurring tick event.
 
 use mutsvc_middleware::{ComponentId, ComponentRegistry, DeploymentDescriptor};
 use mutsvc_netsim::{NodeId, Topology};

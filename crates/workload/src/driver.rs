@@ -41,8 +41,8 @@ use mutsvc_middleware::{
     DeferredApply, DeploymentDescriptor,
 };
 use mutsvc_netsim::{
-    advance_job, spawn_program_traced, JobWorld, Jobs, LinkId, NetEvent, Network, NodeId, Program,
-    ProtocolParams, Step, Topology,
+    advance_job, spawn_program, JobWorld, Jobs, LinkId, NetEvent, Network, NodeId, ProtocolParams,
+    Step, Topology,
 };
 use mutsvc_relstore::{Database, TableId};
 
@@ -509,7 +509,6 @@ struct MetricsState {
     failed: CounterId,
     queue_near: GaugeId,
     queue_far: GaugeId,
-    slab_free: GaugeId,
     jobs_in_flight: GaugeId,
     /// `(page label, histogram)` in the app's page-inventory order.
     pages: Vec<(String, HistId)>,
@@ -546,7 +545,6 @@ impl MetricsState {
         let failed = rec.counter(crate::slo::FAILED_COUNTER);
         let queue_near = rec.gauge("engine.queue.near_depth");
         let queue_far = rec.gauge("engine.queue.far_depth");
-        let slab_free = rec.gauge("engine.queue.slab_free");
         let jobs_in_flight = rec.gauge("engine.jobs.in_flight");
         // One histogram per distinct page label, pooled across groups and
         // patterns; the inventory order is a pure function of the app, so
@@ -587,7 +585,6 @@ impl MetricsState {
             failed,
             queue_near,
             queue_far,
-            slab_free,
             jobs_in_flight,
             pages,
             wan,
@@ -632,12 +629,11 @@ enum Ev {
     Retry { token: u32 },
     /// Close the current metrics window (scheduled only when the spec's
     /// [`crate::spec::MetricsSettings`] arm the recorder, so metrics-off
-    /// runs never see this variant). Rides the engine's internal side queue
-    /// so the recorder never perturbs the `queue.*` gauges it reports.
+    /// runs never see this variant). The roll samples the `queue.*` gauges
+    /// from the heap's open slot, so they never count the roll itself.
     MetricsRoll,
     /// Adaptive-controller decision point (sequential runs only: the
-    /// parallel driver rejects an armed controller). Internal-queue event,
-    /// like [`Ev::MetricsRoll`].
+    /// parallel driver rejects an armed controller).
     AdaptTick,
     /// A migrating component's state transfer arrived: flip the primary in
     /// the deployment descriptor and restart the destination container
@@ -872,13 +868,7 @@ fn retry_request(world: &mut World, ctx: &mut Context<'_, World, Ev>, token: u32
             inf.trace,
         )
     };
-    spawn_program_traced(
-        world,
-        ctx,
-        Program::Shared(steps),
-        Ev::Done { token },
-        trace,
-    );
+    spawn_program(world, ctx, steps, Ev::Done { token }, trace);
 }
 
 /// Applies one fault-schedule entry to the live network/container state and
@@ -975,7 +965,6 @@ fn roll_metrics(world: &mut World, ctx: &mut Context<'_, World, Ev>) {
     let depths = ctx.queue_depths();
     m.rec.set(m.queue_near, depths.near as f64);
     m.rec.set(m.queue_far, depths.far as f64);
-    m.rec.set(m.slab_free, depths.slab_free as f64);
     m.rec.set(m.jobs_in_flight, world.jobs.in_flight() as f64);
     for w in &mut m.wan {
         let (msgs, bytes) = world.net.link_traffic(w.link);
@@ -991,9 +980,7 @@ fn roll_metrics(world: &mut World, ctx: &mut Context<'_, World, Ev>) {
     }
     m.rec.roll();
     if ctx.now() + m.window <= world.spec.horizon() {
-        // Internal side queue: the recorder must not perturb the `queue.*`
-        // gauges it reports (or any main-queue tie-breaking).
-        ctx.schedule_internal_in(m.window, Ev::MetricsRoll);
+        ctx.schedule_event_in(m.window, Ev::MetricsRoll);
     }
     world.metrics = Some(m);
 }
@@ -1009,7 +996,7 @@ fn adapt_tick(world: &mut World, ctx: &mut Context<'_, World, Ev>) {
         .cadence
         .expect("the controller tick is armed only with a cadence");
     if now + cadence <= world.spec.horizon() {
-        ctx.schedule_internal_in(cadence, Ev::AdaptTick);
+        ctx.schedule_event_in(cadence, Ev::AdaptTick);
     }
     let Some(obs) = world.adaptive_observation() else {
         return;
@@ -1164,7 +1151,7 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
         client: client_node,
         entry: entry_node,
     };
-    if let Some((steps, stats, wan_rts)) = world.plans.lookup(&key) {
+    let (steps, replayable) = if let Some((steps, stats, wan_rts)) = world.plans.lookup(&key) {
         // Replay the memoized program: no page construction, no binder, no
         // RNG draws (the bind was certified draw-free), identical steps.
         if measured {
@@ -1173,20 +1160,7 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
         if let Some(tc) = trace {
             world.tracer.set_logical_wan(tc, wan_rts);
         }
-        if world.fault_rt.active {
-            let inf = world.inflight[token as usize]
-                .as_mut()
-                .expect("just allocated");
-            inf.replayable = true;
-            inf.program = Some(Arc::clone(&steps));
-        }
-        spawn_program_traced(
-            world,
-            ctx,
-            Program::Shared(steps),
-            Ev::Done { token },
-            trace,
-        );
+        (steps, true)
     } else {
         let page = world.app.build_page(&page_spec);
         let bound = Binder::new(
@@ -1222,8 +1196,8 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
             world.tracer.set_logical_wan(tc, wan_rts);
         }
 
-        if bound.replayable && world.plans.enabled {
-            let steps: Arc<[Step]> = bound.steps.into();
+        let steps: Arc<[Step]> = bound.steps.into();
+        if bound.replayable {
             world.plans.insert(
                 key,
                 Arc::clone(&steps),
@@ -1231,48 +1205,18 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
                 wan_rts,
                 &bound.read_tables,
             );
-            if world.fault_rt.active {
-                let inf = world.inflight[token as usize]
-                    .as_mut()
-                    .expect("just allocated");
-                inf.replayable = true;
-                inf.program = Some(Arc::clone(&steps));
-            }
-            spawn_program_traced(
-                world,
-                ctx,
-                Program::Shared(steps),
-                Ev::Done { token },
-                trace,
-            );
-        } else if world.fault_rt.active {
-            // Fault runs retain every program for retries; sharing instead
-            // of owning changes nothing about the simulated steps.
-            let steps: Arc<[Step]> = bound.steps.into();
-            {
-                let inf = world.inflight[token as usize]
-                    .as_mut()
-                    .expect("just allocated");
-                inf.replayable = bound.replayable;
-                inf.program = Some(Arc::clone(&steps));
-            }
-            spawn_program_traced(
-                world,
-                ctx,
-                Program::Shared(steps),
-                Ev::Done { token },
-                trace,
-            );
-        } else {
-            spawn_program_traced(
-                world,
-                ctx,
-                Program::Owned(bound.steps),
-                Ev::Done { token },
-                trace,
-            );
         }
+        (steps, bound.replayable)
+    };
+    if world.fault_rt.active {
+        // Fault runs retain every program for retries.
+        let inf = world.inflight[token as usize]
+            .as_mut()
+            .expect("just allocated");
+        inf.replayable = replayable;
+        inf.program = Some(Arc::clone(&steps));
     }
+    spawn_program(world, ctx, steps, Ev::Done { token }, trace);
 
     // A fixed delay after every issue: the re-arms come due in the order they
     // are armed, so they wait in the queue's timer lane.
@@ -1531,19 +1475,19 @@ fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Simulation<Wor
     for (slot, at) in surge_starts {
         sim.schedule_event_at(at, Ev::Issue { slot });
     }
-    // Arm the metrics roll cadence on the engine's *internal* side queue:
-    // the roll samples the main queue's gauges, so it must not sit in it.
+    // Arm the metrics roll cadence. The roll samples the queue's gauges
+    // while it is the firing heap head, whose open slot the depths exclude,
+    // so it never counts itself.
     if let Some(window) = sim.world().spec.metrics.window {
-        sim.schedule_internal_at(SimTime::ZERO + window, Ev::MetricsRoll);
+        sim.schedule_event_at(SimTime::ZERO + window, Ev::MetricsRoll);
     }
-    // Arm the adaptive decision cadence (also an internal event —
-    // controller rounds read telemetry, they are not simulated work). The
-    // first round fires one cadence past warm-up: windows closed during the
-    // ramp carry cold caches and connection setup, and a controller acting
-    // on them migrates against transients.
+    // Arm the adaptive decision cadence. The first round fires one cadence
+    // past warm-up: windows closed during the ramp carry cold caches and
+    // connection setup, and a controller acting on them migrates against
+    // transients.
     if let Some(cadence) = sim.world().spec.adaptive.cadence {
         let warmup = sim.world().spec.warmup;
-        sim.schedule_internal_at(SimTime::ZERO + warmup + cadence, Ev::AdaptTick);
+        sim.schedule_event_at(SimTime::ZERO + warmup + cadence, Ev::AdaptTick);
     }
     // Failure injection: the fault schedule. An empty schedule adds zero
     // events, leaving the queue history untouched.
