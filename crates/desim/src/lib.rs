@@ -12,7 +12,8 @@
 //!   log-bucketed histogram per series),
 //! * windowed time-series [`recorder`]s over the same exactly-mergeable
 //!   log-bucketed histograms,
-//! * the [`json`] codec every artifact is built, rendered and checked with.
+//! * the [`json`] codec every artifact is built, rendered and checked with,
+//! * the FxHash-style hasher of the simulator's hot maps ([`hash`]).
 //!
 //! Higher layers (network, middleware, applications) are worlds `W` plugged
 //! into [`Simulation<W, E>`], each with its own event type `E`. Parallel
@@ -65,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
@@ -75,6 +77,7 @@ pub mod time;
 pub mod trace;
 
 pub use fault::{message_lost, FaultEvent, FaultKind, FaultSchedule};
+pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use metrics::{nearest_rank, weighted_mean, Summary, Welford};
 pub use recorder::{CounterId, GaugeId, HistId, LogHistogram, Recorder, WindowRow};
 pub use resource::FifoResource;

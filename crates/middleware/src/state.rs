@@ -11,9 +11,12 @@
 //! by predicate: a write looks up the results it invalidates
 //! ([`ContainerState::affected_queries`]) instead of testing every result
 //! cached on the written table.
+//!
+//! The maps are Fx-hashed ([`mutsvc_desim::hash`]). No iteration of them
+//! reaches an output: [`ContainerState::loaded_rows`] sorts, and eviction
+//! only retains.
 
-use std::collections::{HashMap, HashSet};
-
+use mutsvc_desim::hash::{FxHashMap, FxHashSet};
 use mutsvc_netsim::NodeId;
 use mutsvc_relstore::{MutationEffect, Query, QueryCache, RowId};
 
@@ -34,15 +37,15 @@ pub enum RowCacheState {
 #[derive(Debug, Clone, Default)]
 pub struct ContainerState {
     /// Read-only entity replica caches: (entity, node) → row → valid?
-    entity_rows: HashMap<(ComponentId, NodeId), HashMap<RowId, bool>>,
+    entity_rows: FxHashMap<(ComponentId, NodeId), FxHashMap<RowId, bool>>,
     /// Query caches: node → its cached results, indexed by predicate.
-    query_results: HashMap<NodeId, QueryCache>,
+    query_results: FxHashMap<NodeId, QueryCache>,
     /// Resolved stubs: (node, component).
-    stubs: HashSet<(NodeId, ComponentId)>,
+    stubs: FxHashSet<(NodeId, ComponentId)>,
     /// Monotonic version counter per entity row, for staleness audits.
-    versions: HashMap<(ComponentId, RowId), u64>,
+    versions: FxHashMap<(ComponentId, RowId), u64>,
     /// Version last seen by each replica row, for staleness audits.
-    replica_versions: HashMap<(ComponentId, NodeId, RowId), u64>,
+    replica_versions: FxHashMap<(ComponentId, NodeId, RowId), u64>,
 }
 
 impl ContainerState {

@@ -200,15 +200,6 @@ impl Network {
             .unwrap_or_else(|| panic!("no route {from} -> {to}"))
     }
 
-    /// The route from `from` to `to` as an owned link list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is unreachable from `from`.
-    pub fn route_of(&self, from: NodeId, to: NodeId) -> Vec<LinkId> {
-        self.route(from, to).to_vec()
-    }
-
     /// Serializes `bytes` onto directed link `link` at `now` and returns the
     /// arrival time at the link's far end (serialization queueing plus
     /// propagation latency).
@@ -398,8 +389,7 @@ mod tests {
     #[test]
     fn fault_state_defaults_to_healthy() {
         let (net, a, c) = wan_pair();
-        let route = net.route_of(a, c);
-        assert!(net.link_is_up(route[0]));
+        assert!(net.link_is_up(net.route(a, c)[0]));
         assert!(net.node_is_up(c));
         assert!(net.path_is_up(a, c));
         assert_eq!(net.links_down(), 0);
@@ -409,13 +399,13 @@ mod tests {
     #[test]
     fn downed_link_breaks_the_path_until_restored() {
         let (mut net, a, c) = wan_pair();
-        let route = net.route_of(a, c);
-        net.set_link_up(route[1], false);
+        let wan = net.route(a, c)[1];
+        net.set_link_up(wan, false);
         assert!(!net.path_is_up(a, c));
         assert_eq!(net.links_down(), 1);
         // The reverse direction is a distinct directed link and stays up.
         assert!(net.path_is_up(c, a));
-        net.set_link_up(route[1], true);
+        net.set_link_up(wan, true);
         assert!(net.path_is_up(a, c));
     }
 
@@ -435,7 +425,7 @@ mod tests {
     #[test]
     fn loss_window_drops_deterministically_and_only_while_open() {
         let (mut net, a, c) = wan_pair();
-        let link = net.route_of(a, c)[0];
+        let link = net.route(a, c)[0];
         net.set_loss_salt(42);
         // Closed window: nothing dropped, counter untouched.
         for _ in 0..8 {
@@ -446,7 +436,7 @@ mod tests {
         assert!(pattern.iter().any(|&d| d) && pattern.iter().any(|&d| !d));
         // Same salt and a fresh network replays the same pattern.
         let (mut net2, a2, c2) = wan_pair();
-        let link2 = net2.route_of(a2, c2)[0];
+        let link2 = net2.route(a2, c2)[0];
         net2.set_loss_salt(42);
         net2.set_link_loss(link2, 0.5);
         let replay: Vec<bool> = (0..64).map(|_| net2.message_dropped(link2)).collect();
@@ -458,7 +448,7 @@ mod tests {
     #[test]
     fn per_link_degradation_scales_and_restores() {
         let (mut net, a, c) = wan_pair();
-        let wan = net.route_of(a, c)[1]; // 90 ms base leg
+        let wan = net.route(a, c)[1]; // 90 ms base leg
         net.scale_link_latency(wan, 3.0);
         assert_eq!(net.link_latency(wan), ms(270));
         net.scale_link_latency(wan, 1.0);

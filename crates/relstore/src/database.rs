@@ -256,6 +256,11 @@ impl Database {
 
     /// Executes a read query, returning matching rows, result bytes and the
     /// database-host CPU cost.
+    ///
+    /// A `Like` is charged `per_row_scanned` for every row of the table even
+    /// when [`Table::find_like`] answers from the ids it remembers: the
+    /// modeled database scans on every statement, while the host scans an
+    /// unchanged table once per needle.
     pub fn execute(&self, query: &Query) -> QueryOutcome {
         let table = self.table(query.table());
         let (rows, scanned) = match query {

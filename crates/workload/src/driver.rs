@@ -24,12 +24,11 @@
 //!   (group, pattern, page) and recorded through
 //!   [`WorkloadStats::record_ids`].
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use mutsvc_apps::{App, PageKey, SessionKind, SessionState};
 use mutsvc_desim::fault::FaultKind;
+use mutsvc_desim::hash::FxHashMap;
 use mutsvc_desim::metrics::Summary;
 use mutsvc_desim::recorder::{CounterId, GaugeId, HistId, LogHistogram, Recorder};
 use mutsvc_desim::rng::{stream, SimRng};
@@ -184,47 +183,6 @@ struct Inflight {
     /// metrics recorder is armed).
     hist: Option<HistId>,
 }
-
-/// An FxHash-style hasher (rotate, xor in a word, multiply) for the
-/// driver's hot maps. Their keys are small integers and static strings the
-/// simulation itself produces, so SipHash's flood resistance guards against
-/// no one, and nothing iterates these maps, so the hash reaches no output.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` hashed by [`FxHasher`].
-type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Identity of a memoized plan: what the request looks like and where it
 /// enters the system.
