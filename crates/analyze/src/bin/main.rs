@@ -3,26 +3,29 @@
 //! ```text
 //! mutsvc-analyze [--app petstore|rubis] [--config NAME] [--all]
 //!                [--format text|json|sarif]
-//!                [--check-faults [--smoke]]
+//!                [--check-faults]
 //!                [--explain CODE]
 //! ```
 //!
 //! With no selection flags, `--all` is assumed (both applications × all five
 //! configurations). `--explain CODE` prints the registered documentation
 //! for one diagnostic code and exits. `--check-faults` additionally runs
-//! the fault-suite simulations for every selected cell and cross-checks the
-//! analyzer's predicted per-episode availability against the simulated
-//! figure (`--smoke` shortens the simulated windows to CI wall-clock and
-//! widens the tolerance accordingly). Exits `1` when any analyzed
-//! deployment has errors or a cross-check misses, `2` on usage errors.
+//! the fault-suite simulations for every selected cell, in
+//! [`Scenario::quick`]'s windows, and cross-checks the analyzer's predicted
+//! per-episode availability against the simulated figure within one
+//! percentage point. Exits `1` when any analyzed deployment has errors or a
+//! cross-check misses, `2` on usage errors.
 
 use std::process::ExitCode;
 
-use mutsvc_analyze::{analyze_target_windows, explain, sarif_document, Report};
+use mutsvc_analyze::{analyze_target, explain, sarif_document, Report};
 use mutsvc_core::{AppKind, Config, FaultCase, Scenario};
 use mutsvc_desim::json::Json;
-use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::FaultPolicy;
+
+/// Largest predicted-minus-simulated availability gap `--check-faults`
+/// accepts.
+const TOLERANCE: f64 = 0.01;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -38,14 +41,13 @@ struct Options {
     format: Format,
     explain: Option<String>,
     check_faults: bool,
-    smoke: bool,
 }
 
 fn usage() -> String {
     let configs: Vec<&str> = Config::all().iter().map(|c| c.name()).collect();
     format!(
         "usage: mutsvc-analyze [--app petstore|rubis] [--config NAME] [--all] \
-         [--format text|json|sarif] [--check-faults [--smoke]] [--explain CODE]\n\
+         [--format text|json|sarif] [--check-faults] [--explain CODE]\n\
          configs: {}",
         configs.join(", ")
     )
@@ -59,7 +61,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         format: Format::Text,
         explain: None,
         check_faults: false,
-        smoke: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -97,13 +98,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.explain = Some(value.clone());
             }
             "--check-faults" => opts.check_faults = true,
-            "--smoke" => opts.smoke = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if opts.smoke && !opts.check_faults {
-        return Err("--smoke only applies to --check-faults".to_string());
     }
     Ok(opts)
 }
@@ -140,14 +137,7 @@ fn print_explain(code: &str) -> ExitCode {
 /// Cross-checks one cell: predicted availability per episode against a
 /// resilient-arm simulation of the same episode and windows. Returns the
 /// number of misses.
-fn check_faults_cell(
-    app: AppKind,
-    config: Config,
-    report: &Report,
-    warmup: SimDuration,
-    duration: SimDuration,
-    tolerance: f64,
-) -> usize {
+fn check_faults_cell(app: AppKind, config: Config, report: &Report) -> usize {
     let mut misses = 0;
     for case in FaultCase::all() {
         let Some(row) = report
@@ -164,17 +154,14 @@ fn check_faults_cell(
             misses += 1;
             continue;
         };
-        let mut scenario = Scenario::quick(app, config);
-        scenario.warmup = warmup;
-        scenario.duration = duration;
-        let scenario = scenario.with_fault_case(case, FaultPolicy::resilient());
+        let scenario = Scenario::quick(app, config).with_fault_case(case, FaultPolicy::resilient());
         let simulated = scenario
             .run()
             .stats
             .outcome("remote1")
             .map_or(f64::NAN, mutsvc_workload::GroupOutcome::availability);
         let diff = (row.availability - simulated).abs();
-        let ok = diff.is_finite() && diff <= tolerance;
+        let ok = diff.is_finite() && diff <= TOLERANCE;
         println!(
             "  {:<9} {:<17} {:<20} predicted {:.4}  simulated {:.4}  diff {:.4}  {}",
             app.name(),
@@ -218,24 +205,12 @@ fn main() -> ExitCode {
         _ => Config::all().to_vec(),
     };
 
-    // Predictions must line up with the simulated windows, so in smoke mode
-    // the analysis itself runs against the shortened schedule.
-    let quick = Scenario::quick(AppKind::PetStore, Config::Centralized);
-    let (warmup, duration) = if opts.smoke {
-        (SimDuration::from_secs(10), SimDuration::from_secs(40))
-    } else {
-        (quick.warmup, quick.duration)
-    };
-    // Smoke windows issue only a handful of requests per session, so the
-    // simulated fraction is quantized; the full windows earn the tight bound.
-    let tolerance = if opts.smoke { 0.08 } else { 0.01 };
-
     let mut failed = false;
     let mut misses = 0;
     let mut reports = Vec::new();
     for &app in &apps {
         for &config in &configs {
-            let report = analyze_target_windows(app, config, warmup, duration);
+            let report = analyze_target(app, config);
             failed |= report.has_errors();
             match opts.format {
                 Format::Text => print!("{}", report.render_text()),
@@ -257,19 +232,19 @@ fn main() -> ExitCode {
     }
 
     if opts.check_faults {
+        let quick = Scenario::quick(AppKind::PetStore, Config::Centralized);
         println!(
-            "fault cross-check (windows {}s+{}s, tolerance {:.2}):",
-            warmup.as_secs_f64(),
-            duration.as_secs_f64(),
-            tolerance
+            "fault cross-check (windows {}s+{}s, tolerance {TOLERANCE:.2}):",
+            quick.warmup.as_secs_f64(),
+            quick.duration.as_secs_f64(),
         );
         for (app, config, report) in &reports {
-            misses += check_faults_cell(*app, *config, report, warmup, duration, tolerance);
+            misses += check_faults_cell(*app, *config, report);
         }
         if misses > 0 {
             eprintln!("error: {misses} fault cross-check misses");
         } else {
-            println!("fault cross-check: all cells within {tolerance:.2}");
+            println!("fault cross-check: all cells within {TOLERANCE:.2}");
         }
     }
 

@@ -199,28 +199,15 @@ pub fn analyze(input: &AnalyzeInput<'_>) -> Report {
 
 /// Builds the full analysis for a paper scenario: application, descriptor,
 /// topology, usage flows, invariant table and standard fault suite exactly
-/// as the simulator would assemble them.
+/// as the simulator would assemble them, with the fault episodes scheduled
+/// in [`Scenario::quick`]'s windows.
 pub fn analyze_target(app: AppKind, config: Config) -> Report {
     let scenario = Scenario::quick(app, config);
-    analyze_target_windows(app, config, scenario.warmup, scenario.duration)
-}
-
-/// [`analyze_target`] under explicit warm-up/measured windows — the fault
-/// episodes are scheduled relative to these, so predictions line up with a
-/// suite run that shortened them (the bench smoke mode).
-pub fn analyze_target_windows(
-    app: AppKind,
-    config: Config,
-    warmup: mutsvc_desim::time::SimDuration,
-    duration: mutsvc_desim::time::SimDuration,
-) -> Report {
-    let mut scenario = Scenario::quick(app, config);
-    scenario.warmup = warmup;
-    scenario.duration = duration;
     let (input, nodes) = scenario.build();
     let pages = input.app.all_pages();
     let flows = input.app.session_flows();
-    let fault_context = FaultContext::standard(&input.topology, &nodes, warmup, duration);
+    let fault_context =
+        FaultContext::standard(&input.topology, &nodes, scenario.warmup, scenario.duration);
     analyze(&AnalyzeInput {
         app_name: app.name(),
         registry: &input.registry,
@@ -678,14 +665,7 @@ fn check_plan_cacheability(input: &AnalyzeInput<'_>, walks: &[PageWalk], report:
     if !has_entity_replicas && d.query_cache.nodes.is_empty() {
         return; // no caching machinery to leave idle
     }
-    let memoizable = |walk: &PageWalk| {
-        walk.written_tables.is_empty()
-            && walk
-                .crossings
-                .iter()
-                .all(|c| matches!(c.kind, CrossingKind::Jdbc { .. }))
-    };
-    if walks.iter().any(memoizable) {
+    if walks.iter().any(reachability::replayable) {
         return;
     }
     report.diagnostics.push(Diagnostic {
@@ -870,7 +850,7 @@ fn emit_fault_lints(
         let Some(view) = ctx
             .episodes
             .iter()
-            .find(|view| reachability::severed(input.topology, view, source, hazard.site.node))
+            .find(|view| reachability::severed(&view.network, source, hazard.site.node))
         else {
             continue;
         };

@@ -1,23 +1,26 @@
 //! Static fault availability: per-page reachability under fault episodes.
 //!
-//! For each [`EpisodeView`] the analysis replays the driver's fault
-//! semantics *statically*: it removes the episode's dead links and nodes
-//! from the placement graph, applies the [`FaultPolicy`]'s failover edge
-//! (new requests to a crashed edge entry re-target the central server, and
-//! the page is re-walked from there), and classifies every page a remote
-//! edge-1 client can issue:
+//! Each [`EpisodeView`] carries the episode's [`Network`]: its schedule
+//! replayed through [`Network::apply_fault`], the call the workload driver
+//! makes as each event fires. The analysis keeps no fault model of its own;
+//! it asks that network the questions the simulator asks. It applies the
+//! [`FaultPolicy`]'s failover edge (new requests to a crashed edge entry
+//! re-target the central server, and the page is re-walked from there), and
+//! classifies every page a remote edge-1 client can issue:
 //!
-//! * **hard-failed** — the HTTP leg or some call-tree crossing routes over
-//!   a dead link or lands on a dead node. Requests fail after the retry
-//!   ladder; only requests issued within the ladder's span of the heal
-//!   instant are recovered by a post-heal retry.
-//! * **stale-gated** — the page completes at an entry cut off from the
-//!   central server, served from cached state (caches deployed, bind
-//!   replayable). The policy's `stale_serve` knob decides whether these
-//!   count as stale successes or strict-consistency failures.
-//! * **lossy** — every message over a lossy link is dropped independently;
-//!   an attempt fails if any of its messages is lost and the request fails
-//!   when all `1 + max_retries` attempts do.
+//! * **hard-failed** — the HTTP leg or some call-tree crossing is
+//!   [`severed`]: its request or response path crosses a downed link or is
+//!   addressed to a crashed node, the step executor's per-hop check.
+//!   Requests fail after the retry ladder; only requests issued within the
+//!   ladder's span of the heal instant are recovered by a post-heal retry.
+//! * **stale-gated** — the page completes at an entry whose path to the
+//!   central server is down (`path_is_up(entry, central)`, the driver's
+//!   refresh test), served from cached state (the descriptor's caches serve
+//!   reads, bind replayable). The policy's `stale_serve` knob decides
+//!   whether these count as stale successes or strict-consistency failures.
+//! * **lossy** — every message over a link with a `link_loss` is dropped
+//!   independently; an attempt fails if any of its messages is lost and the
+//!   request fails when all `1 + max_retries` attempts do.
 //!
 //! Folding the per-page failure probabilities over the service-usage-mix
 //! page weights yields a predicted availability per episode — the static
@@ -27,8 +30,8 @@
 use mutsvc_apps::SessionFlow;
 use mutsvc_core::EpisodeView;
 use mutsvc_desim::time::SimDuration;
-use mutsvc_middleware::{CrossingKind, UpdatePropagation};
-use mutsvc_netsim::{NodeId, Topology};
+use mutsvc_middleware::CrossingKind;
+use mutsvc_netsim::{Network, NodeId, Topology};
 use mutsvc_workload::FaultPolicy;
 
 use crate::walker::{walk_page, PageWalk};
@@ -161,54 +164,13 @@ pub struct AvailabilityAnalysis {
     pub broken_failovers: Vec<BrokenFailover>,
 }
 
-struct EpisodeGraph<'a> {
-    topology: &'a Topology,
-    view: &'a EpisodeView,
-}
-
-impl EpisodeGraph<'_> {
-    fn node_dead(&self, node: NodeId) -> bool {
-        self.view.dead_nodes.contains(&node)
-    }
-
-    /// Whether the static route between two nodes survives, both ways.
-    /// Mirrors the driver: routes are fixed (no re-routing around dead
-    /// links), and every crossing needs its response path too.
-    fn route_up(&self, from: NodeId, to: NodeId) -> bool {
-        if from == to {
-            return true;
-        }
-        let dir = |a, b| {
-            self.topology
-                .route(a, b)
-                .is_some_and(|r| r.iter().all(|l| !self.view.dead_links.contains(l)))
-        };
-        dir(from, to) && dir(to, from)
-    }
-
-    /// Messages one leg sends over lossy links: `trips` each way, counted
-    /// per direction the route actually crosses a lossy link.
-    fn lossy_messages(&self, from: NodeId, to: NodeId, trips: u32) -> Vec<(f64, u32)> {
-        let mut out = Vec::new();
-        for (a, b) in [(from, to), (to, from)] {
-            if let Some(route) = self.topology.route(a, b) {
-                for &(lossy, p) in &self.view.lossy_links {
-                    if route.contains(&lossy) {
-                        out.push((p, trips));
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Whether an episode severs the static-route path between two nodes:
-/// either endpoint dead, or a dead link on the fixed route in either
-/// direction (the driver never re-routes around dead links).
-pub fn severed(topology: &Topology, view: &EpisodeView, from: NodeId, to: NodeId) -> bool {
-    let graph = EpisodeGraph { topology, view };
-    graph.node_dead(from) || graph.node_dead(to) || !graph.route_up(from, to)
+/// Whether an episode's network fails a leg between two nodes: the request
+/// `from -> to` or the response `to -> from` crosses a downed link or is
+/// addressed to a crashed node. This is the step executor's per-hop check,
+/// applied to both directions (routes are fixed; nothing re-routes around a
+/// dead link).
+pub fn severed(network: &Network, from: NodeId, to: NodeId) -> bool {
+    !(network.path_is_up(from, to) && network.path_is_up(to, from))
 }
 
 /// Runs the reachability analysis for every episode in the context.
@@ -225,16 +187,13 @@ pub fn predict_availability(
     let descriptor = input.descriptor;
     let client = nodes.client_edge1;
     let central = descriptor.central_node;
-    let caches_serve = descriptor.entity_propagation != UpdatePropagation::None;
+    let caches_serve = descriptor.caches_serve_reads();
     let ladder = ctx.ladder();
 
     let mut episodes = Vec::new();
     let mut broken_failovers = Vec::new();
     for view in &ctx.episodes {
-        let graph = EpisodeGraph {
-            topology: input.topology,
-            view,
-        };
+        let net = &view.network;
         let active = view.active();
         let active_s = active.as_secs_f64();
         let window_s = ctx.window.as_secs_f64().max(f64::MIN_POSITIVE);
@@ -244,19 +203,17 @@ pub fn predict_availability(
         // W111: the policy promises failover off a dead entry, but the
         // target itself is dead or unreachable from the clients while the
         // episode is active.
-        if ctx.policy.failover {
-            for &dead in &view.dead_nodes {
-                let entry_for_some_page = walks.iter().any(|w| w.entry == dead);
-                if !entry_for_some_page {
-                    continue;
-                }
-                if graph.node_dead(central) || !graph.route_up(client, central) {
-                    broken_failovers.push(BrokenFailover {
-                        episode: view.name.clone(),
-                        dead_entry: dead,
-                        target: central,
-                    });
-                }
+        if ctx.policy.failover && severed(net, client, central) {
+            let dead_entries = input
+                .topology
+                .node_ids()
+                .filter(|&n| !net.node_is_up(n) && walks.iter().any(|w| w.entry == n));
+            for dead in dead_entries {
+                broken_failovers.push(BrokenFailover {
+                    episode: view.name.clone(),
+                    dead_entry: dead,
+                    target: central,
+                });
             }
         }
 
@@ -271,7 +228,7 @@ pub fn predict_availability(
             let mut failover = false;
             let rewalked;
             let mut effective: &PageWalk = walk;
-            if graph.node_dead(entry) && ctx.policy.failover {
+            if !net.node_is_up(entry) && ctx.policy.failover {
                 entry = central;
                 failover = true;
                 rewalked = walk_page(
@@ -286,7 +243,7 @@ pub fn predict_availability(
             }
 
             let fate = classify_page(
-                &graph,
+                net,
                 effective,
                 client,
                 entry,
@@ -348,7 +305,7 @@ pub fn replayable(walk: &PageWalk) -> bool {
 }
 
 fn classify_page(
-    graph: &EpisodeGraph<'_>,
+    net: &Network,
     walk: &PageWalk,
     client: NodeId,
     entry: NodeId,
@@ -363,22 +320,23 @@ fn classify_page(
             .map(|c| (c.from, c.to, c.round_trips())),
     );
 
+    // Each leg sends `trips` messages each way; a lossy link drops each one
+    // independently (lossless links multiply by exactly 1).
     let mut lossy_ok = 1.0f64;
     for (from, to, trips) in legs {
-        if graph.node_dead(from) || graph.node_dead(to) || !graph.route_up(from, to) {
+        if severed(net, from, to) {
             return PageFate::HardFailed;
         }
-        for (p, msgs) in graph.lossy_messages(from, to, trips) {
-            lossy_ok *= (1.0 - p).powi(msgs as i32);
+        for (a, b) in [(from, to), (to, from)] {
+            for &link in net.route(a, b) {
+                lossy_ok *= (1.0 - net.link_loss(link)).powi(trips as i32);
+            }
         }
     }
 
-    // Completed at an entry cut off from the central server: the staleness
-    // gate fires for cache-served replayable reads.
-    if (!graph.route_up(entry, central) || graph.node_dead(central))
-        && caches_serve
-        && replayable(walk)
-    {
+    // Completed at an entry cut off from the central server: the driver's
+    // staleness gate fires for cache-served replayable reads.
+    if !net.path_is_up(entry, central) && caches_serve && replayable(walk) {
         if policy.stale_serve {
             return PageFate::OkStale;
         }

@@ -1,12 +1,15 @@
 //! The static page walker.
 //!
-//! Mirrors the binder's resolution rules ([`mutsvc_middleware::binding`])
+//! Applies the binder's resolution rules ([`mutsvc_middleware::binding`])
 //! over a page's logical call tree *without* executing the simulator,
 //! assuming **steady state**: stubs cached (when the descriptor enables
 //! caching), entity replica rows valid, covered query-cache entries
-//! populated. The binder's own warm (second) bind of the same page makes the
-//! identical decisions, which is what the golden cross-validation test
-//! checks crossing-by-crossing.
+//! populated. The host choice and the JDBC-delegation rule are the
+//! descriptor's own ([`DeploymentDescriptor::host_for`],
+//! [`DeploymentDescriptor::opens_jdbc`]), called by the binder too. The
+//! binder's own warm (second) bind of the same page makes the identical
+//! decisions, which is what the golden cross-validation test checks
+//! crossing-by-crossing.
 
 use std::collections::BTreeSet;
 
@@ -165,38 +168,13 @@ struct Walker<'a> {
 }
 
 impl Walker<'_> {
-    /// Identical to the binder's host choice: entity writes go to the
-    /// primary, reads prefer a co-located instance, sessions prefer the
-    /// caller's node.
-    fn resolve_host(&self, caller: NodeId, call: &Call) -> NodeId {
-        let placement = self.descriptor.placement(call.component);
-        match self.registry.spec(call.component).kind {
-            ComponentKind::Entity => {
-                if call.has_writes() {
-                    placement.primary
-                } else if placement.hosts(caller) {
-                    caller
-                } else {
-                    placement.primary
-                }
-            }
-            _ => {
-                if placement.hosts(caller) {
-                    caller
-                } else {
-                    placement.primary
-                }
-            }
-        }
-    }
-
     fn path_string(&self) -> String {
         self.path.join(" > ")
     }
 
     fn walk_call(&mut self, caller: NodeId, call: &Call) {
-        let host = self.resolve_host(caller, call);
         let spec = self.registry.spec(call.component);
+        let host = self.descriptor.host_for(spec.kind, caller, call);
         self.path.push(format!("{}.{}", spec.name, call.op));
         if host != caller {
             // Steady state: with stub caching the home stub is already held;
@@ -253,13 +231,9 @@ impl Walker<'_> {
             }
         }
 
-        // Plain database access, with the binder's delegation rule: only the
-        // legacy web tier and data-adjacent hosts open JDBC directly.
+        // Plain database access, or delegation to the central façade.
         let db_node = self.descriptor.db_node;
-        let direct_jdbc = spec.kind == ComponentKind::Web
-            || host == db_node
-            || host == self.descriptor.central_node;
-        if direct_jdbc {
+        if self.descriptor.opens_jdbc(spec.kind, host) {
             if host != db_node {
                 let trips = qa
                     .access

@@ -6,6 +6,7 @@ use std::collections::BTreeSet;
 
 use mutsvc_analyze::{analyze, AnalyzeInput};
 use mutsvc_core::{wan_invariant, AppKind, Config, Scenario};
+use mutsvc_desim::fault::FaultKind;
 use mutsvc_desim::SimDuration;
 use mutsvc_middleware::{Call, DbAccess, PageRequest, Placement, UpdatePropagation};
 use mutsvc_relstore::{Mutation, Query, Value};
@@ -440,7 +441,9 @@ fn w111_failover_target_unreachable_during_its_episode() {
     let mut ctx = FaultContext::standard(&input.topology, &nodes, warmup, duration);
     for view in &mut ctx.episodes {
         if view.name == "edge-crash" {
-            view.dead_nodes.push(nodes.main);
+            view.network.apply_fault(FaultKind::NodeCrash {
+                node: nodes.main.index() as u32,
+            });
         }
     }
     let report = analyze(&AnalyzeInput {

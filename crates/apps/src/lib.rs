@@ -286,16 +286,6 @@ impl App {
         }
     }
 
-    /// Nominal session length of a pattern (number of page requests).
-    pub fn session_length(&self, kind: SessionKind) -> usize {
-        match (self, kind) {
-            (App::PetStore(_), SessionKind::Browser) => petstore::BROWSER_SESSION_LENGTH,
-            (App::PetStore(_), SessionKind::Transactional) => petstore::BUYER_SEQUENCE.len(),
-            (App::Rubis(_), SessionKind::Browser) => rubis::BROWSER_SESSION_LENGTH,
-            (App::Rubis(_), SessionKind::Transactional) => rubis::BIDDER_SEQUENCE.len(),
-        }
-    }
-
     /// Static page-flow graphs of the application's usage patterns, for
     /// inter-page dataflow: one [`SessionFlow`] per pattern.
     pub fn session_flows(&self) -> Vec<SessionFlow> {
@@ -407,15 +397,31 @@ mod tests {
 
     #[test]
     fn sessions_drain_to_none() {
-        for (app, _, _) in [App::petstore(true), App::rubis()] {
+        let lengths = [
+            (
+                App::petstore(true).0,
+                [
+                    petstore::BROWSER_SESSION_LENGTH,
+                    petstore::BUYER_SEQUENCE.len(),
+                ],
+            ),
+            (
+                App::rubis().0,
+                [rubis::BROWSER_SESSION_LENGTH, rubis::BIDDER_SEQUENCE.len()],
+            ),
+        ];
+        for (app, [browser, transactional]) in lengths {
             let mut rng = SimRng::seed_from_u64(5);
-            for kind in [SessionKind::Browser, SessionKind::Transactional] {
+            for (kind, length) in [
+                (SessionKind::Browser, browser),
+                (SessionKind::Transactional, transactional),
+            ] {
                 let mut s = app.new_session(kind, &mut rng);
                 let mut n = 0;
                 while app.next_page(&mut s, &mut rng).is_some() {
                     n += 1;
                 }
-                assert_eq!(n, app.session_length(kind), "{} {kind:?}", app.name());
+                assert_eq!(n, length, "{} {kind:?}", app.name());
                 assert!(app.next_page(&mut s, &mut rng).is_none());
             }
         }

@@ -71,7 +71,6 @@ pub fn metrics_scenario(
     scenario
         .with_seed(seed)
         .with_metrics(metrics_settings(smoke))
-        .with_slo(default_slo(app))
         .with_parallel(2)
 }
 

@@ -7,7 +7,9 @@
 //! (every request walks the full `Binder`) and once with it on. Both runs
 //! complete the identical open workload — the driver-level equivalence suite
 //! pins bit-identical simulated results — so requests/s is a pure wall-clock
-//! ratio and the reported speedup is apples-to-apples.
+//! ratio and the reported speedup is apples-to-apples. Every sequential row
+//! keeps the fastest of three in-process runs, which must simulate the same
+//! history, so each ratio compares like with like.
 //!
 //! The modelled hardware is provisioned with the load
 //! ([`mutsvc_netsim::Topology::scale_capacity`]): at 100× the paper's
@@ -20,7 +22,7 @@
 //! load fixed at the top load factor and the cache on. Events per request
 //! barely move with the region count, so host time per request against the
 //! paper-topology row (the `"fanout_cost"` map) is the per-edge cost of the
-//! write path. Each row keeps the fastest of three in-process runs.
+//! write path.
 //!
 //! A third family measures the region-sharded parallel engine (DESIGN.md
 //! §6.5) on the eight-region fan-out at thread counts 1/2/4/8 (capped by
@@ -146,39 +148,48 @@ fn measure(
     (cell, report)
 }
 
+/// In-process runs per sequential row; the row keeps the fastest.
+const SEQUENTIAL_RUNS: usize = 3;
+
+/// The fastest of [`SEQUENTIAL_RUNS`] in-process runs of one sequential
+/// row. The repeats must simulate the same history (equal `completed` and
+/// `events_fired`), or this panics naming `row`.
+fn fastest_run(row: &str, mut run: impl FnMut() -> SimperfCell) -> SimperfCell {
+    let mut best = run();
+    for _ in 1..SEQUENTIAL_RUNS {
+        let cell = run();
+        assert_eq!(
+            (best.completed, best.events_fired),
+            (cell.completed, cell.events_fired),
+            "{row}: repeated runs diverged"
+        );
+        if cell.wall_secs < best.wall_secs {
+            best = cell;
+        }
+    }
+    best
+}
+
 fn run_cell(app: AppKind, factor: u32, bind_cache: bool, smoke: bool, seed: u64) -> SimperfCell {
-    let (mut input, _) = Scenario::quick(app, Config::AsyncUpdates).build();
-    input.spec = input.spec.with_seed(seed);
-    measure(app, "paper", input, factor, bind_cache, 0, smoke).0
+    let row = format!("{}/{factor}x cache {bind_cache}", app.name());
+    fastest_run(&row, || {
+        let (mut input, _) = Scenario::quick(app, Config::AsyncUpdates).build();
+        input.spec = input.spec.with_seed(seed);
+        measure(app, "paper", input, factor, bind_cache, 0, smoke).0
+    })
 }
 
 /// Client-region counts of the sequential fan-out rows: the local cluster
 /// plus 1, 3, 7 and 15 WAN edge regions.
 pub const FANOUT_REGIONS: [usize; 4] = [2, 4, 8, 16];
 
-/// In-process runs per fan-out row; the row keeps the fastest.
-const FANOUT_RUNS: usize = 3;
-
-/// One sequential RUBiS fan-out row: the fastest of [`FANOUT_RUNS`] runs,
-/// which must all simulate the same history.
+/// One sequential RUBiS fan-out row.
 fn run_fanout_cell(regions: usize, factor: u32, smoke: bool, seed: u64) -> SimperfCell {
     let app = AppKind::Rubis;
-    let mut best: Option<SimperfCell> = None;
-    for _ in 0..FANOUT_RUNS {
+    fastest_run(&format!("rubis/{regions} regions"), || {
         let input = fanout_input(app, Config::AsyncUpdates, regions - 1, seed);
-        let (cell, _) = measure(app, "fanout", input, factor, true, 0, smoke);
-        if let Some(b) = &best {
-            assert_eq!(
-                (b.completed, b.events_fired),
-                (cell.completed, cell.events_fired),
-                "rubis/{regions} regions: repeated runs diverged"
-            );
-        }
-        if best.as_ref().is_none_or(|b| cell.wall_secs < b.wall_secs) {
-            best = Some(cell);
-        }
-    }
-    best.expect("at least one run")
+        measure(app, "fanout", input, factor, true, 0, smoke).0
+    })
 }
 
 /// How many WAN edge regions the parallel rows fan out to. With the local
@@ -491,6 +502,30 @@ mod tests {
             *at(&mut doc, "speedup"),
             Json::parse("{\"rubis_10x\":8.00}").unwrap()
         );
+    }
+
+    #[test]
+    fn sequential_rows_keep_the_fastest_run() {
+        let mut walls = [3.0, 1.0, 2.0].into_iter();
+        let best = fastest_run("rubis", || SimperfCell {
+            wall_secs: walls.next().expect("three runs"),
+            ..cell(true, 0, 12_000.0, Vec::new())
+        });
+        assert_eq!(best.wall_secs, 1.0);
+        assert_eq!(walls.next(), None, "exactly three runs");
+    }
+
+    #[test]
+    #[should_panic(expected = "rubis: repeated runs diverged")]
+    fn diverging_repeats_panic() {
+        let mut events = 90_000;
+        fastest_run("rubis", || {
+            events += 1;
+            SimperfCell {
+                events_fired: events,
+                ..cell(true, 0, 12_000.0, Vec::new())
+            }
+        });
     }
 
     #[test]

@@ -9,8 +9,6 @@ use mutsvc_middleware::{
 };
 use mutsvc_netsim::NodeId;
 
-use crate::topology::PaperNodes;
-
 /// The five configurations, in the paper's incremental order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Config {
@@ -80,17 +78,6 @@ impl Config {
             edge
         }
     }
-}
-
-/// Builds the Pet Store deployment descriptor for `config` on the paper
-/// topology (two edge servers).
-pub fn petstore_descriptor(
-    config: Config,
-    registry: &ComponentRegistry,
-    c: &PsComponents,
-    nodes: &PaperNodes,
-) -> DeploymentDescriptor {
-    petstore_descriptor_on(config, registry, c, nodes.main, nodes.db, &nodes.edges())
 }
 
 /// Builds the Pet Store deployment descriptor for `config` over an
@@ -196,17 +183,6 @@ pub fn rubis_adaptive_baseline(
     b.build().expect("adaptive baseline descriptor is complete")
 }
 
-/// Builds the RUBiS deployment descriptor for `config` on the paper
-/// topology (two edge servers).
-pub fn rubis_descriptor(
-    config: Config,
-    registry: &ComponentRegistry,
-    c: &RubisComponents,
-    nodes: &PaperNodes,
-) -> DeploymentDescriptor {
-    rubis_descriptor_on(config, registry, c, nodes.main, nodes.db, &nodes.edges())
-}
-
 /// Builds the RUBiS deployment descriptor for `config` over an arbitrary
 /// set of edge servers (see [`petstore_descriptor_on`]).
 pub fn rubis_descriptor_on(
@@ -264,7 +240,7 @@ pub fn rubis_descriptor_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::paper_topology;
+    use crate::topology::{paper_topology, PaperNodes};
     use mutsvc_apps::App;
 
     fn ps() -> (ComponentRegistry, PsComponents, PaperNodes) {
@@ -290,7 +266,14 @@ mod tests {
     #[test]
     fn centralized_uses_only_main() {
         let (reg, c, nodes) = ps();
-        let d = petstore_descriptor(Config::Centralized, &reg, &c, &nodes);
+        let d = petstore_descriptor_on(
+            Config::Centralized,
+            &reg,
+            &c,
+            nodes.main,
+            nodes.db,
+            &nodes.edges(),
+        );
         for comp in c.all() {
             assert_eq!(d.placement(comp).primary, nodes.main);
             assert!(d.placement(comp).replicas.is_empty());
@@ -301,7 +284,14 @@ mod tests {
     #[test]
     fn facade_moves_session_tier_only() {
         let (reg, c, nodes) = ps();
-        let d = petstore_descriptor(Config::RemoteFacade, &reg, &c, &nodes);
+        let d = petstore_descriptor_on(
+            Config::RemoteFacade,
+            &reg,
+            &c,
+            nodes.main,
+            nodes.db,
+            &nodes.edges(),
+        );
         assert!(d.placement(c.web).hosts(nodes.edge1));
         assert!(d.placement(c.cart).hosts(nodes.edge2));
         assert!(!d.placement(c.catalog).hosts(nodes.edge1));
@@ -311,7 +301,14 @@ mod tests {
     #[test]
     fn stateful_caching_replicates_catalog_entities_with_sync_push() {
         let (reg, c, nodes) = ps();
-        let d = petstore_descriptor(Config::StatefulCaching, &reg, &c, &nodes);
+        let d = petstore_descriptor_on(
+            Config::StatefulCaching,
+            &reg,
+            &c,
+            nodes.main,
+            nodes.db,
+            &nodes.edges(),
+        );
         for entity in c.cacheable_entities() {
             assert!(d.placement(entity).hosts(nodes.edge1));
             assert_eq!(d.placement(entity).primary, nodes.main);
@@ -326,7 +323,14 @@ mod tests {
     #[test]
     fn query_caching_adds_edge_caches_pull_mode_for_petstore() {
         let (reg, c, nodes) = ps();
-        let d = petstore_descriptor(Config::QueryCaching, &reg, &c, &nodes);
+        let d = petstore_descriptor_on(
+            Config::QueryCaching,
+            &reg,
+            &c,
+            nodes.main,
+            nodes.db,
+            &nodes.edges(),
+        );
         assert!(d.query_cache.covers(nodes.edge1, TAG_PRODUCTS_BY_CATEGORY));
         assert!(d.query_cache.covers(nodes.edge2, TAG_ITEMS_BY_PRODUCT));
         assert_eq!(d.query_cache.propagation, UpdatePropagation::Invalidate);
@@ -336,7 +340,14 @@ mod tests {
     #[test]
     fn async_updates_switch_propagation_and_deploy_mdbs() {
         let (reg, c, nodes) = ps();
-        let d = petstore_descriptor(Config::AsyncUpdates, &reg, &c, &nodes);
+        let d = petstore_descriptor_on(
+            Config::AsyncUpdates,
+            &reg,
+            &c,
+            nodes.main,
+            nodes.db,
+            &nodes.edges(),
+        );
         assert_eq!(d.entity_propagation, UpdatePropagation::AsyncPush);
         assert!(d.placement(c.update_subscriber).hosts(nodes.edge1));
         assert_eq!(d.jms_broker, nodes.main);
@@ -345,7 +356,14 @@ mod tests {
     #[test]
     fn rubis_facade_moves_only_servlets() {
         let (reg, c, nodes) = rubis();
-        let d = rubis_descriptor(Config::RemoteFacade, &reg, &c, &nodes);
+        let d = rubis_descriptor_on(
+            Config::RemoteFacade,
+            &reg,
+            &c,
+            nodes.main,
+            nodes.db,
+            &nodes.edges(),
+        );
         assert!(d.placement(c.web).hosts(nodes.edge1));
         for sb in [c.sb_view_item, c.sb_store_bid, c.sb_put_bid] {
             assert!(!d.placement(sb).hosts(nodes.edge1));
@@ -355,7 +373,14 @@ mod tests {
     #[test]
     fn rubis_caching_deploys_read_facades_and_replicas() {
         let (reg, c, nodes) = rubis();
-        let d = rubis_descriptor(Config::StatefulCaching, &reg, &c, &nodes);
+        let d = rubis_descriptor_on(
+            Config::StatefulCaching,
+            &reg,
+            &c,
+            nodes.main,
+            nodes.db,
+            &nodes.edges(),
+        );
         for sb in c.edge_read_facades() {
             assert!(d.placement(sb).hosts(nodes.edge1));
         }
@@ -370,7 +395,14 @@ mod tests {
     #[test]
     fn rubis_query_caching_is_push_based_and_covers_all_tags() {
         let (reg, c, nodes) = rubis();
-        let d = rubis_descriptor(Config::QueryCaching, &reg, &c, &nodes);
+        let d = rubis_descriptor_on(
+            Config::QueryCaching,
+            &reg,
+            &c,
+            nodes.main,
+            nodes.db,
+            &nodes.edges(),
+        );
         for tag in tags::ALL {
             assert!(d.query_cache.covers(nodes.edge1, tag), "{tag}");
         }

@@ -6,8 +6,8 @@ use mutsvc_middleware::ContainerCosts;
 use mutsvc_netsim::{NodeId, ProtocolParams, Topology};
 use mutsvc_workload::{
     paper_groups, run_experiment, run_experiment_parallel, AdaptiveSettings, ClientGroup,
-    ExperimentInput, ExperimentReport, FaultPolicy, FaultSettings, MetricsSettings, SloSpec,
-    TraceSettings, WorkloadSpec,
+    ExperimentInput, ExperimentReport, FaultPolicy, FaultSettings, MetricsSettings, TraceSettings,
+    WorkloadSpec,
 };
 
 use crate::configs::{
@@ -64,10 +64,6 @@ pub struct Scenario {
     pub trace: TraceSettings,
     /// Windowed metrics recorder policy (off by default).
     pub metrics: MetricsSettings,
-    /// Service-level objectives graded against the metrics windows by
-    /// [`mutsvc_workload::evaluate`]. Carried on the scenario so report
-    /// generators and the static analyzer see the same objectives.
-    pub slo: Option<SloSpec>,
     /// Fault schedule, timeout and recovery policy (off by default).
     pub faults: FaultSettings,
     /// A standard-suite episode scripted at build time against the built
@@ -96,7 +92,6 @@ impl Scenario {
             rmi_extra_round_trip_prob: None,
             trace: TraceSettings::off(),
             metrics: MetricsSettings::off(),
-            slo: None,
             faults: FaultSettings::off(),
             fault_case: None,
             parallel: None,
@@ -117,7 +112,6 @@ impl Scenario {
             rmi_extra_round_trip_prob: None,
             trace: TraceSettings::off(),
             metrics: MetricsSettings::off(),
-            slo: None,
             faults: FaultSettings::off(),
             fault_case: None,
             parallel: None,
@@ -151,12 +145,6 @@ impl Scenario {
     /// Sets the windowed metrics recorder policy.
     pub fn with_metrics(mut self, metrics: MetricsSettings) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Attaches service-level objectives to grade against the metrics windows.
-    pub fn with_slo(mut self, slo: SloSpec) -> Self {
-        self.slo = Some(slo);
         self
     }
 

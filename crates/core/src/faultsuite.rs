@@ -25,7 +25,7 @@
 
 use mutsvc_desim::fault::{FaultEvent, FaultKind, FaultSchedule};
 use mutsvc_desim::time::SimDuration;
-use mutsvc_netsim::{LinkId, NodeId, Topology};
+use mutsvc_netsim::{LinkId, Network, NodeId, Topology};
 use mutsvc_workload::Surge;
 
 use crate::topology::PaperNodes;
@@ -134,92 +134,51 @@ impl FaultCase {
     }
 }
 
-/// The static fault set of one episode, exposed for consumption by the
-/// deployment verifier: which directed links and nodes are down — and which
-/// links are lossy — while the episode is active, plus its active window.
+/// One episode as the deployment verifier sees it: its name, its active
+/// window, and the network as it stands while the episode is active.
 ///
-/// A view is a pure fold over the scripted [`FaultSchedule`]: events strictly
-/// before the final (heal) timestamp are applied in order, so restores at the
-/// heal tick do not empty the set. For the standard suite the fault set is
-/// constant between onset and heal, so the view is exact; schedules whose
-/// fault set varies mid-episode flatten to the set standing just before heal.
-#[derive(Debug, Clone, PartialEq)]
+/// The network is built by passing every event strictly before the final
+/// (heal) timestamp through [`Network::apply_fault`], the call the workload
+/// driver makes as each event fires, so restores at the heal tick leave the
+/// fault state standing. For the standard suite the state is constant
+/// between onset and heal, so the view is exact; a schedule whose state
+/// varies mid-episode is seen as it stands just before heal.
+#[derive(Debug, Clone)]
 pub struct EpisodeView {
     /// Stable episode name ([`FaultCase::name`] for the standard suite).
     pub name: String,
-    /// Directed links that are down while the episode is active.
-    pub dead_links: Vec<LinkId>,
-    /// Nodes whose application process is crashed while active.
-    pub dead_nodes: Vec<NodeId>,
-    /// Directed links dropping messages while active, with drop probability.
-    pub lossy_links: Vec<(LinkId, f64)>,
     /// Absolute time the fault set takes effect.
     pub onset: SimDuration,
     /// Absolute time the fault set is fully restored.
     pub heal: SimDuration,
+    /// The network while the episode is active.
+    pub network: Network,
 }
 
 impl EpisodeView {
-    /// Folds a scripted schedule into its static fault set.
+    /// Replays a scripted schedule onto a fresh network over `topology`.
+    /// Onset is the first event's time and heal the last's; a one-event
+    /// schedule applies its event.
     ///
-    /// Dense `u32` indices in the events are mapped back to topology ids;
-    /// onset is the first event's time and heal the last's.
+    /// # Panics
+    ///
+    /// Panics if an event targets a link or node outside `topology`.
     pub fn from_schedule(name: &str, schedule: &FaultSchedule, topology: &Topology) -> EpisodeView {
-        let link_at = |index: u32| {
-            topology
-                .link_ids()
-                .nth(index as usize)
-                .expect("schedule link index within topology")
-        };
-        let node_at = |index: u32| {
-            topology
-                .node_ids()
-                .nth(index as usize)
-                .expect("schedule node index within topology")
-        };
-        let mut view = EpisodeView {
-            name: name.to_string(),
-            dead_links: Vec::new(),
-            dead_nodes: Vec::new(),
-            lossy_links: Vec::new(),
-            onset: schedule.events.first().map(|e| e.at).unwrap_or_default(),
-            heal: schedule.events.last().map(|e| e.at).unwrap_or_default(),
-        };
+        let onset = schedule.events.first().map(|e| e.at).unwrap_or_default();
+        let heal = schedule.events.last().map(|e| e.at).unwrap_or_default();
+        let mut network = Network::new(topology.clone());
         for event in &schedule.events {
-            if event.at >= view.heal && schedule.events.len() > 1 {
+            if event.at >= heal && schedule.events.len() > 1 {
                 break;
             }
-            match event.kind {
-                FaultKind::LinkDown { link } => {
-                    let link = link_at(link);
-                    if !view.dead_links.contains(&link) {
-                        view.dead_links.push(link);
-                    }
-                }
-                FaultKind::LinkRestore { link } | FaultKind::LinkDegraded { link, .. } => {
-                    let link = link_at(link);
-                    view.dead_links.retain(|&l| l != link);
-                }
-                FaultKind::NodeCrash { node } => {
-                    let node = node_at(node);
-                    if !view.dead_nodes.contains(&node) {
-                        view.dead_nodes.push(node);
-                    }
-                }
-                FaultKind::NodeRestart { node } => {
-                    let node = node_at(node);
-                    view.dead_nodes.retain(|&n| n != node);
-                }
-                FaultKind::MsgLoss { link, probability } => {
-                    let link = link_at(link);
-                    view.lossy_links.retain(|&(l, _)| l != link);
-                    if probability > 0.0 {
-                        view.lossy_links.push((link, probability));
-                    }
-                }
-            }
+            network.apply_fault(event.kind);
         }
-        view
+        EpisodeView {
+            name: name.to_string(),
+            onset,
+            heal,
+            network,
+        }
     }
 
     /// How long the fault set is active.
@@ -450,58 +409,67 @@ mod tests {
         let (t, n) = paper_topology(false);
         let warmup = SimDuration::from_secs(100);
         let duration = SimDuration::from_secs(400);
+        let on_leg = |l: LinkId| {
+            let l = t.link(l);
+            (l.from == n.edge1 && l.to == n.router) || (l.from == n.router && l.to == n.edge1)
+        };
 
         let partition = FaultCase::MainLinkPartition.view(&t, &n, warmup, duration);
-        assert_eq!(partition.dead_links.len(), 2, "both directions of the leg");
-        assert!(partition.dead_nodes.is_empty() && partition.lossy_links.is_empty());
+        for l in t.link_ids() {
+            assert_eq!(
+                partition.network.link_is_up(l),
+                !on_leg(l),
+                "partition cuts both directions of the edge-1 leg only"
+            );
+            assert_eq!(partition.network.link_loss(l), 0.0);
+        }
+        assert_eq!(partition.network.nodes_down(), 0);
         assert_eq!(partition.onset, SimDuration::from_secs(200));
         assert_eq!(partition.heal, SimDuration::from_secs(400));
         assert_eq!(partition.active(), duration / 2);
-        for &link in &partition.dead_links {
-            let l = t.link(link);
-            assert!(
-                (l.from == n.edge1 && l.to == n.router) || (l.from == n.router && l.to == n.edge1),
-                "partition cuts the edge-1 leg only"
-            );
-        }
 
         let crash = FaultCase::EdgeCrash.view(&t, &n, warmup, duration);
-        assert_eq!(crash.dead_nodes, vec![n.edge1]);
-        assert!(crash.dead_links.is_empty() && crash.lossy_links.is_empty());
+        for node in t.node_ids() {
+            assert_eq!(crash.network.node_is_up(node), node != n.edge1);
+        }
+        assert_eq!(crash.network.links_down(), 0);
 
         let lossy = FaultCase::LossyLink.view(&t, &n, warmup, duration);
-        assert_eq!(lossy.lossy_links.len(), 1);
-        assert_eq!(lossy.lossy_links[0].1, LOSSY_LINK_PROBABILITY);
-        let uplink = t.link(lossy.lossy_links[0].0);
-        assert!(
-            uplink.from == n.edge1 && uplink.to == n.router,
-            "uplink only"
+        for l in t.link_ids() {
+            let uplink = t.link(l).from == n.edge1 && t.link(l).to == n.router;
+            let expected = if uplink { LOSSY_LINK_PROBABILITY } else { 0.0 };
+            assert_eq!(lossy.network.link_loss(l), expected, "uplink only");
+        }
+        assert_eq!(
+            (lossy.network.links_down(), lossy.network.nodes_down()),
+            (0, 0)
         );
-        assert!(lossy.dead_links.is_empty() && lossy.dead_nodes.is_empty());
     }
 
     #[test]
     fn view_fold_honors_restores() {
         let (t, n) = paper_topology(false);
         let link = directed_link(&t, &n, true);
+        let id = t.link_at(link);
+        let at = SimDuration::from_secs;
         let schedule = FaultSchedule::scripted(vec![
             FaultEvent {
-                at: SimDuration::from_secs(1),
+                at: at(1),
                 kind: FaultKind::LinkDown { link },
             },
             FaultEvent {
-                at: SimDuration::from_secs(2),
+                at: at(2),
                 kind: FaultKind::LinkRestore { link },
             },
             FaultEvent {
-                at: SimDuration::from_secs(3),
+                at: at(3),
                 kind: FaultKind::MsgLoss {
                     link,
                     probability: 0.2,
                 },
             },
             FaultEvent {
-                at: SimDuration::from_secs(4),
+                at: at(4),
                 kind: FaultKind::MsgLoss {
                     link,
                     probability: 0.0,
@@ -509,14 +477,37 @@ mod tests {
             },
         ]);
         let view = EpisodeView::from_schedule("custom", &schedule, &t);
-        assert!(view.dead_links.is_empty(), "restored link is not dead");
+        assert!(view.network.link_is_up(id), "restored link is not dead");
         assert_eq!(
-            view.lossy_links,
-            vec![(t.link_ids().nth(link as usize).unwrap(), 0.2)],
+            view.network.link_loss(id),
+            0.2,
             "loss zeroed only at the heal tick stays in the active set"
         );
-        assert_eq!(view.onset, SimDuration::from_secs(1));
-        assert_eq!(view.heal, SimDuration::from_secs(4));
+        assert_eq!(view.onset, at(1));
+        assert_eq!(view.heal, at(4));
+
+        // Down, degraded, then restored at the heal tick: the degradation
+        // slows the link and leaves it down.
+        let schedule = FaultSchedule::scripted(vec![
+            FaultEvent {
+                at: at(1),
+                kind: FaultKind::LinkDown { link },
+            },
+            FaultEvent {
+                at: at(2),
+                kind: FaultKind::LinkDegraded { link, factor: 2.0 },
+            },
+            FaultEvent {
+                at: at(3),
+                kind: FaultKind::LinkRestore { link },
+            },
+        ]);
+        let view = EpisodeView::from_schedule("degraded", &schedule, &t);
+        assert!(!view.network.link_is_up(id), "degradation revived the link");
+        assert_eq!(
+            view.network.link_latency(id),
+            t.link(id).latency.mul_f64(2.0)
+        );
     }
 
     #[test]
@@ -599,10 +590,7 @@ mod tests {
         let w = SimDuration::from_secs(90);
         let d = SimDuration::from_secs(300);
         for case in FaultCase::all() {
-            assert_eq!(
-                case.schedule(&ta, &na, w, d).render_timeline(),
-                case.schedule(&tb, &nb, w, d).render_timeline()
-            );
+            assert_eq!(case.schedule(&ta, &na, w, d), case.schedule(&tb, &nb, w, d));
         }
     }
 }

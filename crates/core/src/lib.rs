@@ -32,8 +32,8 @@ pub mod report;
 pub mod topology;
 
 pub use configs::{
-    petstore_adaptive_baseline, petstore_descriptor, petstore_descriptor_on,
-    rubis_adaptive_baseline, rubis_descriptor, rubis_descriptor_on, Config,
+    petstore_adaptive_baseline, petstore_descriptor_on, rubis_adaptive_baseline,
+    rubis_descriptor_on, Config,
 };
 pub use experiment::{
     adaptive_episode_input, fanout_input, multi_tier_input, run_sweep, AppKind, Scenario,

@@ -6,7 +6,9 @@
 //! event queue. The schedule itself carries no world knowledge: links and
 //! nodes are dense `u32` indices (the same convention as
 //! [`crate::trace::SpanKind`]), so the desim layer stays ignorant of
-//! topology types and higher layers map indices onto their own ids.
+//! topology types. The network layer (`mutsvc_netsim::Network::apply_fault`)
+//! is where an index becomes a checked id and an event takes effect, for the
+//! simulator and the static analyzer alike.
 //!
 //! Two properties matter and are pinned by tests here and in the workload
 //! driver:
@@ -68,20 +70,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// Short stable label used by reports and span exporters.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::LinkDown { .. } => "link-down",
-            FaultKind::LinkRestore { .. } => "link-restore",
-            FaultKind::LinkDegraded { .. } => "link-degraded",
-            FaultKind::NodeCrash { .. } => "node-crash",
-            FaultKind::NodeRestart { .. } => "node-restart",
-            FaultKind::MsgLoss { .. } => "msg-loss",
-        }
-    }
-}
-
 /// One scheduled fault: a kind applied at an offset from simulation start.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
@@ -116,31 +104,6 @@ impl FaultSchedule {
     /// Whether the schedule has no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Renders the timeline as one line per event (`+12.500s link-down link=3`),
-    /// byte-stable across runs — used by reports and replay-identity tests.
-    pub fn render_timeline(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for e in &self.events {
-            let _ = write!(out, "+{:.6}s {}", e.at.as_secs_f64(), e.kind.label());
-            match e.kind {
-                FaultKind::LinkDown { link } | FaultKind::LinkRestore { link } => {
-                    let _ = writeln!(out, " link={link}");
-                }
-                FaultKind::LinkDegraded { link, factor } => {
-                    let _ = writeln!(out, " link={link} factor={factor:.3}");
-                }
-                FaultKind::NodeCrash { node } | FaultKind::NodeRestart { node } => {
-                    let _ = writeln!(out, " node={node}");
-                }
-                FaultKind::MsgLoss { link, probability } => {
-                    let _ = writeln!(out, " link={link} p={probability:.4}");
-                }
-            }
-        }
-        out
     }
 }
 
@@ -204,7 +167,7 @@ mod tests {
     fn empty_schedule_is_pure() {
         assert!(FaultSchedule::none().is_empty());
         assert!(FaultSchedule::default().is_empty());
-        assert_eq!(FaultSchedule::none().render_timeline(), "");
+        assert_eq!(FaultSchedule::none(), FaultSchedule::scripted(Vec::new()));
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Duration elapsed since `earlier`, or `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// The later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -318,7 +313,6 @@ mod tests {
         let late = SimTime::from_millis(9);
         assert_eq!(late.saturating_since(early), SimDuration::from_millis(8));
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]

@@ -361,30 +361,6 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Chooses the hosting node for a call issued from `caller`.
-    fn resolve_host(&self, caller: NodeId, call: &Call) -> NodeId {
-        let placement = self.descriptor.placement(call.component);
-        let kind = self.registry.spec(call.component).kind;
-        match kind {
-            ComponentKind::Entity => {
-                if call.has_writes() {
-                    placement.primary
-                } else if placement.hosts(caller) {
-                    caller
-                } else {
-                    placement.primary
-                }
-            }
-            _ => {
-                if placement.hosts(caller) {
-                    caller
-                } else {
-                    placement.primary
-                }
-            }
-        }
-    }
-
     fn bind_call(
         &mut self,
         caller: NodeId,
@@ -392,7 +368,8 @@ impl<'a> Binder<'a> {
         args_bytes: u64,
         ret_bytes: u64,
     ) -> Vec<Step> {
-        let host = self.resolve_host(caller, call);
+        let kind = self.registry.spec(call.component).kind;
+        let host = self.descriptor.host_for(kind, caller, call);
         let mut steps = Vec::new();
 
         if host != caller {
@@ -420,9 +397,7 @@ impl<'a> Binder<'a> {
         // invocation, not in the servlet): update propagation for every
         // write inside it is bundled into one push per destination node,
         // emitted before this call returns.
-        let tx_root = call.has_writes()
-            && !self.in_transaction
-            && self.registry.spec(call.component).kind != ComponentKind::Web;
+        let tx_root = call.has_writes() && !self.in_transaction && kind != ComponentKind::Web;
         if tx_root {
             self.in_transaction = true;
         }
@@ -516,16 +491,8 @@ impl<'a> Binder<'a> {
             }
         }
 
-        // Plain database access. Session-tier components never open remote
-        // database connections: an edge-resident façade that cannot serve a
-        // query locally dispatches it to its central counterpart in one RMI
-        // (the paper's edge `Catalog` delegating to the central `Catalog`).
-        // Only the legacy web tier (the original Pet Store) and components
-        // co-located with the data issue JDBC directly.
-        let direct_jdbc = spec.kind == ComponentKind::Web
-            || host == self.descriptor.db_node
-            || host == self.descriptor.central_node;
-        if direct_jdbc {
+        // Plain database access, or delegation to the central façade.
+        if self.descriptor.opens_jdbc(spec.kind, host) {
             self.db_steps(host, qa)
         } else {
             self.remote_fetch(host, &qa.query)

@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use mutsvc_netsim::NodeId;
 
 use crate::component::{ComponentId, ComponentKind, ComponentRegistry};
+use crate::invocation::Call;
 
 /// Where a component's instances live.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,6 +137,37 @@ impl DeploymentDescriptor {
         self.placements
             .get(&component)
             .unwrap_or_else(|| panic!("component {component} is not placed"))
+    }
+
+    /// The node that serves `call`, issued from `caller` to a component of
+    /// `kind`: an entity call that writes goes to the primary; any other
+    /// call prefers an instance on the caller's node and falls back to the
+    /// primary. The binder and the analyzer's static walker both ask here.
+    pub fn host_for(&self, kind: ComponentKind, caller: NodeId, call: &Call) -> NodeId {
+        let placement = self.placement(call.component);
+        if (kind == ComponentKind::Entity && call.has_writes()) || !placement.hosts(caller) {
+            placement.primary
+        } else {
+            caller
+        }
+    }
+
+    /// Whether a component of `kind` running on `host` opens database
+    /// connections itself. Only the legacy web tier (the original Pet Store)
+    /// and components co-located with the data or the central server issue
+    /// JDBC directly. Session-tier components elsewhere never open remote
+    /// database connections: an edge-resident façade that cannot serve a
+    /// query locally dispatches it to its central counterpart in one RMI
+    /// (the paper's edge `Catalog` delegating to the central `Catalog`).
+    pub fn opens_jdbc(&self, kind: ComponentKind, host: NodeId) -> bool {
+        kind == ComponentKind::Web || host == self.db_node || host == self.central_node
+    }
+
+    /// Whether edge caches can answer reads while the central server is cut
+    /// off: entity replicas kept by some propagation mode, or query-cache
+    /// nodes. The driver's stale-serve gate and the analyzer's both read it.
+    pub fn caches_serve_reads(&self) -> bool {
+        self.entity_propagation != UpdatePropagation::None || !self.query_cache.nodes.is_empty()
     }
 
     /// Nodes hosting read-only replicas of `entity` (excluding the primary).

@@ -1,5 +1,6 @@
 //! The live network: topology plus queueing state (CPU and link resources).
 
+use mutsvc_desim::fault::FaultKind;
 use mutsvc_desim::resource::FifoResource;
 use mutsvc_desim::time::{SimDuration, SimTime};
 
@@ -13,7 +14,10 @@ use crate::topology::{LinkId, NodeId, Topology};
 /// admissions along a path are computed analytically at the time the transfer
 /// is issued; with the sub-millisecond serialization times of this model the
 /// resulting reordering error is negligible (see DESIGN.md §4).
-#[derive(Debug)]
+///
+/// Fault state (links and node processes up or down, latency degradation,
+/// message loss) changes only through [`Self::apply_fault`].
+#[derive(Debug, Clone)]
 pub struct Network {
     topology: Topology,
     cpus: Vec<FifoResource>,
@@ -95,8 +99,33 @@ impl Network {
 
     // ---- fault state -------------------------------------------------------
 
+    /// Applies one fault event: link down or restore, latency degradation,
+    /// message loss, node crash or restart. This is the one place a
+    /// [`FaultKind`] takes effect. The workload driver calls it as each
+    /// scheduled event fires, and the static analyzer replays an episode's
+    /// events through it, so both read the same link, node and loss state.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the index, if the event targets a link or node outside
+    /// the topology.
+    pub fn apply_fault(&mut self, kind: FaultKind) {
+        match kind {
+            FaultKind::LinkDown { link } => self.set_link_up(self.topology.link_at(link), false),
+            FaultKind::LinkRestore { link } => self.set_link_up(self.topology.link_at(link), true),
+            FaultKind::LinkDegraded { link, factor } => {
+                self.scale_link_latency(self.topology.link_at(link), factor);
+            }
+            FaultKind::MsgLoss { link, probability } => {
+                self.set_link_loss(self.topology.link_at(link), probability);
+            }
+            FaultKind::NodeCrash { node } => self.set_node_up(self.topology.node_at(node), false),
+            FaultKind::NodeRestart { node } => self.set_node_up(self.topology.node_at(node), true),
+        }
+    }
+
     /// Sets the up/down state of one directed link.
-    pub fn set_link_up(&mut self, link: LinkId, up: bool) {
+    pub(crate) fn set_link_up(&mut self, link: LinkId, up: bool) {
         self.link_up[link.index()] = up;
     }
 
@@ -106,7 +135,7 @@ impl Network {
     }
 
     /// Sets the application up/down state of one node.
-    pub fn set_node_up(&mut self, node: NodeId, up: bool) {
+    pub(crate) fn set_node_up(&mut self, node: NodeId, up: bool) {
         self.node_up[node.index()] = up;
     }
 
@@ -119,8 +148,13 @@ impl Network {
     /// link: each subsequent send is dropped independently with probability
     /// `probability`, decided by a deterministic counter hash salted with
     /// [`Self::set_loss_salt`].
-    pub fn set_link_loss(&mut self, link: LinkId, probability: f64) {
+    pub(crate) fn set_link_loss(&mut self, link: LinkId, probability: f64) {
         self.link_loss[link.index()] = probability.clamp(0.0, 1.0);
+    }
+
+    /// The message-loss probability currently set on `link` (0 = lossless).
+    pub fn link_loss(&self, link: LinkId) -> f64 {
+        self.link_loss[link.index()]
     }
 
     /// Salt folded into loss draws so distinct experiment seeds see distinct
@@ -154,7 +188,7 @@ impl Network {
 
     /// Scales the latency of one directed link relative to its *base*
     /// latency (`1.0` restores). Models per-link degradation episodes.
-    pub fn scale_link_latency(&mut self, link: LinkId, factor: f64) {
+    pub(crate) fn scale_link_latency(&mut self, link: LinkId, factor: f64) {
         let base = self.topology.link(link).latency;
         self.latency_overrides[link.index()] = if factor == 1.0 {
             None
@@ -164,8 +198,8 @@ impl Network {
     }
 
     /// Whether the route `from -> to` is currently free of downed links and
-    /// ends at a live node. Transit nodes are not checked (see
-    /// [`Self::set_node_up`]).
+    /// ends at a live node. Transit nodes are not checked: a crashed node's
+    /// host keeps forwarding.
     ///
     /// # Panics
     ///
@@ -453,6 +487,52 @@ mod tests {
         assert_eq!(net.link_latency(wan), ms(270));
         net.scale_link_latency(wan, 1.0);
         assert_eq!(net.link_latency(wan), ms(90));
+    }
+
+    #[test]
+    fn each_fault_kind_reaches_its_state() {
+        let (mut net, a, c) = wan_pair();
+        let wan = net.route(a, c)[1]; // 90 ms base leg
+        let link = wan.index() as u32;
+        let node = c.index() as u32;
+        net.apply_fault(FaultKind::LinkDown { link });
+        assert!(!net.link_is_up(wan));
+        net.apply_fault(FaultKind::LinkDegraded { link, factor: 2.0 });
+        assert_eq!(net.link_latency(wan), ms(180));
+        assert!(!net.link_is_up(wan), "degradation does not revive the link");
+        net.apply_fault(FaultKind::LinkRestore { link });
+        assert!(net.link_is_up(wan));
+        net.apply_fault(FaultKind::LinkDegraded { link, factor: 1.0 });
+        assert_eq!(net.link_latency(wan), ms(90));
+        net.apply_fault(FaultKind::MsgLoss {
+            link,
+            probability: 0.25,
+        });
+        assert_eq!(net.link_loss(wan), 0.25);
+        net.apply_fault(FaultKind::MsgLoss {
+            link,
+            probability: 0.0,
+        });
+        assert_eq!(net.link_loss(wan), 0.0);
+        net.apply_fault(FaultKind::NodeCrash { node });
+        assert!(!net.node_is_up(c));
+        net.apply_fault(FaultKind::NodeRestart { node });
+        assert!(net.node_is_up(c));
+        assert_eq!((net.links_down(), net.nodes_down()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "link index 4 outside")]
+    fn fault_on_an_unknown_link_panics() {
+        let (mut net, _, _) = wan_pair();
+        net.apply_fault(FaultKind::LinkDown { link: 4 });
+    }
+
+    #[test]
+    #[should_panic(expected = "node index 3 outside")]
+    fn fault_on_an_unknown_node_panics() {
+        let (mut net, _, _) = wan_pair();
+        net.apply_fault(FaultKind::NodeCrash { node: 3 });
     }
 
     #[test]

@@ -283,6 +283,37 @@ impl Topology {
         &self.links[id.0]
     }
 
+    /// The node with dense index `index`, the form fault events carry.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the index, if the topology has no such node.
+    pub fn node_at(&self, index: u32) -> NodeId {
+        let i = index as usize;
+        assert!(
+            i < self.nodes.len(),
+            "node index {index} outside a topology of {} nodes",
+            self.nodes.len()
+        );
+        NodeId(i)
+    }
+
+    /// The directed link with dense index `index`, the form fault events
+    /// carry.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the index, if the topology has no such link.
+    pub fn link_at(&self, index: u32) -> LinkId {
+        let i = index as usize;
+        assert!(
+            i < self.links.len(),
+            "link index {index} outside a topology of {} links",
+            self.links.len()
+        );
+        LinkId(i)
+    }
+
     /// Looks up a node by name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.nodes.iter().position(|n| n.name == name).map(NodeId)

@@ -249,11 +249,6 @@ impl Database {
         &mut self.tables[id.0]
     }
 
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Executes a read query, returning matching rows, result bytes and the
     /// database-host CPU cost.
     ///
@@ -489,7 +484,6 @@ mod tests {
         let (db, items) = db();
         assert_eq!(db.table_id("item"), Some(items));
         assert_eq!(db.table_id("nope"), None);
-        assert_eq!(db.table_count(), 1);
     }
 
     #[test]

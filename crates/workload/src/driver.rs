@@ -309,17 +309,10 @@ impl PlanCache {
 struct FaultRuntime {
     /// Whether any fault episode is scheduled this run.
     active: bool,
-    /// Dense id → handle maps for fault-event targets (built only when
-    /// active; [`FaultKind`] carries raw indices, the network wants ids).
-    links: Vec<LinkId>,
-    nodes: Vec<NodeId>,
     /// Per node: when its path to the central server was cut. A successful
     /// read at a cut entry may be serving from caches the partition keeps
     /// from being refreshed — its staleness bound is `now - stale_since`.
     stale_since: Vec<Option<SimTime>>,
-    /// Whether this descriptor deploys edge caches that can answer
-    /// partitioned reads (entity replicas or query caches).
-    caches_serve: bool,
     /// Set by the executor's [`JobWorld::job_failed`] hook immediately
     /// before a failed completion fires; consumed by the `Ev::Done`
     /// handler to route the token into retry/failure accounting.
@@ -738,7 +731,7 @@ fn complete_request(world: &mut World, ctx: &mut Context<'_, World, Ev>, token: 
             // reject them as failures. Configs without caches only complete
             // here when the page needed no far-side data at all.
             if let Some(since) = world.fault_rt.stale_since[inf.entry as usize] {
-                if world.fault_rt.caches_serve && inf.replayable {
+                if world.descriptor.caches_serve_reads() && inf.replayable {
                     if world.spec.faults.policy.stale_serve {
                         world
                             .stats
@@ -829,40 +822,23 @@ fn retry_request(world: &mut World, ctx: &mut Context<'_, World, Ev>, token: u32
     spawn_program(world, ctx, steps, Ev::Done { token }, trace);
 }
 
-/// Applies one fault-schedule entry to the live network/container state and
-/// refreshes the per-entry partition bookkeeping.
+/// Applies one fault-schedule entry: the network takes the event
+/// ([`Network::apply_fault`]), then the container state and the per-entry
+/// partition bookkeeping follow it.
 fn apply_fault(world: &mut World, ctx: &mut Context<'_, World, Ev>, idx: u32) {
     let kind = world.spec.faults.schedule.events[idx as usize].kind;
     // Memoized plans carry routing, timing and cache-state assumptions; any
     // fault transition invalidates them wholesale.
     world.plans.invalidate_all();
+    world.net.apply_fault(kind);
     match kind {
-        FaultKind::LinkDown { link } => {
-            let l = world.fault_rt.links[link as usize];
-            world.net.set_link_up(l, false);
-        }
-        FaultKind::LinkRestore { link } => {
-            let l = world.fault_rt.links[link as usize];
-            world.net.set_link_up(l, true);
-        }
-        FaultKind::LinkDegraded { link, factor } => {
-            let l = world.fault_rt.links[link as usize];
-            world.net.scale_link_latency(l, factor);
-        }
-        FaultKind::MsgLoss { link, probability } => {
-            let l = world.fault_rt.links[link as usize];
-            world.net.set_link_loss(l, probability);
-        }
         FaultKind::NodeCrash { node } => {
-            let n = world.fault_rt.nodes[node as usize];
-            world.net.set_node_up(n, false);
             // The container process died: every memory-resident cache on
             // the node is gone (§4.3–§4.4).
-            world.state.evict_node(n);
+            world.state.evict_node(world.net.topology().node_at(node));
         }
         FaultKind::NodeRestart { node } => {
-            let n = world.fault_rt.nodes[node as usize];
-            world.net.set_node_up(n, true);
+            let n = world.net.topology().node_at(node);
             if world.descriptor.eager_cache_warmup {
                 // Push-based configs re-run deployment warm-up for the
                 // restarted node; lazy configs refill on demand.
@@ -876,6 +852,7 @@ fn apply_fault(world: &mut World, ctx: &mut Context<'_, World, Ev>, idx: u32) {
                 );
             }
         }
+        _ => {}
     }
     // Refresh partition state for every entry node: a cut starts the
     // staleness clock, healing stops it.
@@ -1342,27 +1319,14 @@ fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Simulation<Wor
         warm_caches(&mut state, &app, &registry, &descriptor, &db, None);
     }
 
-    let faults_active = spec.faults.active();
     let mut net = Network::new(topology);
     // Deterministic message-loss hashing is keyed by the experiment seed, so
     // loss outcomes replay identically across sequential and parallel sweeps
     // without touching any RNG stream.
     net.set_loss_salt(spec.seed);
     let fault_rt = FaultRuntime {
-        active: faults_active,
-        links: if faults_active {
-            net.topology().link_ids().collect()
-        } else {
-            Vec::new()
-        },
-        nodes: if faults_active {
-            net.topology().node_ids().collect()
-        } else {
-            Vec::new()
-        },
+        active: spec.faults.active(),
         stale_since: vec![None; net.topology().node_count()],
-        caches_serve: descriptor.entity_propagation != mutsvc_middleware::UpdatePropagation::None
-            || !descriptor.query_cache.nodes.is_empty(),
         last_done_failed: false,
     };
     let tracer = spec

@@ -315,19 +315,6 @@ impl WorkloadStats {
         }
         self.staleness.merge(&other.staleness);
     }
-
-    /// All page labels recorded for a pattern, in sorted order.
-    pub fn pages_of(&self, pattern: &str) -> Vec<String> {
-        let mut pages: Vec<String> = self
-            .series_index
-            .keys()
-            .filter(|k| k.pattern == pattern)
-            .map(|k| k.page.clone())
-            .collect();
-        pages.sort();
-        pages.dedup();
-        pages
-    }
 }
 
 /// Equality compares the *logical* content — every (key, summary) pair and
@@ -462,17 +449,5 @@ mod tests {
         let before = a.clone();
         a.merge(&WorkloadStats::new());
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn pages_of_pattern() {
-        let mut s = WorkloadStats::new();
-        s.record("local", "Buyer", "Commit", ms(1));
-        s.record("local", "Buyer", "Cart", ms(1));
-        s.record("local", "Browser", "Item", ms(1));
-        assert_eq!(
-            s.pages_of("Buyer"),
-            vec!["Cart".to_string(), "Commit".to_string()]
-        );
     }
 }
