@@ -10,7 +10,8 @@
 //!   moves/sec ratio;
 //! * the *scale ladder* — the RUBiS graph re-targeted onto generated
 //!   multi-tier topologies ([`MultiTierSpec::ladder_rung`]: 4, 16, 64 and
-//!   256 application-server hosts), recording evaluator build time and the
+//!   256 application-server hosts), recording the rung's construction time
+//!   (topology, routes, host matrix), evaluator build time and the
 //!   cost-table footprint alongside move throughput. The baseline rows
 //!   carry [`CostEvaluator::dense_table_bytes`] — what the per-edge
 //!   host×host tables the APSP pricing replaced would have cost.
@@ -48,6 +49,12 @@ pub struct PlacementThroughput {
     /// Evaluator construction time in milliseconds (APSP matrix share +
     /// flattened index build); zero for the table-free baseline.
     pub build_ms: f64,
+    /// Ladder rungs only: milliseconds to build the problem itself, the
+    /// fastest of several passes of topology, all-pairs routes, host
+    /// matrix and [`rehost`] (which includes deriving the RUBiS graph
+    /// afresh, about a millisecond). `None` for the paper graphs, which
+    /// are not built from a topology.
+    pub problem_ms: Option<f64>,
     /// Cost-table footprint in bytes: the shared distance matrix plus
     /// per-edge scalar weights for the incremental strategy, or the dense
     /// per-edge host×host tables it replaced for the baseline.
@@ -132,11 +139,11 @@ fn time_replay(replay: impl Fn() -> f64, moves: usize) -> (f64, f64) {
     (moves as f64 / best, final_cost)
 }
 
-/// Fastest-of-passes evaluator construction time in milliseconds
-/// (`CostEvaluator::new` builds the shared distance matrix, the flattened
-/// node/edge arrays and the seed totals).
-fn time_build(problem: &PlacementProblem) -> f64 {
-    let build = || CostEvaluator::new(problem, Placement::all_on(problem, HostId(0)));
+/// Fastest-of-passes time of `build` in milliseconds, each pass dropping
+/// what it built: one warm-up, then passes until ~80 ms have gone by (at
+/// least one), so a slow construction is timed without stretching the
+/// report.
+fn fastest_ms<T>(build: impl Fn() -> T) -> f64 {
     drop(build());
     let mut best = f64::INFINITY;
     let started = Instant::now();
@@ -144,9 +151,7 @@ fn time_build(problem: &PlacementProblem) -> f64 {
         let pass = Instant::now();
         drop(build());
         best = best.min(pass.elapsed().as_secs_f64());
-        // Keep one slow construction honest without stretching the report:
-        // at least 3 passes, at most ~80 ms of sampling.
-        if started.elapsed().as_secs_f64() > 0.08 && best.is_finite() {
+        if started.elapsed().as_secs_f64() > 0.08 {
             break;
         }
     }
@@ -159,6 +164,7 @@ fn measure_problem(
     graph: &str,
     problem: &PlacementProblem,
     links: usize,
+    problem_ms: Option<f64>,
     moves: usize,
     seed: u64,
 ) {
@@ -169,7 +175,10 @@ fn measure_problem(
         (full_cost - inc_cost).abs() <= 1e-9 * full_cost.abs().max(1.0),
         "{graph}: strategies disagree on the final cost: {full_cost} vs {inc_cost}"
     );
-    let build_ms = time_build(problem);
+    // `CostEvaluator::new` builds the shared distance matrix, the flattened
+    // node/edge arrays and the seed totals.
+    let build_ms =
+        fastest_ms(|| CostEvaluator::new(problem, Placement::all_on(problem, HostId(0))));
     let eval = CostEvaluator::new(problem, Placement::all_on(problem, HostId(0)));
     let hosts = problem.hosts.len();
     let components = problem.graph.len();
@@ -182,6 +191,7 @@ fn measure_problem(
         moves_per_sec: full_rate,
         final_cost: full_cost,
         build_ms: 0.0,
+        problem_ms,
         table_bytes: eval.dense_table_bytes(),
     });
     cells.push(PlacementThroughput {
@@ -193,6 +203,7 @@ fn measure_problem(
         moves_per_sec: inc_rate,
         final_cost: inc_cost,
         build_ms,
+        problem_ms,
         table_bytes: eval.table_bytes(),
     });
 }
@@ -205,7 +216,7 @@ pub fn measure_placement_throughput(moves: usize, seed: u64) -> Vec<PlacementThr
     let (rubis, _) = rubis_problem();
     for (graph, problem, db_on_main) in [("petstore", &petstore, true), ("rubis", &rubis, false)] {
         let links = paper_topology(db_on_main).0.link_count();
-        measure_problem(&mut cells, graph, problem, links, moves, seed);
+        measure_problem(&mut cells, graph, problem, links, None, moves, seed);
     }
     cells
 }
@@ -215,8 +226,13 @@ pub fn measure_placement_throughput(moves: usize, seed: u64) -> Vec<PlacementThr
 /// every edge PoP, regional hubs are pure compute (zero entry share), and
 /// every host pair is priced along the topology's latency-shortest route.
 pub fn ladder_problem(hosts: usize) -> PlacementProblem {
-    let spec = MultiTierSpec::ladder_rung(hosts);
-    let (topology, nodes) = multi_tier_topology(&spec);
+    ladder_rung(hosts).0
+}
+
+/// [`ladder_problem`] and the directed-link count of the rung's topology,
+/// from one topology build.
+fn ladder_rung(hosts: usize) -> (PlacementProblem, usize) {
+    let (topology, nodes) = multi_tier_topology(&MultiTierSpec::ladder_rung(hosts));
     let server_nodes = nodes.servers();
     let share = 1.0 / (nodes.edges.len() as f64 + 1.0);
     let servers: Vec<ServerSpec> = server_nodes
@@ -236,7 +252,7 @@ pub fn ladder_problem(hosts: usize) -> PlacementProblem {
         .collect();
     let (host_list, rtt) = hosts_from_topology(&topology, &servers);
     let (rubis, _) = rubis_problem();
-    rehost(&rubis, host_list, rtt)
+    (rehost(&rubis, host_list, rtt), topology.link_count())
 }
 
 /// Measures the scale ladder up to `max_hosts` (64 for the CI smoke rung,
@@ -251,15 +267,15 @@ pub fn measure_placement_ladder(
         if hosts > max_hosts {
             continue;
         }
-        let spec = MultiTierSpec::ladder_rung(hosts);
-        let (topology, _) = multi_tier_topology(&spec);
-        let problem = ladder_problem(hosts);
+        let (problem, links) = ladder_rung(hosts);
+        let problem_ms = fastest_ms(|| ladder_rung(hosts));
         let graph = format!("rubis-mt{hosts}");
         measure_problem(
             &mut cells,
             &graph,
             &problem,
-            topology.link_count(),
+            links,
+            Some(problem_ms),
             moves,
             seed,
         );
@@ -270,20 +286,25 @@ pub fn measure_placement_ladder(
 /// Renders the cells as the `BENCH_placement.json` document: the `"cores"`
 /// the run had, then per entry `{"algorithm", "graph", "hosts", "links",
 /// "components", "moves_per_sec", "final_cost", "build_ms",
-/// "table_bytes"}`, plus a per-graph `"speedup"` summary map.
+/// "table_bytes"}` with `"problem_ms"` after them on ladder rungs, plus a
+/// per-graph `"speedup"` summary map.
 pub fn render_placement_json(cells: &[PlacementThroughput], cores: usize) -> String {
     let entries = cells.iter().map(|cell| {
-        Json::object([
-            ("algorithm", cell.algorithm.into()),
-            ("graph", cell.graph.as_str().into()),
-            ("hosts", cell.hosts.into()),
-            ("links", cell.links.into()),
-            ("components", cell.components.into()),
-            ("moves_per_sec", Json::fixed(cell.moves_per_sec, 1)),
-            ("final_cost", Json::fixed(cell.final_cost, 6)),
-            ("build_ms", Json::fixed(cell.build_ms, 3)),
-            ("table_bytes", cell.table_bytes.into()),
-        ])
+        Json::object(
+            [
+                ("algorithm", cell.algorithm.into()),
+                ("graph", cell.graph.as_str().into()),
+                ("hosts", cell.hosts.into()),
+                ("links", cell.links.into()),
+                ("components", cell.components.into()),
+                ("moves_per_sec", Json::fixed(cell.moves_per_sec, 1)),
+                ("final_cost", Json::fixed(cell.final_cost, 6)),
+                ("build_ms", Json::fixed(cell.build_ms, 3)),
+                ("table_bytes", cell.table_bytes.into()),
+            ]
+            .into_iter()
+            .chain(cell.problem_ms.map(|ms| ("problem_ms", Json::fixed(ms, 3)))),
+        )
     });
     let mut speedup: Vec<(String, Json)> = Vec::new();
     for cell in cells {
@@ -330,11 +351,15 @@ mod tests {
                 moves_per_sec,
                 final_cost,
                 build_ms: 0.01,
+                problem_ms: None,
                 table_bytes: 512,
             };
         let cells = vec![
             cell("full_recompute", 1000.0, full),
-            cell("incremental", 25_000.0, incremental),
+            PlacementThroughput {
+                problem_ms: Some(1.25),
+                ..cell("incremental", 25_000.0, incremental)
+            },
         ];
         let json = render_placement_json(&cells, 2);
         let mut doc = Json::parse(&json).unwrap();
@@ -348,6 +373,8 @@ mod tests {
         assert_eq!(*at(&mut doc, "entries/0/hosts"), Json::from(3u64));
         assert_eq!(*at(&mut doc, "entries/0/links"), Json::from(10u64));
         assert_eq!(*at(&mut doc, "entries/1/table_bytes"), Json::from(512u64));
+        assert_eq!(*at(&mut doc, "entries/1/problem_ms"), Json::fixed(1.25, 3));
+        assert!(at(&mut doc, "entries/0").get("problem_ms").is_err());
     }
 
     #[test]

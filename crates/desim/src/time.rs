@@ -113,7 +113,7 @@ impl SimDuration {
         if !ms.is_finite() || ms <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((ms * 1_000.0).round() as u64)
+        SimDuration(round_positive(ms * 1_000.0))
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
@@ -122,7 +122,7 @@ impl SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1_000_000.0).round() as u64)
+        SimDuration(round_positive(s * 1_000_000.0))
     }
 
     /// The span in whole microseconds.
@@ -151,7 +151,7 @@ impl SimDuration {
         if !factor.is_finite() || factor <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_positive(self.0 as f64 * factor))
     }
 
     /// Saturating subtraction.
@@ -168,6 +168,17 @@ impl SimDuration {
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
+}
+
+/// `x.round() as u64` for a positive `x`. `f64::round` is a libm call on
+/// baseline x86-64, and this runs on every CPU step and link hop. It
+/// truncates, then adds one when the dropped fraction is at least a half:
+/// half away from zero, as `f64::round` rounds. `x - trunc(x)` is exact, so
+/// 0.49999999999999994 stays 0; past `u64::MAX` the cast and the add
+/// saturate.
+fn round_positive(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -327,6 +338,49 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4).map(SimDuration::from_millis).sum();
         assert_eq!(total, SimDuration::from_millis(10));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn libm(x: f64) -> u64 {
+            x.round() as u64
+        }
+
+        #[test]
+        fn rounding_matches_libm_at_the_edges() {
+            let two = |e: i32| 2f64.powi(e);
+            let mut edges = vec![
+                f64::MIN_POSITIVE,
+                0.49999999999999994,
+                two(52) - 0.5,
+                two(52) + 0.5, // which is 2^52 in f64
+                two(53) + 1.0, // which is 2^53
+                two(63),
+                two(64),
+                two(64) * (1.0 + f64::EPSILON),
+                1e300,
+                f64::MAX,
+            ];
+            edges.extend((0..1_000u32).map(|k| f64::from(k) + 0.5));
+            for x in edges {
+                assert_eq!(round_positive(x), libm(x), "{x:e}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2_048))]
+            #[test]
+            fn rounding_matches_libm(bits in any::<u64>(), scaled in 0f64..1e7) {
+                // Any positive finite double, and the magnitudes durations have.
+                let x = f64::from_bits(bits >> 1);
+                if x > 0.0 && x.is_finite() {
+                    prop_assert_eq!(round_positive(x), libm(x), "{:e}", x);
+                }
+                prop_assert_eq!(round_positive(scaled), libm(scaled), "{}", scaled);
+            }
+        }
     }
 
     #[test]
