@@ -1,11 +1,11 @@
 //! Cross-layer properties of the planet-scale placement pipeline, on
 //! randomized multi-tier topologies:
 //!
-//! * the placement host matrix prices every host pair exactly like
-//!   [`Topology::rtt`] (the routed round trip the analyzer reads) and like
-//!   an independent Floyd–Warshall over the raw links — the engine's
-//!   Dijkstra routing, the static analyzer and the placement layer can
-//!   never disagree about what a path costs;
+//! * the placement host matrix prices every host pair bit for bit like
+//!   [`Topology::rtt`] (the routed round trip the analyzer reads), on the
+//!   ladder rungs too, and like an independent Floyd–Warshall over the raw
+//!   links — the engine's Dijkstra routing, the static analyzer and the
+//!   placement layer can never disagree about what a path costs;
 //! * the placement layer's region coarsening ([`host_regions`], driven by
 //!   the round-trip matrix alone) induces the same partition as the
 //!   simulator's link-level [`Topology::regions`];
@@ -23,7 +23,7 @@ use mutsvc_placement::algorithms::{
     greedy_solve, host_regions, solve_regional, GreedyOptions, RegionalOptions,
 };
 use mutsvc_placement::graph::{HostId, Placement};
-use mutsvc_placement::wan::{hosts_from_topology, ServerSpec};
+use mutsvc_placement::wan::{host_matrix, hosts_from_topology, ServerSpec};
 use mutsvc_placement::{cost_breakdown, CostEvaluator};
 
 /// A randomized multi-tier shape: 1–5 hubs, 1–5 PoPs per hub, metro or WAN
@@ -113,12 +113,39 @@ fn apsp_pricing_matches_analyze_path_model() {
                 );
                 if a != b {
                     let analyze = topology.rtt(na, nb).as_millis_f64();
-                    assert!(
-                        (rtt_ms[a][b] - analyze).abs() <= 1e-9 * analyze.max(1.0),
+                    assert_eq!(
+                        rtt_ms[a][b].to_bits(),
+                        analyze.to_bits(),
                         "spec {spec:?}: matrix[{a}][{b}] = {} but Topology::rtt says {analyze}",
                         rtt_ms[a][b]
                     );
                 }
+            }
+        }
+    }
+}
+
+/// On every ladder rung the benchmarks build, the host matrix is
+/// [`Topology::rtt`] bit for bit.
+#[test]
+fn host_matrix_is_topology_rtt_on_ladder_rungs() {
+    for hosts in [4, 16, 64, 256] {
+        let (topology, nodes) = multi_tier_topology(&MultiTierSpec::ladder_rung(hosts));
+        let servers = nodes.servers();
+        let matrix = host_matrix(&topology, &servers);
+        for (a, &na) in servers.iter().enumerate() {
+            for (b, &nb) in servers.iter().enumerate() {
+                let expected = if a == b {
+                    0.0
+                } else {
+                    topology.rtt(na, nb).as_millis_f64()
+                };
+                assert_eq!(
+                    matrix[a][b].to_bits(),
+                    expected.to_bits(),
+                    "{hosts} hosts: matrix[{a}][{b}] = {} but Topology::rtt says {expected}",
+                    matrix[a][b]
+                );
             }
         }
     }

@@ -222,14 +222,15 @@ impl Span {
 /// The Dijkstras keep, per pair, the link that last improved the
 /// destination, and fix a node's span when it settles: its route is one
 /// link longer than its predecessor's, which settled earlier, and spans are
-/// laid out in settle order. The second pass writes each route back to
-/// front along those links: exactly the final predecessor chain. (A buffer
-/// grown as routes are found leaves its outgrown halves as holes in the
-/// allocator's heap; in a loop that rebuilds the 256-host rung they made
-/// the peak resident set jump by up to 4 MB at moments that varied from
-/// run to run.) That rung has 498 nodes: 248,004 spans and 1,177,058 hops,
-/// ~6.7 MB in two allocations, plus 1 MB of per-pair links freed on
-/// return.
+/// laid out in settle order. So each source's routes lie back to back,
+/// starting with its own empty route, which [`Topology::path_latencies`]
+/// relies on. The second pass writes each route back to front along those
+/// links: exactly the final predecessor chain. (A buffer grown as routes
+/// are found leaves its outgrown halves as holes in the allocator's heap;
+/// in a loop that rebuilds the 256-host rung they made the peak resident
+/// set jump by up to 4 MB at moments that varied from run to run.) That
+/// rung has 498 nodes: 248,004 spans and 1,177,058 hops, ~6.7 MB in two
+/// allocations, plus 1 MB of per-pair links freed on return.
 ///
 /// # Panics
 ///
@@ -410,6 +411,42 @@ impl Topology {
             .iter()
             .map(|&l| self.links[l.index()].latency)
             .sum()
+    }
+
+    /// [`path_latency`](Topology::path_latency) from `from` to every node,
+    /// indexed by node, with `None` where unreachable: one pass over
+    /// `from`'s row of the route table instead of one route walk per
+    /// destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` does not belong to this topology.
+    pub fn path_latencies(&self, from: NodeId) -> Vec<Option<SimDuration>> {
+        let n = self.nodes.len();
+        assert!(from.0 < n, "node {from} outside a topology of {n} nodes");
+        // A row's routes lie back to back, from its source's empty route up
+        // to the next row's. Each route's prefixes are the routes of the
+        // nodes they end at, so walking the row prices every hop's head as
+        // its tail's latency plus the link's; a route's first link is its
+        // only one that leaves `from`, and starts the sum over.
+        let start = self.spans[from.0 * n + from.0].offset as usize;
+        let end = if from.0 + 1 < n {
+            self.spans[(from.0 + 1) * n + from.0 + 1].offset as usize
+        } else {
+            self.hops.len()
+        };
+        let mut latency = vec![None; n];
+        latency[from.0] = Some(SimDuration::ZERO);
+        let mut at = SimDuration::ZERO;
+        for &l in &self.hops[start..end] {
+            let link = &self.links[l.index()];
+            if link.from == from {
+                at = SimDuration::ZERO;
+            }
+            at += link.latency;
+            latency[link.to.0] = Some(at);
+        }
+        latency
     }
 
     /// Round-trip propagation latency between two nodes.
@@ -716,6 +753,31 @@ mod tests {
                             prop_assert_eq!(route, Some(&[][..]));
                         } else if b == source_only || a == isolated || b == isolated {
                             prop_assert_eq!(route, None);
+                        }
+                    }
+                }
+            }
+
+            /// One row walk prices every destination exactly as summing its
+            /// route does, with `None` exactly where there is no route, and
+            /// so round trips sum to [`Topology::rtt`].
+            #[test]
+            fn row_latencies_match_route_sums(
+                nodes in 3usize..14,
+                links in proptest::collection::vec((0usize..64, 0usize..64, 0u64..4), 0..48),
+                scale in 1u64..100_000,
+            ) {
+                let scaled: Vec<_> = links.iter().map(|&(a, b, us)| (a, b, us * scale)).collect();
+                let t = random_topology(nodes, &scaled);
+                let rows: Vec<_> = t.node_ids().map(|a| t.path_latencies(a)).collect();
+                for a in t.node_ids() {
+                    for b in t.node_ids() {
+                        let summed = t.route(a, b).map(|route| {
+                            route.iter().map(|&l| t.link(l).latency).sum::<SimDuration>()
+                        });
+                        prop_assert_eq!(rows[a.0][b.0], summed, "{} -> {}", a, b);
+                        if let (Some(there), Some(back)) = (rows[a.0][b.0], rows[b.0][a.0]) {
+                            prop_assert_eq!(there + back, t.rtt(a, b));
                         }
                     }
                 }

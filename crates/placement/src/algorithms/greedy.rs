@@ -10,10 +10,12 @@
 //! replica is added exactly when the remote-read savings exceed the
 //! consistency-push cost — the trade-off §4.3 discusses qualitatively.
 //!
-//! Candidate moves are priced through the incremental [`CostEvaluator`]
-//! (apply → read delta → undo), so probing a replica toggle costs
-//! `O(degree)` and a primary move one pass over the component's replica
-//! set plus `O(degree)`, instead of a whole-graph sweep per candidate.
+//! Candidate moves are priced through the incremental [`CostEvaluator`]'s
+//! [`delta`](CostEvaluator::delta), which reads the evaluator's state and
+//! writes none of it, so probing a replica toggle costs `O(degree)` and a
+//! primary move one pass over the component's replica set plus
+//! `O(degree)`, instead of a whole-graph sweep per candidate. Only the
+//! committed move is applied.
 //!
 //! [`climb`] is the one best-improvement loop every hill-climb runs: this
 //! module's flat search, the region-restricted refinement and the
@@ -50,10 +52,11 @@ impl Default for GreedyOptions {
 /// Best-improvement hill-climbing on `eval` for at most `max_rounds`
 /// committed moves. `candidates` appends, in probe order, one component's
 /// candidate moves at the evaluator's current state; it must read only
-/// that component's own placement. Each round commits the move with the
-/// most negative delta below `−1e-9`, the first in node-major candidate
-/// order on ties. Returns the committed moves in order, each with the
-/// delta its probe priced.
+/// that component's own placement. Each candidate is priced with
+/// [`CostEvaluator::delta`], without applying it. Each round applies and
+/// commits the move with the most negative delta below `−1e-9`, the first
+/// in node-major candidate order on ties. Returns the committed moves in
+/// order, each with the delta its probe priced.
 ///
 /// A move's delta reads only the state of the moved component and its
 /// neighbours (plus host loads under finite capacity), so a component's
@@ -79,8 +82,7 @@ pub fn climb(
             candidates(eval, NodeIndex::new(n), &mut probes);
             *slot = None;
             for &mv in &probes {
-                let delta = eval.apply(mv);
-                eval.undo();
+                let delta = eval.delta(mv);
                 if delta < -1e-9 && slot.is_none_or(|(_, bd)| delta < bd) {
                     *slot = Some((mv, delta));
                 }
@@ -142,9 +144,9 @@ pub fn improve(
 
 /// Runs hill-climbing from several canonical starts (everything on each
 /// host) and returns the best result. A later start replaces the best only
-/// when it is cheaper by more than a relative 1e-9: the running totals
-/// carry last-bit noise from the probes each climb ran, and equal-cost
-/// optima must not be chosen by that noise.
+/// when it is cheaper by more than a relative 1e-9: each climb's running
+/// total carries the last-bit rounding of its own committed moves, and
+/// equal-cost optima must not be chosen by that noise.
 pub fn solve(problem: &PlacementProblem, options: &GreedyOptions) -> (Placement, f64) {
     let mut best: Option<(Placement, f64)> = None;
     for h in 0..problem.hosts.len() {

@@ -10,12 +10,16 @@
 //! analyzer, and the engine's message timing can never disagree about what
 //! a host pair costs.
 //!
-//! Each route is a slice of the topology's one flat route table, so
-//! [`host_matrix`] reads a pair's links from one contiguous buffer. On the
+//! The topology keeps every route in one flat table, each source's routes
+//! back to back, so [`host_matrix`] prices all of a server's outbound legs
+//! in one pass over its row ([`Topology::path_latencies`]). On the
 //! 256-host ladder rung (498 topology nodes) that table is ~6.7 MB in two
 //! allocations; building it is most of the cost of building the rung's
 //! problem.
 
+use std::cmp::Ordering;
+
+use mutsvc_desim::SimDuration;
 use mutsvc_netsim::{LinkId, NodeId, Topology, WAN_LATENCY_THRESHOLD};
 
 use crate::graph::{Host, PlacementProblem};
@@ -34,27 +38,42 @@ pub struct ServerSpec {
 
 /// All-pairs round-trip matrix (milliseconds) over `servers`, priced along
 /// latency-shortest routes of `topology` — `rtt[a][b]` is the full
-/// multi-hop path there and back, exactly what one remote invocation pays.
+/// multi-hop path there and back, exactly what one remote invocation pays,
+/// and bit for bit [`Topology::rtt`].
+///
+/// One [`Topology::path_latencies`] walk per server prices its outbound
+/// legs. The matrix is the only allocation that outlives a walk: until the
+/// walk from `b` completes a pair `a < b`, slot `[a][b]` holds the `a → b`
+/// leg's microseconds as raw bits.
 ///
 /// # Panics
 ///
 /// Panics if any server pair is unreachable in the topology.
 pub fn host_matrix(topology: &Topology, servers: &[NodeId]) -> Vec<Vec<f64>> {
-    servers
-        .iter()
-        .map(|&a| {
-            servers
-                .iter()
-                .map(|&b| {
-                    if a == b {
+    let mut rtt = vec![vec![0.0_f64; servers.len()]; servers.len()];
+    for (b, &node_b) in servers.iter().enumerate() {
+        let from_b = topology.path_latencies(node_b);
+        for (a, &node_a) in servers.iter().enumerate() {
+            let back =
+                from_b[node_a.index()].unwrap_or_else(|| panic!("no route {node_b} -> {node_a}"));
+            match a.cmp(&b) {
+                Ordering::Less => {
+                    let there = SimDuration::from_micros(rtt[a][b].to_bits());
+                    let ms = if node_a == node_b {
                         0.0
                     } else {
-                        topology.rtt(a, b).as_millis_f64()
-                    }
-                })
-                .collect()
-        })
-        .collect()
+                        (there + back).as_millis_f64()
+                    };
+                    rtt[a][b] = ms;
+                    rtt[b][a] = ms;
+                }
+                // The walk from `a` completes this pair.
+                Ordering::Greater => rtt[b][a] = f64::from_bits(back.as_micros()),
+                Ordering::Equal => {}
+            }
+        }
+    }
+    rtt
 }
 
 /// Builds the placement host list + round-trip matrix for `servers`,
@@ -187,6 +206,35 @@ mod tests {
         assert!((m[1][2] - 60.0).abs() < 1e-9, "{}", m[1][2]);
         // Symmetric (duplex links with equal latency both ways).
         assert_eq!(m[0][2], m[2][0]);
+    }
+
+    /// Directed links of unequal latency make each round trip the sum of
+    /// two different legs, and a server listed twice prices as co-located.
+    #[test]
+    fn host_matrix_sums_both_legs_bit_for_bit() {
+        let mut b = TopologyBuilder::new();
+        let main = b.node("main", 2);
+        let hub = b.node("hub", 4);
+        let edge = b.node("edge", 2);
+        b.directed_link(main, hub, SimDuration::from_micros(60_123), 100e6);
+        b.directed_link(hub, main, SimDuration::from_micros(1_001), 100e6);
+        b.directed_link(hub, edge, SimDuration::from_micros(333), 100e6);
+        b.directed_link(edge, main, SimDuration::from_micros(90_007), 100e6);
+        let t = b.finalize();
+        let servers = [edge, main, hub, main];
+        let m = host_matrix(&t, &servers);
+        for (i, &a) in servers.iter().enumerate() {
+            for (j, &c) in servers.iter().enumerate() {
+                let expected = if a == c {
+                    0.0
+                } else {
+                    t.rtt(a, c).as_millis_f64()
+                };
+                assert_eq!(m[i][j].to_bits(), expected.to_bits(), "[{i}][{j}]");
+            }
+        }
+        assert_eq!(m[1][0], (60_123.0 + 333.0 + 90_007.0) / 1_000.0);
+        assert_eq!(m[1][3], 0.0);
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! on both the paper-derived applications and random synthetic graphs.
 //!
 //! This is the safety net under the whole perf optimisation: every search
-//! algorithm now trusts `apply`/`undo` deltas instead of re-sweeping the
+//! algorithm now trusts incremental deltas instead of re-sweeping the
 //! graph, so any drift here would silently corrupt placement decisions.
+//! The searches price candidates with `CostEvaluator::delta`, which writes
+//! no state; the price walks below pin it to the delta `apply` returns, bit
+//! for bit, after any history of applied, undone and committed moves.
 //!
 //! Run it in release in CI (`cargo test -p mutsvc-placement --release
 //! --test incremental_equivalence`); the debug build covers a reduced
@@ -253,4 +256,98 @@ fn ladder_replica_replay_matches_full_recompute() {
     let mut rng = SimRng::seed_from_u64(0x1ADD_E256);
     let eval = replay_checked(&problem, &mut rng);
     assert!(eval.breakdown().overload > 0.0);
+}
+
+#[cfg(debug_assertions)]
+const PRICE_STEPS: usize = 1_000;
+#[cfg(not(debug_assertions))]
+const PRICE_STEPS: usize = 3_000;
+
+#[cfg(debug_assertions)]
+const RUNG_PRICE_STEPS: usize = 2_000;
+#[cfg(not(debug_assertions))]
+const RUNG_PRICE_STEPS: usize = 20_000;
+
+/// Walks `steps` random moves from `start`, pricing each with
+/// [`CostEvaluator::delta`] before applying it, then undoing or committing
+/// it at random, so later prices read totals and loads that carry the
+/// rounding of earlier apply/undo pairs. The price must equal the applied
+/// delta bit for bit. Returns how many applied moves changed the overload
+/// term.
+fn price_walk(
+    problem: &PlacementProblem,
+    start: Placement,
+    rng: &mut SimRng,
+    steps: usize,
+) -> usize {
+    let mut eval = CostEvaluator::new(problem, start);
+    let mut overload_moves = 0;
+    for step in 1..=steps {
+        let mv = random_move(rng, &eval, problem);
+        let overload = eval.breakdown().overload;
+        let priced = eval.delta(mv);
+        let applied = eval.apply(mv);
+        assert_eq!(
+            priced.to_bits(),
+            applied.to_bits(),
+            "step {step}: {mv:?} priced {priced:e} but applied {applied:e}"
+        );
+        if eval.breakdown().overload != overload {
+            overload_moves += 1;
+        }
+        if rng.chance(0.5) {
+            eval.undo();
+        } else {
+            eval.commit();
+        }
+    }
+    overload_moves
+}
+
+/// Random problems, where about 40 % of hosts have finite CPU capacity, so
+/// moves shift load across capacity limits and the price includes the
+/// overload term.
+#[test]
+fn pure_price_matches_apply_on_random_problems() {
+    let mut overload_moves = 0;
+    for seed in 0..40u64 {
+        let mut rng = SimRng::seed_from_u64(0x9A1C_E000 + seed);
+        let problem = random_problem(&mut rng);
+        let start = random_placement(&mut rng, &problem, 0.2);
+        overload_moves += price_walk(&problem, start, &mut rng, PRICE_STEPS);
+    }
+    assert!(overload_moves > 0, "no move changed the overload term");
+}
+
+/// The multi-tier ladder rungs the planner searches, from a placement with
+/// replicas at about half the hosts: as built (every host unbounded) and
+/// with every third host capped, so primary moves shift load across the
+/// limits on multi-word masks. Debug builds skip the 256-host rung.
+#[test]
+fn pure_price_matches_apply_on_ladder_rungs() {
+    let rungs: &[usize] = if cfg!(debug_assertions) {
+        &[4, 16, 64]
+    } else {
+        &[4, 16, 64, 256]
+    };
+    for &hosts in rungs {
+        let mut problem = ladder_problem(hosts);
+        for capped in [false, true] {
+            if capped {
+                for (i, host) in problem.hosts.iter_mut().enumerate() {
+                    if i % 3 == 0 {
+                        host.cpu_capacity = 2.0 + (i % 7) as f64;
+                    }
+                }
+            }
+            let mut rng = SimRng::seed_from_u64(0x9A1C_E100 + hosts as u64);
+            let start = random_placement(&mut rng, &problem, 0.5);
+            let overload_moves = price_walk(&problem, start, &mut rng, RUNG_PRICE_STEPS);
+            assert_eq!(
+                overload_moves > 0,
+                capped,
+                "{hosts} hosts, capped {capped}: {overload_moves} moves changed the overload term"
+            );
+        }
+    }
 }

@@ -41,7 +41,10 @@ const MAX_ROUNDS: usize = 1_000;
 
 /// The full re-scan the cached climb replaces: every round probes every
 /// candidate of every component and commits the most negative delta below
-/// `−1e-9`, the first in node-major candidate order on ties.
+/// `−1e-9`, the first in node-major candidate order on ties. It probes by
+/// applying each candidate and undoing it, not with `CostEvaluator::delta`
+/// as `climb` does, so it is the independent oracle the pure probes are
+/// checked against.
 fn reference_climb(
     eval: &mut CostEvaluator,
     max_rounds: usize,

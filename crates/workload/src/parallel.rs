@@ -3,8 +3,9 @@
 //! [`run_experiment_parallel`] splits one experiment by *client region* —
 //! the LAN-connected components of the topology
 //! ([`Topology::regions`](mutsvc_netsim::Topology::regions)) — into
-//! independent shard simulations, runs each to the horizon on an OS thread,
-//! and merges their reports exactly.
+//! independent shard simulations, runs them to the horizon on up to
+//! `threads` workers (the calling thread is worker 0, so a one-thread run
+//! starts no thread), and merges their reports exactly.
 //!
 //! # Decomposition
 //!
@@ -70,13 +71,15 @@ fn decompose(input: &ExperimentInput) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Runs one experiment sharded by client region on up to `threads` OS
-/// threads, returning the deterministically merged report.
+/// Runs one experiment sharded by client region on up to `threads`
+/// workers, returning the deterministically merged report. Worker 0 is the
+/// calling thread; the others are scoped threads, so a one-thread run
+/// spawns none.
 ///
-/// Each worker thread takes shards round-robin (`index % threads`) and
-/// handles one at a time: it builds the shard's world, runs it to the
-/// horizon and drains its report. So at most `threads` worlds are alive at
-/// once, and the wall time is the slowest worker's. The dealing order
+/// Each worker takes shards round-robin (`index % threads`) and handles
+/// one at a time: it builds the shard's world, runs it to the horizon and
+/// drains its report. So at most `threads` worlds are alive at once, and
+/// the wall time is the slowest worker's. The dealing order
 /// barely moves it. On the 8-region Pet Store fan-out at 100× (seed 42),
 /// worker 0 of 2 gets shard 0's 168,864 events plus three edge shards of
 /// ~109.7 k each, 498,245 against worker 1's 439,007. The best static
@@ -122,22 +125,28 @@ pub fn run_experiment_parallel(input: ExperimentInput, threads: usize) -> Experi
         }
         report
     };
+    let work = |worker: usize| {
+        (worker..shard_count)
+            .step_by(threads)
+            .map(|index| (index, run_shard(index)))
+            .collect::<Vec<_>>()
+    };
     let mut reports: Vec<(usize, ExperimentReport)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
+        let others: Vec<_> = (1..threads)
             .map(|worker| {
-                let run_shard = &run_shard;
-                scope.spawn(move || {
-                    (worker..shard_count)
-                        .step_by(threads)
-                        .map(|index| (index, run_shard(index)))
-                        .collect::<Vec<_>>()
-                })
+                let work = &work;
+                scope.spawn(move || work(worker))
             })
             .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+        let mut reports = work(0);
+        for other in others {
+            reports.extend(
+                other
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        reports
     });
     reports.sort_unstable_by_key(|&(index, _)| index);
     merge_reports(reports.into_iter().map(|(_, report)| report).collect())
