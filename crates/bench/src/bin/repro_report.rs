@@ -329,9 +329,12 @@ fn print_placement_throughput(smoke: bool) {
     cells.extend(measure_placement_ladder(1_000, 42, max_hosts));
     println!("placement move throughput (moves/sec):");
     for cell in &cells {
-        let rung = cell
-            .problem_ms
-            .map_or_else(String::new, |ms| format!("  rung {ms:>8.3} ms"));
+        let rung = cell.rung.map_or_else(String::new, |rung| {
+            format!(
+                "  rung {:>8.3} ms  search {:>8.3} ms at {:.1} ms/s",
+                rung.problem_ms, rung.search_ms, rung.search_cost
+            )
+        });
         println!(
             "  {:<12} {:<16} {:>4} hosts {:>12.0} moves/s  build {:>8.3} ms  table {:>12} B  final cost {:>10.1} ms/s{rung}",
             cell.graph,

@@ -11,16 +11,18 @@
 //! * the *scale ladder* — the RUBiS graph re-targeted onto generated
 //!   multi-tier topologies ([`MultiTierSpec::ladder_rung`]: 4, 16, 64 and
 //!   256 application-server hosts), recording the rung's construction time
-//!   (topology, routes, host matrix), evaluator build time and the
-//!   cost-table footprint alongside move throughput. The baseline rows
-//!   carry [`CostEvaluator::dense_table_bytes`] — what the per-edge
-//!   host×host tables the APSP pricing replaced would have cost.
+//!   (topology, routes, host matrix), its region-coarsened search time and
+//!   answer, evaluator build time and the cost-table footprint alongside
+//!   move throughput. The baseline rows carry
+//!   [`CostEvaluator::dense_table_bytes`] — what the per-edge host×host
+//!   tables the APSP pricing replaced would have cost.
 
 use std::time::Instant;
 
 use mutsvc_core::{multi_tier_topology, paper_topology, MultiTierSpec};
 use mutsvc_desim::json::Json;
 use mutsvc_desim::rng::SimRng;
+use mutsvc_placement::algorithms::{solve_regional, RegionalOptions};
 use mutsvc_placement::derive::{petstore_problem, rubis_problem};
 use mutsvc_placement::graph::{HostId, Placement, PlacementProblem};
 use mutsvc_placement::wan::{hosts_from_topology, rehost, ServerSpec};
@@ -49,16 +51,27 @@ pub struct PlacementThroughput {
     /// Evaluator construction time in milliseconds (APSP matrix share +
     /// flattened index build); zero for the table-free baseline.
     pub build_ms: f64,
-    /// Ladder rungs only: milliseconds to build the problem itself, the
-    /// fastest of several passes of topology, all-pairs routes, host
-    /// matrix and [`rehost`] (which includes deriving the RUBiS graph
-    /// afresh, about a millisecond). `None` for the paper graphs, which
-    /// are not built from a topology.
-    pub problem_ms: Option<f64>,
+    /// Ladder rungs only, the same on both of a rung's cells; `None` for
+    /// the paper graphs, which are not built from a topology.
+    pub rung: Option<RungTimes>,
     /// Cost-table footprint in bytes: the shared distance matrix plus
     /// per-edge scalar weights for the incremental strategy, or the dense
     /// per-edge host×host tables it replaced for the baseline.
     pub table_bytes: usize,
+}
+
+/// What a ladder rung measures besides move throughput. Both times are
+/// the fastest of several passes in milliseconds.
+#[derive(Debug, Clone, Copy)]
+pub struct RungTimes {
+    /// Building the problem: topology, all-pairs routes, host matrix and
+    /// [`rehost`] of the RUBiS graph, which is derived once per ladder run.
+    pub problem_ms: f64,
+    /// [`solve_regional`] with default options on the rung.
+    pub search_ms: f64,
+    /// The cost (ms/s) that search returns, which pins the answer the time
+    /// was measured on.
+    pub search_cost: f64,
 }
 
 /// Generates a deterministic sequence of `count` valid moves for `problem`,
@@ -164,7 +177,7 @@ fn measure_problem(
     graph: &str,
     problem: &PlacementProblem,
     links: usize,
-    problem_ms: Option<f64>,
+    rung: Option<RungTimes>,
     moves: usize,
     seed: u64,
 ) {
@@ -191,7 +204,7 @@ fn measure_problem(
         moves_per_sec: full_rate,
         final_cost: full_cost,
         build_ms: 0.0,
-        problem_ms,
+        rung,
         table_bytes: eval.dense_table_bytes(),
     });
     cells.push(PlacementThroughput {
@@ -203,7 +216,7 @@ fn measure_problem(
         moves_per_sec: inc_rate,
         final_cost: inc_cost,
         build_ms,
-        problem_ms,
+        rung,
         table_bytes: eval.table_bytes(),
     });
 }
@@ -226,12 +239,12 @@ pub fn measure_placement_throughput(moves: usize, seed: u64) -> Vec<PlacementThr
 /// every edge PoP, regional hubs are pure compute (zero entry share), and
 /// every host pair is priced along the topology's latency-shortest route.
 pub fn ladder_problem(hosts: usize) -> PlacementProblem {
-    ladder_rung(hosts).0
+    ladder_rung(hosts, &rubis_problem().0).0
 }
 
-/// [`ladder_problem`] and the directed-link count of the rung's topology,
-/// from one topology build.
-fn ladder_rung(hosts: usize) -> (PlacementProblem, usize) {
+/// [`ladder_problem`] from an already derived RUBiS graph `rubis`, and the
+/// directed-link count of the rung's topology, from one topology build.
+fn ladder_rung(hosts: usize, rubis: &PlacementProblem) -> (PlacementProblem, usize) {
     let (topology, nodes) = multi_tier_topology(&MultiTierSpec::ladder_rung(hosts));
     let server_nodes = nodes.servers();
     let share = 1.0 / (nodes.edges.len() as f64 + 1.0);
@@ -251,8 +264,7 @@ fn ladder_rung(hosts: usize) -> (PlacementProblem, usize) {
         })
         .collect();
     let (host_list, rtt) = hosts_from_topology(&topology, &servers);
-    let (rubis, _) = rubis_problem();
-    (rehost(&rubis, host_list, rtt), topology.link_count())
+    (rehost(rubis, host_list, rtt), topology.link_count())
 }
 
 /// Measures the scale ladder up to `max_hosts` (64 for the CI smoke rung,
@@ -263,22 +275,20 @@ pub fn measure_placement_ladder(
     max_hosts: usize,
 ) -> Vec<PlacementThroughput> {
     let mut cells = Vec::new();
+    let (rubis, _) = rubis_problem();
+    let options = RegionalOptions::default();
     for hosts in [4, 16, 64, 256] {
         if hosts > max_hosts {
             continue;
         }
-        let (problem, links) = ladder_rung(hosts);
-        let problem_ms = fastest_ms(|| ladder_rung(hosts));
+        let (problem, links) = ladder_rung(hosts, &rubis);
+        let rung = RungTimes {
+            problem_ms: fastest_ms(|| ladder_rung(hosts, &rubis)),
+            search_ms: fastest_ms(|| solve_regional(&problem, &options)),
+            search_cost: solve_regional(&problem, &options).1,
+        };
         let graph = format!("rubis-mt{hosts}");
-        measure_problem(
-            &mut cells,
-            &graph,
-            &problem,
-            links,
-            Some(problem_ms),
-            moves,
-            seed,
-        );
+        measure_problem(&mut cells, &graph, &problem, links, Some(rung), moves, seed);
     }
     cells
 }
@@ -286,8 +296,8 @@ pub fn measure_placement_ladder(
 /// Renders the cells as the `BENCH_placement.json` document: the `"cores"`
 /// the run had, then per entry `{"algorithm", "graph", "hosts", "links",
 /// "components", "moves_per_sec", "final_cost", "build_ms",
-/// "table_bytes"}` with `"problem_ms"` after them on ladder rungs, plus a
-/// per-graph `"speedup"` summary map.
+/// "table_bytes"}` with `"problem_ms"`, `"search_ms"` and `"search_cost"`
+/// after them on ladder rungs, plus a per-graph `"speedup"` summary map.
 pub fn render_placement_json(cells: &[PlacementThroughput], cores: usize) -> String {
     let entries = cells.iter().map(|cell| {
         Json::object(
@@ -303,7 +313,13 @@ pub fn render_placement_json(cells: &[PlacementThroughput], cores: usize) -> Str
                 ("table_bytes", cell.table_bytes.into()),
             ]
             .into_iter()
-            .chain(cell.problem_ms.map(|ms| ("problem_ms", Json::fixed(ms, 3)))),
+            .chain(cell.rung.into_iter().flat_map(|rung| {
+                [
+                    ("problem_ms", Json::fixed(rung.problem_ms, 3)),
+                    ("search_ms", Json::fixed(rung.search_ms, 3)),
+                    ("search_cost", Json::fixed(rung.search_cost, 6)),
+                ]
+            })),
         )
     });
     let mut speedup: Vec<(String, Json)> = Vec::new();
@@ -351,13 +367,17 @@ mod tests {
                 moves_per_sec,
                 final_cost,
                 build_ms: 0.01,
-                problem_ms: None,
+                rung: None,
                 table_bytes: 512,
             };
         let cells = vec![
             cell("full_recompute", 1000.0, full),
             PlacementThroughput {
-                problem_ms: Some(1.25),
+                rung: Some(RungTimes {
+                    problem_ms: 1.25,
+                    search_ms: 2.5,
+                    search_cost: 100.125,
+                }),
                 ..cell("incremental", 25_000.0, incremental)
             },
         ];
@@ -374,7 +394,14 @@ mod tests {
         assert_eq!(*at(&mut doc, "entries/0/links"), Json::from(10u64));
         assert_eq!(*at(&mut doc, "entries/1/table_bytes"), Json::from(512u64));
         assert_eq!(*at(&mut doc, "entries/1/problem_ms"), Json::fixed(1.25, 3));
-        assert!(at(&mut doc, "entries/0").get("problem_ms").is_err());
+        assert_eq!(*at(&mut doc, "entries/1/search_ms"), Json::fixed(2.5, 3));
+        assert_eq!(
+            *at(&mut doc, "entries/1/search_cost"),
+            Json::fixed(100.125, 6)
+        );
+        for field in ["problem_ms", "search_ms", "search_cost"] {
+            assert!(at(&mut doc, "entries/0").get(field).is_err());
+        }
     }
 
     #[test]

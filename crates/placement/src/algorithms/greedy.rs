@@ -21,10 +21,15 @@
 //! module's flat search, the region-restricted refinement and the
 //! live-migration controller's one-move rounds. It caches each
 //! component's best improving move and, after committing a move, re-probes
-//! only the components `CostEvaluator::mark_stale` marks: the moved
+//! only the components [`CostEvaluator::mark_stale`] marks: the moved
 //! component and its graph neighbours, or every component when some host
-//! has finite CPU capacity. The cached search commits exactly the moves a
-//! full re-scan of every candidate would, in the same order.
+//! has finite CPU capacity. A re-probed component's primary moves are
+//! priced again, but its replica toggles are priced once per
+//! `(component, host)` and re-priced only when `mark_stale` resets that
+//! price: after a replica toggle at host `h`, only the toggles at `h` of
+//! the marked components. The cached search commits exactly the moves a
+//! full re-scan of every candidate would, in the same order, with the
+//! same deltas.
 
 use petgraph::graph::NodeIndex;
 
@@ -60,17 +65,22 @@ impl Default for GreedyOptions {
 ///
 /// A move's delta reads only the state of the moved component and its
 /// neighbours (plus host loads under finite capacity), so a component's
-/// cached best move stays exact until `CostEvaluator::mark_stale` marks
-/// it: the climb commits the same moves as re-probing every candidate in
-/// every round.
+/// cached best move stays exact until [`CostEvaluator::mark_stale`] marks
+/// it. A marked component's primary moves are re-priced, since they read
+/// its whole replica set; its replica toggles are priced once per
+/// `(component, host)` in each call and re-priced only after `mark_stale`
+/// resets that price. Either way the climb commits the same moves, with
+/// the same deltas, as re-probing every candidate in every round.
 pub fn climb(
     eval: &mut CostEvaluator,
     max_rounds: usize,
     candidates: impl Fn(&CostEvaluator, NodeIndex, &mut Vec<Move>),
 ) -> Vec<(Move, f64)> {
     let components = eval.components();
+    let hosts = eval.hosts();
     let mut best: Vec<Option<(Move, f64)>> = vec![None; components];
     let mut stale = vec![true; components];
+    let mut toggle_delta = vec![f64::NAN; components * hosts];
     let mut probes = Vec::new();
     let mut committed = Vec::new();
     for _ in 0..max_rounds {
@@ -82,7 +92,16 @@ pub fn climb(
             candidates(eval, NodeIndex::new(n), &mut probes);
             *slot = None;
             for &mv in &probes {
-                let delta = eval.delta(mv);
+                let delta = match mv {
+                    Move::MovePrimary { .. } => eval.delta(mv),
+                    Move::AddReplica { node, host } | Move::DropReplica { node, host } => {
+                        let cached = &mut toggle_delta[node.index() * hosts + host.0];
+                        if cached.is_nan() {
+                            *cached = eval.delta(mv);
+                        }
+                        *cached
+                    }
+                };
                 if delta < -1e-9 && slot.is_none_or(|(_, bd)| delta < bd) {
                     *slot = Some((mv, delta));
                 }
@@ -99,7 +118,7 @@ pub fn climb(
         };
         eval.apply(mv);
         eval.commit();
-        eval.mark_stale(mv, &mut stale);
+        eval.mark_stale(mv, &mut stale, &mut toggle_delta);
         committed.push((mv, delta));
     }
     committed

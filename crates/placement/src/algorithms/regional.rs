@@ -24,9 +24,10 @@
 //!    the search), never to an arbitrary remote host directly. Two rounds —
 //!    region hop, then local settle — reach any (region, host)
 //!    combination. The climb re-probes only the components a committed
-//!    move can change, and stops at `max_rounds`: on the 256-host ladder
-//!    rung the refinement commits 1,000 edge-replica moves and is capped
-//!    there, not converged.
+//!    move can change, re-prices only the replica toggles it can change
+//!    (after an edge-replica toggle at `h`, those at `h`), and stops at
+//!    `max_rounds`: on the 256-host ladder rung the refinement commits
+//!    1,000 edge-replica moves and is capped there, not converged.
 //!
 //! Small instances bypass the machinery entirely (they delegate to the
 //! flat greedy search), so on graphs small enough to run both, coarsened
@@ -215,8 +216,11 @@ fn lift(problem: &PlacementProblem, coarse: &Placement, medoids: &[usize]) -> Pl
 ///   dropped). A replica only ever re-routes traffic *originating at its
 ///   own host*, so non-entry hosts can never profit from one and entry
 ///   hosts cannot be skipped without losing the paper's edge-replication
-///   pattern; keeping the full entry scan is cheap precisely because the
-///   replica delta never loops over origins.
+///   pattern. Keeping the full entry scan is cheap because the replica
+///   delta never loops over origins, and because [`greedy::climb`] keeps
+///   each toggle's price until a committed move can change it: after a
+///   replica toggle at `h` a re-probed component re-prices only its toggle
+///   at `h`, and reads its other entry hosts' prices back.
 ///
 /// Candidates come in ascending host order, primary moves first.
 pub fn restricted_neighborhood<'a>(

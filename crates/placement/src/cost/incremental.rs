@@ -524,24 +524,55 @@ impl CostEvaluator {
         self.primary.len()
     }
 
-    /// Marks in `stale` every component whose move deltas the committed
-    /// move `mv` can have changed. A delta reads only the moving
-    /// component's primary and replica mask and those of its incidence
-    /// neighbours, so normally that is the moved component and its
-    /// neighbours. When any host has finite CPU capacity the overload term
-    /// couples every move through the shared host loads, so every
-    /// component is marked.
-    pub(crate) fn mark_stale(&self, mv: Move, stale: &mut [bool]) {
+    /// Number of candidate hosts.
+    pub fn hosts(&self) -> usize {
+        self.hosts
+    }
+
+    /// Marks the prices the committed move `mv` can have changed, for a
+    /// search that keeps prices between moves.
+    ///
+    /// `stale` gets every component whose move deltas `mv` can have
+    /// changed. A delta reads only the moving component's primary and
+    /// replica mask and those of its incidence neighbours, so normally that
+    /// is the moved component and its neighbours.
+    ///
+    /// `toggle_delta` holds cached replica-toggle prices, the toggle of
+    /// node `m` at host `v` in slot `m · hosts + v` (so it has
+    /// `components · hosts` slots, and `stale` one per component), NaN
+    /// when unpriced; the slots `mv` can have changed are reset to NaN. A
+    /// toggle of `m` at `v` reads `m`'s primary, write rate and mask bit
+    /// `v`, the share of origin `v`, and, over `m`'s read edges, each
+    /// neighbour's serving location for origin `v` (its primary and its
+    /// mask bit `v`). So a replica toggle of `n` at `h` can change only the
+    /// toggles at `h` of `n` and its neighbours, and a primary move of `n`
+    /// every toggle of both; every other slot stays bit for bit what
+    /// [`delta`](Self::delta) returns.
+    ///
+    /// When any host has finite CPU capacity the overload term couples
+    /// every move through the shared host loads, so everything is marked.
+    pub fn mark_stale(&self, mv: Move, stale: &mut [bool], toggle_delta: &mut [f64]) {
         if self.load_coupled {
             stale.fill(true);
+            toggle_delta.fill(f64::NAN);
             return;
         }
+        let h = self.hosts;
+        let mut mark = |n: usize| {
+            stale[n] = true;
+            match mv {
+                Move::MovePrimary { .. } => toggle_delta[n * h..(n + 1) * h].fill(f64::NAN),
+                Move::AddReplica { host, .. } | Move::DropReplica { host, .. } => {
+                    toggle_delta[n * h + host.0] = f64::NAN;
+                }
+            }
+        };
         let idx = mv.node().index();
-        stale[idx] = true;
+        mark(idx);
         for k in self.inc_start[idx]..self.inc_start[idx + 1] {
             let e = self.inc_edge[k as usize] as usize;
-            stale[self.edge_src[e] as usize] = true;
-            stale[self.edge_dst[e] as usize] = true;
+            mark(self.edge_src[e] as usize);
+            mark(self.edge_dst[e] as usize);
         }
     }
 

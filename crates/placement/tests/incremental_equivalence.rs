@@ -8,7 +8,10 @@
 //! graph, so any drift here would silently corrupt placement decisions.
 //! The searches price candidates with `CostEvaluator::delta`, which writes
 //! no state; the price walks below pin it to the delta `apply` returns, bit
-//! for bit, after any history of applied, undone and committed moves.
+//! for bit, after any history of applied, undone and committed moves. The
+//! climb keeps prices between committed moves until
+//! `CostEvaluator::mark_stale` marks them; the stale-mark walk pins every
+//! price it keeps to a re-probe, bit for bit.
 //!
 //! Run it in release in CI (`cargo test -p mutsvc-placement --release
 //! --test incremental_equivalence`); the debug build covers a reduced
@@ -349,5 +352,126 @@ fn pure_price_matches_apply_on_ladder_rungs() {
                 "{hosts} hosts, capped {capped}: {overload_moves} moves changed the overload term"
             );
         }
+    }
+}
+
+/// Every replica toggle's and every primary move's price at the
+/// evaluator's state, each in slot `component · hosts + host`. At a
+/// component's primary host there is no toggle and the primary move
+/// changes nothing, so both slots hold NaN.
+fn all_prices(eval: &CostEvaluator) -> (Vec<f64>, Vec<f64>) {
+    let hosts = eval.hosts();
+    let mut toggles = vec![f64::NAN; eval.components() * hosts];
+    let mut primaries = toggles.clone();
+    for m in 0..eval.components() {
+        let node = NodeIndex::new(m);
+        for host in (0..hosts).map(HostId) {
+            if host == eval.primary_of(node) {
+                continue;
+            }
+            let toggle = if eval.has_replica(node, host) {
+                Move::DropReplica { node, host }
+            } else {
+                Move::AddReplica { node, host }
+            };
+            toggles[m * hosts + host.0] = eval.delta(toggle);
+            primaries[m * hosts + host.0] = eval.delta(Move::MovePrimary { node, to: host });
+        }
+    }
+    (toggles, primaries)
+}
+
+/// Walks `steps` random committed moves from `start` on a problem without
+/// finite-capacity hosts. After each move, every price
+/// `CostEvaluator::mark_stale` keeps must equal the price at the new state
+/// bit for bit: each replica toggle whose slot it leaves set, and each
+/// primary move of a component it leaves unmarked. Returns how many toggle
+/// prices it kept after replica toggles and after primary moves.
+fn stale_mark_walk(
+    problem: &PlacementProblem,
+    start: Placement,
+    rng: &mut SimRng,
+    steps: usize,
+) -> (usize, usize) {
+    let mut eval = CostEvaluator::new(problem, start);
+    let hosts = eval.hosts();
+    let (mut toggles, mut primaries) = all_prices(&eval);
+    let (mut kept_after_toggle, mut kept_after_move) = (0, 0);
+    for step in 1..=steps {
+        let mv = random_move(rng, &eval, problem);
+        eval.apply(mv);
+        eval.commit();
+        let mut stale = vec![false; eval.components()];
+        eval.mark_stale(mv, &mut stale, &mut toggles);
+        let (next_toggles, next_primaries) = all_prices(&eval);
+        let mut kept = 0;
+        for (slot, (&cached, &now)) in toggles.iter().zip(&next_toggles).enumerate() {
+            if cached.is_nan() {
+                continue;
+            }
+            kept += 1;
+            assert_eq!(
+                cached.to_bits(),
+                now.to_bits(),
+                "step {step}, after {mv:?}: kept toggle of c{} at h{} was {cached:e}, is {now:e}",
+                slot / hosts,
+                slot % hosts
+            );
+        }
+        match mv {
+            Move::MovePrimary { .. } => kept_after_move += kept,
+            _ => kept_after_toggle += kept,
+        }
+        for m in (0..eval.components()).filter(|&m| !stale[m]) {
+            let slots = m * hosts..(m + 1) * hosts;
+            for (h, (cached, now)) in primaries[slots.clone()]
+                .iter()
+                .zip(&next_primaries[slots])
+                .enumerate()
+            {
+                assert_eq!(
+                    cached.to_bits(),
+                    now.to_bits(),
+                    "step {step}, after {mv:?}: unmarked c{m}'s move to h{h} was {cached:e}, is {now:e}"
+                );
+            }
+        }
+        (toggles, primaries) = (next_toggles, next_primaries);
+    }
+    (kept_after_toggle, kept_after_move)
+}
+
+#[cfg(debug_assertions)]
+const STALE_MARK_STEPS: usize = 400;
+#[cfg(not(debug_assertions))]
+const STALE_MARK_STEPS: usize = 2_000;
+
+/// The climb keeps a replica toggle's price until `mark_stale` resets its
+/// slot. On random graphs with every host unbounded, and on the 16- and
+/// 64-host ladder rungs as built, each kept price is exact after both move
+/// kinds, and each kind keeps some.
+#[test]
+fn stale_marks_keep_only_exact_prices() {
+    let mut problems = Vec::new();
+    for seed in 0..12u64 {
+        let mut rng = SimRng::seed_from_u64(0x57A1_E000 + seed);
+        let mut problem = random_problem(&mut rng);
+        for host in &mut problem.hosts {
+            host.cpu_capacity = f64::INFINITY;
+        }
+        problems.push((format!("seed {seed}"), problem, 0.2));
+    }
+    for hosts in [16, 64] {
+        problems.push((format!("rubis-mt{hosts}"), ladder_problem(hosts), 0.5));
+    }
+    for (i, (label, problem, replica_chance)) in problems.into_iter().enumerate() {
+        let mut rng = SimRng::seed_from_u64(0x57A1_E100 + i as u64);
+        let start = random_placement(&mut rng, &problem, replica_chance);
+        let (after_toggle, after_move) =
+            stale_mark_walk(&problem, start, &mut rng, STALE_MARK_STEPS);
+        assert!(
+            after_toggle > 0 && after_move > 0,
+            "{label}: kept {after_toggle} prices after toggles, {after_move} after primary moves"
+        );
     }
 }

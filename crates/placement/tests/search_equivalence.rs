@@ -1,7 +1,8 @@
 //! Search-equivalence property test: the cached best-improvement
 //! [`climb`] must commit exactly the moves of a full re-scan that
 //! re-probes every candidate of every component in every round — the same
-//! moves in the same order, and the same final placement — from every
+//! moves in the same order, each with the delta the re-scan's probe
+//! returned bit for bit, and the same final placement — from every
 //! all-on-one-host start.
 //!
 //! Inputs: random graphs as generated (about 40 % of hosts with finite CPU
@@ -43,13 +44,21 @@ const MAX_ROUNDS: usize = 1_000;
 /// candidate of every component and commits the most negative delta below
 /// `−1e-9`, the first in node-major candidate order on ties. It probes by
 /// applying each candidate and undoing it, not with `CostEvaluator::delta`
-/// as `climb` does, so it is the independent oracle the pure probes are
-/// checked against.
+/// and cached toggle prices as `climb` does, so it is the independent
+/// oracle the pure probes are checked against. Returns the committed moves
+/// in order, each with the delta its probe's `apply` returned.
+///
+/// An apply/undo pair leaves last-bit rounding in the host loads and the
+/// overload total. Only a problem with a finite-capacity host prices
+/// moves from them, so there each probe applies to a copy of `eval`
+/// instead, and every probe reads the state the committed moves built.
 fn reference_climb(
+    problem: &PlacementProblem,
     eval: &mut CostEvaluator,
     max_rounds: usize,
     candidates: impl Fn(&CostEvaluator, NodeIndex, &mut Vec<Move>),
-) -> Vec<Move> {
+) -> Vec<(Move, f64)> {
+    let load_coupled = problem.hosts.iter().any(|h| h.cpu_capacity.is_finite());
     let mut committed = Vec::new();
     let mut probes = Vec::new();
     for _ in 0..max_rounds {
@@ -58,25 +67,30 @@ fn reference_climb(
             probes.clear();
             candidates(eval, NodeIndex::new(n), &mut probes);
             for &mv in &probes {
-                let delta = eval.apply(mv);
-                eval.undo();
+                let delta = if load_coupled {
+                    eval.clone().apply(mv)
+                } else {
+                    let delta = eval.apply(mv);
+                    eval.undo();
+                    delta
+                };
                 if delta < -1e-9 && best.is_none_or(|(_, bd)| delta < bd) {
                     best = Some((mv, delta));
                 }
             }
         }
-        let Some((mv, _)) = best else { break };
+        let Some((mv, delta)) = best else { break };
         eval.apply(mv);
         eval.commit();
-        committed.push(mv);
+        committed.push((mv, delta));
     }
     committed
 }
 
 /// Climbs at most `max_rounds` from each all-on-one-host start in
-/// `starts` both ways and asserts the same committed moves and final
-/// placement. Returns the total number of committed moves, so callers can
-/// check the search moved at all.
+/// `starts` both ways and asserts the same committed moves, deltas (bit for
+/// bit) and final placement. Returns the total number of committed moves,
+/// so callers can check the search moved at all.
 fn assert_same_climbs(
     label: &str,
     problem: &PlacementProblem,
@@ -84,19 +98,22 @@ fn assert_same_climbs(
     max_rounds: usize,
     candidates: impl Fn(&CostEvaluator, NodeIndex, &mut Vec<Move>),
 ) -> usize {
+    let bits = |climb: Vec<(Move, f64)>| -> Vec<(Move, u64)> {
+        climb
+            .into_iter()
+            .map(|(mv, delta)| (mv, delta.to_bits()))
+            .collect()
+    };
     let mut moves = 0;
     for &h in starts {
         let start = Placement::all_on(problem, HostId(h));
         let mut cached = CostEvaluator::new(problem, start.clone());
         let mut full = CostEvaluator::new(problem, start);
-        let cached_moves: Vec<Move> = climb(&mut cached, max_rounds, &candidates)
-            .into_iter()
-            .map(|(mv, _)| mv)
-            .collect();
-        let full_moves = reference_climb(&mut full, max_rounds, &candidates);
+        let cached_moves = bits(climb(&mut cached, max_rounds, &candidates));
+        let full_moves = bits(reference_climb(problem, &mut full, max_rounds, &candidates));
         assert_eq!(
             cached_moves, full_moves,
-            "{label}, start h{h}: committed moves differ"
+            "{label}, start h{h}: committed moves or their deltas differ"
         );
         assert_eq!(
             cached.placement(),
@@ -257,7 +274,12 @@ fn improve_returns_the_reference_placement() {
         for h in 0..problem.hosts.len() {
             let start = Placement::all_on(&problem, HostId(h));
             let mut full = CostEvaluator::new(&problem, start.clone());
-            reference_climb(&mut full, options.max_rounds, neighborhood(&problem, true));
+            reference_climb(
+                &problem,
+                &mut full,
+                options.max_rounds,
+                neighborhood(&problem, true),
+            );
             let (placement, _) = greedy::improve(&problem, start, &options);
             assert_eq!(placement, full.placement(), "{name}, start h{h}");
         }

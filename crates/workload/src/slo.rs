@@ -8,7 +8,7 @@
 //! `bad_fraction / (1 - target)`, so `1.0` means "exactly on budget" and a
 //! WAN partition that fails half the requests against a 99.9 % target burns
 //! at 500×. The engine emits window-stamped breach/recovery events (the
-//! feedback signal ROADMAP item 3's placement controller consumes) and a
+//! feedback signal ROADMAP item 6's placement controller consumes) and a
 //! final verdict table per objective.
 //!
 //! Latency objectives count a request as bad only when its histogram bucket
