@@ -63,7 +63,11 @@
 //!
 //! With no selection flags, everything is printed. `--quick` (default) uses
 //! a 90 s warm-up + 300 s measured window; `--paper` runs the full
-//! one-hour windows of §3.3.
+//! one-hour windows of §3.3. After the tables and figures a last line
+//! digests the unrounded bits of every measured value they print, so a
+//! change too small to move a rounded figure still changes the output.
+
+use std::hash::Hasher;
 
 use mutsvc_apps::petstore::{BROWSER_MIX as PS_MIX, BUYER_SEQUENCE};
 use mutsvc_apps::rubis::{BIDDER_SEQUENCE, BROWSER_MIX as RUBIS_MIX};
@@ -91,9 +95,10 @@ use mutsvc_bench::trace_artifacts::{
     config_by_name, render_trace_json, render_wan_rt_table, run_traced_sweep, TraceCell,
 };
 use mutsvc_core::{
-    paper_topology, render_comparison, render_figure, render_percentiles, render_table,
-    validate_shapes, AppKind, Config,
+    figure_series, measured_mean, measured_p95, paper_topology, render_comparison, render_figure,
+    render_percentiles, render_table, table_cells, validate_shapes, AppKind, Config,
 };
+use mutsvc_desim::FxHasher;
 use mutsvc_workload::{chrome_trace_json, jsonl, validate_chrome_trace};
 
 struct Options {
@@ -683,6 +688,15 @@ fn main() {
     if !(opts.tables || opts.figures || opts.compare || opts.validate || opts.percentiles) {
         return;
     }
+    // The unrounded bits of every measured value the sweeps print, so that
+    // a change too small to move a printed figure still moves the output.
+    let (mut printed, mut values) = (FxHasher::default(), 0);
+    let mut digest = |cells: &[Option<f64>]| {
+        for cell in cells {
+            printed.write_u64(cell.map_or(u64::MAX, f64::to_bits));
+        }
+        values += cells.len();
+    };
     for &app in &opts.apps {
         eprintln!(
             "running {} sweep ({} mode, seed {})...",
@@ -693,15 +707,20 @@ fn main() {
         let reports = run_sweep_parallel(app, opts.quick, opts.seed);
         if opts.tables {
             println!("{}", render_table(app, &reports));
+            digest(&table_cells(app, &reports, measured_mean));
         }
         if opts.percentiles {
             println!("{}", render_percentiles(app, &reports));
+            digest(&table_cells(app, &reports, measured_p95));
         }
         if opts.compare {
             println!("{}", render_comparison(app, &reports));
+            digest(&table_cells(app, &reports, measured_mean));
         }
         if opts.figures {
             println!("{}", render_figure(app, &reports));
+            let bars = figure_series(app, &reports);
+            digest(&bars.iter().map(|bar| Some(bar.mean_ms)).collect::<Vec<_>>());
         }
         if opts.validate {
             let violations = validate_shapes(app, &reports);
@@ -733,5 +752,11 @@ fn main() {
                 util.join(" ")
             );
         }
+    }
+    if values > 0 {
+        println!(
+            "printed values digest {:016x} ({values} values, unrounded)",
+            printed.finish()
+        );
     }
 }

@@ -96,7 +96,6 @@ pub fn move_sequence(problem: &PlacementProblem, count: usize, seed: u64) -> Vec
             _ => continue,
         };
         eval.apply(mv);
-        eval.commit();
         moves.push(mv);
     }
     moves
@@ -132,7 +131,6 @@ pub fn replay_incremental(problem: &PlacementProblem, moves: &[Move]) -> f64 {
     let mut eval = CostEvaluator::new(problem, Placement::all_on(problem, HostId(0)));
     for &mv in moves {
         eval.apply(mv);
-        eval.commit();
     }
     eval.total()
 }

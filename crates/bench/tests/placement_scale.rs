@@ -10,7 +10,7 @@
 //!   the round-trip matrix alone) induces the same partition as the
 //!   simulator's link-level [`Topology::regions`];
 //! * the incremental evaluator stays within relative 1e-9 of the
-//!   from-scratch sweep along randomized move/undo walks on multi-tier
+//!   from-scratch sweep along randomized move sequences on multi-tier
 //!   problems (the scale-ladder extension of the `mutsvc-placement`
 //!   `incremental_equivalence` suite);
 //! * region-coarsened search matches the flat greedy search to 1e-9 on
@@ -188,7 +188,6 @@ fn incremental_equivalence_on_multi_tier_rungs() {
         let mut eval = CostEvaluator::new(&problem, Placement::all_on(&problem, HostId(0)));
         for (step, &mv) in moves.iter().enumerate() {
             eval.apply(mv);
-            eval.commit();
             let full = cost_breakdown(&problem, &eval.placement());
             let inc = eval.breakdown();
             for (term, i, f) in [

@@ -42,8 +42,8 @@ pub use faultsuite::{AdaptiveEpisode, EpisodeTargets, EpisodeView, FaultCase};
 pub use invariants::{wan_invariant, WanInvariant};
 pub use mutsvc_workload::{MetricsSettings, SloSpec};
 pub use report::{
-    figure_series, measured_mean, render_comparison, render_figure, render_percentiles,
-    render_table, validate_shapes, FigureBar,
+    figure_series, measured_mean, measured_p95, render_comparison, render_figure,
+    render_percentiles, render_table, table_cells, validate_shapes, FigureBar,
 };
 pub use topology::{
     fanout_topology, multi_tier_topology, paper_topology, FanoutNodes, MultiTierNodes,

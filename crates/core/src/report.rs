@@ -73,39 +73,70 @@ fn measured_summary(
         })
 }
 
-/// Renders the measured table (the paper's Table 6 or 7) as fixed-width text.
+/// The p95 of one table cell's samples (remote = both edge groups merged).
+pub fn measured_p95(
+    report: &ExperimentReport,
+    remote: bool,
+    pattern: &str,
+    page: &str,
+) -> Option<f64> {
+    measured_summary(report, remote, pattern, page).map(|s| s.p95())
+}
+
+/// The cells of Table 6/7 or its p95 companion, in print order: per
+/// configuration (in [`Config::all`] order) the local row then the remote
+/// row, each column left to right. `value` reads one cell, as
+/// [`measured_mean`] and [`measured_p95`] do.
 ///
 /// `reports` must hold the five configurations in [`Config::all`] order.
-pub fn render_table(app: AppKind, reports: &[ExperimentReport]) -> String {
+pub fn table_cells(
+    app: AppKind,
+    reports: &[ExperimentReport],
+    value: impl Fn(&ExperimentReport, bool, &str, &str) -> Option<f64>,
+) -> Vec<Option<f64>> {
+    let mut cells = Vec::new();
+    for report in reports.iter().take(Config::all().len()) {
+        for remote in [false, true] {
+            for (pattern, page) in columns_of(app) {
+                cells.push(value(report, remote, pattern, page));
+            }
+        }
+    }
+    cells
+}
+
+/// Renders [`table_cells`] as fixed-width text under `title`.
+fn render_cells(app: AppKind, title: &str, cells: &[Option<f64>]) -> String {
     let columns = columns_of(app);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Table {}: average response times (ms), {} — measured\n",
-        table_number(app),
-        app.name()
-    ));
-    out.push_str(&format!("{:<18}{:>3}", "configuration", ""));
+    let mut out = format!("{title}\n{:<18}{:>3}", "configuration", "");
     for (_, page) in columns {
         out.push_str(&format!("{:>9}", truncate(page, 8)));
     }
     out.push('\n');
-    for (config, report) in Config::all().iter().zip(reports) {
-        for remote in [false, true] {
-            out.push_str(&format!(
-                "{:<18}{:>3}",
-                config.name(),
-                if remote { "R" } else { "L" }
-            ));
-            for (pattern, page) in columns {
-                match measured_mean(report, remote, pattern, page) {
-                    Some(v) => out.push_str(&format!("{:>9.0}", v)),
-                    None => out.push_str(&format!("{:>9}", "-")),
-                }
+    let rows = Config::all().into_iter().flat_map(|c| [(c, "L"), (c, "R")]);
+    for ((config, side), row) in rows.zip(cells.chunks(columns.len())) {
+        out.push_str(&format!("{:<18}{side:>3}", config.name()));
+        for cell in row {
+            match cell {
+                Some(v) => out.push_str(&format!("{:>9.0}", v)),
+                None => out.push_str(&format!("{:>9}", "-")),
             }
-            out.push('\n');
         }
+        out.push('\n');
     }
     out
+}
+
+/// Renders the measured table (the paper's Table 6 or 7) as fixed-width text.
+///
+/// `reports` must hold the five configurations in [`Config::all`] order.
+pub fn render_table(app: AppKind, reports: &[ExperimentReport]) -> String {
+    let title = format!(
+        "Table {}: average response times (ms), {} — measured",
+        table_number(app),
+        app.name()
+    );
+    render_cells(app, &title, &table_cells(app, reports, measured_mean))
 }
 
 /// Renders measured vs paper, cell by cell, with the measured/paper ratio.
@@ -143,34 +174,12 @@ pub fn render_comparison(app: AppKind, reports: &[ExperimentReport]) -> String {
 /// paper reports means only; percentiles expose the blocking-push tail that
 /// means smooth over.
 pub fn render_percentiles(app: AppKind, reports: &[ExperimentReport]) -> String {
-    let columns = columns_of(app);
-    let mut out = format!(
-        "Table {}-p95: 95th-percentile response times (ms), {} — measured\n",
+    let title = format!(
+        "Table {}-p95: 95th-percentile response times (ms), {} — measured",
         table_number(app),
         app.name()
     );
-    out.push_str(&format!("{:<18}{:>3}", "configuration", ""));
-    for (_, page) in columns {
-        out.push_str(&format!("{:>9}", truncate(page, 8)));
-    }
-    out.push('\n');
-    for (config, report) in Config::all().iter().zip(reports) {
-        for remote in [false, true] {
-            out.push_str(&format!(
-                "{:<18}{:>3}",
-                config.name(),
-                if remote { "R" } else { "L" }
-            ));
-            for (pattern, page) in columns {
-                match measured_summary(report, remote, pattern, page).map(|s| s.p95()) {
-                    Some(v) => out.push_str(&format!("{:>9.0}", v)),
-                    None => out.push_str(&format!("{:>9}", "-")),
-                }
-            }
-            out.push('\n');
-        }
-    }
-    out
+    render_cells(app, &title, &table_cells(app, reports, measured_p95))
 }
 
 /// One bar of Figure 7/8: session-average response time of a client group.

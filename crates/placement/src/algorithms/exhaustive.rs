@@ -59,7 +59,6 @@ pub fn solve(problem: &PlacementProblem) -> (Placement, f64) {
             });
             i += 1;
         }
-        eval.commit();
         let c = eval.total();
         if c < best_cost {
             best_cost = c;

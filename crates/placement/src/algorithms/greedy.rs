@@ -13,9 +13,9 @@
 //! Candidate moves are priced through the incremental [`CostEvaluator`]'s
 //! [`delta`](CostEvaluator::delta), which reads the evaluator's state and
 //! writes none of it, so probing a replica toggle costs `O(degree)` and a
-//! primary move one pass over the component's replica set plus
-//! `O(degree)`, instead of a whole-graph sweep per candidate. Only the
-//! committed move is applied.
+//! primary move one pass over the component's replica set, which sums it
+//! at the target only, plus `O(degree)`, instead of a whole-graph sweep
+//! per candidate. Only the committed move is applied.
 //!
 //! [`climb`] is the one best-improvement loop every hill-climb runs: this
 //! module's flat search, the region-restricted refinement and the
@@ -66,7 +66,7 @@ impl Default for GreedyOptions {
 /// A move's delta reads only the state of the moved component and its
 /// neighbours (plus host loads under finite capacity), so a component's
 /// cached best move stays exact until [`CostEvaluator::mark_stale`] marks
-/// it. A marked component's primary moves are re-priced, since they read
+/// it. A marked component's primary moves are re-priced, since each walks
 /// its whole replica set; its replica toggles are priced once per
 /// `(component, host)` in each call and re-priced only after `mark_stale`
 /// resets that price. Either way the climb commits the same moves, with
@@ -117,7 +117,6 @@ pub fn climb(
             break;
         };
         eval.apply(mv);
-        eval.commit();
         eval.mark_stale(mv, &mut stale, &mut toggle_delta);
         committed.push((mv, delta));
     }

@@ -25,7 +25,9 @@
 //!    region hop, then local settle — reach any (region, host)
 //!    combination. The climb re-probes only the components a committed
 //!    move can change, re-prices only the replica toggles it can change
-//!    (after an edge-replica toggle at `h`, those at `h`), and stops at
+//!    (after an edge-replica toggle at `h`, those at `h`), prices each
+//!    primary move with one pass over the component's replica set, which
+//!    sums it at the target only, and stops at
 //!    `max_rounds`: on the 256-host ladder rung the refinement commits
 //!    1,000 edge-replica moves and is capped there, not converged.
 //!
@@ -205,7 +207,8 @@ fn lift(problem: &PlacementProblem, coarse: &Placement, medoids: &[usize]) -> Pl
 /// `regions` with one medoid per region. Per component:
 ///
 /// * **primary moves** — the expensive probes, one pass over the
-///   component's replica set plus `O(degree)` each, and a walk over a
+///   component's replica set (its sums at the target; those at the current
+///   primary are kept) plus `O(degree)` each, and a walk over a
 ///   neighbour's replica hosts the component lacks — are offered only the
 ///   component's current region members plus every
 ///   region medoid (the tier hubs): a region hop then a local settle reach

@@ -11,9 +11,10 @@
 //! the moved component, that component's consistency pushes, and its load
 //! contributions. A replica toggle costs `O(degree)`. A primary move costs
 //! `O(|R| + degree + Σ|Q \ R|)`: one pass over the moved component's
-//! replica hosts `R`, then per incident edge O(1), or one walk over the far
-//! component's replica hosts `Q` that `R` lacks. Either replaces a
-//! whole-graph sweep.
+//! replica hosts `R` that sums them at the target only, since each
+//! component keeps its sums at its current primary, then per incident edge
+//! O(1), or one walk over the far component's replica hosts `Q` that `R`
+//! lacks. Either replaces a whole-graph sweep.
 //!
 //! Communication is priced against **one all-pairs distance matrix**
 //! (`hosts²` floats, flattened from the problem's round-trip matrix)
@@ -33,21 +34,20 @@
 //! none of it, and commit the chosen move with
 //! [`apply`](CostEvaluator::apply). Both run one pricing core, so a probe's
 //! price is bit for bit what applying the move returns; `apply` then writes
-//! the priced state. Every `apply` is reversible via
-//! [`undo`](CostEvaluator::undo) (the evaluator keeps an undo stack), and
-//! no search ever clones a [`Placement`]: primaries plus replica bitmasks
-//! are the only placement state, and
+//! the priced state. The evaluator keeps no history: a search that wants a
+//! move undone applies its inverse. No search ever clones a [`Placement`]:
+//! primaries plus replica bitmasks are the only placement state, and
 //! [`placement`](CostEvaluator::placement) builds a [`Placement`] from them
 //! on demand.
 //! The three running cost terms use Kahan-compensated summation so that
-//! millions of `apply`/`undo` deltas stay within `1e-9` of a from-scratch
+//! millions of `apply` deltas stay within `1e-9` of a from-scratch
 //! [`cost_breakdown`](crate::cost::cost_breakdown) — a property test drives
 //! exactly that comparison (`tests/incremental_equivalence.rs`).
 
 use petgraph::graph::NodeIndex;
 
 use crate::cost::CostBreakdown;
-use crate::graph::{HostId, Placement, PlacementProblem, Role};
+use crate::graph::{asymmetry, HostId, Placement, PlacementProblem, Role};
 
 /// A reversible single-component placement mutation — the three move kinds
 /// the search algorithms use.
@@ -116,17 +116,6 @@ impl Kahan {
     }
 }
 
-/// Undo record for one applied move.
-#[derive(Debug, Clone, Copy)]
-struct Applied {
-    mv: Move,
-    /// For `MovePrimary`: the previous primary host.
-    prev_primary: u32,
-    /// For `MovePrimary`: whether the target host held a replica that the
-    /// move absorbed (and undo must restore).
-    absorbed_replica: bool,
-}
-
 /// Tests bit `bit` of a multi-word mask.
 #[inline]
 fn mask_test(words: &[u64], bit: usize) -> bool {
@@ -164,22 +153,27 @@ impl Iterator for MaskBits<'_> {
     }
 }
 
-/// Sums over the replica hosts `R` of a component whose primary moves
-/// `p → p′`, gathered in one pass by
-/// [`CostEvaluator::replica_sums`]. The `_new` sums skip `r = p′`.
-#[derive(Debug, Default)]
+/// Sums over the replica hosts `R` of a component with primary `p`. The
+/// evaluator keeps them for every component at its current primary.
+#[derive(Debug, Clone, Copy, Default)]
 struct ReplicaSums {
     /// `Σ share(r)`.
     share: f64,
-    /// `Σ share(r)·dist[p][r]` and `Σ share(r)·dist[p′][r]`.
-    to_old: f64,
-    to_new: f64,
-    /// `Σ share(r)·dist[r][p]` and `Σ share(r)·dist[r][p′]`.
-    from_old: f64,
-    from_new: f64,
-    /// `Σ dist[p][r]` and `Σ dist[p′][r]`.
-    push_old: f64,
-    push_new: f64,
+    /// `Σ dist[p][r]`.
+    dist: f64,
+    /// `Σ share(r)·dist[p][r]`.
+    weighted: f64,
+}
+
+impl ReplicaSums {
+    /// Adds (`sign` 1) or removes (`sign` −1) the terms of a replica host
+    /// with entry share `share` at distance `dist` from the primary.
+    #[inline]
+    fn toggle(&mut self, share: f64, dist: f64, sign: f64) {
+        self.share += sign * share;
+        self.dist += sign * dist;
+        self.weighted += sign * (share * dist);
+    }
 }
 
 /// Demand moved from one host to another, priced on copies: both hosts'
@@ -194,7 +188,8 @@ struct Shift {
 }
 
 /// A move's price and what applying it writes besides the placement: the
-/// change of each running term, and the load shift if demand moves.
+/// change of each running term, the load shift if demand moves, and the
+/// moved component's replica sums afterwards.
 #[derive(Debug, Clone, Copy)]
 struct Priced {
     /// The change in total cost, as [`CostEvaluator::apply`] returns it.
@@ -202,6 +197,7 @@ struct Priced {
     communication: f64,
     consistency: f64,
     shift: Option<Shift>,
+    sums: ReplicaSums,
 }
 
 /// Incremental placement cost evaluator.
@@ -210,7 +206,7 @@ struct Priced {
 /// [`PlacementProblem`]) plus the live placement and cost state. Build it
 /// once per search with [`CostEvaluator::new`], price candidates with
 /// [`delta`](CostEvaluator::delta), and drive it with
-/// [`apply`](CostEvaluator::apply) / [`undo`](CostEvaluator::undo).
+/// [`apply`](CostEvaluator::apply).
 #[derive(Debug, Clone)]
 pub struct CostEvaluator {
     // ---- immutable flattened problem ----
@@ -227,12 +223,6 @@ pub struct CostEvaluator {
     entry_share: Vec<f64>,
     /// Per node: placement role.
     role: Vec<Role>,
-    /// Per node: whether it is the source (`reads_to_entry`) or the target
-    /// (`reads_from_entry`) of a read edge whose other endpoint is an
-    /// Entry. Only then does a primary move need the replica hosts'
-    /// share-weighted distances in that direction.
-    reads_to_entry: Vec<bool>,
-    reads_from_entry: Vec<bool>,
     /// Per node: writes/s against the component's state.
     write_rate: Vec<f64>,
     /// Per node: CPU demand (ms/s) an origin of share 1.0 induces at the
@@ -249,16 +239,16 @@ pub struct CostEvaluator {
     edge_w_fixed: Vec<f64>,
     /// Host×host round-trip matrix (`dist[a·H + b] = rtt_ms[a][b]`,
     /// milliseconds): at 256 hosts it is 512 KiB, the only `hosts²`-sized
-    /// table in the evaluator.
+    /// table in the evaluator. Round trips are symmetric (`new` rejects a
+    /// matrix that is not), so pricing reads rows only.
     dist: Vec<f64>,
-    /// Share-weighted distance sums: `s_to[a] = Σ_o share(o)·dist[a][o]`
-    /// and `s_from[a] = Σ_o share(o)·dist[o][a]` over the entry origins.
-    /// They collapse the per-origin loop of every "origin on one side of
-    /// the edge" delta to O(1) — crucial once origins number in the
-    /// hundreds (on a 256-host graph an uncollapsed MovePrimary walks
-    /// ~250 origins per incident edge).
+    /// Share-weighted distance sums `s_to[a] = Σ_o share(o)·dist[a][o]`
+    /// over the entry origins, for edges in either direction. They
+    /// collapse the per-origin loop of every "origin on one side of the
+    /// edge" delta to O(1) — crucial once origins number in the hundreds
+    /// (on a 256-host graph an uncollapsed MovePrimary walks ~250 origins
+    /// per incident edge).
     s_to: Vec<f64>,
-    s_from: Vec<f64>,
     /// CSR incidence: edges touching node `n` are
     /// `inc_edge[inc_start[n]..inc_start[n + 1]]`.
     inc_start: Vec<u32>,
@@ -281,6 +271,11 @@ pub struct CostEvaluator {
     /// Replica host bitmasks, `mask_words` words per node (bit `h` of the
     /// node's words ⇔ replica at host `h`).
     repl_mask: Vec<u64>,
+    /// Per node: its [`ReplicaSums`] at its primary. A replica toggle
+    /// updates them in O(1); a primary move installs the sums its pricing
+    /// pass computed at the target, so each equals a fresh ascending pass
+    /// after construction and after the node's last primary move.
+    sums: Vec<ReplicaSums>,
     /// Per-host CPU load (ms/s).
     load: Vec<f64>,
     communication: Kahan,
@@ -290,7 +285,6 @@ pub struct CostEvaluator {
     /// `O(slots touched)` per move instead of an `O(hosts)` sweep before
     /// and after every move.
     overload_total: Kahan,
-    history: Vec<Applied>,
 }
 
 impl CostEvaluator {
@@ -298,8 +292,10 @@ impl CostEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics if the round-trip matrix is not `hosts × hosts` or the
-    /// placement arity does not match the graph.
+    /// Panics if the round-trip matrix is not `hosts × hosts` or not
+    /// symmetric (naming the first pair that differs, as
+    /// [`PlacementProblem::validate`] does), or if the placement arity does
+    /// not match the graph.
     pub fn new(problem: &PlacementProblem, placement: Placement) -> CostEvaluator {
         let g = &problem.graph.graph;
         let n = g.node_count();
@@ -309,6 +305,9 @@ impl CostEvaluator {
         for row in &problem.rtt_ms {
             assert_eq!(row.len(), h, "rtt matrix shape mismatch");
             dist.extend_from_slice(row);
+        }
+        if let Some(asymmetry) = asymmetry(h, |a, b| dist[a * h + b]) {
+            panic!("{asymmetry}");
         }
         assert_eq!(placement.primary.len(), n, "placement arity mismatch");
         assert_eq!(placement.replicas.len(), n, "placement arity mismatch");
@@ -364,16 +363,6 @@ impl CostEvaluator {
             edge_w_fixed.push(w.calls_per_sec * w.bytes_per_call * byte_ms);
         }
 
-        let mut reads_to_entry = vec![false; n];
-        let mut reads_from_entry = vec![false; n];
-        for i in 0..edge_src.len() {
-            let (s, t) = (edge_src[i] as usize, edge_dst[i] as usize);
-            if !edge_write[i] {
-                reads_to_entry[s] |= role[t] == Role::Entry;
-                reads_from_entry[t] |= role[s] == Role::Entry;
-            }
-        }
-
         // CSR incidence lists (each edge listed under both endpoints).
         let e = edge_src.len();
         let mut degree = vec![0u32; n];
@@ -394,18 +383,14 @@ impl CostEvaluator {
             }
         }
 
-        let mut s_to = vec![0.0; h];
-        let mut s_from = vec![0.0; h];
-        for a in 0..h {
-            let mut to_sum = 0.0;
-            let mut from_sum = 0.0;
-            for &(o, share) in &origins {
-                to_sum += share * dist[a * h + o as usize];
-                from_sum += share * dist[o as usize * h + a];
-            }
-            s_to[a] = to_sum;
-            s_from[a] = from_sum;
-        }
+        let s_to = (0..h)
+            .map(|a| {
+                let row = &dist[a * h..(a + 1) * h];
+                origins
+                    .iter()
+                    .fold(0.0, |sum, &(o, share)| sum + share * row[o as usize])
+            })
+            .collect();
 
         let mask_words = h.div_ceil(64);
         let primary: Vec<u32> = placement.primary.iter().map(|p| p.0 as u32).collect();
@@ -426,8 +411,6 @@ impl CostEvaluator {
             share_total,
             entry_share,
             role,
-            reads_to_entry,
-            reads_from_entry,
             write_rate,
             load_ms,
             edge_src,
@@ -437,7 +420,6 @@ impl CostEvaluator {
             edge_w_fixed,
             dist,
             s_to,
-            s_from,
             inc_start,
             inc_edge,
             push_rtt: problem.params.push_round_trips,
@@ -447,11 +429,11 @@ impl CostEvaluator {
             overload_scale: problem.params.overload_penalty / 1_000.0,
             primary,
             repl_mask,
+            sums: Vec::new(),
             load: vec![0.0; h],
             communication: Kahan::default(),
             consistency: Kahan::default(),
             overload_total: Kahan::default(),
-            history: Vec::new(),
         };
         evaluator.rebuild_totals();
         evaluator
@@ -460,11 +442,7 @@ impl CostEvaluator {
     /// Bytes held by the cost tables: the distance matrix, the
     /// share-weighted distance sums and the per-edge scalar weights.
     pub fn table_bytes(&self) -> usize {
-        (self.dist.len()
-            + self.s_to.len()
-            + self.s_from.len()
-            + self.edge_w_rtt.len()
-            + self.edge_w_fixed.len())
+        (self.dist.len() + self.s_to.len() + self.edge_w_rtt.len() + self.edge_w_fixed.len())
             * std::mem::size_of::<f64>()
     }
 
@@ -494,19 +472,15 @@ impl CostEvaluator {
         for n in 0..self.primary.len() {
             self.shift_load(n);
         }
+
+        self.sums = (0..self.primary.len())
+            .map(|n| self.replica_sums(n, self.primary[n] as usize))
+            .collect();
     }
 
-    /// Number of moves currently on the undo stack.
-    pub fn depth(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Discards the undo history, accepting the current state as final.
-    /// Long-running searches that never roll back past their last accepted
-    /// move call this to keep the undo stack from growing without bound.
-    pub fn commit(&mut self) {
-        self.history.clear();
-    }
+    /// Does nothing: the evaluator keeps no history, so every applied move
+    /// is final. The `plan-mt` benchmark still calls it after each move.
+    pub fn commit(&mut self) {}
 
     /// The current placement, built from the primaries and replica masks
     /// (`O(components + replicas)`).
@@ -533,9 +507,10 @@ impl CostEvaluator {
     /// search that keeps prices between moves.
     ///
     /// `stale` gets every component whose move deltas `mv` can have
-    /// changed. A delta reads only the moving component's primary and
-    /// replica mask and those of its incidence neighbours, so normally that
-    /// is the moved component and its neighbours.
+    /// changed. A delta reads only the moving component's primary, replica
+    /// mask and kept replica sums and the primaries and masks of its
+    /// incidence neighbours, so normally that is the moved component and
+    /// its neighbours.
     ///
     /// `toggle_delta` holds cached replica-toggle prices, the toggle of
     /// node `m` at host `v` in slot `m · hosts + v` (so it has
@@ -623,7 +598,8 @@ impl CostEvaluator {
     }
 
     /// Applies `mv` and returns the change in total cost (negative =
-    /// improvement). The move is recorded for [`undo`](CostEvaluator::undo).
+    /// improvement): the price [`delta`](CostEvaluator::delta) returns,
+    /// after which the evaluator holds the moved placement.
     ///
     /// # Panics
     ///
@@ -633,37 +609,28 @@ impl CostEvaluator {
     /// and silently ignoring an invalid one would desynchronize the
     /// evaluator from the caller's view of the placement.
     pub fn apply(&mut self, mv: Move) -> f64 {
-        let record = self.check(mv);
-        let delta = self.execute(mv);
-        self.history.push(record);
-        delta
-    }
-
-    /// Reverts the most recent un-undone [`apply`](CostEvaluator::apply),
-    /// returning the change in total cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there is nothing to undo.
-    pub fn undo(&mut self) -> f64 {
-        let record = self.history.pop().expect("undo with no applied move");
-        match record.mv {
-            Move::MovePrimary { node, .. } => {
-                let mut delta = self.execute(Move::MovePrimary {
-                    node,
-                    to: HostId(record.prev_primary as usize),
-                });
-                if record.absorbed_replica {
-                    let Move::MovePrimary { to, .. } = record.mv else {
-                        unreachable!()
-                    };
-                    delta += self.execute(Move::AddReplica { node, host: to });
-                }
-                delta
+        self.check(mv);
+        let Some(priced) = self.price(mv) else {
+            return 0.0;
+        };
+        let idx = mv.node().index();
+        match mv {
+            Move::MovePrimary { to, .. } => {
+                self.primary[idx] = to.0 as u32;
+                self.set_mask(idx, to.0, false);
             }
-            Move::AddReplica { node, host } => self.execute(Move::DropReplica { node, host }),
-            Move::DropReplica { node, host } => self.execute(Move::AddReplica { node, host }),
+            Move::AddReplica { host, .. } => self.set_mask(idx, host.0, true),
+            Move::DropReplica { host, .. } => self.set_mask(idx, host.0, false),
         }
+        self.sums[idx] = priced.sums;
+        self.communication.add(priced.communication);
+        self.consistency.add(priced.consistency);
+        if let Some(shift) = priced.shift {
+            self.load[shift.from] = shift.from_load;
+            self.load[shift.to] = shift.to_load;
+            self.overload_total = shift.overload;
+        }
+        priced.delta
     }
 
     /// The replica bitmask words of node `idx`.
@@ -683,8 +650,8 @@ impl CostEvaluator {
         }
     }
 
-    /// Validates `mv` and captures the undo record.
-    fn check(&self, mv: Move) -> Applied {
+    /// Validates `mv`.
+    fn check(&self, mv: Move) {
         let (node, host) = match mv {
             Move::MovePrimary { node, to } => (node, to),
             Move::AddReplica { node, host } | Move::DropReplica { node, host } => (node, host),
@@ -711,40 +678,10 @@ impl CostEvaluator {
                 );
             }
         }
-        Applied {
-            mv,
-            prev_primary: self.primary[idx],
-            absorbed_replica: matches!(mv, Move::MovePrimary { .. })
-                && mask_test(self.mask(idx), host.0),
-        }
-    }
-
-    /// Prices `mv` and writes the result: the placement, the running cost
-    /// terms and any shifted load. Returns the change in total cost.
-    fn execute(&mut self, mv: Move) -> f64 {
-        let Some(priced) = self.price(mv) else {
-            return 0.0;
-        };
-        match mv {
-            Move::MovePrimary { node, to } => {
-                self.primary[node.index()] = to.0 as u32;
-                self.set_mask(node.index(), to.0, false);
-            }
-            Move::AddReplica { node, host } => self.set_mask(node.index(), host.0, true),
-            Move::DropReplica { node, host } => self.set_mask(node.index(), host.0, false),
-        }
-        self.communication.add(priced.communication);
-        self.consistency.add(priced.consistency);
-        if let Some(shift) = priced.shift {
-            self.load[shift.from] = shift.from_load;
-            self.load[shift.to] = shift.to_load;
-            self.overload_total = shift.overload;
-        }
-        priced.delta
     }
 
     /// The one pricing core behind [`delta`](Self::delta) and
-    /// [`execute`](Self::execute): what `mv` changes, read from the current
+    /// [`apply`](Self::apply): what `mv` changes, read from the current
     /// state. `None` for a primary move onto the current primary, which
     /// changes nothing.
     ///
@@ -766,7 +703,13 @@ impl CostEvaluator {
     /// Assembles a [`Priced`]: the delta is the two running terms' changes
     /// plus the overload total's change under `shift`.
     #[inline]
-    fn priced(&self, communication: f64, consistency: f64, shift: Option<Shift>) -> Priced {
+    fn priced(
+        &self,
+        communication: f64,
+        consistency: f64,
+        shift: Option<Shift>,
+        sums: ReplicaSums,
+    ) -> Priced {
         let before = self.overload_total.value();
         let after = shift.map_or(before, |shift| shift.overload.value());
         Priced {
@@ -774,11 +717,13 @@ impl CostEvaluator {
             communication,
             consistency,
             shift,
+            sums,
         }
     }
 
-    /// Communication cost of edge `e` between serving hosts `a → b`:
-    /// `w_rtt[e]·dist[a][b] + w_fixed[e]`, zero when co-located.
+    /// Communication cost of edge `e` between serving hosts `a` and `b`, in
+    /// either direction: `w_rtt[e]·dist[a][b] + w_fixed[e]`, zero when
+    /// co-located.
     #[inline]
     fn pair_cost(&self, e: usize, a: usize, b: usize) -> f64 {
         if a == b {
@@ -800,14 +745,15 @@ impl CostEvaluator {
 
     /// Prices re-homing a primary `p → p′`. Replica hosts serve their own
     /// origins before and after the move, and every other origin of the
-    /// moving component is served at its primary, so one pass over its
-    /// replica set `R` ([`replica_sums`](Self::replica_sums)) yields
-    /// everything the move needs. A read edge then costs O(1) when the far
-    /// endpoint is an Entry (the closed-form `s_to`/`s_from` default minus
-    /// the replicated origins' share), and otherwise O(1) plus one walk
-    /// over the far component's replica hosts `Q` that `R` lacks: origins
-    /// in `R` keep their route, origins outside `R ∪ Q` all see the same
-    /// primary-to-primary change. Cost: `O(|R| + degree + Σ|Q \ R|)`.
+    /// moving component is served at its primary, so the component's
+    /// replica sums at `p` (kept) and at `p′` (one pass over its replica
+    /// set `R`, [`replica_sums`](Self::replica_sums)) are everything the
+    /// move needs. A read edge then costs O(1) when the far endpoint is an
+    /// Entry (the closed-form `s_to` default minus the replicated origins'
+    /// share), and otherwise O(1) plus one walk over the far component's
+    /// replica hosts `Q` that `R` lacks: origins in `R` keep their route,
+    /// origins outside `R ∪ Q` all see the same primary-to-primary change.
+    /// Cost: `O(|R| + degree + Σ|Q \ R|)`.
     #[inline(always)]
     fn price_move_primary(&self, idx: usize, p_new: usize) -> Option<Priced> {
         let p_old = self.primary[idx] as usize;
@@ -817,15 +763,16 @@ impl CostEvaluator {
         let h = self.hosts;
         let entry = self.role[idx] == Role::Entry;
         let absorbed = mask_test(self.mask(idx), p_new);
-        let sums = self.replica_sums(idx, p_old, p_new, absorbed);
+        // `old` runs over all of `R`, an absorbed replica at `p′` included;
+        // `new` over `R` without `p′`, the replica set after the move.
+        let old = self.sums[idx];
+        let new = self.replica_sums(idx, p_new);
 
         // Read edges to or from an Entry: the default moves with the
         // primary, origins at the replica hosts pay nothing either side, and
         // the origin at `p′` pays nothing afterwards, so the fixed term
         // changes by `share(p) − share(p′)` unless `p′` was a replica host.
-        let to_entry_rtt = (self.s_to[p_new] - self.s_to[p_old]) + (sums.to_old - sums.to_new);
-        let from_entry_rtt =
-            (self.s_from[p_new] - self.s_from[p_old]) + (sums.from_old - sums.from_new);
+        let entry_rtt = (self.s_to[p_new] - self.s_to[p_old]) + (old.weighted - new.weighted);
         let p_new_share = if absorbed {
             0.0
         } else {
@@ -834,36 +781,34 @@ impl CostEvaluator {
         let entry_fixed = self.entry_share[p_old] - p_new_share;
         // Origins outside `R` are served at the primary both before and
         // after the move.
-        let default_share = self.share_total - sums.share;
+        let default_share = self.share_total - old.share;
+        let row_old = &self.dist[p_old * h..(p_old + 1) * h];
+        let row_new = &self.dist[p_new * h..(p_new + 1) * h];
 
         let mut comm_delta = 0.0;
         for k in self.inc_start[idx]..self.inc_start[idx + 1] {
             let e = self.inc_edge[k as usize] as usize;
             let s = self.edge_src[e] as usize;
             let t = self.edge_dst[e] as usize;
+            let other = if s == idx { t } else { s };
             if self.edge_write[e] {
                 // Write traffic executes at primaries; an Entry source
                 // follows the origin instead, so an Entry's own primary
                 // move leaves its outgoing write edges untouched.
-                if s == idx && !entry {
-                    let t_primary = self.primary[t] as usize;
-                    let w_old = self.pair_cost(e, p_old, t_primary);
-                    let w_new = self.pair_cost(e, p_new, t_primary);
+                if s == idx && entry {
+                    continue;
+                }
+                if self.role[s] == Role::Entry {
+                    // Σ_o share·pair(e, o, p) = w_rtt·s_to[p] +
+                    // w_fixed·(share_total − share(p)).
+                    comm_delta += self.edge_w_rtt[e] * (self.s_to[p_new] - self.s_to[p_old])
+                        + self.edge_w_fixed[e]
+                            * (self.entry_share[p_old] - self.entry_share[p_new]);
+                } else {
+                    let q = self.primary[other] as usize;
+                    let w_old = self.pair_cost(e, p_old, q);
+                    let w_new = self.pair_cost(e, p_new, q);
                     comm_delta += self.share_total * (w_new - w_old);
-                } else if t == idx {
-                    if self.role[s] == Role::Entry {
-                        // Σ_o share·pair(e, o, p) = w_rtt·s_from[p] +
-                        // w_fixed·(share_total − share(p)).
-                        comm_delta += self.edge_w_rtt[e]
-                            * (self.s_from[p_new] - self.s_from[p_old])
-                            + self.edge_w_fixed[e]
-                                * (self.entry_share[p_old] - self.entry_share[p_new]);
-                    } else {
-                        let from = self.primary[s] as usize;
-                        let w_old = self.pair_cost(e, from, p_old);
-                        let w_new = self.pair_cost(e, from, p_new);
-                        comm_delta += self.share_total * (w_new - w_old);
-                    }
                 }
                 continue;
             }
@@ -872,36 +817,22 @@ impl CostEvaluator {
                 // move, so its read edges contribute zero delta.
                 continue;
             }
-            let idx_is_src = s == idx;
-            let other = if idx_is_src { t } else { s };
             if self.role[other] == Role::Entry {
-                let rtt = if idx_is_src {
-                    to_entry_rtt
-                } else {
-                    from_entry_rtt
-                };
-                comm_delta += self.edge_w_rtt[e] * rtt + self.edge_w_fixed[e] * entry_fixed;
+                comm_delta += self.edge_w_rtt[e] * entry_rtt + self.edge_w_fixed[e] * entry_fixed;
                 continue;
             }
             // Far side served at its primary `q`, or locally at its replica
             // hosts `Q`. Origins outside `R ∪ Q` all see the default
             // change `δ`; origins in `Q \ R` are corrected below.
-            let pair = |own: usize, far: usize| {
-                if idx_is_src {
-                    self.pair_cost(e, own, far)
-                } else {
-                    self.pair_cost(e, far, own)
-                }
-            };
             let q = self.primary[other] as usize;
-            let default = pair(p_new, q) - pair(p_old, q);
+            let default = self.pair_cost(e, p_new, q) - self.pair_cost(e, p_old, q);
             comm_delta += default_share * default;
             let far_mask = self.mask(other);
             if mask_test(far_mask, p_old) {
-                comm_delta += self.entry_share[p_old] * (pair(p_new, p_old) - default);
+                comm_delta += self.entry_share[p_old] * (self.pair_cost(e, p_new, p_old) - default);
             }
             if !absorbed && mask_test(far_mask, p_new) {
-                comm_delta -= self.entry_share[p_new] * (pair(p_old, p_new) + default);
+                comm_delta -= self.entry_share[p_new] * (self.pair_cost(e, p_old, p_new) + default);
             }
             // Every other origin in `Q \ R` pays the fixed term both before
             // and after, so only its distance changes. `p` and `p′` were
@@ -923,12 +854,7 @@ impl CostEvaluator {
                         continue;
                     }
                     share_sum += share;
-                    dist_sum += share
-                        * if idx_is_src {
-                            self.dist[p_new * h + o] - self.dist[p_old * h + o]
-                        } else {
-                            self.dist[o * h + p_new] - self.dist[o * h + p_old]
-                        };
+                    dist_sum += share * (row_new[o] - row_old[o]);
                 }
             }
             comm_delta += self.edge_w_rtt[e] * dist_sum - default * share_sum;
@@ -938,7 +864,7 @@ impl CostEvaluator {
         let mut cons_delta = 0.0;
         if rate > 0.0 {
             let absorbed_push = if absorbed { self.push_fixed } else { 0.0 };
-            cons_delta = rate * (self.push_rtt * (sums.push_new - sums.push_old) - absorbed_push);
+            cons_delta = rate * (self.push_rtt * (new.dist - old.dist) - absorbed_push);
         }
 
         // Replicas keep serving their own origins (an absorbed replica's
@@ -947,54 +873,25 @@ impl CostEvaluator {
         let demand = self.load_ms[idx];
         let shift =
             (!entry && demand != 0.0).then(|| self.shift(p_old, p_new, default_share * demand));
-        Some(self.priced(comm_delta, cons_delta, shift))
+        Some(self.priced(comm_delta, cons_delta, shift, new))
     }
 
-    /// One pass over the replica hosts `R` of node `idx`, whose primary
-    /// moves `p_old → p_new`. The pass skips `p_new`, so the `_new` sums run
-    /// over `r ≠ p_new`; an absorbed replica there is folded into the
-    /// `_old` sums afterwards.
-    /// The share-weighted distance sums are gathered only when `idx` has a
-    /// read edge that prices them.
+    /// Node `idx`'s [`ReplicaSums`] at primary `p`: one ascending pass over
+    /// its replica hosts other than `p`, reading row `p` of `dist`.
     #[inline(always)]
-    fn replica_sums(&self, idx: usize, p_old: usize, p_new: usize, absorbed: bool) -> ReplicaSums {
-        let h = self.hosts;
-        let row_old = &self.dist[p_old * h..(p_old + 1) * h];
-        let row_new = &self.dist[p_new * h..(p_new + 1) * h];
-        let (to, from) = (self.reads_to_entry[idx], self.reads_from_entry[idx]);
+    fn replica_sums(&self, idx: usize, p: usize) -> ReplicaSums {
+        let row = &self.dist[p * self.hosts..(p + 1) * self.hosts];
         let mut sums = ReplicaSums::default();
         for (w, &word) in self.mask(idx).iter().enumerate() {
             let mut word = word;
-            if w == p_new >> 6 {
-                word &= !(1u64 << (p_new & 63));
+            if w == p >> 6 {
+                word &= !(1u64 << (p & 63));
             }
             while word != 0 {
                 let r = (w << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let (d_old, d_new) = (row_old[r], row_new[r]);
-                sums.push_old += d_old;
-                sums.push_new += d_new;
-                let share = self.entry_share[r];
-                if share == 0.0 {
-                    continue;
-                }
-                sums.share += share;
-                if to {
-                    sums.to_old += share * d_old;
-                    sums.to_new += share * d_new;
-                }
-                if from {
-                    sums.from_old += share * self.dist[r * h + p_old];
-                    sums.from_new += share * self.dist[r * h + p_new];
-                }
+                sums.toggle(self.entry_share[r], row[r], 1.0);
             }
-        }
-        if absorbed {
-            let share = self.entry_share[p_new];
-            sums.share += share;
-            sums.push_old += row_old[p_new];
-            sums.to_old += share * row_old[p_new];
-            sums.from_old += share * self.dist[p_new * h + p_old];
         }
         sums
     }
@@ -1003,25 +900,26 @@ impl CostEvaluator {
     /// replica only re-routes read traffic *originating at that host* (write
     /// traffic executes at primaries), so the delta touches one origin's
     /// incident read edges, one consistency push edge, and one load slot —
-    /// instead of re-evaluating every incident edge over every origin.
+    /// instead of re-evaluating every incident edge over every origin. The
+    /// node's replica sums change by `v`'s terms.
     #[inline(always)]
     fn price_replica(&self, idx: usize, v: usize, adding: bool) -> Priced {
+        let primary = self.primary[idx] as usize;
         // Consistency: exactly the primary → host push edge toggles.
         let mut cons_delta = 0.0;
         let rate = self.write_rate[idx];
         if rate > 0.0 {
-            let d = rate * self.push_cost(self.primary[idx] as usize, v);
+            let d = rate * self.push_cost(primary, v);
             cons_delta = if adding { d } else { -d };
         }
 
         // After an add the new replica serves `v`'s traffic; after a drop
         // it is served as `location` serves an origin without a replica.
-        let served_old = self.location(idx, v as u32);
-        let served_new = if adding || self.role[idx] == Role::Entry || self.primary[idx] == v as u32
-        {
-            v as u32
+        let served_old = self.location(idx, v as u32) as usize;
+        let served_new = if adding || self.role[idx] == Role::Entry || primary == v {
+            v
         } else {
-            self.primary[idx]
+            primary
         };
 
         let mut comm_delta = 0.0;
@@ -1036,29 +934,20 @@ impl CostEvaluator {
                 if self.edge_write[e] {
                     continue;
                 }
-                let s = self.edge_src[e] as usize;
-                let t = self.edge_dst[e] as usize;
-                let (old, new) = if s == idx {
-                    let to = self.location(t, v as u32) as usize;
-                    (
-                        self.pair_cost(e, served_old as usize, to),
-                        self.pair_cost(e, served_new as usize, to),
-                    )
-                } else {
-                    let from = self.location(s, v as u32) as usize;
-                    (
-                        self.pair_cost(e, from, served_old as usize),
-                        self.pair_cost(e, from, served_new as usize),
-                    )
-                };
-                comm_delta += share * (new - old);
+                let (s, t) = (self.edge_src[e] as usize, self.edge_dst[e] as usize);
+                let far = self.location(if s == idx { t } else { s }, v as u32) as usize;
+                let old = self.pair_cost(e, served_old, far);
+                comm_delta += share * (self.pair_cost(e, served_new, far) - old);
             }
             let demand = self.load_ms[idx];
             if demand > 0.0 {
-                shift = Some(self.shift(served_old as usize, served_new as usize, share * demand));
+                shift = Some(self.shift(served_old, served_new, share * demand));
             }
         }
-        self.priced(comm_delta, cons_delta, shift)
+        let mut sums = self.sums[idx];
+        let sign = if adding { 1.0 } else { -1.0 };
+        sums.toggle(share, self.dist[primary * self.hosts + v], sign);
+        self.priced(comm_delta, cons_delta, shift, sums)
     }
 
     /// Serving location of `node` for traffic originating at `origin`
@@ -1306,12 +1195,46 @@ mod tests {
         assert!((eval.total() - full).abs() <= 1e-9 * full.max(1.0));
     }
 
+    /// Applies `mv` and returns the moves that revert it, in order: a
+    /// primary move back, plus the replica it absorbed.
+    fn apply_revertible(eval: &mut CostEvaluator, mv: Move) -> Vec<Move> {
+        let inverse = match mv {
+            Move::MovePrimary { node, to } => {
+                let mut back = vec![Move::MovePrimary {
+                    node,
+                    to: eval.primary_of(node),
+                }];
+                if eval.has_replica(node, to) {
+                    back.push(Move::AddReplica { node, host: to });
+                }
+                back
+            }
+            Move::AddReplica { node, host } => vec![Move::DropReplica { node, host }],
+            Move::DropReplica { node, host } => vec![Move::AddReplica { node, host }],
+        };
+        eval.apply(mv);
+        inverse
+    }
+
+    /// Reverts `applied` (each entry from [`apply_revertible`]) newest
+    /// first, checking the evaluator against the full recompute after
+    /// every move.
+    fn revert(p: &PlacementProblem, eval: &mut CostEvaluator, applied: Vec<Vec<Move>>) {
+        for inverse in applied.into_iter().rev() {
+            for mv in inverse {
+                eval.apply(mv);
+                assert_matches(p, eval);
+            }
+        }
+    }
+
     #[test]
-    fn moves_track_full_recompute_and_undo_restores() {
+    fn moves_track_full_recompute_and_inverse_moves_restore() {
         let p = problem();
         let svc = p.graph.by_name("svc").unwrap();
         let entity = p.graph.by_name("entity").unwrap();
-        let mut eval = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
+        let start = Placement::all_on(&p, HostId(0));
+        let mut eval = CostEvaluator::new(&p, start.clone());
         let initial = eval.breakdown();
 
         let moves = [
@@ -1336,26 +1259,25 @@ mod tests {
                 host: HostId(1),
             },
         ];
+        let mut applied = Vec::new();
         for mv in moves {
             let before = eval.total();
-            let delta = eval.apply(mv);
+            let priced = eval.delta(mv);
+            applied.push(apply_revertible(&mut eval, mv));
             assert_matches(&p, &eval);
             assert!(
-                (eval.total() - (before + delta)).abs() <= 1e-9 * before.abs().max(1.0),
+                (eval.total() - (before + priced)).abs() <= 1e-9 * before.abs().max(1.0),
                 "delta inconsistent"
             );
         }
-        for _ in 0..moves.len() {
-            eval.undo();
-            assert_matches(&p, &eval);
-        }
-        assert_eq!(eval.depth(), 0);
+        revert(&p, &mut eval, applied);
+        assert_eq!(eval.placement(), start);
         let back = eval.breakdown();
         assert!((back.total() - initial.total()).abs() <= 1e-9 * initial.total().max(1.0));
     }
 
     #[test]
-    fn move_primary_absorbs_replica_and_undo_restores_it() {
+    fn move_primary_absorbs_replica_and_inverse_moves_restore_it() {
         let p = problem();
         let entity = p.graph.by_name("entity").unwrap();
         let mut eval = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
@@ -1363,16 +1285,18 @@ mod tests {
             node: entity,
             host: HostId(1),
         });
-        eval.apply(Move::MovePrimary {
-            node: entity,
-            to: HostId(1),
-        });
+        let inverse = apply_revertible(
+            &mut eval,
+            Move::MovePrimary {
+                node: entity,
+                to: HostId(1),
+            },
+        );
         assert!(!eval.has_replica(entity, HostId(1)), "replica absorbed");
         assert_matches(&p, &eval);
-        eval.undo();
+        revert(&p, &mut eval, vec![inverse]);
         assert!(eval.has_replica(entity, HostId(1)), "replica restored");
         assert_eq!(eval.primary_of(entity), HostId(0));
-        assert_matches(&p, &eval);
     }
 
     #[test]
@@ -1389,67 +1313,140 @@ mod tests {
         assert_matches(&p, &eval);
     }
 
+    /// The test problem's graph on `h` hosts that all originate the same
+    /// share of traffic, over a symmetric pseudo-random round-trip matrix.
+    fn wide_problem(h: usize) -> PlacementProblem {
+        let mut p = problem();
+        let share = 1.0 / h as f64;
+        p.hosts = (0..h)
+            .map(|i| Host {
+                name: format!("h{i}"),
+                entry_share: share,
+                cpu_capacity: f64::INFINITY,
+            })
+            .collect();
+        p.rtt_ms = (0..h)
+            .map(|a| {
+                (0..h)
+                    .map(|b| {
+                        if a == b {
+                            0.0
+                        } else {
+                            100.0 + ((a.min(b) * 31 + a.max(b) * 17) % 200) as f64
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        p
+    }
+
     /// Beyond 64 hosts the replica bitmask spans several words; the delta
     /// accounting must keep tracking the full recompute exactly as on the
     /// paper's 3-host star, at 520 hosts (nine words) too.
     #[test]
     fn wide_host_sets_use_multiword_replica_masks() {
         for h in [130, 520] {
-            let mut p = problem();
-            let share = 1.0 / h as f64;
-            p.hosts = (0..h)
-                .map(|i| Host {
-                    name: format!("h{i}"),
-                    entry_share: share,
-                    cpu_capacity: f64::INFINITY,
-                })
-                .collect();
-            p.rtt_ms = (0..h)
-                .map(|a| {
-                    (0..h)
-                        .map(|b| {
-                            if a == b {
-                                0.0
-                            } else {
-                                100.0 + ((a * 31 + b * 17) % 200) as f64
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            // Symmetrize.
-            for a in 0..h {
-                for b in 0..a {
-                    p.rtt_ms[a][b] = p.rtt_ms[b][a];
-                }
-            }
+            let p = wide_problem(h);
             let entity = p.graph.by_name("entity").unwrap();
             let svc = p.graph.by_name("svc").unwrap();
-            let mut eval = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
+            let start = Placement::all_on(&p, HostId(0));
+            let mut eval = CostEvaluator::new(&p, start.clone());
             assert_matches(&p, &eval);
+            let mut applied = Vec::new();
             for host in [1usize, 63, 64, 65, 127, h - 8, h - 1] {
-                eval.apply(Move::AddReplica {
+                let mv = Move::AddReplica {
                     node: entity,
                     host: HostId(host),
-                });
+                };
+                applied.push(apply_revertible(&mut eval, mv));
                 assert!(eval.has_replica(entity, HostId(host)));
                 assert_matches(&p, &eval);
             }
-            eval.apply(Move::MovePrimary {
+            let mv = Move::MovePrimary {
                 node: svc,
                 to: HostId(h - 1),
-            });
+            };
+            applied.push(apply_revertible(&mut eval, mv));
             assert_matches(&p, &eval);
-            eval.apply(Move::MovePrimary {
+            let mv = Move::MovePrimary {
                 node: entity,
                 to: HostId(65),
-            });
+            };
+            applied.push(apply_revertible(&mut eval, mv));
             assert!(!eval.has_replica(entity, HostId(65)), "replica absorbed");
             assert_matches(&p, &eval);
-            while eval.depth() > 0 {
-                eval.undo();
+            revert(&p, &mut eval, applied);
+            assert_eq!(eval.placement(), start);
+        }
+    }
+
+    /// Node `n`'s replica sums from a plain ascending pass over its replica
+    /// hosts, as `(Σ share, Σ dist, Σ share·dist)` from its primary.
+    fn fresh_sums(eval: &CostEvaluator, n: usize) -> [f64; 3] {
+        let p = eval.primary[n] as usize;
+        let mut sums = [0.0; 3];
+        for r in mask_bits(eval.mask(n)) {
+            let (share, dist) = (eval.entry_share[r], eval.dist[p * eval.hosts + r]);
+            sums[0] += share;
+            sums[1] += dist;
+            sums[2] += share * dist;
+        }
+        sums
+    }
+
+    /// The kept replica sums equal a fresh ascending pass bit for bit after
+    /// construction and after each component's primary moves, and stay
+    /// within 1e-9 relative of it through the replica toggles in between.
+    #[test]
+    fn kept_replica_sums_track_a_fresh_pass() {
+        use mutsvc_desim::rng::SimRng;
+        for h in [3, 130] {
+            let p = wide_problem(h);
+            let n = p.graph.len();
+            let mut rng = SimRng::seed_from_u64(0x5E_0000 + h as u64);
+            let mut start = Placement::all_on(&p, HostId(0));
+            for (i, replicas) in start.replicas.iter_mut().enumerate() {
+                replicas.extend((1..h).filter(|_| rng.chance(0.5)).map(HostId));
+                replicas.remove(&start.primary[i]);
             }
-            assert_matches(&p, &eval);
+            let mut eval = CostEvaluator::new(&p, start);
+            // Whether each node's last move, if any, was a primary move.
+            let mut exact = vec![true; n];
+            let (mut toggles, mut primary_moves) = (0, 0);
+            for step in 0..3_000 {
+                let node = NodeIndex::new(rng.index(n));
+                let host = HostId(rng.index(h));
+                if host == eval.primary_of(node) {
+                    continue;
+                }
+                let primary_move = rng.chance(0.1);
+                let mv = if primary_move {
+                    primary_moves += 1;
+                    Move::MovePrimary { node, to: host }
+                } else {
+                    toggles += 1;
+                    eval.toggle_replica(node, host)
+                };
+                eval.apply(mv);
+                exact[node.index()] = primary_move;
+                for (m, &exact) in exact.iter().enumerate() {
+                    let kept = eval.sums[m];
+                    let kept = [kept.share, kept.dist, kept.weighted];
+                    let fresh = fresh_sums(&eval, m);
+                    for (k, f) in kept.into_iter().zip(fresh) {
+                        if exact {
+                            assert_eq!(k.to_bits(), f.to_bits(), "step {step}, c{m}: {k} vs {f}");
+                        } else {
+                            assert!(
+                                (k - f).abs() <= 1e-9 * f.abs().max(1.0),
+                                "step {step}, c{m}: {k} vs {f}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(toggles > 1_000 && primary_moves > 100);
         }
     }
 
@@ -1457,9 +1454,9 @@ mod tests {
     fn cost_tables_hold_one_distance_matrix() {
         let p = problem();
         let a = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
-        // Table memory is hosts² + 2·hosts + 2 scalars per edge, not
+        // Table memory is hosts² + hosts + 2 scalars per edge, not
         // edges × hosts².
-        assert_eq!(a.table_bytes(), (4 + 2 * 2 + 3 * 2) * 8);
+        assert_eq!(a.table_bytes(), (4 + 2 + 3 * 2) * 8);
         assert!(a.dense_table_bytes() > a.table_bytes());
     }
 
@@ -1488,10 +1485,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "undo with no applied move")]
-    fn undo_on_empty_history_panics() {
-        let p = problem();
-        let mut eval = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
-        eval.undo();
+    #[should_panic(expected = "asymmetric round trips: rtt[0][1] = 200 but rtt[1][0] = 150")]
+    fn asymmetric_round_trips_are_rejected() {
+        let mut p = problem();
+        p.rtt_ms[1][0] = 150.0;
+        let _ = CostEvaluator::new(&p, Placement::all_on(&p, HostId(0)));
     }
 }

@@ -234,9 +234,9 @@ impl PlacementProblem {
     ///
     /// # Errors
     ///
-    /// Returns a message when the host matrix is malformed, a pinned
-    /// component references an unknown host, or a database component is not
-    /// pinned.
+    /// Returns a message when the host matrix is malformed or asymmetric
+    /// (naming the first pair whose round trips differ), a pinned component
+    /// references an unknown host, or a database component is not pinned.
     pub fn validate(&self) -> Result<(), String> {
         if self.hosts.is_empty() {
             return Err("no hosts".into());
@@ -250,6 +250,9 @@ impl PlacementProblem {
             if row[i] != 0.0 {
                 return Err(format!("rtt[{i}][{i}] must be zero"));
             }
+        }
+        if let Some(asymmetry) = asymmetry(self.hosts.len(), |a, b| self.rtt_ms[a][b]) {
+            return Err(asymmetry);
         }
         for node in self.graph.graph.node_indices() {
             let c = &self.graph.graph[node];
@@ -276,6 +279,25 @@ impl PlacementProblem {
         }
         self.rtt_ms[a.0][b.0] * round_trips + bytes * 8.0 / self.params.bandwidth_bps * 1_000.0
     }
+}
+
+/// Names the first pair `a < b`, in row order, of an `h × h` round-trip
+/// matrix, read through `rtt(a, b)`, whose round trips differ each way. A
+/// round trip is the path there and back, so it is the same from either
+/// end, and the cost evaluator reads every pair from the row of either
+/// endpoint.
+pub(crate) fn asymmetry(h: usize, rtt: impl Fn(usize, usize) -> f64) -> Option<String> {
+    for a in 0..h {
+        for b in a + 1..h {
+            let (there, back) = (rtt(a, b), rtt(b, a));
+            if there != back {
+                return Some(format!(
+                    "asymmetric round trips: rtt[{a}][{b}] = {there} but rtt[{b}][{a}] = {back}"
+                ));
+            }
+        }
+    }
+    None
 }
 
 /// A candidate deployment: a primary host per component and optional
@@ -393,6 +415,33 @@ mod tests {
         assert!(p.validate().unwrap_err().contains("pinned"));
         p.graph.graph[db].pinned = Some(HostId(9));
         assert!(p.validate().unwrap_err().contains("unknown host"));
+    }
+
+    #[test]
+    fn validation_names_the_first_asymmetric_pair() {
+        let (mut p, ..) = tiny();
+        p.hosts.push(Host {
+            name: "far".into(),
+            entry_share: 0.0,
+            cpu_capacity: f64::INFINITY,
+        });
+        p.rtt_ms = vec![
+            vec![0.0, 200.0, 300.0],
+            vec![200.0, 0.0, 250.0],
+            vec![300.0, 260.0, 0.0],
+        ];
+        assert_eq!(
+            p.validate().unwrap_err(),
+            "asymmetric round trips: rtt[1][2] = 250 but rtt[2][1] = 260"
+        );
+        p.rtt_ms[1][0] = 201.0;
+        assert_eq!(
+            p.validate().unwrap_err(),
+            "asymmetric round trips: rtt[0][1] = 200 but rtt[1][0] = 201"
+        );
+        p.rtt_ms[1][0] = 200.0;
+        p.rtt_ms[2][1] = 250.0;
+        assert!(p.validate().is_ok());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   across the placement cut, plus replica-consistency pushes and capacity
 //!   penalties — with an incremental evaluator ([`cost::incremental`])
 //!   that prices a replica toggle in `O(degree)` and a primary move in one
-//!   pass over the component's replica set plus `O(degree)`, instead of
-//!   re-sweeping the whole graph;
+//!   pass over the component's replica set (its sums at the target) plus
+//!   `O(degree)`, instead of re-sweeping the whole graph;
 //! * [`algorithms`] — greedy hill-climbing with replica moves (derives the
 //!   read-mostly pattern), its region-coarsened variant for large host
 //!   sets, and exhaustive enumeration (the optimality oracle);

@@ -264,11 +264,9 @@ mod tests {
         assert!((m[0][1] - (480.2 + 60.2)).abs() < 1e-9, "{}", m[0][1]);
         // The hub<->edge pair never crosses the degraded link.
         assert!((m[1][2] - 60.0).abs() < 1e-9, "{}", m[1][2]);
-        // Asymmetric observation makes the matrix asymmetric, as it should.
-        assert!(
-            (m[1][0] - m[0][1]).abs() < 1e-9,
-            "round trips include both legs"
-        );
+        // A one-way observation still enters every round trip through both
+        // legs, so the matrix stays symmetric, as `validate` requires.
+        assert_eq!(m[1][0], m[0][1], "round trips include both legs");
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Equivalence property test: the incremental [`CostEvaluator`] must agree
 //! with the from-scratch [`cost_breakdown`] sweep — termwise, within a
-//! relative 1e-9 — at *every* step of long randomized move/undo sequences,
-//! on both the paper-derived applications and random synthetic graphs.
+//! relative 1e-9 — at *every* step of long randomized walks that apply
+//! moves and revert them with their inverse moves, on both the
+//! paper-derived applications and random synthetic graphs.
 //!
 //! This is the safety net under the whole perf optimisation: every search
 //! algorithm now trusts incremental deltas instead of re-sweeping the
 //! graph, so any drift here would silently corrupt placement decisions.
 //! The searches price candidates with `CostEvaluator::delta`, which writes
 //! no state; the price walks below pin it to the delta `apply` returns, bit
-//! for bit, after any history of applied, undone and committed moves. The
-//! climb keeps prices between committed moves until
-//! `CostEvaluator::mark_stale` marks them; the stale-mark walk pins every
-//! price it keeps to a re-probe, bit for bit.
+//! for bit, after any history of applied and reverted moves. The climb
+//! keeps prices between committed moves until `CostEvaluator::mark_stale`
+//! marks them; the stale-mark walk pins every price it keeps to a
+//! re-probe, bit for bit.
 //!
 //! Run it in release in CI (`cargo test -p mutsvc-placement --release
 //! --test incremental_equivalence`); the debug build covers a reduced
@@ -102,20 +103,43 @@ fn random_move(rng: &mut SimRng, eval: &CostEvaluator, problem: &PlacementProble
     }
 }
 
-/// Drives a move/undo walk and checks the evaluator against the full sweep
-/// at every step; at the end, unwinds everything and checks the initial
-/// state is restored exactly.
+/// The moves that revert `mv` from the evaluator's current state, in
+/// order: a primary move back, plus the replica it absorbs.
+fn inverse(eval: &CostEvaluator, mv: Move) -> Vec<Move> {
+    match mv {
+        Move::MovePrimary { node, to } => {
+            let mut back = vec![Move::MovePrimary {
+                node,
+                to: eval.primary_of(node),
+            }];
+            if eval.has_replica(node, to) {
+                back.push(Move::AddReplica { node, host: to });
+            }
+            back
+        }
+        Move::AddReplica { node, host } => vec![Move::DropReplica { node, host }],
+        Move::DropReplica { node, host } => vec![Move::AddReplica { node, host }],
+    }
+}
+
+/// Drives a walk that applies random moves and reverts earlier ones with
+/// their inverse moves, and checks the evaluator against the full sweep at
+/// every step; at the end, reverts everything and checks the starting
+/// placement is restored exactly.
 fn walk(problem: &PlacementProblem, start: Placement, rng: &mut SimRng, steps: usize) {
     let initial_breakdown = cost_breakdown(problem, &start);
     let mut eval = CostEvaluator::new(problem, start.clone());
     assert_breakdown_close(&eval.breakdown(), &initial_breakdown, 0);
 
+    let mut applied: Vec<Vec<Move>> = Vec::new();
     let mut running_total = eval.total();
     for step in 1..=steps {
-        let delta = if eval.depth() > 0 && rng.chance(0.3) {
-            eval.undo()
+        let delta = if !applied.is_empty() && rng.chance(0.3) {
+            let back = applied.pop().expect("a move to revert");
+            back.into_iter().map(|mv| eval.apply(mv)).sum()
         } else {
             let mv = random_move(rng, &eval, problem);
+            applied.push(inverse(&eval, mv));
             eval.apply(mv)
         };
         running_total += delta;
@@ -126,13 +150,15 @@ fn walk(problem: &PlacementProblem, start: Placement, rng: &mut SimRng, steps: u
         assert_close("running-delta total", running_total, full.total(), step);
     }
 
-    while eval.depth() > 0 {
-        eval.undo();
+    for back in applied.into_iter().rev() {
+        for mv in back {
+            eval.apply(mv);
+        }
     }
     assert_eq!(
         eval.placement(),
         start,
-        "full unwind must restore the starting placement exactly"
+        "reverting every move must restore the starting placement exactly"
     );
     assert_breakdown_close(&eval.breakdown(), &initial_breakdown, steps + 1);
 }
@@ -176,10 +202,12 @@ const DENSE_REPLAY: usize = 2_000;
 /// Moves between two comparisons against the full sweep during a replay.
 const REPLAY_CHECK_EVERY: usize = 100;
 
-/// `total().to_bits()` after the dense replay, recorded when primary moves
-/// started gathering their replica sums in one pass over the moved
-/// component's replica set.
-const DENSE_REPLAY_TOTAL_BITS: u64 = 4_680_424_194_676_330_056;
+/// `total().to_bits()` after the dense replay, recorded when the evaluator
+/// started keeping each component's replica sums at its primary: a primary
+/// move reads the old primary's sums from that running state, which replica
+/// toggles update one term at a time, instead of re-summing them, so the
+/// replay's total moved 2 ulps.
+const DENSE_REPLAY_TOTAL_BITS: u64 = 4_680_424_194_676_330_054;
 
 /// The RUBiS graph on 256 hosts that all originate client traffic, over a
 /// seeded random round-trip matrix.
@@ -214,7 +242,6 @@ fn replay_checked(problem: &PlacementProblem, rng: &mut SimRng) -> CostEvaluator
     for step in 1..=DENSE_REPLAY {
         let mv = random_move(rng, &eval, problem);
         eval.apply(mv);
-        eval.commit();
         if step % REPLAY_CHECK_EVERY == 0 {
             let full = cost_breakdown(problem, &eval.placement());
             assert_breakdown_close(&eval.breakdown(), &full, step);
@@ -272,11 +299,11 @@ const RUNG_PRICE_STEPS: usize = 2_000;
 const RUNG_PRICE_STEPS: usize = 20_000;
 
 /// Walks `steps` random moves from `start`, pricing each with
-/// [`CostEvaluator::delta`] before applying it, then undoing or committing
-/// it at random, so later prices read totals and loads that carry the
-/// rounding of earlier apply/undo pairs. The price must equal the applied
-/// delta bit for bit. Returns how many applied moves changed the overload
-/// term.
+/// [`CostEvaluator::delta`] before applying it, and reverts half of them
+/// with their inverse moves, priced and applied the same way, so later
+/// prices read totals, loads and replica sums that carry the rounding of
+/// earlier reverted moves. Every price must equal the applied delta bit for
+/// bit. Returns how many applied moves changed the overload term.
 fn price_walk(
     problem: &PlacementProblem,
     start: Placement,
@@ -287,21 +314,22 @@ fn price_walk(
     let mut overload_moves = 0;
     for step in 1..=steps {
         let mv = random_move(rng, &eval, problem);
-        let overload = eval.breakdown().overload;
-        let priced = eval.delta(mv);
-        let applied = eval.apply(mv);
-        assert_eq!(
-            priced.to_bits(),
-            applied.to_bits(),
-            "step {step}: {mv:?} priced {priced:e} but applied {applied:e}"
-        );
-        if eval.breakdown().overload != overload {
-            overload_moves += 1;
-        }
+        let mut moves = vec![mv];
         if rng.chance(0.5) {
-            eval.undo();
-        } else {
-            eval.commit();
+            moves.extend(inverse(&eval, mv));
+        }
+        for mv in moves {
+            let overload = eval.breakdown().overload;
+            let priced = eval.delta(mv);
+            let applied = eval.apply(mv);
+            assert_eq!(
+                priced.to_bits(),
+                applied.to_bits(),
+                "step {step}: {mv:?} priced {priced:e} but applied {applied:e}"
+            );
+            if eval.breakdown().overload != overload {
+                overload_moves += 1;
+            }
         }
     }
     overload_moves
@@ -400,7 +428,6 @@ fn stale_mark_walk(
     for step in 1..=steps {
         let mv = random_move(rng, &eval, problem);
         eval.apply(mv);
-        eval.commit();
         let mut stale = vec![false; eval.components()];
         eval.mark_stale(mv, &mut stale, &mut toggles);
         let (next_toggles, next_primaries) = all_prices(&eval);

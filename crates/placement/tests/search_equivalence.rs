@@ -40,25 +40,17 @@ use petgraph::graph::NodeIndex;
 /// The round cap both searches default to.
 const MAX_ROUNDS: usize = 1_000;
 
-/// The full re-scan the cached climb replaces: every round probes every
-/// candidate of every component and commits the most negative delta below
-/// `−1e-9`, the first in node-major candidate order on ties. It probes by
-/// applying each candidate and undoing it, not with `CostEvaluator::delta`
-/// and cached toggle prices as `climb` does, so it is the independent
-/// oracle the pure probes are checked against. Returns the committed moves
-/// in order, each with the delta its probe's `apply` returned.
-///
-/// An apply/undo pair leaves last-bit rounding in the host loads and the
-/// overload total. Only a problem with a finite-capacity host prices
-/// moves from them, so there each probe applies to a copy of `eval`
-/// instead, and every probe reads the state the committed moves built.
+/// The full re-scan the cached climb replaces: every round prices every
+/// candidate of every component with `CostEvaluator::delta`, keeping no
+/// price between rounds (no toggle-price cache, no stale marks), and
+/// commits the most negative delta below `−1e-9`, the first in node-major
+/// candidate order on ties. Returns the committed moves in order, each with
+/// the delta its probe returned.
 fn reference_climb(
-    problem: &PlacementProblem,
     eval: &mut CostEvaluator,
     max_rounds: usize,
     candidates: impl Fn(&CostEvaluator, NodeIndex, &mut Vec<Move>),
 ) -> Vec<(Move, f64)> {
-    let load_coupled = problem.hosts.iter().any(|h| h.cpu_capacity.is_finite());
     let mut committed = Vec::new();
     let mut probes = Vec::new();
     for _ in 0..max_rounds {
@@ -67,13 +59,7 @@ fn reference_climb(
             probes.clear();
             candidates(eval, NodeIndex::new(n), &mut probes);
             for &mv in &probes {
-                let delta = if load_coupled {
-                    eval.clone().apply(mv)
-                } else {
-                    let delta = eval.apply(mv);
-                    eval.undo();
-                    delta
-                };
+                let delta = eval.delta(mv);
                 if delta < -1e-9 && best.is_none_or(|(_, bd)| delta < bd) {
                     best = Some((mv, delta));
                 }
@@ -81,7 +67,6 @@ fn reference_climb(
         }
         let Some((mv, delta)) = best else { break };
         eval.apply(mv);
-        eval.commit();
         committed.push((mv, delta));
     }
     committed
@@ -110,7 +95,7 @@ fn assert_same_climbs(
         let mut cached = CostEvaluator::new(problem, start.clone());
         let mut full = CostEvaluator::new(problem, start);
         let cached_moves = bits(climb(&mut cached, max_rounds, &candidates));
-        let full_moves = bits(reference_climb(problem, &mut full, max_rounds, &candidates));
+        let full_moves = bits(reference_climb(&mut full, max_rounds, &candidates));
         assert_eq!(
             cached_moves, full_moves,
             "{label}, start h{h}: committed moves or their deltas differ"
@@ -274,12 +259,7 @@ fn improve_returns_the_reference_placement() {
         for h in 0..problem.hosts.len() {
             let start = Placement::all_on(&problem, HostId(h));
             let mut full = CostEvaluator::new(&problem, start.clone());
-            reference_climb(
-                &problem,
-                &mut full,
-                options.max_rounds,
-                neighborhood(&problem, true),
-            );
+            reference_climb(&mut full, options.max_rounds, neighborhood(&problem, true));
             let (placement, _) = greedy::improve(&problem, start, &options);
             assert_eq!(placement, full.placement(), "{name}, start h{h}");
         }
