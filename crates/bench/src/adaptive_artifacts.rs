@@ -100,7 +100,8 @@ impl AdaptiveCell {
 }
 
 /// Runs the full adaptation suite for one application — every episode ×
-/// controller arm on the paper topology — in parallel. Cells are ordered
+/// controller arm on the paper topology — through
+/// [`run_cells`](crate::run_cells). Cells are ordered
 /// episode-major, then arm (`on` before `off`), the order
 /// [`render_adaptive_json`] emits.
 pub fn run_adaptive_suite(app: AppKind, quick: bool, smoke: bool, seed: u64) -> Vec<AdaptiveCell> {
@@ -111,33 +112,13 @@ pub fn run_adaptive_suite(app: AppKind, quick: bool, smoke: bool, seed: u64) -> 
     for episode in AdaptiveEpisode::all() {
         for (arm, controller) in suite_arms() {
             meta.push((episode, arm));
-            inputs.push(adaptive_episode_input(
-                app, episode, None, controller, warmup, duration, seed,
+            inputs.push((
+                format!("adaptive cell adaptive-{}-{arm}", episode.name()),
+                adaptive_episode_input(app, episode, None, controller, warmup, duration, seed),
             ));
         }
     }
-    let reports: Vec<ExperimentReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .into_iter()
-            .zip(&meta)
-            .map(|(input, &(episode, arm))| {
-                let name = format!("adaptive-{}-{arm}", episode.name());
-                let handle = std::thread::Builder::new()
-                    .name(name.clone())
-                    .spawn_scoped(scope, move || run_experiment(input))
-                    .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
-                (name, handle)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(name, handle)| {
-                handle
-                    .join()
-                    .unwrap_or_else(|_| panic!("adaptive cell {name} panicked"))
-            })
-            .collect()
-    });
+    let reports = crate::run_cells(inputs, run_experiment);
     meta.into_iter()
         .zip(reports)
         .map(|((episode, arm), report)| {

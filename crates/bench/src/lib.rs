@@ -17,39 +17,70 @@ pub mod placement_report;
 pub mod simperf_report;
 pub mod trace_artifacts;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+
 use mutsvc_core::{AppKind, Config, Scenario};
 use mutsvc_workload::ExperimentReport;
 
-/// Runs a batch of scenarios in parallel (one thread per scenario — each is
-/// internally single-threaded and deterministic, so the reports are
-/// identical to running them sequentially).
+/// Runs `run` on every named cell, on at most `available_parallelism`
+/// worker threads that each take the next cell as they finish one, and
+/// returns the results in cell order. Each cell is internally
+/// single-threaded and deterministic, so the results are those of running
+/// the cells one after another.
 ///
-/// Scoped threads are named after their configuration, so a panicking
-/// scenario reports *which* cell died (both in the thread's own panic
-/// message and in the join error here) instead of an anonymous
-/// "scenario thread panicked".
-pub fn run_scenarios_parallel(scenarios: Vec<Scenario>) -> Vec<ExperimentReport> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = scenarios
+/// # Panics
+///
+/// Panics with a cell's name and message if `run` panicked on it, once
+/// every other cell has run.
+pub fn run_cells<T: Send, R: Send>(cells: Vec<(String, T)>, run: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(cells.len());
+    let queue = Mutex::new(cells.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue
+                .lock()
+                .expect("no cell runs while the queue is locked")
+                .next();
+            let Some((index, (name, cell))) = next else {
+                return done;
+            };
+            done.push((index, name, catch_unwind(AssertUnwindSafe(|| run(cell)))));
+        }
+    };
+    let mut done: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        workers
             .into_iter()
-            .map(|scenario| {
-                let name = scenario.config.name();
-                let handle = std::thread::Builder::new()
-                    .name(format!("sweep-{name}"))
-                    .spawn_scoped(scope, move || scenario.run())
-                    .unwrap_or_else(|e| panic!("failed to spawn sweep-{name}: {e}"));
-                (name, handle)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(name, handle)| {
-                handle
-                    .join()
-                    .unwrap_or_else(|_| panic!("scenario {name} panicked"))
-            })
+            .flat_map(|worker| worker.join().expect("cell panics are caught"))
             .collect()
-    })
+    });
+    done.sort_unstable_by_key(|&(index, ..)| index);
+    done.into_iter()
+        .map(|(_, name, result)| {
+            result.unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("(no message)");
+                panic!("{name} panicked: {message}")
+            })
+        })
+        .collect()
+}
+
+/// Runs a batch of scenarios through [`run_cells`]; a panic names the
+/// scenario's configuration.
+pub fn run_scenarios_parallel(scenarios: Vec<Scenario>) -> Vec<ExperimentReport> {
+    let cells = scenarios
+        .into_iter()
+        .map(|scenario| (format!("scenario {}", scenario.config.name()), scenario))
+        .collect();
+    run_cells(cells, |scenario| scenario.run())
 }
 
 /// Runs the five configurations of `app` in parallel.
@@ -100,6 +131,27 @@ mod tests {
             panic!("{array} is not an array")
         };
         items.remove(i.parse().expect("an index"));
+    }
+
+    /// A panicking cell is named, with its message, once every other cell
+    /// has run. (The sweep and adaptive-suite tests pin cell order.)
+    #[test]
+    fn a_panicking_cell_is_named_after_every_cell_runs() {
+        let ran = std::sync::atomic::AtomicUsize::new(0);
+        let cells = (0..5u64).map(|i| (format!("cell {i}"), i)).collect();
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            run_cells(cells, |i| {
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                assert_ne!(i, 3, "boom");
+            })
+        }))
+        .expect_err("cell 3 panics");
+        assert_eq!(ran.into_inner(), 5);
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            message.starts_with("cell 3 panicked: assertion `left != right` failed: boom"),
+            "{message}"
+        );
     }
 
     #[test]

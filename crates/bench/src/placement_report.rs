@@ -11,7 +11,7 @@
 //! * the *scale ladder* — the RUBiS graph re-targeted onto generated
 //!   multi-tier topologies ([`MultiTierSpec::ladder_rung`]: 4, 16, 64 and
 //!   256 application-server hosts), recording the rung's construction time
-//!   (topology, routes, host matrix), its region-coarsened search time and
+//!   (topology and host matrix), its region-coarsened search time and
 //!   answer, evaluator build time and the cost-table footprint alongside
 //!   move throughput. The baseline rows carry
 //!   [`CostEvaluator::dense_table_bytes`] — what the per-edge host×host
@@ -43,7 +43,8 @@ pub struct PlacementThroughput {
     pub links: usize,
     /// Components in the application graph.
     pub components: usize,
-    /// Moves evaluated per wall-clock second.
+    /// Moves evaluated per wall-clock second, timed from a built evaluator
+    /// (or starting placement) to the final move.
     pub moves_per_sec: f64,
     /// Total cost (ms/s) after the final move — both strategies replay the
     /// same sequence, so the final costs must agree to ~1e-9.
@@ -64,8 +65,9 @@ pub struct PlacementThroughput {
 /// the fastest of several passes in milliseconds.
 #[derive(Debug, Clone, Copy)]
 pub struct RungTimes {
-    /// Building the problem: topology, all-pairs routes, host matrix and
-    /// [`rehost`] of the RUBiS graph, which is derived once per ladder run.
+    /// Building the problem: topology, host matrix (which leaves the
+    /// topology's route table unbuilt) and [`rehost`] of the RUBiS graph,
+    /// which is derived once per ladder run.
     pub problem_ms: f64,
     /// [`solve_regional`] with default options on the rung.
     pub search_ms: f64,
@@ -101,12 +103,15 @@ pub fn move_sequence(problem: &PlacementProblem, count: usize, seed: u64) -> Vec
     moves
 }
 
-/// Replays `moves` mutating a [`Placement`] directly and re-sweeping the
+/// Replays `moves` on `placement`, mutating it directly and re-sweeping the
 /// whole graph with [`cost`](fn@cost) after every move — what every search
 /// algorithm did before the incremental evaluator. Returns the final cost.
-pub fn replay_full_recompute(problem: &PlacementProblem, moves: &[Move]) -> f64 {
-    let mut placement = Placement::all_on(problem, HostId(0));
-    let mut last = cost(problem, &placement);
+pub fn replay_full_recompute(
+    problem: &PlacementProblem,
+    placement: &mut Placement,
+    moves: &[Move],
+) -> f64 {
+    let mut last = cost(problem, placement);
     for &mv in moves {
         match mv {
             Move::MovePrimary { node, to } => {
@@ -120,31 +125,38 @@ pub fn replay_full_recompute(problem: &PlacementProblem, moves: &[Move]) -> f64 
                 placement.replicas[node.index()].remove(&host);
             }
         }
-        last = cost(problem, &placement);
+        last = cost(problem, placement);
     }
     last
 }
 
-/// Replays `moves` through the incremental evaluator. Returns the final
-/// cost read back from the evaluator's running breakdown.
-pub fn replay_incremental(problem: &PlacementProblem, moves: &[Move]) -> f64 {
-    let mut eval = CostEvaluator::new(problem, Placement::all_on(problem, HostId(0)));
+/// Replays `moves` through the incremental evaluator `eval`. Returns the
+/// final cost read back from the evaluator's running breakdown.
+pub fn replay_incremental(eval: &mut CostEvaluator, moves: &[Move]) -> f64 {
     for &mv in moves {
         eval.apply(mv);
     }
     eval.total()
 }
 
-fn time_replay(replay: impl Fn() -> f64, moves: usize) -> (f64, f64) {
-    // One warm-up pass, then repeat passes for ~80 ms and keep the fastest
-    // (minimum-of-passes is the low-noise estimator: scheduler and cache
-    // interference only ever slow a pass down).
-    let mut final_cost = replay();
+/// Moves per second and final cost of `replay`, which starts from what
+/// `start` builds. Each pass builds its start before its timer starts and
+/// drops it after the timer stops, so the rate counts the moves alone. One
+/// warm-up pass, then repeat passes for ~80 ms and keep the fastest
+/// (minimum-of-passes is the low-noise estimator: scheduler and cache
+/// interference only ever slow a pass down).
+fn time_replay<S>(
+    start: impl Fn() -> S,
+    replay: impl Fn(&mut S) -> f64,
+    moves: usize,
+) -> (f64, f64) {
+    let mut final_cost = replay(&mut start());
     let mut best = f64::INFINITY;
     let started = Instant::now();
     while started.elapsed().as_secs_f64() < 0.08 {
+        let mut from = start();
         let pass = Instant::now();
-        final_cost = replay();
+        final_cost = replay(&mut from);
         best = best.min(pass.elapsed().as_secs_f64());
     }
     (moves as f64 / best, final_cost)
@@ -180,8 +192,17 @@ fn measure_problem(
     seed: u64,
 ) {
     let sequence = move_sequence(problem, moves, seed);
-    let (full_rate, full_cost) = time_replay(|| replay_full_recompute(problem, &sequence), moves);
-    let (inc_rate, inc_cost) = time_replay(|| replay_incremental(problem, &sequence), moves);
+    let start = || Placement::all_on(problem, HostId(0));
+    let (full_rate, full_cost) = time_replay(
+        start,
+        |placement| replay_full_recompute(problem, placement, &sequence),
+        moves,
+    );
+    let (inc_rate, inc_cost) = time_replay(
+        || CostEvaluator::new(problem, start()),
+        |eval| replay_incremental(eval, &sequence),
+        moves,
+    );
     assert!(
         (full_cost - inc_cost).abs() <= 1e-9 * full_cost.abs().max(1.0),
         "{graph}: strategies disagree on the final cost: {full_cost} vs {inc_cost}"
@@ -351,8 +372,9 @@ mod tests {
     fn strategies_agree_and_json_is_well_formed() {
         let (problem, _) = rubis_problem();
         let sequence = move_sequence(&problem, 200, 7);
-        let full = replay_full_recompute(&problem, &sequence);
-        let incremental = replay_incremental(&problem, &sequence);
+        let start = || Placement::all_on(&problem, HostId(0));
+        let full = replay_full_recompute(&problem, &mut start(), &sequence);
+        let incremental = replay_incremental(&mut CostEvaluator::new(&problem, start()), &sequence);
         assert!((full - incremental).abs() <= 1e-9 * full.abs().max(1.0));
 
         let cell =
@@ -419,8 +441,9 @@ mod tests {
         let problem = ladder_problem(16);
         assert_eq!(problem.hosts.len(), 16);
         let sequence = move_sequence(&problem, 200, 11);
-        let full = replay_full_recompute(&problem, &sequence);
-        let incremental = replay_incremental(&problem, &sequence);
+        let start = || Placement::all_on(&problem, HostId(0));
+        let full = replay_full_recompute(&problem, &mut start(), &sequence);
+        let incremental = replay_incremental(&mut CostEvaluator::new(&problem, start()), &sequence);
         assert!(
             (full - incremental).abs() <= 1e-9 * full.abs().max(1.0),
             "{full} vs {incremental}"

@@ -223,7 +223,8 @@ impl Network {
         self.cpus[node.index()].admit(now, scaled)
     }
 
-    /// The route from `from` to `to`, borrowed from the precomputed table.
+    /// The route from `from` to `to`, borrowed from the topology's route
+    /// table (built on the first query).
     ///
     /// # Panics
     ///

@@ -2,12 +2,19 @@
 //!
 //! The paper's testbed (Figure 2) is a star: three application servers, a
 //! database host and client LANs, all joined by a Click software router with
-//! traffic shaping on the WAN legs. [`TopologyBuilder`] describes such graphs;
-//! [`TopologyBuilder::finalize`] computes all-pairs latency-shortest routes
-//! once, into one flat table, so that the hot transfer path is a plain slice
-//! lookup. The generated multi-tier rungs reach ~500 nodes (a quarter of a
-//! million routed pairs), so the table holds every route back to back in one
-//! buffer rather than one allocation per pair.
+//! traffic shaping on the WAN legs. [`TopologyBuilder`] describes such graphs.
+//! A [`Topology`] computes its all-pairs latency-shortest routes on the first
+//! [`Topology::route`] query, into one flat table, so that the hot transfer
+//! path is a plain slice lookup. The generated multi-tier rungs reach ~500
+//! nodes (a quarter of a million routed pairs), so the table holds every
+//! route back to back in one buffer rather than one allocation per pair.
+//! [`Topology::path_latencies`] runs the same Dijkstra without the table, so
+//! a caller that only prices paths (the placement host matrix) never
+//! builds it.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 use mutsvc_desim::time::SimDuration;
 
@@ -175,25 +182,92 @@ impl TopologyBuilder {
         id
     }
 
-    /// Computes routes and produces an immutable [`Topology`].
+    /// Produces an immutable [`Topology`]. Its routes are computed on the
+    /// first [`Topology::route`] query.
     ///
     /// # Panics
     ///
     /// Panics if the graph is empty.
     pub fn finalize(self) -> Topology {
         assert!(!self.nodes.is_empty(), "topology has no nodes");
-        let (hops, spans) = compute_routes(&self.nodes, &self.links);
+        let mut adjacency = vec![Vec::new(); self.nodes.len()];
+        for (id, link) in (0..).map(LinkId).zip(&self.links) {
+            adjacency[link.from.0].push(OutLink {
+                to: link.to.0,
+                link: id,
+                weight: link.latency.as_micros().max(1),
+            });
+        }
         Topology {
             nodes: self.nodes,
             links: self.links,
-            hops,
-            spans,
+            adjacency,
+            routes: OnceLock::new(),
         }
     }
 }
 
-/// Where one (source, destination) pair's route sits in [`Topology`]'s hop
-/// buffer: `len` links starting at `offset`.
+/// One directed link as Dijkstra reads it from its tail's adjacency list.
+#[derive(Debug, Clone, Copy)]
+struct OutLink {
+    to: usize,
+    link: LinkId,
+    /// The link's latency in whole microseconds, at least 1 µs.
+    weight: u64,
+}
+
+/// The buffers of one-source Dijkstras, reused across sources.
+struct Dijkstra {
+    dist: Vec<u64>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl Dijkstra {
+    fn new(nodes: usize) -> Self {
+        Dijkstra {
+            dist: vec![u64::MAX; nodes],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Settles every node reachable from `src` in order of distance over
+    /// `adjacency`, and calls `visit(node, last)` once per node as it
+    /// settles. `last` is `None` for `src`; for any other node it is the
+    /// link that last improved the node's distance. That link is the last
+    /// hop of the node's route, and its tail settled earlier. `last_link`
+    /// (one slot per node) records it for every reached node but `src`.
+    ///
+    /// Both the route table and [`Topology::path_latencies`] run this one
+    /// loop, so they break ties alike and agree on every route.
+    fn settle(
+        &mut self,
+        adjacency: &[Vec<OutLink>],
+        src: usize,
+        last_link: &mut [LinkId],
+        mut visit: impl FnMut(usize, Option<LinkId>),
+    ) {
+        self.dist.fill(u64::MAX);
+        self.dist[src] = 0;
+        self.heap.push(Reverse((0, src)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if d > self.dist[u] {
+                continue;
+            }
+            visit(u, (u != src).then(|| last_link[u]));
+            for out in &adjacency[u] {
+                let nd = d.saturating_add(out.weight);
+                if nd < self.dist[out.to] {
+                    self.dist[out.to] = nd;
+                    last_link[out.to] = out.link;
+                    self.heap.push(Reverse((nd, out.to)));
+                }
+            }
+        }
+    }
+}
+
+/// Where one (source, destination) pair's route sits in the route table's
+/// hop buffer: `len` links starting at `offset`.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     offset: u32,
@@ -213,72 +287,54 @@ impl Span {
     }
 }
 
-/// All-pairs latency-shortest routes: one Dijkstra per source over link
-/// latencies in whole microseconds (at least 1 µs per hop), its `dist` and
-/// heap reused across sources. Returns the hop buffer and one [`Span`] per
-/// pair, row-major by source.
+/// The all-pairs route table: every route's links back to back in `hops`
+/// (4 bytes per hop), and one 8-byte [`Span`] per ordered node pair in
+/// `spans`, row-major by source, with a sentinel length for an unreachable
+/// pair. A pair therefore costs 8 bytes plus 4 per hop of its route.
+#[derive(Debug, Clone)]
+struct Routes {
+    hops: Vec<LinkId>,
+    spans: Vec<Span>,
+}
+
+/// All-pairs latency-shortest routes: one [`Dijkstra::settle`] per source,
+/// its buffers reused across sources.
 ///
 /// Two passes, so that the hop buffer is allocated once at its exact size.
 /// The Dijkstras keep, per pair, the link that last improved the
 /// destination, and fix a node's span when it settles: its route is one
 /// link longer than its predecessor's, which settled earlier, and spans are
-/// laid out in settle order. So each source's routes lie back to back,
-/// starting with its own empty route, which [`Topology::path_latencies`]
-/// relies on. The second pass writes each route back to front along those
-/// links: exactly the final predecessor chain. (A buffer grown as routes
-/// are found leaves its outgrown halves as holes in the allocator's heap;
-/// in a loop that rebuilds the 256-host rung they made the peak resident
-/// set jump by up to 4 MB at moments that varied from run to run.) That
-/// rung has 498 nodes: 248,004 spans and 1,177,058 hops, ~6.7 MB in two
-/// allocations, plus 1 MB of per-pair links freed on return.
+/// laid out in settle order. The second pass writes each route back to
+/// front along those links: exactly the final predecessor chain. (A buffer
+/// grown as routes are found leaves its outgrown halves as holes in the
+/// allocator's heap; in a loop that rebuilds the 256-host rung they made
+/// the peak resident set jump by up to 4 MB at moments that varied from run
+/// to run.) That rung has 498 nodes: 248,004 spans and 1,177,058 hops,
+/// ~6.7 MB in two allocations, plus 1 MB of per-pair links freed on return.
 ///
 /// # Panics
 ///
 /// Panics if the routes hold more than `u32::MAX` links in all.
-fn compute_routes(nodes: &[NodeSpec], links: &[LinkSpec]) -> (Vec<LinkId>, Vec<Span>) {
-    let n = nodes.len();
-    let mut adjacency: Vec<Vec<(usize, LinkId, u64)>> = vec![Vec::new(); n];
-    for (id, link) in (0..).map(LinkId).zip(links) {
-        adjacency[link.from.0].push((link.to.0, id, link.latency.as_micros().max(1)));
-    }
-
+fn compute_routes(links: &[LinkSpec], adjacency: &[Vec<OutLink>]) -> Routes {
+    let n = adjacency.len();
     let mut spans = vec![Span::UNREACHABLE; n * n];
     // Only read for pairs whose source reached the destination, each of
     // which set it.
     let mut last = vec![LinkId(0); n * n];
     let mut total: u32 = 0;
-    let mut dist = vec![u64::MAX; n];
-    let mut heap = std::collections::BinaryHeap::new();
+    let mut dijkstra = Dijkstra::new(n);
     for (src, (row, last)) in spans
         .chunks_exact_mut(n)
         .zip(last.chunks_exact_mut(n))
         .enumerate()
     {
-        dist.fill(u64::MAX);
-        dist[src] = 0;
-        heap.push(std::cmp::Reverse((0u64, src)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            if d > dist[u] {
-                continue;
-            }
-            let len = if u == src {
-                0
-            } else {
-                row[links[last[u].index()].from.0].len + 1
-            };
+        dijkstra.settle(adjacency, src, last, |u, via| {
+            let len = via.map_or(0, |l| row[links[l.index()].from.0].len + 1);
             row[u] = Span { offset: total, len };
             total = total
                 .checked_add(len)
                 .expect("a route table holds at most u32::MAX links");
-            for &(v, link, w) in &adjacency[u] {
-                let nd = d.saturating_add(w);
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    last[v] = link;
-                    heap.push(std::cmp::Reverse((nd, v)));
-                }
-            }
-        }
+        });
     }
 
     let mut hops = vec![LinkId(0); total as usize];
@@ -294,23 +350,24 @@ fn compute_routes(nodes: &[NodeSpec], links: &[LinkSpec]) -> (Vec<LinkId>, Vec<S
             }
         }
     }
-    (hops, spans)
+    Routes { hops, spans }
 }
 
-/// An immutable network graph with precomputed routes.
+/// An immutable network graph and its latency-shortest routes.
 ///
-/// The all-pairs route table is two flat buffers: every route's links back
-/// to back in `hops` (4 bytes per hop), and one 8-byte `(offset, len)` span
-/// per ordered node pair in `spans`, row-major by source, with a sentinel
-/// length for an unreachable pair. A pair therefore costs 8 bytes plus 4 per
-/// hop of its route, and cloning a topology copies the table as two
-/// buffers.
+/// The all-pairs route table is built on the first [`Topology::route`]
+/// query and kept from then on; every later query is one check that it is
+/// built plus a slice index. A clone copies the table if it is built, and
+/// otherwise builds its own on its first query. Only the adjacency lists
+/// are kept from the start, for [`Topology::path_latencies`] and the
+/// table's Dijkstras.
 #[derive(Debug, Clone)]
 pub struct Topology {
     nodes: Vec<NodeSpec>,
     links: Vec<LinkSpec>,
-    hops: Vec<LinkId>,
-    spans: Vec<Span>,
+    /// Each node's outgoing links, in insertion order.
+    adjacency: Vec<Vec<OutLink>>,
+    routes: OnceLock<Routes>,
 }
 
 impl Topology {
@@ -388,7 +445,7 @@ impl Topology {
     }
 
     /// The latency-shortest route from `from` to `to` (empty if `from == to`),
-    /// or `None` if unreachable.
+    /// or `None` if unreachable. The first query builds the route table.
     ///
     /// # Panics
     ///
@@ -396,8 +453,11 @@ impl Topology {
     pub fn route(&self, from: NodeId, to: NodeId) -> Option<&[LinkId]> {
         let n = self.nodes.len();
         assert!(to.0 < n, "node {to} outside a topology of {n} nodes");
-        let span = self.spans[from.0 * n + to.0];
-        (span.len != Span::UNREACHABLE.len).then(|| &self.hops[span.range()])
+        let routes = self
+            .routes
+            .get_or_init(|| compute_routes(&self.links, &self.adjacency));
+        let span = routes.spans[from.0 * n + to.0];
+        (span.len != Span::UNREACHABLE.len).then(|| &routes.hops[span.range()])
     }
 
     /// Sum of propagation latencies along the route (ignores serialization).
@@ -414,9 +474,11 @@ impl Topology {
     }
 
     /// [`path_latency`](Topology::path_latency) from `from` to every node,
-    /// indexed by node, with `None` where unreachable: one pass over
-    /// `from`'s row of the route table instead of one route walk per
-    /// destination.
+    /// indexed by node, with `None` where unreachable: one Dijkstra from
+    /// `from` that keeps latencies only, so it neither reads nor builds the
+    /// route table. It settles nodes exactly as the table's Dijkstras do,
+    /// and prices each as the node its route comes from plus the route's
+    /// last link, so every latency is its route's sum.
     ///
     /// # Panics
     ///
@@ -424,28 +486,15 @@ impl Topology {
     pub fn path_latencies(&self, from: NodeId) -> Vec<Option<SimDuration>> {
         let n = self.nodes.len();
         assert!(from.0 < n, "node {from} outside a topology of {n} nodes");
-        // A row's routes lie back to back, from its source's empty route up
-        // to the next row's. Each route's prefixes are the routes of the
-        // nodes they end at, so walking the row prices every hop's head as
-        // its tail's latency plus the link's; a route's first link is its
-        // only one that leaves `from`, and starts the sum over.
-        let start = self.spans[from.0 * n + from.0].offset as usize;
-        let end = if from.0 + 1 < n {
-            self.spans[(from.0 + 1) * n + from.0 + 1].offset as usize
-        } else {
-            self.hops.len()
-        };
         let mut latency = vec![None; n];
-        latency[from.0] = Some(SimDuration::ZERO);
-        let mut at = SimDuration::ZERO;
-        for &l in &self.hops[start..end] {
-            let link = &self.links[l.index()];
-            if link.from == from {
-                at = SimDuration::ZERO;
-            }
-            at += link.latency;
-            latency[link.to.0] = Some(at);
-        }
+        let mut last = vec![LinkId(0); n];
+        Dijkstra::new(n).settle(&self.adjacency, from.0, &mut last, |u, via| {
+            latency[u] = Some(via.map_or(SimDuration::ZERO, |l| {
+                let link = &self.links[l.index()];
+                latency[link.from.0].expect("a route's last hop leaves a settled node")
+                    + link.latency
+            }));
+        });
         latency
     }
 
@@ -742,13 +791,17 @@ mod tests {
             ) {
                 let t = random_topology(nodes, &links);
                 let reference = reference_routes(&t);
-                let copy = t.clone();
+                let before = t.clone();
+                prop_assert!(t.route(NodeId(0), NodeId(0)).is_some());
+                let after = t.clone();
+                prop_assert!(before.routes.get().is_none() && after.routes.get().is_some());
                 let (source_only, isolated) = (NodeId(0), NodeId(nodes - 1));
                 for a in t.node_ids() {
                     for b in t.node_ids() {
                         let route = t.route(a, b);
                         prop_assert_eq!(route, reference[a.0][b.0].as_deref(), "{} -> {}", a, b);
-                        prop_assert_eq!(copy.route(a, b), route);
+                        prop_assert_eq!(before.route(a, b), route);
+                        prop_assert_eq!(after.route(a, b), route);
                         if a == b {
                             prop_assert_eq!(route, Some(&[][..]));
                         } else if b == source_only || a == isolated || b == isolated {
@@ -758,11 +811,11 @@ mod tests {
                 }
             }
 
-            /// One row walk prices every destination exactly as summing its
-            /// route does, with `None` exactly where there is no route, and
-            /// so round trips sum to [`Topology::rtt`].
+            /// The latency-only Dijkstra prices every destination exactly as
+            /// summing its route does, with `None` exactly where there is no
+            /// route, and so round trips sum to [`Topology::rtt`].
             #[test]
-            fn row_latencies_match_route_sums(
+            fn latency_pass_matches_route_sums(
                 nodes in 3usize..14,
                 links in proptest::collection::vec((0usize..64, 0usize..64, 0u64..4), 0..48),
                 scale in 1u64..100_000,
@@ -783,6 +836,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Pricing paths from every node leaves the route table unbuilt, and
+    /// the first route query builds it.
+    #[test]
+    fn path_latencies_do_not_build_the_route_table() {
+        let (t, main, router, edge) = star();
+        for from in t.node_ids() {
+            t.path_latencies(from);
+        }
+        assert_eq!(t.path_latencies(edge)[main.0], Some(ms(101)));
+        assert!(t.routes.get().is_none());
+        assert_eq!(t.route(main, router).map(<[LinkId]>::len), Some(1));
+        assert!(t.routes.get().is_some());
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! `mutsvc_core::topology::multi_tier_topology`) have hundreds of candidate
 //! hosts whose pairwise cost is a *multi-hop* WAN path, not a single link.
 //! This module prices those paths the same way the simulator and the static
-//! analyzer do: [`Topology::rtt`] sums latency-shortest routes (Dijkstra per
-//! source, computed once per topology), so the placement matrix, the
-//! analyzer, and the engine's message timing can never disagree about what
-//! a host pair costs.
+//! analyzer do: along the topology's latency-shortest routes, which one
+//! Dijkstra settle loop finds for both the route table the engine times
+//! messages with and [`Topology::path_latencies`], so the placement matrix,
+//! the analyzer, and the engine can never disagree about what a host pair
+//! costs.
 //!
-//! The topology keeps every route in one flat table, each source's routes
-//! back to back, so [`host_matrix`] prices all of a server's outbound legs
-//! in one pass over its row ([`Topology::path_latencies`]). On the
-//! 256-host ladder rung (498 topology nodes) that table is ~6.7 MB in two
-//! allocations; building it is most of the cost of building the rung's
-//! problem.
+//! [`host_matrix`] prices all of a server's outbound legs with one
+//! latency-only Dijkstra from it ([`Topology::path_latencies`]), so it never
+//! builds the topology's all-pairs route table. On the 256-host ladder rung
+//! (498 topology nodes) that table would be ~6.7 MB in two allocations, and
+//! building it took most of the rung's problem build; the matrix needs the
+//! latencies from the 256 servers only.
 
 use std::cmp::Ordering;
 
@@ -41,10 +42,11 @@ pub struct ServerSpec {
 /// multi-hop path there and back, exactly what one remote invocation pays,
 /// and bit for bit [`Topology::rtt`].
 ///
-/// One [`Topology::path_latencies`] walk per server prices its outbound
-/// legs. The matrix is the only allocation that outlives a walk: until the
-/// walk from `b` completes a pair `a < b`, slot `[a][b]` holds the `a → b`
-/// leg's microseconds as raw bits.
+/// One [`Topology::path_latencies`] pass per server prices its outbound
+/// legs, and the topology's route table stays unbuilt. The matrix is the
+/// only allocation that outlives a pass: until the pass from `b` completes
+/// a pair `a < b`, slot `[a][b]` holds the `a → b` leg's microseconds as
+/// raw bits.
 ///
 /// # Panics
 ///
@@ -67,7 +69,7 @@ pub fn host_matrix(topology: &Topology, servers: &[NodeId]) -> Vec<Vec<f64>> {
                     rtt[a][b] = ms;
                     rtt[b][a] = ms;
                 }
-                // The walk from `a` completes this pair.
+                // The pass from `a` completes this pair.
                 Ordering::Greater => rtt[b][a] = f64::from_bits(back.as_micros()),
                 Ordering::Equal => {}
             }
@@ -131,7 +133,7 @@ pub fn rehost(
 /// telemetry only covers WAN links that carried traffic). Paths still
 /// follow the *static* latency-shortest routes: observation re-prices the
 /// paths the deployed system actually uses, it does not re-route them, so
-/// the matrix stays consistent with the simulator's precomputed routing.
+/// the matrix stays consistent with the simulator's route table.
 ///
 /// # Panics
 ///

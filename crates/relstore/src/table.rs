@@ -3,6 +3,8 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use mutsvc_desim::hash::FxHashMap;
+
 use crate::value::{RowId, Value};
 
 /// Identifies a table within a [`Database`](crate::database::Database).
@@ -25,17 +27,21 @@ pub struct ColumnDef {
     pub indexed: bool,
 }
 
-/// A heap of rows plus optional per-column hash indexes.
+/// Rows addressed by id plus optional per-column hash indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     columns: Vec<ColumnDef>,
     /// Average serialized row size, used for result-set byte accounting.
     row_bytes: u64,
-    rows: HashMap<RowId, Vec<Value>>,
+    /// Row `RowId(i)` in slot `i - 1`. Ids are handed out from 1 in order
+    /// and never reused, so the next id is one past the last slot and a
+    /// deleted row leaves `None` behind.
+    rows: Vec<Option<Vec<Value>>>,
+    /// Live rows: the slots that are not `None`.
+    len: usize,
     /// column index -> value -> row ids (insertion-ordered within a value).
-    indexes: HashMap<usize, HashMap<Value, Vec<RowId>>>,
-    next_id: u64,
+    indexes: FxHashMap<usize, FxHashMap<Value, Vec<RowId>>>,
     like_memo: LikeMemo,
 }
 
@@ -72,17 +78,29 @@ impl Table {
             .iter()
             .enumerate()
             .filter(|(_, c)| c.indexed)
-            .map(|(i, _)| (i, HashMap::new()))
+            .map(|(i, _)| (i, FxHashMap::default()))
             .collect();
         Table {
             name,
             columns,
             row_bytes,
-            rows: HashMap::new(),
+            rows: Vec::new(),
+            len: 0,
             indexes,
-            next_id: 1,
             like_memo: LikeMemo::default(),
         }
+    }
+
+    /// The slot of row `id`; `RowId(0)` has none.
+    fn slot(id: RowId) -> Option<usize> {
+        usize::try_from(id.0).ok()?.checked_sub(1)
+    }
+
+    /// Live rows in id order.
+    fn live(&self) -> impl Iterator<Item = (RowId, &[Value])> {
+        (1..)
+            .zip(&self.rows)
+            .filter_map(|(id, row)| Some((RowId(id), row.as_deref()?)))
     }
 
     /// Table name.
@@ -92,12 +110,12 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// `true` when the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Average serialized row size in bytes.
@@ -127,24 +145,24 @@ impl Table {
             "row arity mismatch in table {}",
             self.name
         );
-        let id = RowId(self.next_id);
-        self.next_id += 1;
+        let id = RowId(self.rows.len() as u64 + 1);
         self.like_memo.clear();
         for (&col, index) in &mut self.indexes {
             index.entry(values[col].clone()).or_default().push(id);
         }
-        self.rows.insert(id, values);
+        self.rows.push(Some(values));
+        self.len += 1;
         id
     }
 
     /// Fetches a row by primary key.
     pub fn get(&self, id: RowId) -> Option<&[Value]> {
-        self.rows.get(&id).map(Vec::as_slice)
+        self.rows.get(Self::slot(id)?)?.as_deref()
     }
 
     /// Reads one cell.
     pub fn cell(&self, id: RowId, column: usize) -> Option<&Value> {
-        self.rows.get(&id).and_then(|r| r.get(column))
+        self.get(id)?.get(column)
     }
 
     /// Updates one cell; returns the previous value, or `None` if the row
@@ -154,7 +172,7 @@ impl Table {
     ///
     /// Panics if `column` is out of range for an existing row.
     pub fn update(&mut self, id: RowId, column: usize, value: Value) -> Option<Value> {
-        let row = self.rows.get_mut(&id)?;
+        let row = self.rows.get_mut(Self::slot(id)?)?.as_mut()?;
         assert!(
             column < row.len(),
             "column {column} out of range in {}",
@@ -176,7 +194,8 @@ impl Table {
 
     /// Deletes a row; returns its values if it existed.
     pub fn delete(&mut self, id: RowId) -> Option<Vec<Value>> {
-        let row = self.rows.remove(&id)?;
+        let row = self.rows.get_mut(Self::slot(id)?)?.take()?;
+        self.len -= 1;
         self.like_memo.clear();
         for (&col, index) in &mut self.indexes {
             if let Some(ids) = index.get_mut(&row[col]) {
@@ -189,20 +208,19 @@ impl Table {
         Some(row)
     }
 
-    /// Row ids whose `column` equals `value`. Uses the hash index when one
-    /// exists, otherwise scans. Results are sorted for determinism.
+    /// Row ids whose `column` equals `value`, sorted. Uses the hash index
+    /// when one exists, otherwise scans in id order.
     pub fn find_eq(&self, column: usize, value: &Value) -> Vec<RowId> {
-        let mut ids = if let Some(index) = self.indexes.get(&column) {
-            index.get(value).cloned().unwrap_or_default()
+        if let Some(index) = self.indexes.get(&column) {
+            let mut ids = index.get(value).cloned().unwrap_or_default();
+            ids.sort_unstable();
+            ids
         } else {
-            self.rows
-                .iter()
+            self.live()
                 .filter(|(_, r)| &r[column] == value)
-                .map(|(&id, _)| id)
+                .map(|(id, _)| id)
                 .collect()
-        };
-        ids.sort_unstable();
-        ids
+        }
     }
 
     /// Row ids whose string `column` contains `needle` (ASCII
@@ -216,26 +234,22 @@ impl Table {
         if let Some(ids) = by_needle.get(needle) {
             return ids.clone();
         }
-        let mut ids: Vec<RowId> = self
-            .rows
-            .iter()
+        let ids: Vec<RowId> = self
+            .live()
             .filter(|(_, r)| {
                 r[column]
                     .as_str()
                     .is_some_and(|s| contains_ascii_ci(s, needle))
             })
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
-        ids.sort_unstable();
         by_needle.insert(needle.to_owned(), ids.clone());
         ids
     }
 
     /// All row ids, sorted.
     pub fn all_ids(&self) -> Vec<RowId> {
-        let mut ids: Vec<RowId> = self.rows.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.live().map(|(id, _)| id).collect()
     }
 }
 
@@ -396,6 +410,8 @@ mod tests {
     }
 
     mod properties {
+        use std::collections::BTreeMap;
+
         use proptest::prelude::*;
 
         use super::super::*;
@@ -403,18 +419,14 @@ mod tests {
 
         /// `find_like` as it was before the memo: a scan of every row.
         fn reference(t: &Table, column: usize, needle: &str) -> Vec<RowId> {
-            let mut ids: Vec<RowId> = t
-                .rows
-                .iter()
+            t.live()
                 .filter(|(_, r)| {
                     r[column]
                         .as_str()
                         .is_some_and(|s| contains_ascii_ci(s, needle))
                 })
-                .map(|(&id, _)| id)
-                .collect();
-            ids.sort_unstable();
-            ids
+                .map(|(id, _)| id)
+                .collect()
         }
 
         /// Cells that match some needles in some cases, and one that is not
@@ -446,8 +458,110 @@ mod tests {
             (db, t)
         }
 
+        /// A table with an unindexed column `a` and indexed columns `b` and
+        /// `c`, holding `Value`s of both kinds.
+        fn model_table() -> Table {
+            let column = |name: &str, indexed| ColumnDef {
+                name: name.into(),
+                indexed,
+            };
+            Table::new(
+                "model".into(),
+                vec![column("a", false), column("b", true), column("c", true)],
+                16,
+            )
+        }
+
+        /// A small domain, so equal values are common.
+        fn cell(k: usize) -> Value {
+            match k % 4 {
+                0 => "x".into(),
+                1 => "y".into(),
+                2 => Value::Int(1),
+                _ => Value::Int(2),
+            }
+        }
+
+        /// Every read of `t` equals the same read of `model`: each id from
+        /// `RowId(0)` to two past the last one handed out, each column and
+        /// one past the last, and every value of the domain in every column.
+        fn assert_matches(t: &Table, model: &BTreeMap<RowId, Vec<Value>>, next: u64) {
+            prop_assert_eq!(t.len(), model.len());
+            prop_assert_eq!(t.is_empty(), model.is_empty());
+            prop_assert_eq!(t.all_ids(), model.keys().copied().collect::<Vec<_>>());
+            for id in (0..next + 2).map(RowId) {
+                prop_assert_eq!(t.get(id), model.get(&id).map(Vec::as_slice), "get {}", id);
+                for column in 0..4 {
+                    prop_assert_eq!(
+                        t.cell(id, column),
+                        model.get(&id).and_then(|r| r.get(column)),
+                        "cell {} {}",
+                        id,
+                        column
+                    );
+                }
+            }
+            for column in 0..3 {
+                for k in 0..4 {
+                    let value = cell(k);
+                    let want: Vec<RowId> = model
+                        .iter()
+                        .filter(|(_, r)| r[column] == value)
+                        .map(|(&id, _)| id)
+                        .collect();
+                    prop_assert_eq!(
+                        t.find_eq(column, &value),
+                        want,
+                        "find_eq {} {:?}",
+                        column,
+                        value
+                    );
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+            /// Rows addressed by id answer every read as an ordered map of
+            /// the live rows does, through inserts, updates of indexed and
+            /// unindexed columns, deletes (ids past the end and `RowId(0)`
+            /// included, so some are unapplied), and clones that then
+            /// diverge.
+            #[test]
+            fn rows_match_an_ordered_map(
+                ops in proptest::collection::vec(
+                    (0u8..5, 0usize..2, 0u64..12, 0usize..3, 0usize..4, 0usize..4), 1..80),
+            ) {
+                let mut tables = [model_table(), model_table()];
+                let mut models = [BTreeMap::new(), BTreeMap::new()];
+                let mut next = [1u64, 1];
+                for (op, i, row, column, v, w) in ops {
+                    let id = RowId(row);
+                    match op {
+                        0 => {
+                            let values = vec![cell(v), cell(w), cell(v + w)];
+                            prop_assert_eq!(tables[i].insert(values.clone()), RowId(next[i]));
+                            models[i].insert(RowId(next[i]), values);
+                            next[i] += 1;
+                        }
+                        1 => {
+                            let old = models[i]
+                                .get_mut(&id)
+                                .map(|r: &mut Vec<Value>| std::mem::replace(&mut r[column], cell(v)));
+                            prop_assert_eq!(tables[i].update(id, column, cell(v)), old);
+                        }
+                        2 => prop_assert_eq!(tables[i].delete(id), models[i].remove(&id)),
+                        3 => {
+                            tables[1 - i] = tables[i].clone();
+                            models[1 - i] = models[i].clone();
+                            next[1 - i] = next[i];
+                        }
+                        _ => {}
+                    }
+                    assert_matches(&tables[i], &models[i], next[i]);
+                }
+            }
+
             /// Every `find_like` answer and every `Like` outcome equals a
             /// fresh scan, through inserts, updates of either searched
             /// column or of neither, deletes (rows 7 and up rarely exist, so
